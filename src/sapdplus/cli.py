@@ -6,26 +6,25 @@ Subcommands:
   bench          run a list of config files in sequence
 
 Config files are flat ``key = value`` text with ``#`` comments; CLI flags
-override file values.  Traces have the fixed header
+override file values.  The reps of a `solve` run serially, in rep order.
+Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
-``<out>.meta.txt`` with everything needed to reproduce the run.
+``<out>.meta.txt`` with everything needed to reproduce the run.  For the
+staged solvers, ``wall_ms`` is stamped when each stage record is produced,
+so it excludes the objective evaluation that fills the row.
 """
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import datasets
 from .errors import ConfigurationError, DivergenceError
-from .evaluation import moreau_stationarity
 from .outer import FixedT, OuterConfig, StationarityTarget, sapd_plus_run
 from .params import (build_lmi, build_vr_lmi, theorem1_schedule,
                      theta_noise_floor, vr_schedule)
@@ -248,8 +247,8 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
     rows = []
     note = ""
 
-    def emit(stage, calls, x, stat=None):
-        wall_ms = (time.perf_counter() - t_start) * 1e3
+    def emit(stage, calls, x, stamp, stat=None):
+        wall_ms = (stamp - t_start) * 1e3
         obj = objective(x)
         stat_s = "" if stat is None else f"{stat:.17g}"
         rows.append((rep, stage, calls, f"{wall_ms:.3f}", f"{obj:.17g}", stat_s))
@@ -265,7 +264,7 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
             records = sgda_baseline_run(p, steps, cfg.tau, cfg.sigma, rng,
                                         x0=x0, y0=y0, record_every=rec_every)
             for stage, calls, x, _y in records:
-                emit(stage, calls, x)
+                emit(stage, calls, x, time.perf_counter())
         else:
             per_stage = _calls_per_stage(params, vr_flag, p.oracle_batch)
             cap = t_outer
@@ -277,9 +276,12 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
                                           check_every=cfg.stat_every)
             out_cfg = OuterConfig(t_outer=cap, schedule=params, vr=vr_flag,
                                   stop=stop, record_every=cfg.record_every)
-            result = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs)
-            for rec in result.stages:
-                emit(rec.stage, rec.oracle_calls, rec.x, rec.stationarity)
+            stamps = []  # perf_counter as each stage record is produced
+            result = sapd_plus_run(
+                p, out_cfg, x0, y0, rng, fs=fs,
+                on_stage=lambda _rec: stamps.append(time.perf_counter()))
+            for rec, stamp in zip(result.stages, stamps):
+                emit(rec.stage, rec.oracle_calls, rec.x, stamp, rec.stationarity)
     except DivergenceError as err:
         note = f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
     return rows, note
@@ -293,24 +295,14 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
     if vr_flag and fs is None:
         raise ConfigurationError("variance-reduced algorithm needs a finite-sum problem")
 
-    workers = int(os.environ.get("SAPD_THREADS", "0")) or min(cfg.reps, os.cpu_count() or 1)
-    workers = max(1, min(workers, cfg.reps))
     notes = []
     all_rows = []
-    if workers == 1:
-        results = [_run_single_rep(r, cfg, p, fs, objective, params, t_outer,
-                                   vr_flag, epoch_size) for r in range(cfg.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_single_rep, r, cfg, p, fs, objective,
-                                   params, t_outer, vr_flag, epoch_size)
-                       for r in range(cfg.reps)]
-            results = [f.result() for f in futures]
-    for rows, note in results:
+    for r in range(cfg.reps):
+        rows, note = _run_single_rep(r, cfg, p, fs, objective, params, t_outer,
+                                     vr_flag, epoch_size)
         all_rows.extend(rows)
         if note:
             notes.append(note)
-    all_rows.sort(key=lambda r: (r[0], r[1]))
 
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -8,6 +8,7 @@ over the simplex, and synthetic quadratic saddle fixtures with closed forms
 import gzip
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,15 +59,16 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
     """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices).
 
     source may be a path (gzip accepted by .gz extension), a text stream, or
-    a string of the format itself.  Labels {0,1} map to {-1,+1}.  Malformed
-    lines raise with their line number; indices must strictly increase
-    within a row.
+    a string of the format itself.  A string naming an existing file is read
+    as a path even when it contains ':'.  Labels {0,1} map to {-1,+1}.
+    Malformed lines raise with their line number; indices must strictly
+    increase within a row.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         s = str(source)
-        if "\n" in s or ":" in s:
+        if "\n" in s or (":" in s and not os.path.isfile(s)):
             text = s
         elif s.endswith(".gz"):
             with gzip.open(s, "rt") as f:
@@ -280,16 +282,15 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         z = ds.labels[idx] * (a @ x)
         sig = _sigmoid_neg(z)
         rows = -(y[idx] * ds.labels[idx] * sig)[:, None] * a
-        return _pairwise_mean(rows.copy()) + inst.regularizer_grad(x)
+        return _pairwise_mean(rows) + inst.regularizer_grad(x)
 
     def batch_grad_y(idx, x, y):
         inst = inst_holder["inst"]
         idx = np.asarray(idx)
         a = inst.features[idx]
         z = ds.labels[idx] * (a @ x)
-        out = np.zeros(n)
-        np.add.at(out, idx, np.logaddexp(0.0, -z))
-        return out / idx.size
+        # bincount adds repeated indices in batch order, as np.add.at does
+        return np.bincount(idx, weights=np.logaddexp(0.0, -z), minlength=n) / idx.size
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)

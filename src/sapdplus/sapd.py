@@ -86,11 +86,17 @@ def weighted_average(iterates, rho):
 
 
 def _guard(x, y, k):
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DivergenceError(f"non-finite iterate at inner iteration {k}", iteration=k)
-    if float(np.sum(x * x) + np.sum(y * y)) > DIVERGENCE_NORM**2:
+    # One comparison covers both failures: it is also false for NaN and +-inf.
+    if not (x @ x + y @ y <= DIVERGENCE_NORM**2):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DivergenceError(f"non-finite iterate at inner iteration {k}",
+                                  iteration=k)
         raise DivergenceError(f"iterate norm above guard at inner iteration {k}",
                               iteration=k)
+
+
+def _step_norm(x_new, y_new, x, y):
+    return float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
 
 
 def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
@@ -106,35 +112,34 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
     y = np.array(y0, dtype=float)
     gy_prev = p.stoch_grad_y(x, y, rng)
     q_tilde = np.zeros_like(y)
-    x_calls, y_calls = 0, 1
     acc_x = np.zeros_like(x)
     acc_y = np.zeros_like(y)
     weight = 0.0
-    step_norm = np.inf
     trace = [] if record_iterates else None
-    k = 0
     for k in range(params.n_inner):
         s = gy_prev + theta * q_tilde
         y_new = p.prox_g(y + sigma * s, sigma)
         gx = p.stoch_grad_x(x, y_new, rng)
-        x_calls += 1
         x_new = p.prox_f(x - tau * gx, tau)
         _guard(x_new, y_new, k)
         gy_new = p.stoch_grad_y(x_new, y_new, rng)
-        y_calls += 1
         q_tilde = gy_new - gy_prev
         gy_prev = gy_new
-        step_norm = float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
+        x_prev, y_prev = x, y
         x, y = x_new, y_new
-        acc_x = rho * acc_x + x
-        acc_y = rho * acc_y + y
+        acc_x *= rho
+        acc_x += x
+        acc_y *= rho
+        acc_y += y
         weight = rho * weight + 1.0
         if record_iterates:
             trace.append((x.copy(), y.copy()))
-        if step_tol > 0 and step_norm <= step_tol:
+        if step_tol > 0 and _step_norm(x, y, x_prev, y_prev) <= step_tol:
             break
+    iterations = k + 1
     return SapdRunResult(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
-        x_calls=x_calls, y_calls=y_calls, last_step_norm=step_norm,
-        iterations=k + 1, trace=trace,
+        x_calls=iterations, y_calls=iterations + 1,
+        last_step_norm=_step_norm(x, y, x_prev, y_prev),
+        iterations=iterations, trace=trace,
     )

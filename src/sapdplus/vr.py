@@ -17,14 +17,13 @@ single-sample draws.
 """
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
-from .sapd import DIVERGENCE_NORM, SapdRunResult, _guard
+from .sapd import SapdRunResult, _guard, _step_norm
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
     acc_x = np.zeros_like(x)
     acc_y = np.zeros_like(y)
     weight = 0.0
-    step_norm = np.inf
     trace = [] if debug_record else None
     if debug_record:
         trace.append(dict(k=0, axis="y", kind="refresh", batch=batch0,
@@ -124,16 +122,16 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
                                   points=(x_new.copy(), y_new.copy(), x.copy(), y.copy())))
         s = (1.0 + theta) * w_new - theta * w_prev
         w_prev = w_new
-        step_norm = float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
         x_prev, y_prev = x, y
         x, y = x_new, y_new
-        acc_x = acc_x + x  # rho = theta = 1: plain mean
-        acc_y = acc_y + y
+        acc_x += x  # rho = theta = 1: plain mean
+        acc_y += y
         weight += 1.0
 
     return SapdRunResult(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
-        x_calls=x_samples, y_calls=y_samples, last_step_norm=step_norm,
+        x_calls=x_samples, y_calls=y_samples,
+        last_step_norm=_step_norm(x, y, x_prev, y_prev),
         iterations=params.n_inner, trace=trace,
     )
 

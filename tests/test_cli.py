@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,38 @@ class TestSolve:
         objs = [float(r[4]) for r in rows]
         assert len(objs) >= 3
         assert objs[-1] < objs[0]
+
+    def test_reps_run_serially_in_rep_order(self, tmp_path, monkeypatch):
+        seen = []
+        run_rep = cli._run_single_rep
+
+        def spy(rep, *args):
+            seen.append((rep, threading.get_ident()))
+            return run_rep(rep, *args)
+
+        monkeypatch.setattr(cli, "_run_single_rep", spy)
+        args, _ = self.quad_args(tmp_path, "e.csv", extra=("--reps", "3"))
+        assert cli.main(args) == 0
+        assert seen == [(rep, threading.get_ident()) for rep in range(3)]
+
+    def test_wall_ms_stamped_before_objective(self, monkeypatch):
+        # on a fake clock only the objective takes time (1 s per call), so a
+        # stamp taken as each stage record is produced reads 0 on every row
+        cfg = cli.RunConfig(problem="quadratic", t_outer=4, seed=3)
+        p, fs, objective, epoch_size, meta = cli._build_problem(cfg)
+        params, t_outer, _, vr_flag = cli._resolve_schedule(cfg, p, meta)
+        now = [100.0]
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+
+        def slow_objective(x):
+            now[0] += 1.0
+            return objective(x)
+
+        rows, note = cli._run_single_rep(0, cfg, p, fs, slow_objective, params,
+                                         t_outer, vr_flag, epoch_size)
+        assert note == ""
+        assert [row[1] for row in rows] == list(range(5))
+        assert [row[3] for row in rows] == ["0.000"] * 5
 
     def test_bench_runs_config_list(self, tmp_path):
         cfg_file = tmp_path / "one.cfg"

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
@@ -58,6 +60,17 @@ class TestLibsvmParser:
             f.write("+1 1:0.5\n-1 1:1.5\n")
         ds = datasets.parse_libsvm(str(path))
         assert ds.n_samples == 2
+
+    @pytest.mark.parametrize("name", ["run:1.libsvm", "run:1.libsvm.gz"])
+    def test_path_with_colon(self, tmp_path, name):
+        path = tmp_path / name
+        opener = gzip.open if name.endswith(".gz") else open
+        with opener(path, "wt") as f:
+            f.write("+1 1:0.5\n-1 2:1.5\n-1 1:2.0\n")
+        for source in (str(path), path):
+            ds = datasets.parse_libsvm(source)
+            assert ds.n_samples == 3
+            assert ds.n_features == 2
 
 
 class TestDroInstance:
@@ -149,6 +162,36 @@ class TestDroInstance:
                                     n_samples=0, n_features=0)
         with pytest.raises(ConfigurationError):
             datasets.build_dro(ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(idx=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+       data=st.data())
+def test_bincount_adds_repeats_like_add_at(idx, data):
+    # np.bincount in batch_grad_y must add repeated indices in the same order
+    # as the np.add.at it replaced, so the sums match bit for bit
+    weights = np.array(data.draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=len(idx), max_size=len(idx))))
+    idx = np.array(idx)
+    expected = np.zeros(7)
+    np.add.at(expected, idx, weights)
+    got = np.bincount(idx, weights=weights, minlength=7)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_dro_batch_grad_y_matches_add_at():
+    ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(8))
+    inst = datasets.build_dro(ds)
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(4)
+    y = np.full(30, 1.0 / 30)
+    for size in (1, 10, 100):  # size 100 of 30 components repeats indices
+        idx = inst.finite_sum.sample(rng, size)
+        z = ds.labels[idx] * (inst.features[idx] @ x)
+        expected = np.zeros(30)
+        np.add.at(expected, idx, np.logaddexp(0.0, -z))
+        got = inst.finite_sum.batch_grad_y(idx, x, y)
+        assert got.tobytes() == (expected / idx.size).tobytes()
 
 
 class TestQuadraticFixture:

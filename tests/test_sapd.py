@@ -1,14 +1,19 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from reference_loops import reference_guard
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, DivergenceError
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
-from sapdplus.sapd import SapdParams, sapd_run, weighted_average
+from sapdplus.sapd import (DIVERGENCE_NORM, SapdParams, _guard, sapd_run,
+                           weighted_average)
 
 
 def scsc_toy():
@@ -143,3 +148,56 @@ class TestSapdRun:
                        step_tol=1e-12)
         assert res.iterations < 10_000
         assert res.last_step_norm <= 1e-12
+
+
+class TestGuard:
+    """The one-comparison guard against the frozen two-pass reference guard."""
+
+    @staticmethod
+    def outcome(guard, x, y, k=3):
+        try:
+            with np.errstate(over="ignore"):  # squares of finite values may overflow
+                guard(np.asarray(x, dtype=float), np.asarray(y, dtype=float), k)
+        except DivergenceError as err:
+            assert err.iteration == k
+            return str(err)
+        return None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite(self, bad, axis):
+        x, y = np.array([0.5, 1.0]), np.array([2.0])
+        (x if axis == "x" else y)[-1] = bad
+        msg = self.outcome(_guard, x, y)
+        assert msg == "non-finite iterate at inner iteration 3"
+        assert msg == self.outcome(reference_guard, x, y)
+
+    def test_squares_overflow_while_finite(self):
+        msg = self.outcome(_guard, [1e200], [1.0])
+        assert msg == "iterate norm above guard at inner iteration 3"
+        assert msg == self.outcome(reference_guard, [1e200], [1.0])
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7)])
+    def test_norm_around_bound(self, n, m):
+        # the whole norm sits at (1 -+ 1e-9) * DIVERGENCE_NORM, split over x and y
+        for scale, expect_raise in ((1 - 1e-9, False), (1 + 1e-9, True)):
+            coord = scale * DIVERGENCE_NORM / math.sqrt(n + m)
+            x, y = np.full(n, coord), np.full(m, -coord)
+            msg = self.outcome(_guard, x, y)
+            assert (msg is not None) == expect_raise
+            assert msg == self.outcome(reference_guard, x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                       max_size=6),
+           ys=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                       max_size=6))
+    def test_agrees_with_reference_off_the_boundary(self, xs, ys):
+        values = xs + ys
+        if all(math.isfinite(v) for v in values):
+            # exact sum of squares; the two guards may round it differently
+            # only within a hair of the bound
+            exact = sum(Fraction(v) ** 2 for v in values)
+            bound = Fraction(DIVERGENCE_NORM**2)
+            assume(abs(exact - bound) > bound * Fraction(1, 10**9))
+        assert self.outcome(_guard, xs, ys) == self.outcome(reference_guard, xs, ys)
