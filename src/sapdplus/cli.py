@@ -9,9 +9,9 @@ Config files are flat ``key = value`` text with ``#`` comments; CLI flags
 override file values.  The reps of a `solve` run serially, in rep order.
 Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
-``<out>.meta.txt`` with everything needed to reproduce the run.  For the
-staged solvers, ``wall_ms`` is stamped when each stage record is produced,
-so it excludes the objective evaluation that fills the row.
+``<out>.meta.txt`` with everything needed to reproduce the run.
+``wall_ms`` is stamped when each stage record is produced, so it excludes
+the objective evaluation that fills the row.
 """
 
 import argparse
@@ -213,17 +213,20 @@ def _calls_per_stage(params, vr_flag, oracle_batch):
 
 
 def sgda_baseline_run(p, steps, tau, sigma, rng, x0=None, y0=None,
-                      record_every=1):
+                      record_every=1, on_record=None):
     """Alternating proximal stochastic gradient descent-ascent, constant steps.
 
     Two oracle calls per iteration; shares the stage-record trace format
-    (one record per `record_every` iterations).
+    (one record per `record_every` iterations).  on_record, if given, is
+    called with each record as it is produced.
     """
     from .sapd import _guard
 
     x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
     y = np.zeros(p.m) if y0 is None else np.array(y0, dtype=float)
     records = [(0, 0, x.copy(), y.copy())]
+    if on_record:
+        on_record(records[0])
     calls = 0
     for k in range(steps):
         gy = p.stoch_grad_y(x, y, rng)
@@ -234,21 +237,38 @@ def sgda_baseline_run(p, steps, tau, sigma, rng, x0=None, y0=None,
         calls += 2 * p.oracle_batch
         if (k + 1) % record_every == 0 or k + 1 == steps:
             records.append((k + 1, calls, x.copy(), y.copy()))
+            if on_record:
+                on_record(records[-1])
     return records
+
+
+def _start_point(cfg: RunConfig, p):
+    """(x0, y0) of every rep.
+
+    DRO starts at x0 = 0 with uniform weights.  The quadratic and bilinear
+    instances have their minimizer at x = 0, so they start at x0 = 1.
+    """
+    if cfg.problem == "dro":
+        return np.zeros(p.n), np.full(p.m, 1.0 / p.m)
+    return np.ones(p.n), np.zeros(p.m)
 
 
 def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
                     epoch_size):
     """One repetition; returns (rows, note) where rows are CSV tuples."""
     rng = np.random.default_rng(cfg.seed + rep)
-    x0 = np.zeros(p.n)
-    y0 = np.full(p.m, 1.0 / p.m) if cfg.problem == "dro" else np.zeros(p.m)
+    x0, y0 = _start_point(cfg, p)
     t_start = time.perf_counter()
+    stamps = []  # perf_counter as each stage record is produced
+
+    def stamp(_record):
+        stamps.append(time.perf_counter())
+
     rows = []
     note = ""
 
-    def emit(stage, calls, x, stamp, stat=None):
-        wall_ms = (stamp - t_start) * 1e3
+    def emit(stage, calls, x, at, stat=None):
+        wall_ms = (at - t_start) * 1e3
         obj = objective(x)
         stat_s = "" if stat is None else f"{stat:.17g}"
         rows.append((rep, stage, calls, f"{wall_ms:.3f}", f"{obj:.17g}", stat_s))
@@ -262,9 +282,10 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
             steps = max(1, (budget or 10000) // per_iter)
             rec_every = max(1, epoch_size // per_iter)
             records = sgda_baseline_run(p, steps, cfg.tau, cfg.sigma, rng,
-                                        x0=x0, y0=y0, record_every=rec_every)
-            for stage, calls, x, _y in records:
-                emit(stage, calls, x, time.perf_counter())
+                                        x0=x0, y0=y0, record_every=rec_every,
+                                        on_record=stamp)
+            for (stage, calls, x, _y), at in zip(records, stamps):
+                emit(stage, calls, x, at)
         else:
             per_stage = _calls_per_stage(params, vr_flag, p.oracle_batch)
             cap = t_outer
@@ -276,12 +297,9 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
                                           check_every=cfg.stat_every)
             out_cfg = OuterConfig(t_outer=cap, schedule=params, vr=vr_flag,
                                   stop=stop, record_every=cfg.record_every)
-            stamps = []  # perf_counter as each stage record is produced
-            result = sapd_plus_run(
-                p, out_cfg, x0, y0, rng, fs=fs,
-                on_stage=lambda _rec: stamps.append(time.perf_counter()))
-            for rec, stamp in zip(result.stages, stamps):
-                emit(rec.stage, rec.oracle_calls, rec.x, stamp, rec.stationarity)
+            result = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs, on_stage=stamp)
+            for rec, at in zip(result.stages, stamps):
+                emit(rec.stage, rec.oracle_calls, rec.x, at, rec.stationarity)
     except DivergenceError as err:
         note = f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
     return rows, note

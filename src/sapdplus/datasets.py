@@ -37,9 +37,8 @@ class SparseDataset:
 
     def dense(self):
         a = np.zeros((self.n_samples, self.n_features))
-        for i in range(self.n_samples):
-            idx, val = self.row(i)
-            a[i, idx] = val
+        rows = np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
+        a[rows, self.indices] = self.values
         return a
 
 
@@ -157,18 +156,37 @@ def _sigmoid_neg(z):
 
 def _pairwise_mean(rows):
     """Tree-reduction mean over the row dimension: reproducible accuracy for
-    large batches."""
+    large batches.  Overwrites ``rows``."""
     count = rows.shape[0]
     m = count
     while m > 1:
         half = m // 2
-        rows[:half] = rows[:half] + rows[half: 2 * half]
+        np.add(rows[:half], rows[half: 2 * half], out=rows[:half])
         if m % 2:
             rows[half] = rows[2 * half]
             half += 1
         m = half
         rows = rows[:m]
     return rows[0] / count
+
+
+def _logistic_losses(signed, x):
+    """log(1 + exp(-b_i a_i'x)) for every row b_i a_i of ``signed``."""
+    return np.logaddexp(0.0, -(signed @ x))
+
+
+def _regularizer(x, alpha, eta1):
+    ax2 = alpha * x**2
+    return eta1 * float(np.sum(ax2 / (1.0 + ax2)))
+
+
+def _regularizer_grad(x, alpha, eta1):
+    ax2 = alpha * x**2
+    return eta1 * 2.0 * alpha * x / (1.0 + ax2) ** 2
+
+
+def _dual_penalty(y, n, eta2):
+    return 0.5 * eta2 * float(np.sum((n * y - 1.0) ** 2))
 
 
 @dataclass
@@ -181,7 +199,8 @@ class DroInstance:
 
     The smooth nonconvex regularizer is folded into the coupling (so
     prox_f is the identity); the dual quadratic plus the simplex constraint
-    form prox_g.  dual dimension = n_samples.
+    form prox_g.  dual dimension = n_samples.  ``signed_features`` holds the
+    rows b_i a_i; the labels are +-1, so every product with them is exact.
     """
 
     dataset: SparseDataset
@@ -190,49 +209,46 @@ class DroInstance:
     eta2: float
     problem: ProblemSpec = field(repr=False)
     finite_sum: FiniteSumSpec = field(repr=False)
-    features: np.ndarray = field(repr=False)
+    signed_features: np.ndarray = field(repr=False)
 
     def losses(self, x):
-        z = self.dataset.labels * (self.features @ x)
-        return np.logaddexp(0.0, -z)
+        return _logistic_losses(self.signed_features, x)
 
     def loss_gradients(self, x):
         """Rows are grad of log(1+exp(-b_i a_i' x))."""
-        z = self.dataset.labels * (self.features @ x)
-        sig = _sigmoid_neg(z)
-        return -(self.dataset.labels * sig)[:, None] * self.features
+        sig = _sigmoid_neg(self.signed_features @ x)
+        return -sig[:, None] * self.signed_features
 
     def regularizer(self, x):
-        ax2 = self.alpha * x**2
-        return self.eta1 * float(np.sum(ax2 / (1.0 + ax2)))
+        return _regularizer(x, self.alpha, self.eta1)
 
     def regularizer_grad(self, x):
-        ax2 = self.alpha * x**2
-        return self.eta1 * 2.0 * self.alpha * x / (1.0 + ax2) ** 2
+        return _regularizer_grad(x, self.alpha, self.eta1)
 
     def g_value(self, y):
-        n = self.dataset.n_samples
-        return 0.5 * self.eta2 * float(np.sum((n * y - 1.0) ** 2))
+        return _dual_penalty(y, self.dataset.n_samples, self.eta2)
 
     def lagrangian(self, x, y):
         n = self.dataset.n_samples
         return (float(y @ self.losses(x)) / n + self.regularizer(x)
                 - self.g_value(y))
 
-    def best_response_y(self, x, steps: int = 50):
-        """Approximate argmax_y of the dual via prox-gradient ascent."""
-        n = self.dataset.n_samples
-        losses = self.losses(x)
-        y = np.full(n, 1.0 / n)
-        step = 1.0 / (self.eta2 * n**2)
-        for _ in range(steps):
-            y = prox.prox_quadratic_over_simplex(y + step * losses / n, step,
-                                                 self.eta2, n)
-        return y
+    def best_response_y(self, x):
+        """argmax_y of the dual at x, in closed form.
 
-    def robust_loss(self, x, steps: int = 50):
-        """Primal robust loss at x with the dual solved approximately."""
-        return self.lagrangian(x, self.best_response_y(x, steps))
+        The dual objective (1/n) y'l(x) - (eta2/2)||n y - 1||^2 has Hessian
+        -eta2 n^2 I, so its maximizer over the simplex is the projection of
+        its unconstrained maximizer 1/n + l(x)/(eta2 n^3).  A shift by a
+        multiple of the ones vector does not move a projection onto the
+        simplex, so the 1/n is dropped; that keeps the sums in the
+        projection smaller and its rounding error with them.
+        """
+        n = self.dataset.n_samples
+        return prox.project_simplex(self.losses(x) / (self.eta2 * n**3))
+
+    def robust_loss(self, x):
+        """Primal robust loss at x: the Lagrangian at the dual best response."""
+        return self.lagrangian(x, self.best_response_y(x))
 
 
 def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
@@ -245,12 +261,15 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     almost-sure bounds replace those with max_i||a_i||^2/4 and max_i||a_i||.
     The folded regularizer contributes curvature at most 2*eta1*alpha, which
     is also the weak-convexity modulus gamma.  mu_y = eta2*n^2 via g.
+
+    The oracles close over the signed feature rows and the scalars, not over
+    the instance, so an instance is freed as soon as it is unreachable.
     """
     if ds.n_samples < 1 or ds.n_features < 1:
         raise ConfigurationError("dataset must have samples and features")
     n = ds.n_samples
     eta2 = 1.0 / n**2 if eta2 is None else eta2
-    inst_holder = {}
+    signed = ds.labels[:, None] * ds.dense()
 
     row_norms_sq = np.array([float(np.sum(ds.row(i)[1] ** 2)) for i in range(n)])
     max_norm = math.sqrt(row_norms_sq.max())
@@ -268,29 +287,25 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     )
 
     def grad_x(x, y):
-        inst = inst_holder["inst"]
-        return inst.loss_gradients(x).T @ y / n + inst.regularizer_grad(x)
+        sig = _sigmoid_neg(signed @ x)
+        return signed.T @ (-sig * y) / n + _regularizer_grad(x, alpha, eta1)
 
     def grad_y(x, y):
-        return inst_holder["inst"].losses(x) / n
+        return _logistic_losses(signed, x) / n
 
     def batch_grad_x(idx, x, y):
         # mean over components Phi_i = y_i * l_i(x) + reg(x)
-        inst = inst_holder["inst"]
         idx = np.asarray(idx)
-        a = inst.features[idx]
-        z = ds.labels[idx] * (a @ x)
-        sig = _sigmoid_neg(z)
-        rows = -(y[idx] * ds.labels[idx] * sig)[:, None] * a
-        return _pairwise_mean(rows) + inst.regularizer_grad(x)
+        a = signed[idx]
+        sig = _sigmoid_neg(a @ x)
+        rows = (-(y[idx] * sig))[:, None] * a
+        return _pairwise_mean(rows) + _regularizer_grad(x, alpha, eta1)
 
     def batch_grad_y(idx, x, y):
-        inst = inst_holder["inst"]
         idx = np.asarray(idx)
-        a = inst.features[idx]
-        z = ds.labels[idx] * (a @ x)
         # bincount adds repeated indices in batch order, as np.add.at does
-        return np.bincount(idx, weights=np.logaddexp(0.0, -z), minlength=n) / idx.size
+        return np.bincount(idx, weights=_logistic_losses(signed[idx], x),
+                           minlength=n) / idx.size
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)
@@ -302,7 +317,12 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         return batch_grad_y(fs.sample(rng, sgrad_batch), x, y)
 
     def value(x, y):
-        return inst_holder["inst"].lagrangian(x, y) + inst_holder["inst"].g_value(y)
+        # the instance's lagrangian(x, y) + g_value(y) in the same operations,
+        # so that the two agree bit for bit
+        penalty = _dual_penalty(y, n, eta2)
+        lagrangian = (float(y @ _logistic_losses(signed, x)) / n
+                      + _regularizer(x, alpha, eta1) - penalty)
+        return lagrangian + penalty
 
     problem = ProblemSpec(
         n=ds.n_features, m=n,
@@ -316,10 +336,8 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         value=value, d_y=math.sqrt(2.0),
         oracle_batch=sgrad_batch,
     )
-    inst = DroInstance(dataset=ds, alpha=alpha, eta1=eta1, eta2=eta2,
-                       problem=problem, finite_sum=fs, features=ds.dense())
-    inst_holder["inst"] = inst
-    return inst
+    return DroInstance(dataset=ds, alpha=alpha, eta1=eta1, eta2=eta2,
+                       problem=problem, finite_sum=fs, signed_features=signed)
 
 
 @dataclass

@@ -32,14 +32,23 @@ def project_simplex(v):
     u_j + (1 - sum_{i<=j} u_i)/j > 0, and the projection is
     max(v + lam, 0) for the corresponding shift lam.  O(d log d),
     deterministic (ties resolved by the cumulative rule).
+
+    Fast path: when the rule holds at the last index, every coordinate
+    stays active and the projection is v + lam, with lam computed exactly as
+    the general path would.  The general path takes the last index where
+    the rule holds; in floating point the rule is not monotone in j, so
+    counting the indices where it holds can pick a different one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ConfigurationError("project_simplex expects a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ConfigurationError("project_simplex expects finite input")
     u = np.sort(v)[::-1]
     cssv = np.cumsum(u)
+    lam = (1.0 - cssv[-1]) / v.size
+    if u[-1] + lam > 0:
+        return v + lam
     j = np.arange(1, v.size + 1)
     # j = 1 always qualifies: u_1 + (1 - u_1) = 1 > 0
     rho = np.nonzero(u + (1.0 - cssv) / j > 0)[0][-1]

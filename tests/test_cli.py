@@ -5,6 +5,7 @@ import pytest
 
 from sapdplus import cli, datasets
 from sapdplus.errors import DivergenceError
+from sapdplus.evaluation import moreau_stationarity
 
 
 def read_rows(path):
@@ -146,10 +147,15 @@ class TestSolve:
         assert cli.main(args) == 0
         assert seen == [(rep, threading.get_ident()) for rep in range(3)]
 
-    def test_wall_ms_stamped_before_objective(self, monkeypatch):
+    @pytest.mark.parametrize("algo,manual,stages", [
+        pytest.param("sapd-plus", {}, [0, 1, 2, 3, 4], id="sapd-plus"),
+        # 28 steps of 2 calls, one record per (n + m) // 2 = 7 steps
+        pytest.param("sgda-baseline", dict(tau=0.05, sigma=0.05, budget_calls=56),
+                     [0, 7, 14, 21, 28], id="sgda-baseline")])
+    def test_wall_ms_stamped_before_objective(self, monkeypatch, algo, manual, stages):
         # on a fake clock only the objective takes time (1 s per call), so a
         # stamp taken as each stage record is produced reads 0 on every row
-        cfg = cli.RunConfig(problem="quadratic", t_outer=4, seed=3)
+        cfg = cli.RunConfig(problem="quadratic", algo=algo, t_outer=4, seed=3, **manual)
         p, fs, objective, epoch_size, meta = cli._build_problem(cfg)
         params, t_outer, _, vr_flag = cli._resolve_schedule(cfg, p, meta)
         now = [100.0]
@@ -162,8 +168,17 @@ class TestSolve:
         rows, note = cli._run_single_rep(0, cfg, p, fs, slow_objective, params,
                                          t_outer, vr_flag, epoch_size)
         assert note == ""
-        assert [row[1] for row in rows] == list(range(5))
+        assert [row[1] for row in rows] == stages
         assert [row[3] for row in rows] == ["0.000"] * 5
+
+    @pytest.mark.parametrize("problem", ["quadratic", "bilinear"])
+    def test_start_far_from_stationary(self, problem):
+        # the quadratic and bilinear minimizers sit at x = 0; the default
+        # run must start at least 10 eps away from stationarity
+        cfg = cli.RunConfig(problem=problem)
+        p = cli._build_problem(cfg)[0]
+        x0, _ = cli._start_point(cfg, p)
+        assert moreau_stationarity(p, x0).value >= 10 * cfg.eps
 
     def test_bench_runs_config_list(self, tmp_path):
         cfg_file = tmp_path / "one.cfg"

@@ -187,7 +187,7 @@ def test_dro_batch_grad_y_matches_add_at():
     y = np.full(30, 1.0 / 30)
     for size in (1, 10, 100):  # size 100 of 30 components repeats indices
         idx = inst.finite_sum.sample(rng, size)
-        z = ds.labels[idx] * (inst.features[idx] @ x)
+        z = ds.labels[idx] * (ds.dense()[idx] @ x)
         expected = np.zeros(30)
         np.add.at(expected, idx, np.logaddexp(0.0, -z))
         got = inst.finite_sum.batch_grad_y(idx, x, y)
