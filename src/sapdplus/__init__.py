@@ -12,9 +12,8 @@ from .params import (LmiCertificate, Theorem1Schedule, beta_of, build_lmi,
                      theorem1_schedule, theta_bar, theta_noise_floor,
                      vr_schedule)
 from .problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
-                      ProblemSpec, SmoothnessConstants, sample_batch_gradient,
-                      shifted_subproblem)
-from .sapd import SapdParams, SapdRunResult, sapd_run, weighted_average
+                      ProblemSpec, SmoothnessConstants, shifted_subproblem)
+from .sapd import SapdParams, SapdRunResult, sapd_run
 from .vr import VrParams, spider_variance_probe, vr_sapd_run
 
 __version__ = "0.1.0"
@@ -27,8 +26,7 @@ __all__ = [
     "StationarityTarget", "Theorem1Schedule", "VrParams", "beta_of",
     "build_lmi", "build_vr_lmi", "check_sufficient_conditions",
     "moreau_stationarity", "quadratic_gap", "refine_to_gradient_mapping",
-    "sample_batch_gradient", "sapd_plus_run", "sapd_run", "shifted_subproblem",
+    "sapd_plus_run", "sapd_run", "shifted_subproblem",
     "smooth_then_solve", "spider_variance_probe", "theorem1_schedule",
     "theta_bar", "theta_noise_floor", "vr_sapd_run", "vr_schedule",
-    "weighted_average",
 ]

@@ -15,10 +15,10 @@ the objective evaluation that fills the row.
 """
 
 import argparse
-import math
+import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,10 @@ import numpy as np
 from . import datasets
 from .errors import ConfigurationError, DivergenceError
 from .outer import FixedT, OuterConfig, StationarityTarget, sapd_plus_run
-from .params import (build_lmi, build_vr_lmi, theorem1_schedule,
-                     theta_noise_floor, vr_schedule)
+from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
+                     vr_schedule)
 from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
-from .sapd import SapdParams
+from .sapd import inner_draws
 from .vr import VrParams
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
@@ -167,9 +167,7 @@ def _resolve_schedule(cfg: RunConfig, p, meta: dict):
             params, cert, t_theory = vr_schedule(
                 s, c, nz, cfg.eps, cfg.gap0, cfg.q, cfg.b_x, cfg.b_y, cfg.zeta)
             if cfg.b > 0:
-                params = VrParams(tau=params.tau, sigma=params.sigma, b=cfg.b,
-                                  b_x=params.b_x, b_y=params.b_y, q=params.q,
-                                  n_inner=params.n_inner, mu_x=params.mu_x)
+                params = replace(params, b=cfg.b)
         else:
             sched = theorem1_schedule(s, c, nz, cfg.eps, cfg.gap0)
             params, cert, t_theory = sched.sapd_params(), sched.certificate, sched.t_outer
@@ -188,28 +186,15 @@ def _resolve_schedule(cfg: RunConfig, p, meta: dict):
                           b_y=cfg.b_y, q=cfg.q, n_inner=cfg.n_inner, mu_x=mu_x)
         cert = build_vr_lmi(cfg.tau, cfg.sigma, cfg.q, cfg.b_x, cfg.b_y, mu_x, s, c)
     else:
-        alpha = max(0.0, min(1.0 / cfg.sigma - math.sqrt(cfg.theta) * s.l_yy,
-                             (1 - 1e-12) / cfg.sigma))
-        rho = min(cfg.theta, 1.0 - 1e-12) if cfg.theta < 1 else 1.0
-        params = SapdParams(tau=cfg.tau, sigma=cfg.sigma, theta=cfg.theta,
-                            rho=rho, alpha=alpha, mu_x=mu_x, n_inner=cfg.n_inner)
-        cert = build_lmi(cfg.tau, cfg.sigma, cfg.theta, rho, alpha, mu_x, s, c)
+        params = step_rule(cfg.theta, mu_x, s, c, tau=cfg.tau, sigma=cfg.sigma,
+                           n_inner=cfg.n_inner)
+        cert = build_lmi(params.tau, params.sigma, params.theta, params.rho,
+                         params.alpha, mu_x, s, c)
     if not cert.feasible:
         print(f"warning: manual schedule is not certified "
               f"(min eigenvalue {cert.min_eigenvalue:.3e}); proceeding", file=sys.stderr)
     t_outer = cfg.t_outer if cfg.t_outer > 0 else 1
     return params, t_outer, cert, vr_flag
-
-
-def _calls_per_stage(params, vr_flag, oracle_batch):
-    if vr_flag:
-        n, q = params.n_inner, params.q
-        refresh_x = len([k for k in range(n) if k % q == 0])
-        refresh_y = len([k for k in range(1, n + 1) if k % q == 0])
-        x_calls = refresh_x * params.b + (n - refresh_x) * 2 * params.b_x
-        y_calls = params.b + refresh_y * params.b + (n - refresh_y) * 2 * params.b_y
-        return x_calls + y_calls
-    return (2 * params.n_inner + 1) * oracle_batch
 
 
 def sgda_baseline_run(p, steps, tau, sigma, rng, x0=None, y0=None,
@@ -287,7 +272,7 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
             for (stage, calls, x, _y), at in zip(records, stamps):
                 emit(stage, calls, x, at)
         else:
-            per_stage = _calls_per_stage(params, vr_flag, p.oracle_batch)
+            per_stage = inner_draws(params, params.n_inner, p.oracle_batch)
             cap = t_outer
             if budget:
                 cap = min(cap, max(1, budget // per_stage))
@@ -331,7 +316,7 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
 
     meta_lines = cfg.as_lines()
     meta_lines += [f"{k} = {v}" for k, v in sorted(meta.items())]
-    meta_lines.append(f"schedule_params = {params}")
+    meta_lines.append(f"schedule_params = {json.dumps(asdict(params))}")
     meta_lines.append(f"certificate_min_eigenvalue = {cert.min_eigenvalue:.17g}")
     meta_lines.append(f"certificate_feasible = {cert.feasible}")
     meta_lines.append(f"resolved_t_outer = {t_outer}")
@@ -347,47 +332,26 @@ def cmd_check_params(args) -> int:
     c = ConvexityModuli(args.gamma, args.mu_y)
     nz = NoiseLevels(args.delta_x, args.delta_y)
     if args.theta is not None:
-        # certify a manual tuple instead of deriving one
+        # certify a manual tuple instead of deriving one; N is no part of it
         mu_x = args.mu_x if args.mu_x else c.gamma
-        theta = args.theta
-        tau = args.tau if args.tau else (1.0 - theta) / mu_x
-        sigma = args.sigma if args.sigma else (1.0 - theta) / max(c.mu_y * theta, 1e-300)
-        alpha = max(0.0, min(1.0 / sigma - math.sqrt(theta) * s.l_yy,
-                             (1 - 1e-12) / sigma))
-        rho = theta if theta < 1 else 1.0
-        cert = build_lmi(tau, sigma, theta, rho, alpha, mu_x, s, c)
-        print(f"theta = {theta:.12g}")
-        print(f"tau = {tau:.12g}")
-        print(f"sigma = {sigma:.12g}")
-        print(f"alpha = {alpha:.12g}")
-        print(f"lmi_min_eigenvalue = {cert.min_eigenvalue:.12g}")
-        print(f"feasible = {cert.feasible}")
-        return 0 if cert.feasible else 1
-    if args.vr:
+        sp = step_rule(args.theta, mu_x, s, c, tau=args.tau or None,
+                       sigma=args.sigma or None, n_inner=1)
+        cert = build_lmi(sp.tau, sp.sigma, sp.theta, sp.rho, sp.alpha, mu_x, s, c)
+        shown = dict(theta=sp.theta, tau=sp.tau, sigma=sp.sigma, alpha=sp.alpha)
+    elif args.vr:
         params, cert, t_outer = vr_schedule(s, c, nz, args.eps, args.gap0,
                                             args.q, args.b_x, args.b_y, args.zeta)
-        print(f"tau = {params.tau:.12g}")
-        print(f"sigma = {params.sigma:.12g}")
-        print("theta = 1")
-        print(f"b = {params.b}")
-        print(f"n_inner = {params.n_inner}")
-        print(f"t_outer = {t_outer}")
+        shown = dict(tau=params.tau, sigma=params.sigma, theta=1, b=params.b,
+                     n_inner=params.n_inner, t_outer=t_outer)
     else:
         sched = theorem1_schedule(s, c, nz, args.eps, args.gap0)
-        td1, td2 = theta_noise_floor(c, nz, args.eps)
-        print(f"beta = {sched.beta:.12g}")
-        print(f"theta_bar_1 = {sched.theta_bar_1:.12g}")
-        print(f"theta_bar_2 = {sched.theta_bar_2:.12g}")
-        print(f"theta_dbar_1 = {td1:.12g}")
-        print(f"theta_dbar_2 = {td2:.12g}")
-        print(f"theta = {sched.theta:.12g}")
-        print(f"tau = {sched.tau:.12g}")
-        print(f"sigma = {sched.sigma:.12g}")
-        print(f"alpha = {sched.alpha:.12g}")
-        print(f"n_inner = {sched.n_inner}")
-        print(f"t_outer = {sched.t_outer}")
         cert = sched.certificate
-    print(f"lmi_min_eigenvalue = {cert.min_eigenvalue:.12g}")
+        shown = {name: getattr(sched, name) for name in (
+            "beta", "theta_bar_1", "theta_bar_2", "theta_dbar_1", "theta_dbar_2",
+            "theta", "tau", "sigma", "alpha", "n_inner", "t_outer")}
+    shown.update(lmi_min_eigenvalue=cert.min_eigenvalue)
+    for name, val in shown.items():
+        print(f"{name} = {val:.12g}" if isinstance(val, float) else f"{name} = {val}")
     print(f"feasible = {cert.feasible}")
     return 0 if cert.feasible else 1
 

@@ -121,15 +121,6 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
     )
 
 
-def serialize_libsvm(ds: SparseDataset) -> str:
-    lines = []
-    for i in range(ds.n_samples):
-        idx, val = ds.row(i)
-        feats = " ".join(f"{j + 1}:{v:.17g}" for j, v in zip(idx, val))
-        lines.append(f"{'+1' if ds.labels[i] > 0 else '-1'} {feats}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def synthetic_logistic_dataset(n: int, d: int, rng, normalize=True) -> SparseDataset:
     """Dense synthetic binary-classification rows stored sparsely.
 
@@ -251,6 +242,21 @@ class DroInstance:
         return self.lagrangian(x, self.best_response_y(x))
 
 
+def _row_norms_sq(ds: SparseDataset) -> np.ndarray:
+    """||a_i||^2 of every row, each summed as np.sum sums that row alone.
+
+    Rows of one length are gathered into a (k, L) array and summed along
+    its rows, which takes the same pairwise order as the sum of one row.
+    """
+    lengths = np.diff(ds.indptr)
+    out = np.empty(ds.n_samples)
+    for length in np.flatnonzero(np.bincount(lengths)):
+        rows = np.flatnonzero(lengths == length)
+        vals = ds.values[ds.indptr[rows, None] + np.arange(length)]
+        out[rows] = np.sum(vals**2, axis=1)
+    return out
+
+
 def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
               eta2: Optional[float] = None, sgrad_batch: int = 1) -> DroInstance:
     """Assemble robust-logistic oracles and conservative analytic constants.
@@ -271,7 +277,7 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     eta2 = 1.0 / n**2 if eta2 is None else eta2
     signed = ds.labels[:, None] * ds.dense()
 
-    row_norms_sq = np.array([float(np.sum(ds.row(i)[1] ** 2)) for i in range(n)])
+    row_norms_sq = _row_norms_sq(ds)
     max_norm = math.sqrt(row_norms_sq.max())
     reg_curv = 2.0 * eta1 * alpha
     gamma = reg_curv
@@ -373,10 +379,6 @@ class QuadraticSaddle:
 
     def moreau_grad(self, x, lam):
         return (x - self.moreau_prox(x, lam)) / lam
-
-    def moreau_value(self, x, lam):
-        w = self.moreau_prox(x, lam)
-        return self.phi(w) + float(np.sum((w - x) ** 2)) / (2 * lam)
 
     def value(self, x, y):
         return (0.5 * float(x @ self.a @ x) + float(x @ self.b @ y)

@@ -6,14 +6,13 @@ approximated by a nested deterministic solve of the quadratically shifted
 saddle problem.  Closed-form gaps for quadratic instances live here too.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
-from .params import beta_of, inner_iterations, theta_bar
+from .errors import ConfigurationError
+from .params import beta_of, step_rule, theta_bar
 from .problem import ProblemSpec, shifted_subproblem
 from .sapd import SapdParams, sapd_run
 
@@ -31,30 +30,20 @@ class StationarityEstimate:
         return self.value
 
 
-def _scsc_inner_params(p: ProblemSpec, mu_x: float) -> SapdParams:
+def prox_solve_params(p: ProblemSpec, mu_x: float) -> SapdParams:
     """Deterministic inner parameters for the nested prox solve.
 
-    mu_y > 0: the closed-form momentum rule (theta = theta_bar(beta)).
+    mu_y > 0: the closed-form step rule at theta = theta_bar(beta).
     mu_y = 0: theta = 1 with the periodless variance-reduced step sizes
     tau = 1/(l_yx + l'_xx), sigma = 1/(2 l_yy + l_yx); the dual then leans
     on the coupling alone, which is enough for the prox point since the
     primal part is mu_x-strongly convex.
     """
     s, c = p.smoothness, p.convexity
-    lp_xx = s.l_xx + mu_x + c.gamma
     if c.mu_y > 0:
-        beta = beta_of(s, c)
-        theta = theta_bar(beta, s, c, mu_x)
-        theta = min(max(theta, 1e-12), 1.0 - 1e-12)
-        tau = (1.0 - theta) / mu_x
-        sigma = (1.0 - theta) / (c.mu_y * theta)
-        alpha = 1.0 / sigma - math.sqrt(theta) * s.l_yy
-        if alpha >= 1.0 / sigma:
-            alpha = (1.0 - 1e-9) / sigma
-        n_inner = inner_iterations(theta)
-        return SapdParams(tau=tau, sigma=sigma, theta=theta, rho=theta,
-                          alpha=alpha, mu_x=mu_x, n_inner=n_inner)
-    tau = 1.0 / (s.l_yx + lp_xx)
+        theta = theta_bar(beta_of(s, c), s, c, mu_x)
+        return step_rule(min(max(theta, 1e-12), 1.0 - 1e-12), mu_x, s, c)
+    tau = 1.0 / (s.l_yx + (s.l_xx + mu_x + c.gamma))
     sigma = 1.0 / (2.0 * s.l_yy + s.l_yx)
     alpha = min(s.l_yx + s.l_yy, (1.0 - 1e-9) / sigma)
     return SapdParams(tau=tau, sigma=sigma, theta=1.0, rho=1.0, alpha=alpha,
@@ -80,7 +69,7 @@ def moreau_stationarity(p: ProblemSpec, x, lam: Optional[float] = None,
     mu_x = 1.0 / lam - gamma
     det = p.deterministic()
     sub = shifted_subproblem(det, x, mu_x)
-    params = _scsc_inner_params(det, mu_x)
+    params = prox_solve_params(det, mu_x)
 
     w = x.copy()
     y = np.zeros(p.m) if y0 is None else np.asarray(y0, dtype=float)

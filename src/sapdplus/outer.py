@@ -13,11 +13,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .evaluation import moreau_stationarity
-from .params import Theorem1Schedule, theorem1_schedule
-from .problem import (ProblemSpec, SmoothnessConstants, shifted_finite_sum,
-                      shifted_subproblem)
-from .sapd import SapdParams, sapd_run
+from .evaluation import moreau_stationarity, prox_solve_params
+from .params import theorem1_schedule
+from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
+                      shifted_finite_sum, shifted_subproblem)
+from .sapd import SapdParams, inner_draws, sapd_run
 from .vr import VrParams, vr_sapd_run
 
 
@@ -82,9 +82,7 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
 
     fs (a FiniteSumSpec) is required when cfg.vr is set.  on_stage, if
     given, is called with each StageRecord as it is produced.  Oracle calls
-    accumulate in single-sample-equivalent units (inner calls scaled by the
-    problem's oracle_batch for the plain solver; the VR solver counts
-    samples directly).
+    accumulate in single-sample draws (see inner_draws).
     """
     if cfg.vr and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
@@ -102,13 +100,12 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
             if cfg.vr:
                 sub_fs = shifted_finite_sum(fs, x, sched.mu_x + p.convexity.gamma)
                 res = vr_sapd_run(sub_fs, sub, sched, x, y, rng)
-                calls += res.x_calls + res.y_calls
             else:
                 res = sapd_run(sub, sched, x, y, rng)
-                calls += (res.x_calls + res.y_calls) * p.oracle_batch
         except DivergenceError as err:
             err.stage = t
             raise
+        calls += inner_draws(sched, res.iterations, p.oracle_batch)
         x, y = res.x_avg, res.y_avg
         record = StageRecord(stage=t + 1, oracle_calls=calls, x=x.copy(), y=y.copy())
         if isinstance(cfg.stop, StationarityTarget) and (
@@ -163,29 +160,10 @@ def smooth_dual(p: ProblemSpec, mu_hat: float, anchor) -> ProblemSpec:
     The dual gradient shifts by -mu_hat (y - anchor); l_yy grows by mu_hat
     and the smoothed coupling is mu_hat-strongly concave in y.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    if anchor.shape != (p.m,):
-        raise ConfigurationError(f"anchor has shape {anchor.shape}, expected ({p.m},)")
-    base_gy, base_sgy, base_value = p.grad_y, p.sgrad_y, p.value
-
-    def grad_y(x, y):
-        return base_gy(x, y) - mu_hat * (y - anchor)
-
-    sgrad_y = None
-    if base_sgy is not None:
-        def sgrad_y(x, y, rng):
-            return base_sgy(x, y, rng) - mu_hat * (y - anchor)
-
-    value = None
-    if base_value is not None:
-        def value(x, y):
-            return base_value(x, y) - 0.5 * mu_hat * float(np.sum((y - anchor) ** 2))
-
     s = p.smoothness
-    return replace(
-        p, grad_y=grad_y, sgrad_y=sgrad_y, value=value,
+    return add_quadratic(
+        p, "y", -mu_hat, anchor, convexity=replace(p.convexity, mu_y=mu_hat),
         smoothness=SmoothnessConstants(s.l_xx, s.l_xy, s.l_yx, s.l_yy + mu_hat),
-        convexity=replace(p.convexity, mu_y=mu_hat),
     )
 
 
@@ -266,14 +244,10 @@ def refine_to_gradient_mapping(p: ProblemSpec, x_eps, lam: float, rng,
         raise ConfigurationError("lambda must lie in (0, 1/gamma)")
     x_eps = np.asarray(x_eps, dtype=float)
     mu_x = 1.0 / lam - gamma
-    from .evaluation import _scsc_inner_params
-
     det = p.deterministic() if p.noise.delta_x == 0 and p.noise.delta_y == 0 else p
     sub = shifted_subproblem(det, x_eps, mu_x)
-    params = _scsc_inner_params(det, mu_x)
-    params = SapdParams(tau=params.tau, sigma=params.sigma, theta=params.theta,
-                        rho=params.rho, alpha=params.alpha, mu_x=mu_x,
-                        n_inner=params.n_inner * budget_factor)
+    params = prox_solve_params(det, mu_x)
+    params = replace(params, n_inner=params.n_inner * budget_factor)
     res = sapd_run(sub, params, x_eps, np.zeros(p.m), rng)
     x_tilde = res.x_last
 

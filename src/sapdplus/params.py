@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleScheduleError
 from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
+from .sapd import SapdParams
 
 PSD_TOL = 1e-9
 
@@ -47,10 +48,9 @@ def _min_eig(mat):
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y, sign_flipped=False):
+def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
     lbar_xx_gap = 1.0 / tau - s.l_xx  # caller passes l_xx already including mu_x + gamma
-    off = abs(1.0 - theta / rho) if sign_flipped else (theta / rho - 1.0)
-    c = -abs(1.0 - theta / rho) if sign_flipped else (theta / rho - 1.0)
+    c = theta / rho - 1.0
     g = np.zeros((5, 5))
     g[0, 0] = (1.0 / tau) * (1.0 - 1.0 / rho) + mu_x / rho
     g[1, 1] = (1.0 / sigma) * (1.0 - 1.0 / rho) + mu_y
@@ -69,9 +69,6 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
     """Assemble the 5x5 matrix G for the inner solver and report feasibility.
 
     Entries follow the printed matrix with bar(L)_xx = l_xx + mu_x + gamma.
-    The equivalent sign-flipped form (off-diagonal couplings replaced by
-    -|1 - theta/rho|) is checked as an internal cross-check: both forms are
-    PSD together or not at all.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigurationError("tau, sigma must be positive")
@@ -86,22 +83,6 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
         smoothness.l_xy, smoothness.l_yx, smoothness.l_yy,
     )
     g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, convexity.mu_y)
-    min_eig = _min_eig(g)
-    return LmiCertificate(
-        matrix=g, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL,
-        tau=tau, sigma=sigma, theta=theta, rho=rho, alpha=alpha,
-    )
-
-
-def build_lmi_sign_flipped(tau, sigma, theta, rho, alpha, mu_x,
-                           smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
-    """The G' form with -|1 - theta/rho| couplings; PSD iff G is PSD."""
-    s_shift = SmoothnessConstants(
-        smoothness.l_xx + mu_x + convexity.gamma,
-        smoothness.l_xy, smoothness.l_yx, smoothness.l_yy,
-    )
-    g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, convexity.mu_y,
-                    sign_flipped=True)
     min_eig = _min_eig(g)
     return LmiCertificate(
         matrix=g, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL,
@@ -270,8 +251,6 @@ class Theorem1Schedule:
     certificate: LmiCertificate
 
     def sapd_params(self):
-        from .sapd import SapdParams
-
         return SapdParams(
             tau=self.tau, sigma=self.sigma, theta=self.theta, rho=self.rho,
             alpha=self.alpha, mu_x=self.mu_x, n_inner=self.n_inner,
@@ -285,14 +264,38 @@ def inner_iterations(theta: float) -> int:
     return math.ceil(math.log(265.0) / math.log(1.0 / theta)) + 1
 
 
+def step_rule(theta: float, mu_x: float, smoothness: SmoothnessConstants,
+              convexity: ConvexityModuli, tau: Optional[float] = None,
+              sigma: Optional[float] = None,
+              n_inner: Optional[int] = None) -> SapdParams:
+    """The closed-form inner-solver tuple at momentum theta (rho = theta).
+
+    tau = (1-theta)/mu_x, sigma = (1-theta)/(mu_y theta),
+    alpha = 1/sigma - sqrt(theta) l_yy, N = inner_iterations(theta).
+    A given tau, sigma or n_inner replaces its closed form (a manual tuple);
+    alpha always follows the sigma used.  l_yy = 0 puts alpha exactly on the
+    alpha = 1/sigma boundary, so it is shaved within the certificate's
+    feasibility margin; a negative alpha is raised to 0.
+    """
+    if tau is None:
+        tau = (1.0 - theta) / mu_x
+    if sigma is None:
+        # the floor keeps a manual check of mu_y = 0 finite
+        sigma = (1.0 - theta) / max(convexity.mu_y * theta, 1e-300)
+    alpha = 1.0 / sigma - math.sqrt(theta) * smoothness.l_yy
+    if alpha >= 1.0 / sigma:
+        alpha = (1.0 - 1e-9) / sigma
+    return SapdParams(tau=tau, sigma=sigma, theta=theta, rho=theta,
+                      alpha=max(alpha, 0.0), mu_x=mu_x,
+                      n_inner=inner_iterations(theta) if n_inner is None else n_inner)
+
+
 def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
                       noise: NoiseLevels, epsilon: float, gap0: float) -> Theorem1Schedule:
     """Closed-form certified schedule for the non-VR solver.
 
-    mu_x = gamma; theta = max of the four momentum lower bounds;
-    tau = (1-theta)/gamma, sigma = (1-theta)/(mu_y theta);
-    alpha = 1/sigma - sqrt(theta) l_yy; rho = theta;
-    T = ceil(96 gap0 gamma / eps^2) + 1.
+    mu_x = gamma; theta = max of the four momentum lower bounds, and the
+    step sizes follow from step_rule; T = ceil(96 gap0 gamma / eps^2) + 1.
     """
     if gap0 < 0:
         raise ConfigurationError("gap0 must be nonnegative")
@@ -306,16 +309,10 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
             f"momentum lower bound {theta:.6g} >= 1: degenerate constants"
         )
     theta = min(max(theta, 1e-12), 1.0 - 1e-15)
-    tau = (1.0 - theta) / convexity.gamma
-    sigma = (1.0 - theta) / (convexity.mu_y * theta)
-    # l_yy = 0 puts the closed-form alpha exactly on the alpha = 1/sigma
-    # boundary; shave it within the certificate's feasibility margin
-    alpha = 1.0 / sigma - math.sqrt(theta) * smoothness.l_yy
-    if alpha >= 1.0 / sigma:
-        alpha = (1.0 - 1e-9) / sigma
-    n_inner = inner_iterations(theta)
+    params = step_rule(theta, mu_x, smoothness, convexity)
     t_outer = math.ceil(96.0 * gap0 * convexity.gamma / epsilon**2) + 1
-    cert = build_lmi(tau, sigma, theta, theta, alpha, mu_x, smoothness, convexity)
+    cert = build_lmi(params.tau, params.sigma, theta, theta, params.alpha, mu_x,
+                     smoothness, convexity)
     if not cert.feasible:
         raise RuntimeError(
             "internal consistency failure: the closed-form schedule must "
@@ -323,8 +320,8 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
         )
     return Theorem1Schedule(
         beta=beta, theta_bar_1=tb1, theta_bar_2=tb2, theta_dbar_1=td1,
-        theta_dbar_2=td2, theta=theta, tau=tau, sigma=sigma, alpha=alpha,
-        rho=theta, mu_x=mu_x, n_inner=n_inner, t_outer=t_outer,
+        theta_dbar_2=td2, theta=theta, tau=params.tau, sigma=params.sigma,
+        alpha=params.alpha, rho=theta, mu_x=mu_x, n_inner=params.n_inner, t_outer=t_outer,
         epsilon=epsilon, gap0=gap0, certificate=cert,
     )
 

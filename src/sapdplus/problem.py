@@ -118,45 +118,53 @@ class ProblemSpec:
         )
 
 
+def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> ProblemSpec:
+    """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
+
+    grad_<axis> and sgrad_<axis> gain coef*(z - center) and value gains the
+    quadratic; the other oracles are unchanged.  The caller updates the
+    constants through `changes`, which go to the same replace.
+    """
+    dim = p.n if axis == "x" else p.m
+    center = np.asarray(center, dtype=float)
+    if center.shape != (dim,):
+        raise ConfigurationError(f"center has shape {center.shape}, expected ({dim},)")
+    grad, sgrad, value = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis), p.value
+    # closures built per axis, so the oracles do no per-call dispatch
+    if axis == "x":
+        def new_grad(x, y):
+            return grad(x, y) + coef * (x - center)
+
+        def new_sgrad(x, y, rng):
+            return sgrad(x, y, rng) + coef * (x - center)
+    else:
+        def new_grad(x, y):
+            return grad(x, y) + coef * (y - center)
+
+        def new_sgrad(x, y, rng):
+            return sgrad(x, y, rng) + coef * (y - center)
+
+    def new_value(x, y):
+        z = x if axis == "x" else y
+        return value(x, y) + 0.5 * coef * float(np.sum((z - center) ** 2))
+
+    return replace(p, **{"grad_" + axis: new_grad,
+                         "sgrad_" + axis: None if sgrad is None else new_sgrad},
+                   value=None if value is None else new_value, **changes)
+
+
 def shifted_subproblem(p: ProblemSpec, center, mu_x: float) -> ProblemSpec:
     """Quadratic-shifted coupling Phi(x,y) + ((mu_x+gamma)/2)*||x - center||^2.
 
     The shift makes Phi(.,y) mu_x-strongly convex; l_xx grows by mu_x+gamma.
-    Gradient oracles wrap the originals by adding (mu_x+gamma)*(x - center)
-    to the x-partial; y oracles are unchanged.
     """
     if mu_x <= 0:
         raise ConfigurationError("mu_x must be positive")
-    center = np.asarray(center, dtype=float)
-    if center.shape != (p.n,):
-        raise ConfigurationError(
-            f"center has shape {center.shape}, expected ({p.n},)"
-        )
     coef = mu_x + p.convexity.gamma
-
-    base_grad_x, base_sgrad_x, base_value = p.grad_x, p.sgrad_x, p.value
-
-    def grad_x(x, y):
-        return base_grad_x(x, y) + coef * (x - center)
-
-    sgrad_x = None
-    if base_sgrad_x is not None:
-        def sgrad_x(x, y, rng):
-            return base_sgrad_x(x, y, rng) + coef * (x - center)
-
-    value = None
-    if base_value is not None:
-        def value(x, y):
-            return base_value(x, y) + 0.5 * coef * float(np.sum((x - center) ** 2))
-
     s = p.smoothness
-    return replace(
-        p,
-        grad_x=grad_x,
-        sgrad_x=sgrad_x,
-        value=value,
+    return add_quadratic(
+        p, "x", coef, center, mu_x=mu_x,
         smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy),
-        mu_x=mu_x,
     )
 
 
@@ -185,20 +193,6 @@ class FiniteSumSpec:
 
     def full_grad_y(self, x, y):
         return self.batch_grad_y(np.arange(self.n_comp), x, y)
-
-
-def sample_batch_gradient(fs: FiniteSumSpec, which: str, x, y, batch) -> np.ndarray:
-    """Mean of component gradients over `batch` along the given axis ('x' or 'y')."""
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ConfigurationError("batch must be nonempty")
-    if batch.min() < 0 or batch.max() >= fs.n_comp:
-        raise ConfigurationError("batch indices out of range")
-    if which == "x":
-        return fs.batch_grad_x(batch, x, y)
-    if which == "y":
-        return fs.batch_grad_y(batch, x, y)
-    raise ConfigurationError("axis must be 'x' or 'y'")
 
 
 def shifted_finite_sum(fs: FiniteSumSpec, center, coef: float) -> FiniteSumSpec:
@@ -240,16 +234,3 @@ def with_gaussian_noise(p: ProblemSpec, delta_x: float, delta_y: float) -> Probl
         oracle_batch=1,
     )
 
-
-def estimate_noise_levels(p: ProblemSpec, x, y, rng, draws: int = 1000) -> NoiseLevels:
-    """Sample-variance estimate of (delta_x, delta_y) at one point.
-
-    Heuristic only: the solvers never substitute this for user-supplied
-    bounds.  Returns sqrt of the mean squared deviation over `draws` draws.
-    """
-    gx, gy = p.grad_x(x, y), p.grad_y(x, y)
-    sq_x = sq_y = 0.0
-    for _ in range(draws):
-        sq_x += float(np.sum((p.stoch_grad_x(x, y, rng) - gx) ** 2))
-        sq_y += float(np.sum((p.stoch_grad_y(x, y, rng) - gy) ** 2))
-    return NoiseLevels(np.sqrt(sq_x / draws), np.sqrt(sq_y / draws))

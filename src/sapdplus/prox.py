@@ -14,16 +14,6 @@ def prox_zero(v, step):
     return np.asarray(v, dtype=float)
 
 
-def prox_box(v, step, lower, upper):
-    """Prox of the indicator of a box: coordinatewise clamp (step irrelevant)."""
-    v = np.asarray(v, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
-    if np.any(lower > upper):
-        raise ConfigurationError("box bounds must satisfy lower <= upper")
-    return np.clip(v, lower, upper)
-
-
 def project_simplex(v):
     """Euclidean projection onto the unit simplex {y >= 0, sum(y) = 1}.
 
@@ -71,31 +61,3 @@ def prox_quadratic_over_simplex(v, step, eta2, n_scale):
     v = np.asarray(v, dtype=float)
     shifted = (v / step + eta2 * n_scale) / (eta2 * n_scale**2 + 1.0 / step)
     return project_simplex(shifted)
-
-
-def make_prox(kind, **kwargs):
-    """Build a (point, step) -> point prox callable from a variant tag.
-
-    kind: "zero" | "box" | "simplex" | "quadratic_over_simplex" |
-    "scaled_squared_distance".
-    """
-    if kind == "zero":
-        return prox_zero
-    if kind == "box":
-        lower, upper = kwargs["lower"], kwargs["upper"]
-        return lambda v, step: prox_box(v, step, lower, upper)
-    if kind == "simplex":
-        return lambda v, step: project_simplex(v)
-    if kind == "quadratic_over_simplex":
-        eta2, n_scale = kwargs["eta2"], kwargs["n_scale"]
-        return lambda v, step: prox_quadratic_over_simplex(v, step, eta2, n_scale)
-    if kind == "scaled_squared_distance":
-        # g(y) = (weight/2)*||y - anchor||^2
-        weight = kwargs["weight"]
-        anchor = np.asarray(kwargs["anchor"], dtype=float)
-        if weight < 0:
-            raise ConfigurationError("weight must be nonnegative")
-        return lambda v, step: (np.asarray(v, float) + step * weight * anchor) / (
-            1.0 + step * weight
-        )
-    raise ConfigurationError(f"unknown prox kind: {kind!r}")

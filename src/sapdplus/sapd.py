@@ -9,7 +9,7 @@ One iteration, starting from (x_k, y_k) with dual-gradient memory q_k:
 
 The y-gradient drawn at (x_{k+1}, y_{k+1}) is cached and reused as the
 s-term of the next iteration, so each iteration consumes exactly one fresh
-y-sample and one fresh x-sample (N x-calls and N+1 y-calls per run).  The
+y-sample and one fresh x-sample (see inner_oracle_calls).  The
 output is the rho^{-k}-weighted average of iterates 1..N.
 """
 
@@ -66,23 +66,31 @@ class SapdRunResult:
         return self.x_calls + self.y_calls
 
 
-def weighted_average(iterates, rho):
-    """rho^{-k}-weighted average of z_1..z_N, normalized by K_N(rho).
+def inner_oracle_calls(params, iterations: int) -> tuple:
+    """(x_calls, y_calls) of an inner run of `iterations` iterations.
 
-    Accumulated in the rescaled form (multiply the running sums by rho each
-    step) so no rho^{-k} factor is ever formed; safe for large N.
+    Plain solver: one x-call and one y-call per iteration plus the initial
+    y-call, (N, N+1).  Variance-reduced solver (a VrParams), in single-sample
+    draws: ceil(N/q) x-refreshes and floor(N/q) y-refreshes of b draws each,
+    2 b_x (x) or 2 b_y (y) draws per recursion step, and the initial y-batch
+    of b draws.
     """
-    if not (0 < rho <= 1):
-        raise ConfigurationError("rho must lie in (0, 1]")
-    acc = None
-    weight = 0.0
-    for z in iterates:
-        z = np.asarray(z, dtype=float)
-        acc = z.copy() if acc is None else rho * acc + z
-        weight = rho * weight + 1.0
-    if acc is None:
-        raise ConfigurationError("weighted_average needs a nonempty sequence")
-    return acc / weight
+    if isinstance(params, SapdParams):
+        return iterations, iterations + 1
+    n, q, b = iterations, params.q, params.b
+    refresh_x, refresh_y = -(-n // q), n // q
+    return (refresh_x * b + (n - refresh_x) * 2 * params.b_x,
+            b + refresh_y * b + (n - refresh_y) * 2 * params.b_y)
+
+
+def inner_draws(params, iterations: int, oracle_batch: int) -> int:
+    """Single-sample draws of an inner run.
+
+    A plain-solver call draws oracle_batch samples; the variance-reduced
+    counts are in draws already.
+    """
+    x_calls, y_calls = inner_oracle_calls(params, iterations)
+    return (x_calls + y_calls) * (oracle_batch if isinstance(params, SapdParams) else 1)
 
 
 def _guard(x, y, k):
@@ -137,9 +145,10 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
         if step_tol > 0 and _step_norm(x, y, x_prev, y_prev) <= step_tol:
             break
     iterations = k + 1
+    x_calls, y_calls = inner_oracle_calls(params, iterations)
     return SapdRunResult(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
-        x_calls=iterations, y_calls=iterations + 1,
+        x_calls=x_calls, y_calls=y_calls,
         last_step_norm=_step_norm(x, y, x_prev, y_prev),
         iterations=iterations, trace=trace,
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
-from .sapd import SapdRunResult, _guard, _step_norm
+from .sapd import SapdRunResult, _guard, _step_norm, inner_oracle_calls
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
     batch0 = fs.sample(rng, params.b)
     w_prev = fs.batch_grad_y(batch0, x, y)
     s = w_prev.copy()
-    x_samples, y_samples = 0, params.b
     v = None
     acc_x = np.zeros_like(x)
     acc_y = np.zeros_like(y)
@@ -89,7 +88,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
         if k % q == 0:
             batch = fs.sample(rng, params.b)
             v = fs.batch_grad_x(batch, x, y_new)
-            x_samples += params.b
             if debug_record:
                 trace.append(dict(k=k, axis="x", kind="refresh", batch=batch,
                                   estimator=v.copy()))
@@ -97,7 +95,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
             batch = fs.sample(rng, params.b_x)
             diff = fs.batch_grad_x(batch, x, y_new) - fs.batch_grad_x(batch, x_prev, y)
             v = v + diff
-            x_samples += 2 * params.b_x
             if debug_record:
                 trace.append(dict(k=k, axis="x", kind="recursion", batch=batch,
                                   estimator=v.copy(), diff=diff.copy(),
@@ -107,7 +104,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
         if (k + 1) % q == 0:
             batch = fs.sample(rng, params.b)
             w_new = fs.batch_grad_y(batch, x_new, y_new)
-            y_samples += params.b
             if debug_record:
                 trace.append(dict(k=k + 1, axis="y", kind="refresh", batch=batch,
                                   estimator=w_new.copy()))
@@ -115,7 +111,6 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
             batch = fs.sample(rng, params.b_y)
             qy = fs.batch_grad_y(batch, x_new, y_new) - fs.batch_grad_y(batch, x, y)
             w_new = w_prev + qy
-            y_samples += 2 * params.b_y
             if debug_record:
                 trace.append(dict(k=k + 1, axis="y", kind="recursion", batch=batch,
                                   estimator=w_new.copy(), diff=qy.copy(),
@@ -128,9 +123,10 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng
         acc_y += y
         weight += 1.0
 
+    x_calls, y_calls = inner_oracle_calls(params, params.n_inner)
     return SapdRunResult(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
-        x_calls=x_samples, y_calls=y_samples,
+        x_calls=x_calls, y_calls=y_calls,
         last_step_norm=_step_norm(x, y, x_prev, y_prev),
         iterations=params.n_inner, trace=trace,
     )

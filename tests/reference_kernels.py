@@ -1,15 +1,24 @@
-"""Frozen reference copies of the DRO kernels, for bit-identity tests.
+"""Frozen reference copies of package code, for bit-identity tests.
 
 These are `project_simplex`, `_pairwise_mean`, `SparseDataset.dense` and
 the DRO oracles as they stood before the kernels were made lean: a sort
 then a threshold search over every index, an allocating tree mean, a row
 loop, oracles on the unsigned feature rows that multiply by the labels
 afterwards, and the robust loss with its dual solved by 50 prox-gradient
-steps.  They are not part of the package.  Do not edit them to follow
-later changes of the kernels.
+steps.  Then the per-row loop for the squared row norms of `build_dro`;
+the two quadratic-shift transforms and the step-size arithmetic as they
+stood before each became one function; and the sign-flipped form of the
+5x5 certificate matrix.  They are not part of the package.  Do not edit
+them to follow later changes of the package.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
+
+from sapdplus.params import PSD_TOL
+from sapdplus.problem import SmoothnessConstants
 
 
 def reference_project_simplex(v):
@@ -120,3 +129,115 @@ class ReferenceDro:
         z = self.labels[idx] * (a @ x)
         return np.bincount(idx, weights=np.logaddexp(0.0, -z),
                            minlength=self.n) / idx.size
+
+
+def reference_row_norms_sq(ds):
+    return np.array([float(np.sum(ds.row(i)[1] ** 2)) for i in range(ds.n_samples)])
+
+
+def reference_shifted_subproblem(p, center, mu_x):
+    center = np.asarray(center, dtype=float)
+    coef = mu_x + p.convexity.gamma
+    base_grad_x, base_sgrad_x, base_value = p.grad_x, p.sgrad_x, p.value
+
+    def grad_x(x, y):
+        return base_grad_x(x, y) + coef * (x - center)
+
+    sgrad_x = None
+    if base_sgrad_x is not None:
+        def sgrad_x(x, y, rng):
+            return base_sgrad_x(x, y, rng) + coef * (x - center)
+
+    value = None
+    if base_value is not None:
+        def value(x, y):
+            return base_value(x, y) + 0.5 * coef * float(np.sum((x - center) ** 2))
+
+    s = p.smoothness
+    return replace(
+        p, grad_x=grad_x, sgrad_x=sgrad_x, value=value,
+        smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy),
+        mu_x=mu_x,
+    )
+
+
+def reference_smooth_dual(p, mu_hat, anchor):
+    anchor = np.asarray(anchor, dtype=float)
+    base_gy, base_sgy, base_value = p.grad_y, p.sgrad_y, p.value
+
+    def grad_y(x, y):
+        return base_gy(x, y) - mu_hat * (y - anchor)
+
+    sgrad_y = None
+    if base_sgy is not None:
+        def sgrad_y(x, y, rng):
+            return base_sgy(x, y, rng) - mu_hat * (y - anchor)
+
+    value = None
+    if base_value is not None:
+        def value(x, y):
+            return base_value(x, y) - 0.5 * mu_hat * float(np.sum((y - anchor) ** 2))
+
+    s = p.smoothness
+    return replace(
+        p, grad_y=grad_y, sgrad_y=sgrad_y, value=value,
+        smoothness=SmoothnessConstants(s.l_xx, s.l_xy, s.l_yx, s.l_yy + mu_hat),
+        convexity=replace(p.convexity, mu_y=mu_hat),
+    )
+
+
+def reference_inner_iterations(theta):
+    return math.ceil(math.log(265.0) / math.log(1.0 / theta)) + 1
+
+
+def reference_theorem1_steps(theta, gamma, mu_y, l_yy):
+    """(tau, sigma, alpha, n_inner) of the closed-form schedule at theta."""
+    tau = (1.0 - theta) / gamma
+    sigma = (1.0 - theta) / (mu_y * theta)
+    alpha = 1.0 / sigma - math.sqrt(theta) * l_yy
+    if alpha >= 1.0 / sigma:
+        alpha = (1.0 - 1e-9) / sigma
+    return tau, sigma, alpha, reference_inner_iterations(theta)
+
+
+def reference_scsc_inner_params(s, c, mu_x, theta_bar):
+    """(tau, sigma, theta, rho, alpha, n_inner) of the nested prox solve;
+    theta_bar is the momentum bound at mu_x when mu_y > 0."""
+    lp_xx = s.l_xx + mu_x + c.gamma
+    if c.mu_y > 0:
+        theta = min(max(theta_bar, 1e-12), 1.0 - 1e-12)
+        tau = (1.0 - theta) / mu_x
+        sigma = (1.0 - theta) / (c.mu_y * theta)
+        alpha = 1.0 / sigma - math.sqrt(theta) * s.l_yy
+        if alpha >= 1.0 / sigma:
+            alpha = (1.0 - 1e-9) / sigma
+        return tau, sigma, theta, theta, alpha, reference_inner_iterations(theta)
+    tau = 1.0 / (s.l_yx + lp_xx)
+    sigma = 1.0 / (2.0 * s.l_yy + s.l_yx)
+    alpha = min(s.l_yx + s.l_yy, (1.0 - 1e-9) / sigma)
+    return tau, sigma, 1.0, 1.0, alpha, 200
+
+
+def reference_cli_manual_alpha_rho(theta, sigma, l_yy):
+    """(alpha, rho) of a manual `solve` schedule, with its own boundary clamps."""
+    alpha = max(0.0, min(1.0 / sigma - math.sqrt(theta) * l_yy, (1 - 1e-12) / sigma))
+    rho = min(theta, 1.0 - 1e-12) if theta < 1 else 1.0
+    return alpha, rho
+
+
+def reference_lmi_sign_flipped_feasible(tau, sigma, theta, rho, alpha, mu_x, s, c):
+    """The G' form of the certificate, couplings -|1 - theta/rho| in place of
+    theta/rho - 1; it is PSD exactly when G is."""
+    l_xx = s.l_xx + mu_x + c.gamma
+    off = -abs(1.0 - theta / rho)
+    g = np.zeros((5, 5))
+    g[0, 0] = (1.0 / tau) * (1.0 - 1.0 / rho) + mu_x / rho
+    g[1, 1] = (1.0 / sigma) * (1.0 - 1.0 / rho) + c.mu_y
+    g[1, 2] = g[2, 1] = off * s.l_yx
+    g[1, 3] = g[3, 1] = off * s.l_yy
+    g[2, 2] = 1.0 / tau - l_xx
+    g[3, 3] = 1.0 / sigma - alpha
+    g[2, 4] = g[4, 2] = -(theta / rho) * s.l_yx
+    g[3, 4] = g[4, 3] = -(theta / rho) * s.l_yy
+    g[4, 4] = alpha / rho
+    return float(np.linalg.eigvalsh(g)[0]) >= -PSD_TOL

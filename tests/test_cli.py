@@ -1,9 +1,13 @@
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sapdplus import cli, datasets
+from sapdplus.sapd import SapdParams
+from sapdplus.vr import VrParams
 from sapdplus.errors import DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 
@@ -111,6 +115,42 @@ class TestSolve:
         cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in meta.items()))
         assert cli.main(["solve", "--config", str(cfg_file)]) == 0
         assert strip_wall(out) == strip_wall(replay_out)
+
+    @pytest.mark.parametrize("overrides,cls", [
+        pytest.param(dict(problem="quadratic", schedule="theory"), SapdParams,
+                     id="plain"),
+        pytest.param(dict(problem="dro", n_samples=60, n_features=5,
+                          algo="sapd-plus-vr", schedule="manual", tau=0.05,
+                          sigma=0.05, theta=1.0, n_inner=7, b=20, b_x=5, b_y=5,
+                          q=3), VrParams, id="vr")])
+    def test_schedule_params_replayable(self, tmp_path, overrides, cls):
+        # the meta line is JSON of the parameter fields; floats round-trip exactly
+        out = tmp_path / "p.csv"
+        run = dict(overrides, t_outer=2, seed=4, out=str(out))
+        assert cli.cmd_solve(run) == 0
+        cfg = cli.RunConfig.from_sources({}, run)
+        p, _, _, _, meta = cli._build_problem(cfg)
+        params = cli._resolve_schedule(cfg, p, meta)[0]
+        line = next(line for line in Path(str(out) + ".meta.txt").read_text().splitlines()
+                    if line.startswith("schedule_params = "))
+        replayed = cls(**json.loads(line.split(" = ", 1)[1]))
+        assert replayed == params
+        assert replayed.tau.hex() == params.tau.hex()
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param(dict(algo="sapd-plus", theta=0.5), id="plain"),
+        pytest.param(dict(algo="sapd-plus-vr", theta=1.0, b=20, b_x=3, b_y=2, q=4),
+                     id="vr")])
+    def test_budget_cap_counts_stage_draws(self, tmp_path, extra):
+        # the cap divides the budget by the draws one stage reports
+        run = dict(problem="dro", n_samples=50, n_features=4, batch=5,
+                   schedule="manual", tau=0.05, sigma=0.05, n_inner=11, seed=1,
+                   out=str(tmp_path / "b.csv"), **extra)
+        cli.cmd_solve(dict(run, t_outer=1))
+        per_stage = int(read_rows(tmp_path / "b.csv")[1][-1][2])
+        cli.cmd_solve(dict(run, t_outer=100, budget_calls=3 * per_stage + per_stage // 2))
+        last = read_rows(tmp_path / "b.csv")[1][-1]
+        assert (int(last[1]), int(last[2])) == (3, 3 * per_stage)
 
     def test_stationarity_column(self, tmp_path):
         args, out = self.quad_args(tmp_path, "d.csv",

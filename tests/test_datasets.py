@@ -1,14 +1,15 @@
 import gzip
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference_kernels import reference_row_norms_sq
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
-from sapdplus.problem import sample_batch_gradient
 
 
 class TestLibsvmParser:
@@ -24,15 +25,6 @@ class TestLibsvmParser:
     def test_non_increasing_index(self):
         with pytest.raises(ConfigurationError, match="line 1"):
             datasets.parse_libsvm("1 2:1 1:1\n")
-
-    def test_round_trip(self):
-        text = "+1 1:0.5 3:2\n-1 2:1 5:-0.25\n+1 4:3.5\n"
-        ds = datasets.parse_libsvm(text)
-        again = datasets.parse_libsvm(datasets.serialize_libsvm(ds))
-        np.testing.assert_array_equal(ds.indptr, again.indptr)
-        np.testing.assert_array_equal(ds.indices, again.indices)
-        np.testing.assert_array_equal(ds.values, again.values)
-        np.testing.assert_array_equal(ds.labels, again.labels)
 
     def test_zero_one_labels(self):
         ds = datasets.parse_libsvm("1 1:1\n0 1:2\n")
@@ -132,9 +124,9 @@ class TestDroInstance:
         inst = datasets.build_dro(ds)
         x = rng.standard_normal(4)
         y = np.full(10, 0.1)
-        single = [sample_batch_gradient(inst.finite_sum, "x", x, y, [i])
+        single = [inst.finite_sum.batch_grad_x(np.array([i]), x, y)
                   for i in range(10)]
-        pair = sample_batch_gradient(inst.finite_sum, "x", x, y, [2, 7])
+        pair = inst.finite_sum.batch_grad_x(np.array([2, 7]), x, y)
         np.testing.assert_allclose(pair, 0.5 * (single[2] + single[7]), atol=1e-14)
 
     def test_component_lipschitz_bounds_hold(self):
@@ -147,12 +139,12 @@ class TestDroInstance:
         for i in range(12):
             for _ in range(10):
                 x1, x2 = rng.standard_normal((2, 5))
-                g1 = sample_batch_gradient(inst.finite_sum, "x", x1, y, [i])
-                g2 = sample_batch_gradient(inst.finite_sum, "x", x2, y, [i])
+                g1 = inst.finite_sum.batch_grad_x(np.array([i]), x1, y)
+                g2 = inst.finite_sum.batch_grad_x(np.array([i]), x2, y)
                 assert (np.linalg.norm(g1 - g2)
                         <= s.l_xx * np.linalg.norm(x1 - x2) + 1e-9)
-                h1 = sample_batch_gradient(inst.finite_sum, "y", x1, y, [i])
-                h2 = sample_batch_gradient(inst.finite_sum, "y", x2, y, [i])
+                h1 = inst.finite_sum.batch_grad_y(np.array([i]), x1, y)
+                h2 = inst.finite_sum.batch_grad_y(np.array([i]), x2, y)
                 assert (np.linalg.norm(h1 - h2)
                         <= s.l_yx * np.linalg.norm(x1 - x2) + 1e-9)
 
@@ -240,10 +232,52 @@ class TestQuadraticFixture:
         qfs = datasets.make_quadratic_finite_sum(15, 3, 2, 1.0, 1.0, rng)
         x, y = rng.standard_normal(3), rng.standard_normal(2)
         full = qfs.spec.full_grad_x(x, y)
-        devs = [sample_batch_gradient(qfs.spec, "x", x, y, [i]) - full
+        devs = [qfs.spec.batch_grad_x(np.array([i]), x, y) - full
                 for i in range(15)]
         empirical = float(np.mean([np.sum(d**2) for d in devs]))
         assert abs(empirical - qfs.single_draw_variance_x(x, y)) < 1e-10
+
+
+@st.composite
+def ragged_rows(draw):
+    # empty rows, and rows longer than numpy's 128-element pairwise block
+    lengths = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(4, 299)),
+                            min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    return datasets.SparseDataset(
+        indptr=indptr, indices=np.concatenate([np.arange(k) for k in lengths]),
+        values=rng.standard_normal(int(indptr[-1])) * scale,
+        labels=np.ones(len(lengths), dtype=np.int64),
+        n_samples=len(lengths), n_features=300)
+
+
+class TestRowNormsSq:
+    """build_dro's squared row norms against the frozen per-row loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=ragged_rows())
+    def test_matches_row_loop(self, ds):
+        got = datasets._row_norms_sq(ds)
+        assert got.tobytes() == reference_row_norms_sq(ds).tobytes()
+
+    def test_matches_row_loop_on_the_benchmark_data(self):
+        ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+        got = datasets._row_norms_sq(ds)
+        assert got.tobytes() == reference_row_norms_sq(ds).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(ds=ragged_rows())
+    def test_build_dro_constants(self, ds):
+        sq = reference_row_norms_sq(ds)
+        assume(sq.max() > 0)
+        inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3)
+        n, l_xx = ds.n_samples, sq.max() / 4.0 + 2.0 * 1e-3 * 10.0
+        assert inst.problem.smoothness == datasets.SmoothnessConstants(
+            l_xx, math.sqrt(sq.sum()) / n, math.sqrt(sq.sum()) / n, 0.0)
+        assert inst.finite_sum.as_smoothness == datasets.SmoothnessConstants(
+            l_xx, math.sqrt(sq.max()), math.sqrt(sq.max()), 0.0)
 
 
 def test_synthetic_dataset_shapes():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,37 @@ class TestSapdPlusRun:
         assert res.oracle_calls == 7 * per_stage
         assert [r.oracle_calls for r in res.stages] == [
             per_stage * t for t in range(8)]
+
+    @pytest.mark.parametrize("vr", [False, True], ids=["plain", "vr"])
+    def test_oracle_calls_count_every_draw(self, vr):
+        # the reported calls equal the single-sample draws the oracles made:
+        # oracle_batch per plain sgrad call, the batch size per VR batch call
+        ds = datasets.synthetic_logistic_dataset(50, 4, np.random.default_rng(1))
+        inst = datasets.build_dro(ds, sgrad_batch=5)
+        drawn = [0]
+
+        def counted(fn, rows):
+            def wrapper(*args):
+                drawn[0] += rows(args)
+                return fn(*args)
+            return wrapper
+
+        p = replace(inst.problem,
+                    sgrad_x=counted(inst.problem.sgrad_x, lambda a: 5),
+                    sgrad_y=counted(inst.problem.sgrad_y, lambda a: 5))
+        fs = replace(inst.finite_sum,
+                     batch_grad_x=counted(inst.finite_sum.batch_grad_x, lambda a: len(a[0])),
+                     batch_grad_y=counted(inst.finite_sum.batch_grad_y, lambda a: len(a[0])))
+        if vr:
+            params = VrParams(tau=0.05, sigma=0.05, b=20, b_x=3, b_y=2, q=4,
+                              n_inner=11, mu_x=p.convexity.gamma)
+        else:
+            params = SapdParams(tau=0.05, sigma=0.05, theta=0.5, rho=0.5, alpha=0.0,
+                                mu_x=p.convexity.gamma, n_inner=11)
+        cfg = OuterConfig(t_outer=3, schedule=params, vr=vr)
+        res = sapd_plus_run(p, cfg, np.zeros(4), np.full(50, 0.02),
+                            np.random.default_rng(2), fs=fs)
+        assert res.oracle_calls == drawn[0] > 0
 
     def test_vr_flag_requires_finite_sum(self):
         qs, sched, rng = wcsc_setup(seed=4)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
-from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_lmi_sign_flipped,
+from reference_kernels import reference_lmi_sign_flipped_feasible
+from sapdplus.params import (PSD_TOL, beta_of, build_lmi,
                              build_vr_lmi, check_sufficient_conditions,
                              inner_iterations, theorem1_schedule, theta_bar,
                              theta_bar_components, theta_noise_floor,
@@ -191,8 +192,8 @@ class TestLmi:
             alpha = rng.uniform(0, 1) / sigma
             mu_x = 10 ** rng.uniform(-1, 1)
             g = build_lmi(tau, sigma, theta, rho, alpha, mu_x, s, c)
-            gp = build_lmi_sign_flipped(tau, sigma, theta, rho, alpha, mu_x, s, c)
-            assert g.feasible == gp.feasible
+            assert g.feasible == reference_lmi_sign_flipped_feasible(
+                tau, sigma, theta, rho, alpha, mu_x, s, c)
             agree += g.feasible
         assert 0 < agree < 200  # both outcomes exercised
 

@@ -5,7 +5,6 @@ from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 from sapdplus.problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
                               ProblemSpec, SmoothnessConstants,
-                              estimate_noise_levels, sample_batch_gradient,
                               shifted_subproblem, with_gaussian_noise)
 from sapdplus.prox import prox_zero
 
@@ -118,14 +117,14 @@ class TestFiniteSum:
 
     def test_mean_of_two(self):
         fs = self.make_two_component()
-        got = sample_batch_gradient(fs, "x", np.zeros(2), np.zeros(1), [0, 1])
+        got = fs.batch_grad_x(np.array([0, 1]), np.zeros(2), np.zeros(1))
         np.testing.assert_allclose(got, [2.0, 0.0])
 
     def test_full_batch_identity(self):
         rng = np.random.default_rng(2)
         qfs = datasets.make_quadratic_finite_sum(12, 4, 3, 1.0, 1.0, rng)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
-        full = sample_batch_gradient(qfs.spec, "x", x, y, np.arange(12))
+        full = qfs.spec.batch_grad_x(np.arange(12), x, y)
         np.testing.assert_allclose(full, qfs.base.problem.grad_x(x, y), atol=1e-10)
 
     def test_single_draw_monte_carlo(self):
@@ -134,7 +133,7 @@ class TestFiniteSum:
         x, y = rng.standard_normal(3), rng.standard_normal(2)
         full = qfs.spec.full_grad_x(x, y)
         draws = np.array([
-            sample_batch_gradient(qfs.spec, "x", x, y, qfs.spec.sample(rng, 1))
+            qfs.spec.batch_grad_x(qfs.spec.sample(rng, 1), x, y)
             for _ in range(10_000)
         ])
         err = np.abs(draws.mean(axis=0) - full)
@@ -142,14 +141,15 @@ class TestFiniteSum:
         assert np.all(err <= 3 * se + 1e-12)
 
     def test_empty_batch(self):
+        # the sampler is the only source of batches; it never yields an empty one
         fs = self.make_two_component()
         with pytest.raises(ConfigurationError):
-            sample_batch_gradient(fs, "x", np.zeros(2), np.zeros(1), [])
+            fs.sample(np.random.default_rng(0), 0)
 
     def test_out_of_range(self):
         fs = self.make_two_component()
-        with pytest.raises(ConfigurationError):
-            sample_batch_gradient(fs, "x", np.zeros(2), np.zeros(1), [5])
+        idx = fs.sample(np.random.default_rng(0), 1000)
+        assert idx.min() == 0 and idx.max() == fs.n_comp - 1
 
     def test_component_almost_sure_lipschitz(self):
         rng = np.random.default_rng(4)
@@ -183,12 +183,19 @@ class TestStochasticOracles:
         assert np.all(err <= 4 * draws.std(axis=0) / 100.0 + 1e-12)
 
     def test_noise_estimator_recovers_levels(self):
+        # Monte-Carlo E||xi||^2 = delta^2, the NoiseLevels convention
         rng = np.random.default_rng(6)
         qs = datasets.make_quadratic_saddle(4, 3, 1.0, 1.0, rng)
         p = with_gaussian_noise(qs.problem, 0.5, 0.7)
-        est = estimate_noise_levels(p, np.zeros(4), np.zeros(3), rng, draws=4000)
-        assert abs(est.delta_x - 0.5) < 0.05
-        assert abs(est.delta_y - 0.7) < 0.05
+        x, y = np.zeros(4), np.zeros(3)
+        gx, gy = p.grad_x(x, y), p.grad_y(x, y)
+        sq_x = sq_y = 0.0
+        for _ in range(4000):
+            sq_x += float(np.sum((p.stoch_grad_x(x, y, rng) - gx) ** 2))
+            sq_y += float(np.sum((p.stoch_grad_y(x, y, rng) - gy) ** 2))
+        assert p.noise == NoiseLevels(0.5, 0.7)
+        assert abs(np.sqrt(sq_x / 4000) - 0.5) < 0.05
+        assert abs(np.sqrt(sq_y / 4000) - 0.7) < 0.05
 
     def test_deterministic_fallback(self):
         qs = datasets.make_quadratic_saddle(3, 2, 1.0, 1.0, np.random.default_rng(7))

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
-from sapdplus.prox import (make_prox, project_simplex, prox_box,
-                           prox_quadratic_over_simplex, prox_zero)
+from sapdplus.prox import (project_simplex, prox_quadratic_over_simplex,
+                           prox_zero)
 
 
 def simplex_projection_oracle(v):
@@ -157,34 +158,31 @@ class TestProxQuadraticOverSimplex:
 
 
 class TestProxBox:
+    """The box prox of the bilinear toy's dual: a clamp to [-1, 1]."""
+
+    prox = staticmethod(datasets.make_bilinear_box_toy().problem.prox_g)
+
     def test_clamp(self):
-        got = prox_box(np.array([3.0, -3.0]), 0.5, -1.0, 1.0)
+        got = self.prox(np.array([3.0, -3.0]), 0.5)
         np.testing.assert_array_equal(got, [1.0, -1.0])
 
     def test_interior_unchanged(self):
         v = np.array([0.2, -0.4])
-        np.testing.assert_array_equal(prox_box(v, 2.0, -1.0, 1.0), v)
+        np.testing.assert_array_equal(self.prox(v, 2.0), v)
 
     def test_step_irrelevant(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal(7) * 2
-        a = prox_box(v, 1e-3, -1.0, 1.0)
-        b = prox_box(v, 1e3, -1.0, 1.0)
-        np.testing.assert_array_equal(a, b)
-
-    def test_malformed_bounds(self):
-        with pytest.raises(ConfigurationError):
-            prox_box(np.zeros(2), 1.0, 1.0, -1.0)
+        np.testing.assert_array_equal(self.prox(v, 1e-3), self.prox(v, 1e3))
 
 
 def test_nonexpansiveness_all_operators():
     rng = np.random.default_rng(6)
     operators = [
         prox_zero,
-        lambda v, s: prox_box(v, s, -1.0, 1.0),
+        TestProxBox.prox,
         lambda v, s: project_simplex(v),
         lambda v, s: prox_quadratic_over_simplex(v, s, 0.3, 4),
-        make_prox("scaled_squared_distance", weight=2.0, anchor=np.zeros(4)),
     ]
     for op in operators:
         for _ in range(100):
@@ -193,8 +191,3 @@ def test_nonexpansiveness_all_operators():
             step = 10 ** rng.uniform(-2, 1)
             lhs = np.linalg.norm(op(u, step) - op(v, step))
             assert lhs <= np.linalg.norm(u - v) + 1e-12
-
-
-def test_make_prox_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        make_prox("nuclear")

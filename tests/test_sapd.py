@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from reference_loops import reference_guard
 from sapdplus import datasets
-from sapdplus.errors import ConfigurationError, DivergenceError
+from sapdplus.errors import DivergenceError
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
-from sapdplus.sapd import (DIVERGENCE_NORM, SapdParams, _guard, sapd_run,
-                           weighted_average)
+from sapdplus.sapd import DIVERGENCE_NORM, SapdParams, _guard, sapd_run
 
 
 def scsc_toy():
@@ -24,33 +23,40 @@ def scsc_toy():
 
 
 class TestWeightedAverage:
+    """x_avg and y_avg are the rho^{-k}-weighted averages of the recorded iterates."""
+
+    @staticmethod
+    def noisy_run(theta, rho, n_inner, seed):
+        qs, sub = scsc_toy()
+        noisy = with_gaussian_noise(sub, 0.3, 0.3)
+        params = SapdParams(tau=0.05, sigma=0.05, theta=theta, rho=rho, alpha=0.0,
+                            mu_x=1.0, n_inner=n_inner)
+        return sapd_run(noisy, params, np.ones(1), np.ones(1),
+                        np.random.default_rng(seed), record_iterates=True)
+
     def test_rho_one_is_mean(self):
-        rng = np.random.default_rng(0)
-        zs = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(weighted_average(zs, 1.0), zs.mean(axis=0),
-                                   atol=1e-14)
+        res = self.noisy_run(0.0, 1.0, 7, 0)
+        xs, ys = (np.array(z) for z in zip(*res.trace))
+        np.testing.assert_allclose(res.x_avg, xs.mean(axis=0), atol=1e-14)
+        np.testing.assert_allclose(res.y_avg, ys.mean(axis=0), atol=1e-14)
 
     def test_two_iterates(self):
-        z1, z2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        got = weighted_average([z1, z2], 0.5)
-        np.testing.assert_allclose(got, (z1 + 2 * z2) / 3.0, atol=1e-15)
+        res = self.noisy_run(0.5, 0.5, 2, 1)
+        (x1, y1), (x2, y2) = res.trace
+        np.testing.assert_allclose(res.x_avg, (x1 + 2 * x2) / 3.0, atol=1e-15)
+        np.testing.assert_allclose(res.y_avg, (y1 + 2 * y2) / 3.0, atol=1e-15)
 
     def test_long_run_against_high_precision(self):
-        rng = np.random.default_rng(1)
-        zs = rng.standard_normal(200)
-        rho = 0.9
-        got = weighted_average(zs.reshape(-1, 1), rho)[0]
+        res = self.noisy_run(0.9, 0.9, 200, 1)
+        zs = [float(x[0]) for x, _ in res.trace]
         with mpmath.workdps(50):
             r = mpmath.mpf("0.9")
-            num = mpmath.fsum(r ** (-k) * mpmath.mpf(float(zs[k])) for k in range(200))
+            num = mpmath.fsum(r ** (-k) * mpmath.mpf(zs[k]) for k in range(200))
             den = mpmath.fsum(r ** (-k) for k in range(200))
             ref = float(num / den)
+        got = float(res.x_avg[0])
         assert math.isfinite(got)
         assert abs(got - ref) < 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            weighted_average([], 0.5)
 
 
 class TestSapdRun:
