@@ -11,7 +11,11 @@ Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
 ``<out>.meta.txt`` with everything needed to reproduce the run.
 ``wall_ms`` is stamped when each stage record is produced, so it excludes
-the objective evaluation that fills the row.
+the objective evaluation that fills the row.  ``sgda-baseline`` runs the
+inner solver with theta = 0, rho = 1, alpha = 0 and writes a row every
+epoch of draws; its ``oracle_calls`` after k iterations is (2k + 1) batch
+draws, as for any inner run (see sapd.inner_draws): the extra batch is the
+y-gradient drawn at the last iterate.
 """
 
 import argparse
@@ -29,7 +33,7 @@ from .outer import FixedT, OuterConfig, StationarityTarget, sapd_plus_run
 from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
                      vr_schedule)
 from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
-from .sapd import inner_draws
+from .sapd import SapdParams, inner_draws, sapd_run
 from .vr import VrParams
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
@@ -197,36 +201,6 @@ def _resolve_schedule(cfg: RunConfig, p, meta: dict):
     return params, t_outer, cert, vr_flag
 
 
-def sgda_baseline_run(p, steps, tau, sigma, rng, x0=None, y0=None,
-                      record_every=1, on_record=None):
-    """Alternating proximal stochastic gradient descent-ascent, constant steps.
-
-    Two oracle calls per iteration; shares the stage-record trace format
-    (one record per `record_every` iterations).  on_record, if given, is
-    called with each record as it is produced.
-    """
-    from .sapd import _guard
-
-    x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
-    y = np.zeros(p.m) if y0 is None else np.array(y0, dtype=float)
-    records = [(0, 0, x.copy(), y.copy())]
-    if on_record:
-        on_record(records[0])
-    calls = 0
-    for k in range(steps):
-        gy = p.stoch_grad_y(x, y, rng)
-        y = p.prox_g(y + sigma * gy, sigma)
-        gx = p.stoch_grad_x(x, y, rng)
-        x = p.prox_f(x - tau * gx, tau)
-        _guard(x, y, k)
-        calls += 2 * p.oracle_batch
-        if (k + 1) % record_every == 0 or k + 1 == steps:
-            records.append((k + 1, calls, x.copy(), y.copy()))
-            if on_record:
-                on_record(records[-1])
-    return records
-
-
 def _start_point(cfg: RunConfig, p):
     """(x0, y0) of every rep.
 
@@ -266,10 +240,17 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
             per_iter = 2 * p.oracle_batch
             steps = max(1, (budget or 10000) // per_iter)
             rec_every = max(1, epoch_size // per_iter)
-            records = sgda_baseline_run(p, steps, cfg.tau, cfg.sigma, rng,
-                                        x0=x0, y0=y0, record_every=rec_every,
-                                        on_record=stamp)
-            for (stage, calls, x, _y), at in zip(records, stamps):
+            sgda = SapdParams(cfg.tau, cfg.sigma, theta=0.0, rho=1.0, alpha=0.0,
+                              mu_x=0.0, n_inner=steps)
+            records = [(0, 0, x0, time.perf_counter())]
+
+            def record(k, x, _y):
+                if (k + 1) % rec_every == 0 or k + 1 == steps:
+                    records.append((k + 1, inner_draws(sgda, k + 1, p.oracle_batch),
+                                    x.copy(), time.perf_counter()))
+
+            sapd_run(p, sgda, x0, y0, rng, on_iterate=record)
+            for stage, calls, x, at in records:
                 emit(stage, calls, x, at)
         else:
             per_stage = inner_draws(params, params.n_inner, p.oracle_batch)

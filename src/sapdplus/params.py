@@ -26,7 +26,7 @@ class LmiCertificate:
     """Feasibility record for one parameter tuple.
 
     matrix is G (or G - diag(g) in the VR case) symmetrized; feasible means
-    min_eigenvalue >= -PSD_TOL.
+    min_eigenvalue >= -PSD_TOL * max(1, max |G_ij|) (see _psd).
     """
 
     matrix: np.ndarray
@@ -43,9 +43,18 @@ class LmiCertificate:
         return self.feasible
 
 
-def _min_eig(mat):
+def _psd(mat):
+    """(min eigenvalue, feasible) of the symmetrized matrix.
+
+    Feasible means min eigenvalue >= -PSD_TOL * max(1, max |G_ij|): near
+    theta = 1 entries of order 1/(1 - theta) cancel, and the eigenvalue's
+    rounding error grows with them.  The absolute test, which implies the
+    scaled one, runs first.
+    """
     sym = 0.5 * (mat + mat.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    return min_eig, (min_eig >= -PSD_TOL
+                     or min_eig >= -PSD_TOL * float(np.abs(sym).max()))
 
 
 def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
@@ -83,9 +92,9 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
         smoothness.l_xy, smoothness.l_yx, smoothness.l_yy,
     )
     g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, convexity.mu_y)
-    min_eig = _min_eig(g)
+    min_eig, feasible = _psd(g)
     return LmiCertificate(
-        matrix=g, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL,
+        matrix=g, min_eigenvalue=min_eig, feasible=feasible,
         tau=tau, sigma=sigma, theta=theta, rho=rho, alpha=alpha,
     )
 
@@ -131,9 +140,9 @@ def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
     s_shift = SmoothnessConstants(lp_xx, s.l_xy, s.l_yx, s.l_yy)
     g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, mu_y)
     g -= np.diag([pi_x, pi_y, lx_corr, ly_corr, 0.0])
-    min_eig = _min_eig(g)
+    min_eig, feasible = _psd(g)
     return LmiCertificate(
-        matrix=g, min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL,
+        matrix=g, min_eigenvalue=min_eig, feasible=feasible,
         tau=tau, sigma=sigma, theta=theta, rho=rho, alpha=alpha,
         variance_reduced=True,
     )

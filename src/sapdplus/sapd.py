@@ -1,20 +1,26 @@
 """Inner solver for strongly-convex-strongly-concave subproblems.
 
-One iteration, starting from (x_k, y_k) with dual-gradient memory q_k:
+Both inner solvers run one loop.  Iteration k, from (x_k, y_k) and the
+dual direction s_k:
 
-    s_k     = sgrad_y(x_k, y_k)  + theta * q_k
     y_{k+1} = prox_{sigma g}(y_k + sigma * s_k)
-    x_{k+1} = prox_{tau f}(x_k - tau * sgrad_x(x_k, y_{k+1}))
-    q_{k+1} = sgrad_y(x_{k+1}, y_{k+1}) - sgrad_y(x_k, y_k)
+    x_{k+1} = prox_{tau f}(x_k - tau * v_k),   v_k ~ grad_x(x_k, y_{k+1})
+    s_{k+1} = next dual direction at (x_{k+1}, y_{k+1})
 
-The y-gradient drawn at (x_{k+1}, y_{k+1}) is cached and reused as the
-s-term of the next iteration, so each iteration consumes exactly one fresh
-y-sample and one fresh x-sample (see inner_oracle_calls).  The
-output is the rho^{-k}-weighted average of iterates 1..N.
+and the output is the rho^{-k}-weighted average of iterates 1..N.  A
+gradient estimator supplies s_0, v_k and s_{k+1}.  The plain stochastic
+one (here) draws g_k = sgrad_y(x_k, y_k) once per iteration and sets
+
+    s_0 = g_0 + theta * 0,   s_{k+1} = g_{k+1} + theta * (g_{k+1} - g_k),
+
+so each iteration consumes one fresh x-sample and one fresh y-sample (see
+inner_oracle_calls).  The SPIDER recursion is the other estimator (vr.py).
+With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
+stochastic gradient descent-ascent, the CLI's sgda-baseline.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,11 +65,6 @@ class SapdRunResult:
     y_calls: int
     last_step_norm: float
     iterations: int
-    trace: Optional[list] = field(default=None, repr=False)
-
-    @property
-    def oracle_calls(self):
-        return self.x_calls + self.y_calls
 
 
 def inner_oracle_calls(params, iterations: int) -> tuple:
@@ -107,32 +108,46 @@ def _step_norm(x_new, y_new, x, y):
     return float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
 
 
-def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
-             step_tol: float = 0.0, record_iterates: bool = False) -> SapdRunResult:
-    """Run n_inner iterations from (x0, y0); rng = None uses exact gradients.
+class _StochasticGradient:
+    """The plain estimator: a fresh stochastic draw per gradient."""
 
-    step_tol > 0 allows an early exit once ||z_{k+1} - z_k|| falls below it
-    (deterministic prox-evaluation use); the averaged output always covers
-    exactly the iterations performed.
-    """
-    tau, sigma, theta, rho = params.tau, params.sigma, params.theta, params.rho
+    def __init__(self, p: ProblemSpec, theta: float, rng):
+        self.grad_x, self.grad_y = p.stoch_grad_x, p.stoch_grad_y
+        self.theta, self.rng = theta, rng
+
+    def first(self, x, y):
+        self.g = self.grad_y(x, y, self.rng)
+        return self.g + self.theta * np.zeros_like(y)
+
+    def primal(self, k, x, y):
+        return self.grad_x(x, y, self.rng)
+
+    def dual(self, k, x, y):
+        g = self.grad_y(x, y, self.rng)
+        s = g + self.theta * (g - self.g)
+        self.g = g
+        return s
+
+
+def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
+                on_iterate=None) -> SapdRunResult:
+    """The one inner iteration, with its gradients from `estimator`:
+    first(x_0, y_0) gives s_0, primal(k, x_k, y_{k+1}) the x-gradient
+    estimate and dual(k, x_{k+1}, y_{k+1}) the direction s_{k+1}."""
+    tau, sigma, rho = params.tau, params.sigma, params.rho
+    prox_f, prox_g = p.prox_f, p.prox_g
+    primal, dual = estimator.primal, estimator.dual
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
-    gy_prev = p.stoch_grad_y(x, y, rng)
-    q_tilde = np.zeros_like(y)
+    s = estimator.first(x, y)
     acc_x = np.zeros_like(x)
     acc_y = np.zeros_like(y)
     weight = 0.0
-    trace = [] if record_iterates else None
     for k in range(params.n_inner):
-        s = gy_prev + theta * q_tilde
-        y_new = p.prox_g(y + sigma * s, sigma)
-        gx = p.stoch_grad_x(x, y_new, rng)
-        x_new = p.prox_f(x - tau * gx, tau)
+        y_new = prox_g(y + sigma * s, sigma)
+        x_new = prox_f(x - tau * primal(k, x, y_new), tau)
         _guard(x_new, y_new, k)
-        gy_new = p.stoch_grad_y(x_new, y_new, rng)
-        q_tilde = gy_new - gy_prev
-        gy_prev = gy_new
+        s = dual(k, x_new, y_new)
         x_prev, y_prev = x, y
         x, y = x_new, y_new
         acc_x *= rho
@@ -140,8 +155,8 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
         acc_y *= rho
         acc_y += y
         weight = rho * weight + 1.0
-        if record_iterates:
-            trace.append((x.copy(), y.copy()))
+        if on_iterate is not None:
+            on_iterate(k, x, y)
         if step_tol > 0 and _step_norm(x, y, x_prev, y_prev) <= step_tol:
             break
     iterations = k + 1
@@ -149,6 +164,20 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
     return SapdRunResult(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
         x_calls=x_calls, y_calls=y_calls,
-        last_step_norm=_step_norm(x, y, x_prev, y_prev),
-        iterations=iterations, trace=trace,
+        last_step_norm=_step_norm(x, y, x_prev, y_prev), iterations=iterations,
     )
+
+
+def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
+             step_tol: float = 0.0,
+             on_iterate: Optional[Callable] = None) -> SapdRunResult:
+    """Run n_inner iterations from (x0, y0); rng = None uses exact gradients.
+
+    step_tol > 0 allows an early exit once ||z_{k+1} - z_k|| falls below it
+    (deterministic prox-evaluation use); the averaged output always covers
+    exactly the iterations performed.  on_iterate, if given, is called as
+    on_iterate(k, x_{k+1}, y_{k+1}) after each iteration, with the solver's
+    own arrays: copy what you keep.
+    """
+    return _inner_loop(p, params, _StochasticGradient(p, params.theta, rng),
+                       x0, y0, step_tol, on_iterate)

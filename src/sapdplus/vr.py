@@ -13,7 +13,8 @@ Per iteration k (theta fixed to 1 by the parameter rule):
 
 with w_0 a large-batch draw at (x_0, y_0) and s_0 = w_0.  The recursion
 evaluates the same batch at both point pairs.  Oracle cost is counted in
-single-sample draws.
+single-sample draws.  The iteration is the one inner loop of sapd.py; this
+module supplies its SPIDER estimator of v_k and s_{k+1}.
 """
 
 import warnings
@@ -23,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
-from .sapd import SapdRunResult, _guard, _step_norm, inner_oracle_calls
+from .sapd import SapdRunResult, _inner_loop
+from .sapd import _guard  # noqa: F401  (perfbench's traced run swaps vr._guard)
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,7 @@ class VrParams:
     n_inner: int
     mu_x: float
     theta: float = 1.0
+    rho = 1.0  # not a field: the output is the plain mean of the iterates
 
     def __post_init__(self):
         if self.tau <= 0 or self.sigma <= 0:
@@ -52,84 +55,55 @@ class VrParams:
                           stacklevel=2)
 
 
-def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0, rng,
-                debug_record: bool = False) -> SapdRunResult:
+class _SpiderGradient:
+    """The SPIDER estimator; each recursion step reuses the point of the
+    previous call on its axis."""
+
+    def __init__(self, fs: FiniteSumSpec, params: VrParams, rng):
+        self.fs, self.params, self.rng = fs, params, rng
+
+    def first(self, x, y):
+        self.w = self.fs.batch_grad_y(self.fs.sample(self.rng, self.params.b), x, y)
+        self.at_y = (x, y)
+        return self.w
+
+    def primal(self, k, x, y):
+        fs, params = self.fs, self.params
+        if k % params.q == 0:
+            v = fs.batch_grad_x(fs.sample(self.rng, params.b), x, y)
+        else:
+            batch = fs.sample(self.rng, params.b_x)
+            v = self.v + (fs.batch_grad_x(batch, x, y)
+                          - fs.batch_grad_x(batch, *self.at_x))
+        self.v, self.at_x = v, (x, y)
+        return v
+
+    def dual(self, k, x, y):
+        fs, params, theta = self.fs, self.params, self.params.theta
+        if (k + 1) % params.q == 0:
+            w = fs.batch_grad_y(fs.sample(self.rng, params.b), x, y)
+        else:
+            batch = fs.sample(self.rng, params.b_y)
+            w = self.w + (fs.batch_grad_y(batch, x, y)
+                          - fs.batch_grad_y(batch, *self.at_y))
+        s = (1.0 + theta) * w - theta * self.w
+        self.w, self.at_y = w, (x, y)
+        return s
+
+
+def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
+                rng) -> SapdRunResult:
     """Run the variance-reduced inner solver on a finite-sum coupling.
 
     fs supplies batch gradients of the (possibly shifted) coupling; p supplies
     the prox maps.  Batch indices are drawn with replacement from a single rng
-    stream.  With debug_record=True the result carries a per-iteration trace
-    of (kind, batch, estimator, difference-term) for the recursion identity
-    checks.
+    stream: the initial y-batch, then per iteration the x batch before the y
+    batch.
     """
     if params.b > fs.n_comp:
         warnings.warn("large batch exceeds component count; sampling with "
                       "replacement", stacklevel=2)
-    tau, sigma, theta, q = params.tau, params.sigma, params.theta, params.q
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    x_prev = x.copy()
-    y_prev = y.copy()
-
-    batch0 = fs.sample(rng, params.b)
-    w_prev = fs.batch_grad_y(batch0, x, y)
-    s = w_prev.copy()
-    v = None
-    acc_x = np.zeros_like(x)
-    acc_y = np.zeros_like(y)
-    weight = 0.0
-    trace = [] if debug_record else None
-    if debug_record:
-        trace.append(dict(k=0, axis="y", kind="refresh", batch=batch0,
-                          estimator=w_prev.copy()))
-
-    for k in range(params.n_inner):
-        y_new = p.prox_g(y + sigma * s, sigma)
-        if k % q == 0:
-            batch = fs.sample(rng, params.b)
-            v = fs.batch_grad_x(batch, x, y_new)
-            if debug_record:
-                trace.append(dict(k=k, axis="x", kind="refresh", batch=batch,
-                                  estimator=v.copy()))
-        else:
-            batch = fs.sample(rng, params.b_x)
-            diff = fs.batch_grad_x(batch, x, y_new) - fs.batch_grad_x(batch, x_prev, y)
-            v = v + diff
-            if debug_record:
-                trace.append(dict(k=k, axis="x", kind="recursion", batch=batch,
-                                  estimator=v.copy(), diff=diff.copy(),
-                                  points=(x.copy(), y_new.copy(), x_prev.copy(), y.copy())))
-        x_new = p.prox_f(x - tau * v, tau)
-        _guard(x_new, y_new, k)
-        if (k + 1) % q == 0:
-            batch = fs.sample(rng, params.b)
-            w_new = fs.batch_grad_y(batch, x_new, y_new)
-            if debug_record:
-                trace.append(dict(k=k + 1, axis="y", kind="refresh", batch=batch,
-                                  estimator=w_new.copy()))
-        else:
-            batch = fs.sample(rng, params.b_y)
-            qy = fs.batch_grad_y(batch, x_new, y_new) - fs.batch_grad_y(batch, x, y)
-            w_new = w_prev + qy
-            if debug_record:
-                trace.append(dict(k=k + 1, axis="y", kind="recursion", batch=batch,
-                                  estimator=w_new.copy(), diff=qy.copy(),
-                                  points=(x_new.copy(), y_new.copy(), x.copy(), y.copy())))
-        s = (1.0 + theta) * w_new - theta * w_prev
-        w_prev = w_new
-        x_prev, y_prev = x, y
-        x, y = x_new, y_new
-        acc_x += x  # rho = theta = 1: plain mean
-        acc_y += y
-        weight += 1.0
-
-    x_calls, y_calls = inner_oracle_calls(params, params.n_inner)
-    return SapdRunResult(
-        x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
-        x_calls=x_calls, y_calls=y_calls,
-        last_step_norm=_step_norm(x, y, x_prev, y_prev),
-        iterations=params.n_inner, trace=trace,
-    )
+    return _inner_loop(p, params, _SpiderGradient(fs, params, rng), x0, y0)
 
 
 def spider_bound_along_trajectory(points, params: VrParams, as_constants,

@@ -2,16 +2,35 @@
 
 These are the loop bodies of `sapd_run` and `vr_sapd_run` as they stood
 before the hot path was made lean (per-step step norm, allocating
-averages, guard via `np.isfinite` then a sum of squares).  They are not
-part of the package: the tests run both versions on the same inputs and
-require every result field to match bit for bit.  Do not edit them to
-follow later changes of the solvers.
+averages, guard via `np.isfinite` then a sum of squares), and of the CLI's
+`sgda_baseline_run` before it became a `sapd_run` call.  They are not part
+of the package: the tests run both versions on the same inputs and require
+every result field to match bit for bit.  Do not edit them to follow later
+changes of the solvers.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from sapdplus.errors import DivergenceError
-from sapdplus.sapd import DIVERGENCE_NORM, SapdRunResult
+from sapdplus.sapd import DIVERGENCE_NORM
+
+
+@dataclass
+class ReferenceRun:
+    """The fields of a SapdRunResult, plus the recorded iterates."""
+
+    x_avg: np.ndarray
+    y_avg: np.ndarray
+    x_last: np.ndarray
+    y_last: np.ndarray
+    x_calls: int
+    y_calls: int
+    last_step_norm: float
+    iterations: int
+    trace: Optional[list] = None
 
 
 def reference_guard(x, y, k):
@@ -55,14 +74,14 @@ def reference_sapd_run(p, params, x0, y0, rng, step_tol=0.0, record_iterates=Fal
             trace.append((x.copy(), y.copy()))
         if step_tol > 0 and step_norm <= step_tol:
             break
-    return SapdRunResult(
+    return ReferenceRun(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
         x_calls=x_calls, y_calls=y_calls, last_step_norm=step_norm,
         iterations=k + 1, trace=trace,
     )
 
 
-def reference_vr_sapd_run(fs, p, params, x0, y0, rng, debug_record=False):
+def reference_vr_sapd_run(fs, p, params, x0, y0, rng):
     tau, sigma, theta, q = params.tau, params.sigma, params.theta, params.q
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
@@ -77,10 +96,6 @@ def reference_vr_sapd_run(fs, p, params, x0, y0, rng, debug_record=False):
     acc_y = np.zeros_like(y)
     weight = 0.0
     step_norm = np.inf
-    trace = [] if debug_record else None
-    if debug_record:
-        trace.append(dict(k=0, axis="y", kind="refresh", batch=batch0,
-                          estimator=w_prev.copy()))
 
     for k in range(params.n_inner):
         y_new = p.prox_g(y + sigma * s, sigma)
@@ -88,36 +103,22 @@ def reference_vr_sapd_run(fs, p, params, x0, y0, rng, debug_record=False):
             batch = fs.sample(rng, params.b)
             v = fs.batch_grad_x(batch, x, y_new)
             x_samples += params.b
-            if debug_record:
-                trace.append(dict(k=k, axis="x", kind="refresh", batch=batch,
-                                  estimator=v.copy()))
         else:
             batch = fs.sample(rng, params.b_x)
             diff = fs.batch_grad_x(batch, x, y_new) - fs.batch_grad_x(batch, x_prev, y)
             v = v + diff
             x_samples += 2 * params.b_x
-            if debug_record:
-                trace.append(dict(k=k, axis="x", kind="recursion", batch=batch,
-                                  estimator=v.copy(), diff=diff.copy(),
-                                  points=(x.copy(), y_new.copy(), x_prev.copy(), y.copy())))
         x_new = p.prox_f(x - tau * v, tau)
         reference_guard(x_new, y_new, k)
         if (k + 1) % q == 0:
             batch = fs.sample(rng, params.b)
             w_new = fs.batch_grad_y(batch, x_new, y_new)
             y_samples += params.b
-            if debug_record:
-                trace.append(dict(k=k + 1, axis="y", kind="refresh", batch=batch,
-                                  estimator=w_new.copy()))
         else:
             batch = fs.sample(rng, params.b_y)
             qy = fs.batch_grad_y(batch, x_new, y_new) - fs.batch_grad_y(batch, x, y)
             w_new = w_prev + qy
             y_samples += 2 * params.b_y
-            if debug_record:
-                trace.append(dict(k=k + 1, axis="y", kind="recursion", batch=batch,
-                                  estimator=w_new.copy(), diff=qy.copy(),
-                                  points=(x_new.copy(), y_new.copy(), x.copy(), y.copy())))
         s = (1.0 + theta) * w_new - theta * w_prev
         w_prev = w_new
         step_norm = float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
@@ -127,8 +128,30 @@ def reference_vr_sapd_run(fs, p, params, x0, y0, rng, debug_record=False):
         acc_y = acc_y + y
         weight += 1.0
 
-    return SapdRunResult(
+    return ReferenceRun(
         x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
         x_calls=x_samples, y_calls=y_samples, last_step_norm=step_norm,
-        iterations=params.n_inner, trace=trace,
+        iterations=params.n_inner,
     )
+
+
+def reference_sgda_run(p, steps, tau, sigma, rng, x0=None, y0=None,
+                       record_every=1):
+    """Alternating proximal stochastic gradient descent-ascent, constant steps.
+
+    Returns records (k, calls, x, y), one per `record_every` iterations.
+    """
+    x = np.zeros(p.n) if x0 is None else np.array(x0, dtype=float)
+    y = np.zeros(p.m) if y0 is None else np.array(y0, dtype=float)
+    records = [(0, 0, x.copy(), y.copy())]
+    calls = 0
+    for k in range(steps):
+        gy = p.stoch_grad_y(x, y, rng)
+        y = p.prox_g(y + sigma * gy, sigma)
+        gx = p.stoch_grad_x(x, y, rng)
+        x = p.prox_f(x - tau * gx, tau)
+        reference_guard(x, y, k)
+        calls += 2 * p.oracle_batch
+        if (k + 1) % record_every == 0 or k + 1 == steps:
+            records.append((k + 1, calls, x.copy(), y.copy()))
+    return records

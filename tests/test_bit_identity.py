@@ -1,8 +1,9 @@
 """The inner solvers against frozen reference copies of their loops.
 
-Every field of the run result, the recorded iterates and the VR debug trace
-must match the reference bit for bit: the lean loops may only drop work
-whose result is never read, never reorder arithmetic or rng draws.
+Every field of the run result, the iterates seen through `on_iterate`, the
+VR batch-gradient calls and the CLI's sgda-baseline rows must match the
+reference bit for bit: the one inner loop may only drop work whose result
+is never read, never reorder arithmetic or rng draws.
 """
 
 from dataclasses import replace
@@ -10,8 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference_loops import reference_sapd_run, reference_vr_sapd_run
-from sapdplus import datasets
+from reference_loops import (reference_sapd_run, reference_sgda_run,
+                             reference_vr_sapd_run)
+from sapdplus import cli, datasets
 from sapdplus.errors import DivergenceError
 from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
@@ -32,20 +34,18 @@ def assert_same_run(got, ref):
     assert _bits(got.last_step_norm) == _bits(ref.last_step_norm)
     assert (got.iterations, got.x_calls, got.y_calls) == (
         ref.iterations, ref.x_calls, ref.y_calls)
-    assert (got.trace is None) == (ref.trace is None)
-    for rec_got, rec_ref in zip(got.trace or (), ref.trace or ()):
-        if isinstance(rec_ref, dict):
-            assert rec_got.keys() == rec_ref.keys()
-            for key, val in rec_ref.items():
-                if key == "points":
-                    assert [_bits(v) for v in rec_got[key]] == [_bits(v) for v in val]
-                elif isinstance(val, np.ndarray):
-                    assert _bits(rec_got[key]) == _bits(val), key
-                else:
-                    assert rec_got[key] == val, key
-        else:
-            assert [_bits(v) for v in rec_got] == [_bits(v) for v in rec_ref]
-    assert len(got.trace or ()) == len(ref.trace or ())
+
+
+def assert_same_iterates(seen, trace):
+    """seen: (k, x, y) from on_iterate; trace: the reference's (x, y) per iteration."""
+    assert [k for k, _, _ in seen] == list(range(len(trace)))
+    for (_, x, y), (x_ref, y_ref) in zip(seen, trace):
+        assert (_bits(x), _bits(y)) == (_bits(x_ref), _bits(y_ref))
+
+
+def recorder():
+    seen = []
+    return seen, lambda k, x, y: seen.append((k, x.copy(), y.copy()))
 
 
 def _schedule(p, n_inner):
@@ -95,23 +95,27 @@ class TestSapdRunMatchesReference:
     @pytest.mark.parametrize("step_tol", [0.0, 1e-9])
     def test_stochastic(self, case, record, step_tol):
         sub, params, x0, y0 = CASES[case](0.3)
+        seen, on_iterate = recorder()
         got = sapd_run(sub, params, x0, y0, np.random.default_rng(17),
-                       step_tol=step_tol, record_iterates=record)
+                       step_tol=step_tol, on_iterate=on_iterate if record else None)
         ref = reference_sapd_run(sub, params, x0, y0, np.random.default_rng(17),
                                  step_tol=step_tol, record_iterates=record)
         assert_same_run(got, ref)
+        assert_same_iterates(seen, ref.trace or [])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("record", [False, True])
     def test_deterministic_early_exit(self, case, record):
         sub, params, x0, y0 = CASES[case](0.0)
         params = replace(params, n_inner=5000)
+        seen, on_iterate = recorder()
         got = sapd_run(sub, params, x0, y0, None, step_tol=1e-8,
-                       record_iterates=record)
+                       on_iterate=on_iterate if record else None)
         ref = reference_sapd_run(sub, params, x0, y0, None, step_tol=1e-8,
                                  record_iterates=record)
         assert got.iterations < params.n_inner  # the early exit was taken
         assert_same_run(got, ref)
+        assert_same_iterates(seen, ref.trace or [])
 
     def test_divergence_trips_at_the_same_iteration(self):
         qs = datasets.make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
@@ -152,12 +156,91 @@ def dro_fs_case():
 VR_CASES = {"quadratic": quadratic_fs_case, "dro": dro_fs_case}
 
 
+def logged(fs, log):
+    """fs whose batch gradients append (name, batch, x, y, output) to log."""
+
+    def wrap(name):
+        fn = getattr(fs, name)
+
+        def grad(batch, x, y):
+            out = fn(batch, x, y)
+            log.append((name, batch.copy(), x.copy(), y.copy(), out.copy()))
+            return out
+
+        return grad
+
+    return replace(fs, batch_grad_x=wrap("batch_grad_x"),
+                   batch_grad_y=wrap("batch_grad_y"))
+
+
 @pytest.mark.parametrize("case", sorted(VR_CASES))
-@pytest.mark.parametrize("debug_record", [False, True])
-def test_vr_sapd_run_matches_reference(case, debug_record):
+@pytest.mark.parametrize("log_calls", [False, True])
+def test_vr_sapd_run_matches_reference(case, log_calls):
     fs, sub, params, x0, y0 = VR_CASES[case]()
-    got = vr_sapd_run(fs, sub, params, x0, y0, np.random.default_rng(23),
-                      debug_record=debug_record)
-    ref = reference_vr_sapd_run(fs, sub, params, x0, y0, np.random.default_rng(23),
-                                debug_record=debug_record)
+    logs = [], []
+    fs_got, fs_ref = (logged(fs, log) for log in logs) if log_calls else (fs, fs)
+    got = vr_sapd_run(fs_got, sub, params, x0, y0, np.random.default_rng(23))
+    ref = reference_vr_sapd_run(fs_ref, sub, params, x0, y0, np.random.default_rng(23))
     assert_same_run(got, ref)
+    got_log, ref_log = logs
+    # one call per refresh, two per recursion step, and the initial y-batch
+    q = params.q
+    calls = 1 + sum(2 + (k % q > 0) + ((k + 1) % q > 0) for k in range(params.n_inner))
+    assert len(got_log) == len(ref_log) == calls * log_calls
+    for call_got, call_ref in zip(got_log, ref_log):
+        assert call_got[0] == call_ref[0]
+        assert [_bits(a) for a in call_got[1:]] == [_bits(a) for a in call_ref[1:]]
+
+
+SGDA_CASES = {
+    "quadratic": dict(problem="quadratic", noise_x=0.3, noise_y=0.3, budget_calls=3000),
+    "dro": dict(problem="dro", n_samples=200, batch=10, budget_calls=20000),
+}
+
+
+def sgda_rep(cfg):
+    """The CLI's rows and per-row x, beside the frozen loop on the same inputs."""
+    p, fs, objective, epoch_size, meta = cli._build_problem(cfg)
+    params, t_outer, _, vr_flag = cli._resolve_schedule(cfg, p, meta)
+    xs = []
+
+    def spy(x):
+        xs.append(x.copy())
+        return objective(x)
+
+    rows, note = cli._run_single_rep(0, cfg, p, fs, spy, params, t_outer, vr_flag,
+                                     epoch_size)
+    per_iter = 2 * p.oracle_batch
+    x0, y0 = cli._start_point(cfg, p)
+
+    def reference():
+        return reference_sgda_run(p, cfg.budget_calls // per_iter, cfg.tau, cfg.sigma,
+                                  np.random.default_rng(cfg.seed), x0=x0, y0=y0,
+                                  record_every=max(1, epoch_size // per_iter))
+
+    return p, rows, note, xs, reference
+
+
+@pytest.mark.parametrize("case", sorted(SGDA_CASES))
+def test_sgda_rows_match_reference(case):
+    cfg = cli.RunConfig(algo="sgda-baseline", tau=0.05, sigma=0.05, seed=8,
+                        **SGDA_CASES[case])
+    p, rows, note, xs, reference = sgda_rep(cfg)
+    records = reference()
+    assert note == "" and len(records) > 10
+    assert [row[1] for row in rows] == [k for k, _, _, _ in records]
+    assert [_bits(x) for x in xs] == [_bits(x) for _, _, x, _ in records]
+    # sapd_run also draws the y-gradient at the last iterate: one batch more
+    assert [row[2] for row in rows] == [0] + [calls + p.oracle_batch
+                                             for _, calls, _, _ in records[1:]]
+
+
+def test_sgda_divergence_trips_at_the_same_iteration():
+    cfg = cli.RunConfig(problem="quadratic", algo="sgda-baseline", tau=3.0, sigma=3.0,
+                        budget_calls=4000)
+    _, rows, note, _, reference = sgda_rep(cfg)
+    with pytest.raises(DivergenceError) as err:
+        reference()
+    assert rows == []
+    assert note == (f"rep 0 diverged: {err.value} (stage None, "
+                    f"iter {err.value.iteration})")

@@ -2,13 +2,11 @@ import json
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sapdplus import cli, datasets
-from sapdplus.sapd import SapdParams
+from sapdplus.sapd import SapdParams, inner_draws
 from sapdplus.vr import VrParams
-from sapdplus.errors import DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 
 
@@ -231,26 +229,34 @@ class TestSolve:
 
 
 class TestSgdaBaseline:
-    def setup_problem(self):
-        rng = np.random.default_rng(0)
+    """sgda-baseline on the CLI's own path, a sapd_run with theta = 0."""
+
+    @staticmethod
+    def run(step, budget_calls):
         qs = datasets.make_scsc_quadratic([[1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
-        return qs, rng
+        cfg = cli.RunConfig(algo="sgda-baseline", tau=step, sigma=step,
+                            budget_calls=budget_calls)
+        xs = []
+
+        def objective(x):
+            xs.append(float(x[0]))
+            return 0.0
+
+        # epoch_size = 2 draws: one row per iteration
+        rows, note = cli._run_single_rep(0, cfg, qs.problem, None, objective, None,
+                                         1, False, 2)
+        return rows, note, xs
 
     def test_small_steps_contract(self):
-        qs, rng = self.setup_problem()
-        records = cli.sgda_baseline_run(qs.problem, 200, 0.05, 0.05, rng,
-                                        x0=np.array([1.0]), y0=np.array([1.0]))
-        d0 = np.hypot(*records[0][2:4])
-        dT = np.hypot(float(records[-1][2][0]), float(records[-1][3][0]))
-        d_first = np.hypot(1.0, 1.0)
-        assert dT < d_first
+        rows, note, xs = self.run(0.05, 400)
+        assert note == "" and len(rows) == 201
+        assert abs(xs[-1]) < abs(xs[0]) == 1.0
 
     def test_large_step_divergence_guard(self):
-        qs, rng = self.setup_problem()
         # numeric sweep: find a step that makes the alternating map expand
         diverging_step = None
         for step in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-            x, y = 1.0, 1.0
+            x, y = 1.0, 0.0
             grew = False
             for _ in range(500):
                 y = y + step * (x - y)
@@ -262,12 +268,15 @@ class TestSgdaBaseline:
                 diverging_step = step
                 break
         assert diverging_step is not None
-        with pytest.raises(DivergenceError):
-            cli.sgda_baseline_run(qs.problem, 2000, diverging_step,
-                                  diverging_step, rng, x0=np.array([1.0]),
-                                  y0=np.array([1.0]))
+        rows, note, _ = self.run(diverging_step, 4000)
+        assert rows == []
+        assert note.startswith("rep 0 diverged: iterate norm above guard")
 
     def test_oracle_accounting(self):
-        qs, rng = self.setup_problem()
-        records = cli.sgda_baseline_run(qs.problem, 37, 0.05, 0.05, rng)
-        assert records[-1][1] == 2 * 37
+        rows, note, _ = self.run(0.05, 74)
+        sgda = SapdParams(0.05, 0.05, theta=0.0, rho=1.0, alpha=0.0, mu_x=0.0,
+                          n_inner=37)
+        assert [row[1] for row in rows] == list(range(38))
+        assert [row[2] for row in rows] == [0] + [inner_draws(sgda, k, 1)
+                                                 for k in range(1, 38)]
+        assert rows[-1][2] == 2 * 37 + 1

@@ -60,3 +60,28 @@ def test_smoothing_path_runs_through_the_shims(tracing):
     # the nested solves of moreau_stationarity pass the guard too
     assert stats["guard"].calls > counters["sapd.iterations"] > 0
     assert result.stages_run == 2
+
+
+def test_vr_path_runs_through_the_shims(tracing):
+    # the VR stage, the guard inside the one inner loop and the refresh batches
+    # must all reach the traced run's per-layer figures
+    from sapdplus import datasets
+    from sapdplus.outer import OuterConfig, sapd_plus_run
+    from sapdplus.vr import VrParams
+
+    stages, n, q = 3, 11, 4
+    params = VrParams(tau=0.05, sigma=0.05, b=40, b_x=3, b_y=2, q=q, n_inner=n,
+                      mu_x=1.0)
+    tr = tracing.Tracer()
+    with tracing.installed(tr):
+        ds = datasets.synthetic_logistic_dataset(40, 5, np.random.default_rng(1))
+        inst = datasets.build_dro(ds, sgrad_batch=3)
+        result = sapd_plus_run(inst.problem, OuterConfig(t_outer=stages,
+                                                         schedule=params, vr=True),
+                               np.zeros(5), np.full(40, 1 / 40),
+                               np.random.default_rng(2), fs=inst.finite_sum)
+    stats, counters = tr.summary()
+    assert result.stages_run == stages
+    assert stats["stage.vr"].calls == stages
+    assert stats["guard"].calls == counters["vr.iterations"] == stages * n
+    assert counters["vr.refreshes"] == stages * (-(-n // q) + n // q + 1)

@@ -15,6 +15,15 @@ from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_nois
 from sapdplus.sapd import DIVERGENCE_NORM, SapdParams, _guard, sapd_run
 
 
+def iterates(p, params, x0, y0, rng, **kwargs):
+    """(result, [(x_k, y_k) for k = 1..N]) of a sapd_run, seen through on_iterate."""
+    seen = []
+    res = sapd_run(p, params, x0, y0, rng,
+                   on_iterate=lambda k, x, y: seen.append((x.copy(), y.copy())),
+                   **kwargs)
+    return res, seen
+
+
 def scsc_toy():
     """L(x,y) = x^2/2 + x y - y^2/2 as the mu_x = 1 shift of Phi = -x^2/2 + x y."""
     qs = datasets.make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
@@ -31,24 +40,23 @@ class TestWeightedAverage:
         noisy = with_gaussian_noise(sub, 0.3, 0.3)
         params = SapdParams(tau=0.05, sigma=0.05, theta=theta, rho=rho, alpha=0.0,
                             mu_x=1.0, n_inner=n_inner)
-        return sapd_run(noisy, params, np.ones(1), np.ones(1),
-                        np.random.default_rng(seed), record_iterates=True)
+        return iterates(noisy, params, np.ones(1), np.ones(1),
+                        np.random.default_rng(seed))
 
     def test_rho_one_is_mean(self):
-        res = self.noisy_run(0.0, 1.0, 7, 0)
-        xs, ys = (np.array(z) for z in zip(*res.trace))
+        res, trace = self.noisy_run(0.0, 1.0, 7, 0)
+        xs, ys = (np.array(z) for z in zip(*trace))
         np.testing.assert_allclose(res.x_avg, xs.mean(axis=0), atol=1e-14)
         np.testing.assert_allclose(res.y_avg, ys.mean(axis=0), atol=1e-14)
 
     def test_two_iterates(self):
-        res = self.noisy_run(0.5, 0.5, 2, 1)
-        (x1, y1), (x2, y2) = res.trace
+        res, ((x1, y1), (x2, y2)) = self.noisy_run(0.5, 0.5, 2, 1)
         np.testing.assert_allclose(res.x_avg, (x1 + 2 * x2) / 3.0, atol=1e-15)
         np.testing.assert_allclose(res.y_avg, (y1 + 2 * y2) / 3.0, atol=1e-15)
 
     def test_long_run_against_high_precision(self):
-        res = self.noisy_run(0.9, 0.9, 200, 1)
-        zs = [float(x[0]) for x, _ in res.trace]
+        res, trace = self.noisy_run(0.9, 0.9, 200, 1)
+        zs = [float(x[0]) for x, _ in trace]
         with mpmath.workdps(50):
             r = mpmath.mpf("0.9")
             num = mpmath.fsum(r ** (-k) * mpmath.mpf(zs[k]) for k in range(200))
@@ -96,7 +104,7 @@ class TestSapdRun:
         res = sapd_run(sub, params, np.ones(1), np.ones(1), rng=None)
         assert res.x_calls == 13
         assert res.y_calls == 14
-        assert res.oracle_calls == 2 * 13 + 1
+        assert res.x_calls + res.y_calls == 2 * 13 + 1
 
     def test_seed_determinism(self):
         qs, sub = scsc_toy()
@@ -106,10 +114,9 @@ class TestSapdRun:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            res = sapd_run(noisy, params, np.ones(1), np.ones(1), rng,
-                           record_iterates=True)
-            runs.append(res)
-        for (xa, ya), (xb, yb) in zip(runs[0].trace, runs[1].trace):
+            runs.append(iterates(noisy, params, np.ones(1), np.ones(1), rng)[1])
+        assert len(runs[0]) == len(runs[1]) == 40
+        for (xa, ya), (xb, yb) in zip(*runs):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
@@ -134,10 +141,9 @@ class TestSapdRun:
             xs, ys = qs.shifted_saddle(center, sched.mu_x)
             x0 = center + rng.standard_normal(6)
             y0 = rng.standard_normal(5)
-            res = sapd_run(sub, sched.sapd_params(), x0, y0, rng=None,
-                           record_iterates=True)
+            res, trace = iterates(sub, sched.sapd_params(), x0, y0, None)
             dists = [math.sqrt(np.sum((x - xs) ** 2) + np.sum((y - ys) ** 2))
-                     for x, y in res.trace]
+                     for x, y in trace]
             burn = 5
             assert all(dists[k + 1] <= dists[k] * (1 + 1e-9)
                        for k in range(burn, len(dists) - 1))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,25 +55,58 @@ class TestVrRun:
         np.testing.assert_allclose(res_vr.x_avg, res_sp.x_avg, atol=1e-12)
 
     def test_recursion_identity_bitwise(self, shifted_setup):
+        # log every batch gradient and prox call of a run, rebuild v and w by
+        # the recursion from the logged outputs, and require the prox
+        # arguments x - tau v and y + sigma s bit for bit
         _, sub, sub_fs, x0, y0 = shifted_setup
-        vrp = VrParams(tau=0.03, sigma=0.03, b=10, b_x=3, b_y=3, q=5,
+        vrp = VrParams(tau=0.03, sigma=0.03, b=10, b_x=3, b_y=2, q=5,
                        n_inner=17, mu_x=1.0)
-        res = vr_sapd_run(sub_fs, sub, vrp, x0, y0, np.random.default_rng(2),
-                          debug_record=True)
-        prev = {}
-        checked = 0
-        for rec in res.trace:
-            if rec["kind"] == "recursion":
-                xk, yk, xp, yp = rec["points"]
-                grad = (sub_fs.batch_grad_x if rec["axis"] == "x"
-                        else sub_fs.batch_grad_y)
-                recomputed = grad(rec["batch"], xk, yk) - grad(rec["batch"], xp, yp)
-                np.testing.assert_array_equal(recomputed, rec["diff"])
-                np.testing.assert_array_equal(rec["estimator"],
-                                              prev[rec["axis"]] + rec["diff"])
-                checked += 1
-            prev[rec["axis"]] = rec["estimator"]
-        assert checked > 10
+        log = []
+
+        def logged(name, fn):
+            def call(*args):
+                out = fn(*args)
+                log.append((name, args, out))
+                return out
+            return call
+
+        fs = replace(sub_fs, **{name: logged(name, getattr(sub_fs, name))
+                                for name in ("batch_grad_x", "batch_grad_y")})
+        p = replace(sub, **{name: logged(name, getattr(sub, name))
+                            for name in ("prox_f", "prox_g")})
+        res = vr_sapd_run(fs, p, vrp, x0, y0, np.random.default_rng(2))
+        calls = iter(log)
+
+        def estimate(name, k, prev, at, at_prev):
+            """Refresh at k % q == 0, else prev + batch(at) - batch(at_prev)."""
+            first = next(calls)
+            assert first[0] == name and len(first[1][0]) == (
+                vrp.b if k % vrp.q == 0 else (vrp.b_x if name[-1] == "x" else vrp.b_y))
+            assert [a.tobytes() for a in first[1][1:]] == [a.tobytes() for a in at]
+            if k % vrp.q == 0:
+                return first[2]
+            second = next(calls)
+            assert second[0] == name and second[1][0] is first[1][0]
+            assert [a.tobytes() for a in second[1][1:]] == [a.tobytes() for a in at_prev]
+            return prev + (first[2] - second[2])
+
+        def prox(name, arg, step):
+            call = next(calls)
+            assert call[0] == name and call[1][1] == step
+            assert call[1][0].tobytes() == arg.tobytes()
+            return call[2]
+
+        x, y, x_prev, v = x0, y0, None, None
+        w = s = estimate("batch_grad_y", 0, None, (x0, y0), None)
+        for k in range(vrp.n_inner):
+            y_new = prox("prox_g", y + vrp.sigma * s, vrp.sigma)
+            v = estimate("batch_grad_x", k, v, (x, y_new), (x_prev, y))
+            x_new = prox("prox_f", x - vrp.tau * v, vrp.tau)
+            w_new = estimate("batch_grad_y", k + 1, w, (x_new, y_new), (x, y))
+            s = (1.0 + vrp.theta) * w_new - vrp.theta * w
+            w, x_prev, x, y = w_new, x, x_new, y_new
+        assert next(calls, None) is None
+        assert (res.x_last.tobytes(), res.y_last.tobytes()) == (x.tobytes(), y.tobytes())
 
     def test_oracle_sample_accounting(self, shifted_setup):
         _, sub, sub_fs, x0, y0 = shifted_setup
