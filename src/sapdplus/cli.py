@@ -5,7 +5,8 @@ Subcommands:
   solve          run one configuration for several seeds, write a CSV trace
   bench          run a list of config files in sequence
 
-Config files are flat ``key = value`` text with ``#`` comments; CLI flags
+Config files are flat ``key = value`` text with ``#`` comments, whose keys
+are the fields of RunConfig (an unknown key is an error); CLI flags
 override file values.  The reps of a `solve` run serially, in rep order.
 Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
@@ -22,7 +23,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,11 @@ from .sapd import SapdParams, inner_draws, sapd_run
 from .vr import VrParams
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
+# what cmd_solve writes to the meta file beside the config fields: a meta
+# file read back as a config skips these
+RESULT_KEYS = frozenset({"dro_n", "dro_d", "theta_bounds", "schedule_params",
+                         "certificate_min_eigenvalue", "certificate_feasible",
+                         "resolved_t_outer", "note"})
 
 
 def parse_config_file(path) -> dict:
@@ -98,22 +104,23 @@ class RunConfig:
     b_y: int = 10
     q: int = 10
     zeta: float = 32.0
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
+        """File values, then the non-None overrides; a key that is neither a
+        field nor in RESULT_KEYS raises."""
         cfg = cls()
+        known = {f.name for f in fields(cls)}
         merged = dict(file_values)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         for key, val in merged.items():
             attr = key.replace("-", "_")
-            if not hasattr(cfg, attr):
-                cfg.extra[attr] = val
+            if attr in RESULT_KEYS:
                 continue
+            if attr not in known:
+                raise ConfigurationError(f"unknown config key {key!r}")
             cur = getattr(cfg, attr)
-            if isinstance(cur, bool):
-                val = str(val).lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
+            if isinstance(cur, int):
                 val = int(float(val))
             elif isinstance(cur, float):
                 val = float(val)
@@ -121,9 +128,7 @@ class RunConfig:
         return cfg
 
     def as_lines(self):
-        skip = {"extra"}
-        items = {k: v for k, v in vars(self).items() if k not in skip}
-        items.update(self.extra)
+        items = vars(self)
         return [f"{k} = {items[k]}" for k in sorted(items)]
 
 

@@ -1,8 +1,9 @@
 """Data ingestion and problem builders.
 
 LIBSVM sparse text parsing, the distributionally-robust logistic instance
-over the simplex, and synthetic quadratic saddle fixtures with closed forms
-(used as oracles throughout the test suite).
+over the simplex, and the two synthetic instances whose Moreau stationarity
+has a closed form: a weakly convex-strongly concave quadratic and a
+bilinear box toy.
 """
 
 import gzip
@@ -121,15 +122,14 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
     )
 
 
-def synthetic_logistic_dataset(n: int, d: int, rng, normalize=True) -> SparseDataset:
+def synthetic_logistic_dataset(n: int, d: int, rng) -> SparseDataset:
     """Dense synthetic binary-classification rows stored sparsely.
 
-    Features are standard normal (row-normalized to unit norm by default);
-    labels come from a random ground-truth logistic model.
+    Features are standard normal, row-normalized to unit norm; labels come
+    from a random ground-truth logistic model.
     """
     a = rng.standard_normal((n, d))
-    if normalize:
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
     probs = 1.0 / (1.0 + np.exp(-3.0 * (a @ w)))
@@ -205,16 +205,8 @@ class DroInstance:
     def losses(self, x):
         return _logistic_losses(self.signed_features, x)
 
-    def loss_gradients(self, x):
-        """Rows are grad of log(1+exp(-b_i a_i' x))."""
-        sig = _sigmoid_neg(self.signed_features @ x)
-        return -sig[:, None] * self.signed_features
-
     def regularizer(self, x):
         return _regularizer(x, self.alpha, self.eta1)
-
-    def regularizer_grad(self, x):
-        return _regularizer_grad(x, self.alpha, self.eta1)
 
     def g_value(self, y):
         return _dual_penalty(y, self.dataset.n_samples, self.eta2)
@@ -350,9 +342,9 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
 class QuadraticSaddle:
     """Phi(x,y) = x'Ax/2 + x'By - mu_y ||y||^2/2 with lambda_min(A) = -gamma.
 
-    Exposes the closed forms every oracle test needs: the primal function
-    phi(x) = x'(A + BB'/mu_y)x/2, its Moreau prox, the saddle of any
-    quadratically shifted subproblem, and the stage gap.
+    Exposes the closed forms of the primal function
+    phi(x) = x'(A + BB'/mu_y)x/2 and of its Moreau prox and gradient, the
+    exact reference for Moreau stationarity on this instance.
     """
 
     a: np.ndarray
@@ -368,9 +360,6 @@ class QuadraticSaddle:
     def phi(self, x):
         return 0.5 * float(x @ self.h @ x)
 
-    def grad_phi(self, x):
-        return self.h @ x
-
     def moreau_prox(self, x, lam):
         if not (0 < lam < 1.0 / self.gamma):
             raise ConfigurationError("lambda must lie in (0, 1/gamma)")
@@ -380,75 +369,19 @@ class QuadraticSaddle:
     def moreau_grad(self, x, lam):
         return (x - self.moreau_prox(x, lam)) / lam
 
-    def value(self, x, y):
-        return (0.5 * float(x @ self.a @ x) + float(x @ self.b @ y)
-                - 0.5 * self.mu_y * float(y @ y))
 
-    def shifted_value(self, x, y, center, mu_x):
-        return self.value(x, y) + 0.5 * (mu_x + self.gamma) * float(
-            np.sum((x - center) ** 2))
-
-    def best_response_y(self, x):
-        return self.b.T @ x / self.mu_y
-
-    def best_response_x(self, y, center, mu_x):
-        coef = mu_x + self.gamma
-        n = self.a.shape[0]
-        return np.linalg.solve(self.a + coef * np.eye(n), coef * center - self.b @ y)
-
-    def shifted_saddle(self, center, mu_x):
-        """Unique saddle of the mu_x-shifted subproblem; x* = prox_{lam phi}(center)."""
-        coef = mu_x + self.gamma
-        n = self.a.shape[0]
-        x_star = np.linalg.solve(self.a + coef * np.eye(n) + self.b @ self.b.T / self.mu_y,
-                                 coef * center)
-        return x_star, self.best_response_y(x_star)
-
-    def stage_gap(self, x, y, center, mu_x):
-        """Exact max-min gap of the shifted subproblem via the best responses."""
-        up = self.shifted_value(x, self.best_response_y(x), center, mu_x)
-        lo = self.shifted_value(self.best_response_x(y, center, mu_x), y, center, mu_x)
-        return up - lo
-
-
-def make_scsc_quadratic(a, b, mu_y: float, gamma: float = 1.0) -> QuadraticSaddle:
-    """Wrap explicit (A, B, mu_y) as a quadratic instance; A need not be indefinite."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    n, m = a.shape[0], b.shape[1]
-    constants = SmoothnessConstants(
-        l_xx=max(float(np.max(np.abs(np.linalg.eigvalsh(a)))), 1e-12),
-        l_xy=float(np.linalg.norm(b, 2)), l_yx=float(np.linalg.norm(b, 2)),
-        l_yy=mu_y,
-    )
-    problem = ProblemSpec(
-        n=n, m=m,
-        grad_x=lambda x, y: a @ x + b @ y,
-        grad_y=lambda x, y: b.T @ x - mu_y * y,
-        prox_f=prox.prox_zero, prox_g=prox.prox_zero,
-        smoothness=constants,
-        convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
-        value=lambda x, y: (0.5 * float(x @ a @ x) + float(x @ b @ y)
-                            - 0.5 * mu_y * float(y @ y)),
-    )
-    return QuadraticSaddle(a=a, b=b, gamma=gamma, mu_y=mu_y, problem=problem)
-
-
-def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng,
-                          coupling: float = 1.0, h_min: Optional[float] = None
-                          ) -> QuadraticSaddle:
+def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng) -> QuadraticSaddle:
     """Random instance with lambda_min(A) = -gamma exactly and phi convex.
 
     A = Q diag(eigs) Q' with one eigenvalue pinned at -gamma; B covers the
     negative eigendirection strongly enough that H = A + BB'/mu_y has
-    smallest eigenvalue h_min (default gamma/4), so phi is bounded below
-    with its minimizer at the origin.
+    smallest eigenvalue gamma/4, so phi is bounded below with its minimizer
+    at the origin.
     """
     if gamma <= 0 or mu_y <= 0:
         raise ConfigurationError("gamma, mu_y must be positive")
     if m < 1 or n < 1:
         raise ConfigurationError("dimensions must be positive")
-    h_min = gamma / 4.0 if h_min is None else h_min
     q_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.concatenate([[-gamma], rng.uniform(0.2 * gamma, 2.0 * gamma, n - 1)])
     a = (q_mat * eigs) @ q_mat.T
@@ -456,9 +389,9 @@ def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng,
 
     u_mat, _ = np.linalg.qr(rng.standard_normal((m, m)))
     svals = np.zeros(min(n, m))
-    svals[0] = math.sqrt(mu_y * (gamma + h_min))
+    svals[0] = math.sqrt(mu_y * (gamma + gamma / 4.0))
     if svals.size > 1:
-        svals[1:] = coupling * rng.uniform(0.1, 1.0, svals.size - 1)
+        svals[1:] = rng.uniform(0.1, 1.0, svals.size - 1)
     b = q_mat[:, : svals.size] @ (svals[:, None] * u_mat[: svals.size, :])
 
     l_xx = float(np.max(np.abs(eigs)))
@@ -520,70 +453,3 @@ def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
         d_y=2.0,
     )
     return BilinearBoxToy(c=c, gamma=gamma, problem=problem)
-
-
-@dataclass
-class QuadraticFiniteSum:
-    """Finite sum of quadratic components around a quadratic saddle base.
-
-    Component i has gradients
-        grad_x Phi_i = (A + E_i) x + (B + F_i) y + c_i
-        grad_y Phi_i = (B + F_i)' x - mu_y y + d_i
-    with the perturbations summing to zero, so the mean recovers the base.
-    Single-draw variances are exact quadratics of the evaluation point.
-    """
-
-    base: QuadraticSaddle
-    e: np.ndarray  # (n_comp, n, n)
-    f: np.ndarray  # (n_comp, n, m)
-    c: np.ndarray  # (n_comp, n)
-    d: np.ndarray  # (n_comp, m)
-    spec: FiniteSumSpec = field(repr=False)
-
-    @property
-    def n_comp(self):
-        return self.e.shape[0]
-
-    def single_draw_variance_x(self, x, y):
-        dev = self.e @ x + self.f @ y + self.c
-        return float(np.mean(np.sum(dev**2, axis=1)))
-
-    def single_draw_variance_y(self, x, y):
-        dev = np.einsum("kij,i->kj", self.f, x) + self.d
-        return float(np.mean(np.sum(dev**2, axis=1)))
-
-
-def make_quadratic_finite_sum(n_comp: int, n: int, m: int, gamma: float,
-                              mu_y: float, rng, spread: float = 0.3
-                              ) -> QuadraticFiniteSum:
-    base = make_quadratic_saddle(n, m, gamma, mu_y, rng)
-    e = rng.standard_normal((n_comp, n, n)) * spread
-    e = 0.5 * (e + np.transpose(e, (0, 2, 1)))
-    f = rng.standard_normal((n_comp, n, m)) * spread
-    c = rng.standard_normal((n_comp, n)) * spread
-    d = rng.standard_normal((n_comp, m)) * spread
-    for arr in (e, f, c, d):
-        arr -= arr.mean(axis=0, keepdims=True)
-
-    a_mat, b_mat = base.a, base.b
-
-    def batch_grad_x(idx, x, y):
-        idx = np.asarray(idx)
-        ai = a_mat + e[idx]
-        bi = b_mat + f[idx]
-        rows = np.einsum("kij,j->ki", ai, x) + np.einsum("kij,j->ki", bi, y) + c[idx]
-        return rows.mean(axis=0)
-
-    def batch_grad_y(idx, x, y):
-        idx = np.asarray(idx)
-        bi = b_mat + f[idx]
-        rows = np.einsum("kij,i->kj", bi, x) - mu_y * y + d[idx]
-        return rows.mean(axis=0)
-
-    l_xx_as = max(np.linalg.norm(a_mat + e[i], 2) for i in range(n_comp))
-    l_cpl_as = max(np.linalg.norm(b_mat + f[i], 2) for i in range(n_comp))
-    as_constants = SmoothnessConstants(l_xx=float(l_xx_as), l_xy=float(l_cpl_as),
-                                       l_yx=float(l_cpl_as), l_yy=mu_y)
-    spec = FiniteSumSpec(n_comp=n_comp, batch_grad_x=batch_grad_x,
-                         batch_grad_y=batch_grad_y, as_smoothness=as_constants)
-    return QuadraticFiniteSum(base=base, e=e, f=f, c=c, d=d, spec=spec)

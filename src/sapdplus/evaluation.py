@@ -3,7 +3,7 @@
 The headline metric is the norm of the Moreau-envelope gradient,
 ||grad phi_lam(x)|| = ||x - prox_{lam phi}(x)|| / lam, with the prox point
 approximated by a nested deterministic solve of the quadratically shifted
-saddle problem.  Closed-form gaps for quadratic instances live here too.
+saddle problem.
 """
 
 from dataclasses import dataclass
@@ -22,12 +22,8 @@ class StationarityEstimate:
     lam: float
     prox_point: np.ndarray
     value: float  # ||x - prox|| / lam
-    residual: float  # last-iterate step norm of the nested solve
     reliable: bool
     inner_iterations: int
-
-    def __float__(self):
-        return self.value
 
 
 def prox_solve_params(p: ProblemSpec, mu_x: float) -> SapdParams:
@@ -51,15 +47,14 @@ def prox_solve_params(p: ProblemSpec, mu_x: float) -> SapdParams:
 
 
 def moreau_stationarity(p: ProblemSpec, x, lam: Optional[float] = None,
-                        tol: float = 1e-8, max_calls: int = 400,
-                        y0=None) -> StationarityEstimate:
+                        tol: float = 1e-8, max_calls: int = 400) -> StationarityEstimate:
     """Estimate ||grad phi_lam(x)|| for phi(x) = max_y f(x) + Phi(x,y) - g(y).
 
     Approximates prox_{lam phi}(x) by solving the shifted saddle problem
     min_w max_y L(w,y) + ||w - x||^2/(2 lam) with deterministic inner solves
-    (warm-started, last iterate carried) until the last-iterate step norm
-    drops below tol.  Default lam = 1/(2 gamma).  A run that exhausts its
-    budget is returned with reliable=False.
+    from (x, 0) (warm-started, last iterate carried) until the last-iterate
+    step norm drops below tol.  Default lam = 1/(2 gamma).  A run that
+    exhausts its budget is returned with reliable=False.
     """
     gamma = p.convexity.gamma
     lam = 1.0 / (2.0 * gamma) if lam is None else lam
@@ -71,44 +66,16 @@ def moreau_stationarity(p: ProblemSpec, x, lam: Optional[float] = None,
     sub = shifted_subproblem(det, x, mu_x)
     params = prox_solve_params(det, mu_x)
 
-    w = x.copy()
-    y = np.zeros(p.m) if y0 is None else np.asarray(y0, dtype=float)
-    residual = np.inf
+    w, y = x.copy(), np.zeros(p.m)
     total_iters = 0
     reliable = False
     for _ in range(max_calls):
         res = sapd_run(sub, params, w, y, rng=None, step_tol=tol)
         w, y = res.x_last, res.y_last
-        residual = res.last_step_norm
         total_iters += res.iterations
-        if residual <= tol:
+        if res.last_step_norm <= tol:
             reliable = True
             break
     value = float(np.linalg.norm(x - w)) / lam
     return StationarityEstimate(lam=lam, prox_point=w, value=value,
-                                residual=residual, reliable=reliable,
-                                inner_iterations=total_iters)
-
-
-def quadratic_gap(instance, x, y, center=None, mu_x: Optional[float] = None) -> float:
-    """Exact max-min gap on a quadratic instance via its closed-form best
-    responses.
-
-    With center/mu_x given, the gap of the shifted-stage subproblem.
-    Without them the native gap, which requires the instance to be strongly
-    convex in x (A positive definite); otherwise the inner min is unbounded.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if center is not None:
-        if mu_x is None:
-            raise ConfigurationError("mu_x required together with center")
-        return float(instance.stage_gap(x, y, np.asarray(center, dtype=float), mu_x))
-    if float(np.min(np.linalg.eigvalsh(instance.a))) <= 0:
-        raise ConfigurationError(
-            "instance is not strongly convex in x; pass center and mu_x for a stage gap"
-        )
-    up = instance.value(x, instance.best_response_y(x))
-    x_best = np.linalg.solve(instance.a, -instance.b @ y)
-    lo = instance.value(x_best, y)
-    return up - lo
+                                reliable=reliable, inner_iterations=total_iters)

@@ -1,5 +1,5 @@
-"""Outer loop: inexact proximal-point stages, dual smoothing for merely
-concave problems, and the gradient-mapping refinement step.
+"""Outer loop: inexact proximal-point stages, and dual smoothing for merely
+concave problems.
 
 Each stage t centers a quadratic shift at the current primal point and runs
 the inner solver (plain or variance-reduced) for N iterations; the averaged
@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .evaluation import moreau_stationarity, prox_solve_params
+from .evaluation import moreau_stationarity
 from .params import theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
                       shifted_finite_sum, shifted_subproblem)
@@ -205,54 +205,3 @@ def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng,
     cfg = OuterConfig(t_outer=cap, schedule=params, vr=False, stop=stop)
     result = sapd_plus_run(smoothed, cfg, x0, y0, rng)
     return result, SmoothingConfig(mu_hat_y=mu_hat, anchor=anchor, d_y=p.d_y)
-
-
-def dual_maximize(p: ProblemSpec, x, y0, tol: float = 1e-10,
-                  max_iter: int = 200000):
-    """High-accuracy solve of max_y Phi(x, y) - g(y) by prox-gradient ascent.
-
-    Returns (y, converged).  Step 1/(l_yy + mu_y) when mu_y > 0 gives a
-    linear rate; with mu_y = 0 the fixed-point residual criterion still
-    applies but convergence is not guaranteed.
-    """
-    s, c = p.smoothness, p.convexity
-    step = 1.0 / max(s.l_yy + c.mu_y, 1e-12)
-    y = np.array(y0, dtype=float)
-    for _ in range(max_iter):
-        y_new = p.prox_g(y + step * p.grad_y(x, y), step)
-        if float(np.linalg.norm(y_new - y)) <= tol * step:
-            return y_new, True
-        y = y_new
-    return y, False
-
-
-def refine_to_gradient_mapping(p: ProblemSpec, x_eps, lam: float, rng,
-                               budget_factor: int = 10,
-                               dual_tol: float = 1e-10):
-    """From a Moreau-near-stationary x_eps, produce x_tilde with a small
-    generalized gradient mapping norm.
-
-    Runs one extended inner solve on the shift centered at x_eps (the shift
-    modulus is 1/lam - gamma, so the quadratic coefficient is 1/(2 lam)),
-    then evaluates ||G_lam(x_tilde)|| = ||x_tilde - prox_{lam f}(x_tilde -
-    lam * grad phi_s(x_tilde))|| / lam, where grad phi_s comes from a
-    high-accuracy inner maximization.  Returns (x_tilde, mapping_norm,
-    reliable).
-    """
-    gamma = p.convexity.gamma
-    if not (0 < lam < 1.0 / gamma):
-        raise ConfigurationError("lambda must lie in (0, 1/gamma)")
-    x_eps = np.asarray(x_eps, dtype=float)
-    mu_x = 1.0 / lam - gamma
-    det = p.deterministic() if p.noise.delta_x == 0 and p.noise.delta_y == 0 else p
-    sub = shifted_subproblem(det, x_eps, mu_x)
-    params = prox_solve_params(det, mu_x)
-    params = replace(params, n_inner=params.n_inner * budget_factor)
-    res = sapd_run(sub, params, x_eps, np.zeros(p.m), rng)
-    x_tilde = res.x_last
-
-    y_star, converged = dual_maximize(det, x_tilde, np.zeros(p.m), tol=dual_tol)
-    grad_s = det.grad_x(x_tilde, y_star)
-    mapped = p.prox_f(x_tilde - lam * grad_s, lam)
-    mapping_norm = float(np.linalg.norm(x_tilde - mapped)) / lam
-    return x_tilde, mapping_norm, converged

@@ -23,46 +23,29 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LmiCertificate:
-    """Feasibility record for one parameter tuple.
+    """Feasibility record for one parameter tuple: the smallest eigenvalue of
+    the symmetrized G (or G - diag(g) in the VR case), feasible when it is
+    at least -PSD_TOL."""
 
-    matrix is G (or G - diag(g) in the VR case) symmetrized; feasible means
-    min_eigenvalue >= -PSD_TOL * max(1, max |G_ij|) (see _psd).
-    """
-
-    matrix: np.ndarray
     min_eigenvalue: float
     feasible: bool
-    tau: float
-    sigma: float
-    theta: float
-    rho: float
-    alpha: float
-    variance_reduced: bool = False
-
-    def __bool__(self):
-        return self.feasible
 
 
-def _psd(mat):
-    """(min eigenvalue, feasible) of the symmetrized matrix.
-
-    Feasible means min eigenvalue >= -PSD_TOL * max(1, max |G_ij|): near
-    theta = 1 entries of order 1/(1 - theta) cancel, and the eigenvalue's
-    rounding error grows with them.  The absolute test, which implies the
-    scaled one, runs first.
-    """
-    sym = 0.5 * (mat + mat.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return min_eig, (min_eig >= -PSD_TOL
-                     or min_eig >= -PSD_TOL * float(np.abs(sym).max()))
+def _certificate(g) -> LmiCertificate:
+    min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+    return LmiCertificate(min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
 
 
 def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
+    # G[0,0] = (1/tau)(1 - 1/rho) + mu_x/rho and G[1,1] = (1/sigma)(1 - 1/rho)
+    # + mu_y as printed are differences of terms of order 1/(1 - theta) near
+    # theta = 1.  Over one denominator, with rho - 1 exact (rho >= 1/2), their
+    # rounding error is of the order of mu_x and mu_y, not of 1/(1 - theta).
     lbar_xx_gap = 1.0 / tau - s.l_xx  # caller passes l_xx already including mu_x + gamma
     c = theta / rho - 1.0
     g = np.zeros((5, 5))
-    g[0, 0] = (1.0 / tau) * (1.0 - 1.0 / rho) + mu_x / rho
-    g[1, 1] = (1.0 / sigma) * (1.0 - 1.0 / rho) + mu_y
+    g[0, 0] = (mu_x * tau + (rho - 1.0)) / (tau * rho)
+    g[1, 1] = (rho - 1.0) / (sigma * rho) + mu_y
     g[1, 2] = g[2, 1] = c * s.l_yx
     g[1, 3] = g[3, 1] = c * s.l_yy
     g[2, 2] = lbar_xx_gap
@@ -91,61 +74,42 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
         smoothness.l_xx + mu_x + convexity.gamma,
         smoothness.l_xy, smoothness.l_yx, smoothness.l_yy,
     )
-    g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, convexity.mu_y)
-    min_eig, feasible = _psd(g)
-    return LmiCertificate(
-        matrix=g, min_eigenvalue=min_eig, feasible=feasible,
-        tau=tau, sigma=sigma, theta=theta, rho=rho, alpha=alpha,
-    )
+    return _certificate(_assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift,
+                                    convexity.mu_y))
 
 
 def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
-                 smoothness: SmoothnessConstants, convexity: ConvexityModuli,
-                 theta=1.0, rho=1.0, pi_x=None, pi_y=None, alpha=None) -> LmiCertificate:
+                 smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
     """G - diag(g) >= 0 certificate for the variance-reduced inner solver.
 
-    g = [pi_x, pi_y, L'_x, L'_y, 0] with
-      L'_x = c(rho) * (l'_xx^2/(pi_x b_x) + 2(1+2 theta+2 theta^2) l_yx^2/(rho pi_y b_y)),
-      L'_y = c(rho) * (rho l_xy^2/(pi_x b_x) + 2(1+2 theta+2 theta^2) l_yy^2/(rho pi_y b_y)),
-    c(rho) = 2(rho^{1-q} - 1)/(1-rho) for rho < 1 and 2(q-1) at rho = 1.
-    Defaults pi_x = mu_x, pi_y = mu_y, alpha = l_yx + l_yy (the published
-    choice; it may sit on the alpha = 1/sigma boundary when l_yy = 0, which
-    is admissible here).
+    The VR parameter rule fixes theta = rho = 1, the multipliers of the
+    first two rows at (mu_x, mu_y) and alpha = l_yx + l_yy, the published
+    choices, so g = [mu_x, mu_y, L'_x, L'_y, 0] with
+      L'_x = 2(q-1) (l'_xx^2/(mu_x b_x) + 10 l_yx^2/(mu_y b_y)),
+      L'_y = 2(q-1) (l_xy^2/(mu_x b_x) + 10 l_yy^2/(mu_y b_y)).
+    alpha may sit on the alpha = 1/sigma boundary when l_yy = 0, which is
+    admissible here.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigurationError("tau, sigma must be positive")
-    if not (0 < rho <= 1):
-        raise ConfigurationError("rho must lie in (0, 1]")
     if q < 1 or b_x < 1 or b_y < 1:
         raise ConfigurationError("q, b_x, b_y must be >= 1")
     mu_y = convexity.mu_y
-    pi_x = mu_x if pi_x is None else pi_x
-    pi_y = mu_y if pi_y is None else pi_y
-    if pi_x <= 0 or pi_y <= 0:
-        raise ConfigurationError("pi_x, pi_y must be positive")
+    if mu_x <= 0 or mu_y <= 0:
+        raise ConfigurationError("mu_x, mu_y must be positive")
     s = smoothness
-    if alpha is None:
-        alpha = s.l_yx + s.l_yy
-    if not (0 <= alpha <= 1.0 / sigma + 1e-12):
-        raise ConfigurationError("alpha must lie in [0, 1/sigma]")
+    alpha = s.l_yx + s.l_yy
+    if alpha > 1.0 / sigma + 1e-12:
+        raise ConfigurationError("alpha = l_yx + l_yy must be at most 1/sigma")
     lp_xx = s.l_xx + mu_x + convexity.gamma
-    if rho == 1.0:
-        c_rho = 2.0 * (q - 1)
-    else:
-        c_rho = 2.0 * (rho ** (1 - q) - 1.0) / (1.0 - rho)
-    mom = 2.0 * (1.0 + 2.0 * theta + 2.0 * theta**2) / rho
-    lx_corr = c_rho * (lp_xx**2 / (pi_x * b_x) + mom * s.l_yx**2 / (pi_y * b_y))
-    ly_corr = c_rho * (rho * s.l_xy**2 / (pi_x * b_x) + mom * s.l_yy**2 / (pi_y * b_y))
+    c_q = 2.0 * (q - 1)
+    lx_corr = c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y))
+    ly_corr = c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y))
 
     s_shift = SmoothnessConstants(lp_xx, s.l_xy, s.l_yx, s.l_yy)
-    g = _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift, mu_y)
-    g -= np.diag([pi_x, pi_y, lx_corr, ly_corr, 0.0])
-    min_eig, feasible = _psd(g)
-    return LmiCertificate(
-        matrix=g, min_eigenvalue=min_eig, feasible=feasible,
-        tau=tau, sigma=sigma, theta=theta, rho=rho, alpha=alpha,
-        variance_reduced=True,
-    )
+    g = _assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
+    g -= np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0])
+    return _certificate(g)
 
 
 def beta_of(smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> float:
@@ -209,33 +173,6 @@ def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -
             / (384.0 * noise.delta_y**2)
         )
     return td1, td2
-
-
-def check_sufficient_conditions(tau, sigma, theta, pi1, pi2,
-                                smoothness: SmoothnessConstants,
-                                convexity: ConvexityModuli, mu_x) -> bool:
-    """The four-inequality sufficient system for the 5x5 certificate (rho = theta).
-
-    tau >= (1-theta)/mu_x,  sigma >= (1-theta)/(mu_y theta),
-    1/tau >= l'_xx + pi1 l_yx,  1/sigma >= theta l_yx/pi1 + (theta/pi2 + pi2) l_yy.
-
-    The published parameter choices satisfy some of these with equality, so
-    each comparison carries a relative slack of 1e-12.
-    """
-    if min(tau, sigma, theta, pi1, pi2, mu_x) <= 0:
-        raise ConfigurationError("all arguments must be positive")
-    s, mu_y = smoothness, convexity.mu_y
-    lp_xx = s.l_xx + mu_x + convexity.gamma
-
-    def geq(lhs, rhs):
-        return lhs >= rhs - 1e-12 * max(abs(lhs), abs(rhs), 1.0)
-
-    return (
-        geq(tau, (1.0 - theta) / mu_x)
-        and geq(sigma, (1.0 - theta) / (mu_y * theta))
-        and geq(1.0 / tau, lp_xx + pi1 * s.l_yx)
-        and geq(1.0 / sigma, theta * s.l_yx / pi1 + (theta / pi2 + pi2) * s.l_yy)
-    )
 
 
 @dataclass(frozen=True)
@@ -344,13 +281,6 @@ def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: floa
         360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
     ) / epsilon**2
     return max(1, math.ceil(need))
-
-
-def vr_default_batches(b: int, kappa_y: float) -> tuple:
-    """Tuning rule q = sqrt(b/kappa_y), b' = sqrt(b kappa_y) (rounded, floored at 1)."""
-    q = max(1, round(math.sqrt(b / kappa_y)))
-    b_small = max(1, round(math.sqrt(b * kappa_y)))
-    return q, b_small
 
 
 def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,

@@ -188,12 +188,6 @@ class FiniteSumSpec:
             raise ConfigurationError("batch size must be >= 1")
         return rng.integers(0, self.n_comp, size=size)
 
-    def full_grad_x(self, x, y):
-        return self.batch_grad_x(np.arange(self.n_comp), x, y)
-
-    def full_grad_y(self, x, y):
-        return self.batch_grad_y(np.arange(self.n_comp), x, y)
-
 
 def shifted_finite_sum(fs: FiniteSumSpec, center, coef: float) -> FiniteSumSpec:
     """Finite sum of the shifted coupling: every component x-gradient gains coef*(x-center)."""

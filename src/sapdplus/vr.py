@@ -20,8 +20,6 @@ module supplies its SPIDER estimator of v_k and s_{k+1}.
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
 from .sapd import SapdRunResult, _inner_loop
@@ -40,14 +38,14 @@ class VrParams:
     q: int
     n_inner: int
     mu_x: float
-    theta: float = 1.0
-    rho = 1.0  # not a field: the output is the plain mean of the iterates
+    # class constants, not fields, since the rule fixes both; with rho = 1
+    # the output is the plain mean of the iterates
+    theta = 1.0
+    rho = 1.0
 
     def __post_init__(self):
         if self.tau <= 0 or self.sigma <= 0:
             raise ConfigurationError("tau, sigma must be positive")
-        if self.theta != 1.0:
-            raise ConfigurationError("the VR parameter rule fixes theta = 1")
         if min(self.b, self.b_x, self.b_y, self.q, self.n_inner) < 1:
             raise ConfigurationError("b, b_x, b_y, q, n_inner must be >= 1")
         if self.b < max(self.b_x, self.b_y):
@@ -104,76 +102,3 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
         warnings.warn("large batch exceeds component count; sampling with "
                       "replacement", stacklevel=2)
     return _inner_loop(p, params, _SpiderGradient(fs, params, rng), x0, y0)
-
-
-def spider_bound_along_trajectory(points, params: VrParams, as_constants,
-                                  delta: float, which: str = "x"):
-    """Per-iteration bound on the estimator mean squared error, from a fixed
-    trajectory.
-
-    points: sequence of (x_k, y_{k+1}) pairs the x-estimator is evaluated at
-    (for the y-axis, (x_k, y_k) pairs).  At refresh steps (k % q == 0) the
-    bound is delta^2/b; otherwise it adds the since-refresh increments
-        sum_{i=ref+1}^{k} (2 La^2/b') ||x_i - x_{i-1}||^2 + (2 Lb^2/b') ||y'_i - y'_{i-1}||^2
-    with (La, Lb) the almost-sure constants of the axis and b' the small
-    batch size.
-    """
-    s = as_constants
-    if which == "x":
-        la, lb, b_small = s.l_xx, s.l_xy, params.b_x
-    elif which == "y":
-        la, lb, b_small = s.l_yx, s.l_yy, params.b_y
-    else:
-        raise ConfigurationError("axis must be 'x' or 'y'")
-    base = delta**2 / params.b
-    bounds = []
-    running = 0.0
-    for k, (xk, yk) in enumerate(points):
-        if k % params.q == 0:
-            running = 0.0
-        else:
-            x_prev, y_prev = points[k - 1]
-            running += (2.0 * la**2 / b_small) * float(np.sum((xk - x_prev) ** 2))
-            running += (2.0 * lb**2 / b_small) * float(np.sum((yk - y_prev) ** 2))
-        bounds.append(base + running)
-    return np.array(bounds)
-
-
-def spider_variance_probe(fs: FiniteSumSpec, points, params: VrParams, reps: int,
-                          rng, delta: float, which: str = "x"):
-    """Monte-Carlo estimate of the estimator MSE along a fixed trajectory,
-    together with the analytic bound it must not exceed.
-
-    points is a recorded list of evaluation pairs ((x_k, y_{k+1}) for the
-    x-estimator).  For each repetition the estimator recursion is re-run with
-    fresh batches along the fixed points; the MSE against the full-batch
-    gradient is averaged over repetitions.  Returns a dict with per-iteration
-    'mse', 'bound', 'stderr'.
-    """
-    if reps < 100:
-        warnings.warn("fewer than 100 repetitions: weak statistical power",
-                      stacklevel=2)
-    grad = fs.batch_grad_x if which == "x" else fs.batch_grad_y
-    full = [grad(np.arange(fs.n_comp), xk, yk) for xk, yk in points]
-    n_pts = len(points)
-    sq = np.zeros(n_pts)
-    sq2 = np.zeros(n_pts)
-    b_small = params.b_x if which == "x" else params.b_y
-    for _ in range(reps):
-        est = None
-        for k, (xk, yk) in enumerate(points):
-            if k % params.q == 0:
-                est = grad(fs.sample(rng, params.b), xk, yk)
-            else:
-                x_prev, y_prev = points[k - 1]
-                batch = fs.sample(rng, b_small)
-                est = est + grad(batch, xk, yk) - grad(batch, x_prev, y_prev)
-            err = float(np.sum((est - full[k]) ** 2))
-            sq[k] += err
-            sq2[k] += err**2
-    mse = sq / reps
-    var = np.maximum(sq2 / reps - mse**2, 0.0)
-    stderr = np.sqrt(var / reps)
-    bound = spider_bound_along_trajectory(points, params, fs.as_smoothness,
-                                          delta, which)
-    return {"mse": mse, "bound": bound, "stderr": stderr}

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures import make_quadratic_finite_sum, make_scsc_quadratic
 from reference_loops import (reference_sapd_run, reference_sgda_run,
                              reference_vr_sapd_run)
 from sapdplus import cli, datasets
@@ -118,7 +119,7 @@ class TestSapdRunMatchesReference:
         assert_same_iterates(seen, ref.trace or [])
 
     def test_divergence_trips_at_the_same_iteration(self):
-        qs = datasets.make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
+        qs = make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
         sub = shifted_subproblem(qs.problem, np.zeros(1), 1.0)
         params = SapdParams(tau=50.0, sigma=50.0, theta=1.0, rho=1.0, alpha=0.0,
                             mu_x=1.0, n_inner=500)
@@ -132,7 +133,7 @@ class TestSapdRunMatchesReference:
 
 def quadratic_fs_case():
     rng = np.random.default_rng(5)
-    qfs = datasets.make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
+    qfs = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
     center = rng.standard_normal(4)
     sub = shifted_subproblem(qfs.base.problem, center, 1.0)
     sub_fs = shifted_finite_sum(qfs.spec, center, 2.0)

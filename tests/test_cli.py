@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from sapdplus import cli, datasets
+from fixtures import make_scsc_quadratic
+from sapdplus import cli
+from sapdplus.errors import ConfigurationError
 from sapdplus.sapd import SapdParams, inner_draws
 from sapdplus.vr import VrParams
 from sapdplus.evaluation import moreau_stationarity
@@ -69,6 +71,19 @@ class TestConfigFile:
         bad.write_text("problem quadratic\n")
         with pytest.raises(Exception):
             cli.parse_config_file(bad)
+
+    @pytest.mark.parametrize("typos,named", [
+        pytest.param("n_sample = 50\nnoise_xx = 3\n", "n_sample", id="both"),
+        pytest.param("noise_xx = 3\n", "noise_xx", id="noise")])
+    def test_unknown_key_is_named(self, tmp_path, typos, named):
+        # misspelt keys were once kept aside and ignored: the first config
+        # ran with the default n_samples = 1000 and no noise
+        out = tmp_path / "typo.csv"
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text(f"problem = dro\nt_outer = 1\nout = {out}\n{typos}")
+        with pytest.raises(ConfigurationError, match=f"unknown config key '{named}'"):
+            cli.main(["solve", "--config", str(cfg_file)])
+        assert not out.exists()
 
 
 class TestSolve:
@@ -233,7 +248,7 @@ class TestSgdaBaseline:
 
     @staticmethod
     def run(step, budget_calls):
-        qs = datasets.make_scsc_quadratic([[1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
+        qs = make_scsc_quadratic([[1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
         cfg = cli.RunConfig(algo="sgda-baseline", tau=step, sigma=step,
                             budget_calls=budget_calls)
         xs = []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fixtures import make_quadratic_finite_sum, make_scsc_quadratic, shifted_saddle
 from reference_kernels import reference_row_norms_sq
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
@@ -77,8 +78,9 @@ class TestDroInstance:
     def test_regularizer_gradient_limits(self):
         ds = datasets.parse_libsvm("+1 1:1.0\n")
         inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3)
-        assert inst.regularizer_grad(np.zeros(1))[0] == 0.0
-        assert abs(inst.regularizer_grad(np.array([1e6]))[0]) < 1e-12
+        reg_grad = datasets._regularizer_grad  # what the oracles add
+        assert reg_grad(np.zeros(1), inst.alpha, inst.eta1)[0] == 0.0
+        assert abs(reg_grad(np.array([1e6]), inst.alpha, inst.eta1)[0]) < 1e-12
         # bounded value: eta1 * d as x -> inf
         assert inst.regularizer(np.array([1e9])) <= 1e-3 + 1e-12
 
@@ -113,9 +115,9 @@ class TestDroInstance:
         x = rng.standard_normal(5)
         y = np.abs(rng.standard_normal(64))
         y /= y.sum()
-        full_x = inst.finite_sum.full_grad_x(x, y)
+        full_x = inst.finite_sum.batch_grad_x(np.arange(64), x, y)
         assert np.max(np.abs(full_x - inst.problem.grad_x(x, y))) <= 1e-12
-        full_y = inst.finite_sum.full_grad_y(x, y)
+        full_y = inst.finite_sum.batch_grad_y(np.arange(64), x, y)
         assert np.max(np.abs(full_y - inst.problem.grad_y(x, y))) <= 1e-12
 
     def test_batch_mean_semantics(self):
@@ -189,7 +191,7 @@ def test_dro_batch_grad_y_matches_add_at():
 class TestQuadraticFixture:
     def test_scalar_elimination(self):
         # n = m = 1, A = -gamma, B = c: phi(x) = (c^2/mu_y - gamma) x^2 / 2
-        qs = datasets.make_scsc_quadratic([[-1.0]], [[2.0]], mu_y=0.5, gamma=1.0)
+        qs = make_scsc_quadratic([[-1.0]], [[2.0]], mu_y=0.5, gamma=1.0)
         x = np.array([1.3])
         expected = 0.5 * (4.0 / 0.5 - 1.0) * 1.3**2
         assert abs(qs.phi(x) - expected) < 1e-12
@@ -205,7 +207,7 @@ class TestQuadraticFixture:
         rng = np.random.default_rng(1)
         qs = datasets.make_quadratic_saddle(5, 4, 1.0, 0.7, rng)
         center = rng.standard_normal(5)
-        xs, ys = qs.shifted_saddle(center, 0.8)
+        xs, ys = shifted_saddle(qs, center, 0.8)
         coef = 0.8 + qs.gamma
         lhs = (qs.a + coef * np.eye(5) + qs.b @ qs.b.T / qs.mu_y) @ xs
         np.testing.assert_allclose(lhs, coef * center, atol=1e-10)
@@ -229,9 +231,9 @@ class TestQuadraticFixture:
 
     def test_single_draw_variance_formula(self):
         rng = np.random.default_rng(4)
-        qfs = datasets.make_quadratic_finite_sum(15, 3, 2, 1.0, 1.0, rng)
+        qfs = make_quadratic_finite_sum(15, 3, 2, 1.0, 1.0, rng)
         x, y = rng.standard_normal(3), rng.standard_normal(2)
-        full = qfs.spec.full_grad_x(x, y)
+        full = qfs.spec.batch_grad_x(np.arange(15), x, y)
         devs = [qfs.spec.batch_grad_x(np.array([i]), x, y) - full
                 for i in range(15)]
         empirical = float(np.mean([np.sum(d**2) for d in devs]))

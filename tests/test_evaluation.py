@@ -3,7 +3,7 @@ import pytest
 
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
-from sapdplus.evaluation import moreau_stationarity, quadratic_gap
+from sapdplus.evaluation import moreau_stationarity
 
 
 class TestMoreauStationarity:
@@ -81,54 +81,3 @@ class TestMoreauStationarity:
             est = moreau_stationarity(toy.problem, x, tol=1e-9)
             assert est.reliable
             assert abs(est.value - toy.moreau_grad_norm(x, est.lam)) < 1e-6
-
-
-class TestQuadraticGap:
-    def test_zero_at_saddle(self):
-        rng = np.random.default_rng(0)
-        qs = datasets.make_quadratic_saddle(5, 4, 1.0, 1.0, rng)
-        center = rng.standard_normal(5)
-        xs, ys = qs.shifted_saddle(center, 1.0)
-        assert abs(quadratic_gap(qs, xs, ys, center, 1.0)) < 1e-9
-
-    def test_nonnegative_everywhere(self):
-        rng = np.random.default_rng(1)
-        qs = datasets.make_quadratic_saddle(4, 3, 1.0, 0.7, rng)
-        center = rng.standard_normal(4)
-        for _ in range(50):
-            x = rng.standard_normal(4) * 3
-            y = rng.standard_normal(3) * 3
-            assert quadratic_gap(qs, x, y, center, 0.5) >= -1e-10
-
-    def test_scalar_example_against_grid(self):
-        # L(x,y) = x^2/2 + x y - y^2/2 at (1, 0): closed form gives 1
-        qs = datasets.make_scsc_quadratic([[1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
-        got = quadratic_gap(qs, np.array([1.0]), np.array([0.0]))
-        assert abs(got - 1.0) < 1e-12
-        # independent oracle: fine grid over x' and y'
-        grid = np.linspace(-5, 5, 20001)
-        up = np.max(0.5 * 1.0 + 1.0 * grid - 0.5 * grid**2)
-        lo = np.min(0.5 * grid**2 + grid * 0.0)
-        assert abs((up - lo) - got) < 1e-6
-
-    def test_gap_dominance(self):
-        # stage gap dominates the quarter-scaled squared best-response errors
-        rng = np.random.default_rng(2)
-        qs = datasets.make_quadratic_saddle(4, 3, 1.0, 1.0, rng)
-        center = rng.standard_normal(4)
-        mu_x = 1.0
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            y = rng.standard_normal(3)
-            gap = quadratic_gap(qs, x, y, center, mu_x)
-            xs_y = qs.best_response_x(y, center, mu_x)
-            ys_x = qs.best_response_y(x)
-            lower = (mu_x / 4 * np.sum((xs_y - x) ** 2)
-                     + qs.mu_y / 4 * np.sum((ys_x - y) ** 2))
-            assert gap >= lower - 1e-9
-
-    def test_native_gap_requires_convexity(self):
-        qs = datasets.make_quadratic_saddle(3, 2, 1.0, 1.0,
-                                            np.random.default_rng(3))
-        with pytest.raises(ConfigurationError):
-            quadratic_gap(qs, np.zeros(3), np.zeros(2))

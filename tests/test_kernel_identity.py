@@ -169,7 +169,6 @@ def test_dro_oracles_match_reference(case):
         assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
         assert _bits(p.grad_y(x, y)) == _bits(ref.grad_y(x, y))
         assert _bits(inst.losses(x)) == _bits(ref.losses(x))
-        assert _bits(inst.loss_gradients(x)) == _bits(ref.loss_gradients(x))
         assert p.value(x, y).hex() == ref.value(x, y).hex()
         # matrix-free: one product with the signed rows, not an n x d matrix
         expected = ref.grad_x(x, y)

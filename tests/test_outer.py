@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fixtures import make_quadratic_finite_sum, shifted_saddle
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import (FixedT, OuterConfig, StationarityTarget,
-                            dual_maximize, refine_to_gradient_mapping,
                             sapd_plus_run, smooth_dual, smooth_then_solve,
                             smoothing_mu_hat)
 from sapdplus.params import theorem1_schedule
@@ -50,7 +50,7 @@ class TestSapdPlusRun:
         lam = 1.0 / (qs.gamma + sched.mu_x)
         for _ in range(5):
             center = rng.standard_normal(8)
-            xs, _ = qs.shifted_saddle(center, sched.mu_x)
+            xs, _ = shifted_saddle(qs, center, sched.mu_x)
             np.testing.assert_allclose(xs, qs.moreau_prox(center, lam), atol=1e-8)
 
     def test_oracle_call_bookkeeping(self):
@@ -104,8 +104,7 @@ class TestSapdPlusRun:
 
     def test_vr_outer_loop_runs(self):
         rng = np.random.default_rng(5)
-        qfs = datasets.make_quadratic_finite_sum(16, 4, 3, 1.0, 1.0, rng,
-                                                 spread=0.2)
+        qfs = make_quadratic_finite_sum(16, 4, 3, 1.0, 1.0, rng, spread=0.2)
         vrp = VrParams(tau=0.05, sigma=0.05, b=16, b_x=4, b_y=4, q=4,
                        n_inner=30, mu_x=1.0)
         cfg = OuterConfig(t_outer=25, schedule=vrp, vr=True)
@@ -180,43 +179,3 @@ class TestSmoothing:
         est = moreau_stationarity(toy.problem, res.x, tol=1e-9)
         assert est.value <= eps
         assert abs(est.value - toy.moreau_grad_norm(res.x, est.lam)) < 1e-6
-
-
-class TestRefinement:
-    def test_mapping_norm_equals_grad_phi_when_f_zero(self):
-        rng = np.random.default_rng(0)
-        qs = datasets.make_quadratic_saddle(5, 4, 1.0, 1.0, rng)
-        lam = 1.0 / (2 * qs.gamma)
-        x_eps = 0.1 * rng.standard_normal(5)
-        x_tilde, norm, ok = refine_to_gradient_mapping(qs.problem, x_eps, lam,
-                                                       rng)
-        assert ok
-        ref = float(np.linalg.norm(qs.grad_phi(x_tilde)))
-        assert abs(norm - ref) < 1e-3
-
-    def test_zero_at_exact_prox_of_convex(self):
-        qs = datasets.make_scsc_quadratic([[2.0, 0.0], [0.0, 1.0]],
-                                          [[0.3], [0.1]], mu_y=1.0, gamma=1.0)
-        rng = np.random.default_rng(1)
-        # the minimizer of phi for this convex instance is the origin
-        x_tilde, norm, ok = refine_to_gradient_mapping(qs.problem, np.zeros(2),
-                                                       0.4, rng)
-        assert ok
-        assert norm < 1e-8
-
-    def test_mapping_estimate_matches_closed_form(self):
-        rng = np.random.default_rng(2)
-        qs = datasets.make_quadratic_saddle(6, 4, 1.0, 0.8, rng)
-        x_eps = qs.moreau_prox(rng.standard_normal(6), 0.5) + 1e-3
-        x_tilde, norm, ok = refine_to_gradient_mapping(qs.problem, x_eps, 0.5,
-                                                       rng)
-        assert ok
-        assert abs(norm - float(np.linalg.norm(qs.grad_phi(x_tilde)))) < 1e-3
-
-    def test_dual_maximize_converges(self):
-        qs = datasets.make_quadratic_saddle(4, 3, 1.0, 1.0,
-                                            np.random.default_rng(3))
-        x = np.ones(4)
-        y, ok = dual_maximize(qs.problem, x, np.zeros(3), tol=1e-12)
-        assert ok
-        np.testing.assert_allclose(y, qs.best_response_y(x), atol=1e-9)

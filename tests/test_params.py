@@ -1,19 +1,47 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
 from reference_kernels import reference_lmi_sign_flipped_feasible
-from sapdplus.params import (PSD_TOL, beta_of, build_lmi,
-                             build_vr_lmi, check_sufficient_conditions,
-                             inner_iterations, theorem1_schedule, theta_bar,
+from sapdplus.params import (PSD_TOL, beta_of, build_lmi, inner_iterations,
+                             step_rule, theorem1_schedule, theta_bar,
                              theta_bar_components, theta_noise_floor,
-                             vr_batch_floor, vr_default_batches, vr_schedule)
+                             vr_batch_floor, vr_schedule)
 from sapdplus.problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
 
 CANON_S = SmoothnessConstants(1.0, 1.0, 1.0, 1.0)
 CANON_C = ConvexityModuli(1.0, 1.0)
+
+
+def check_sufficient_conditions(tau, sigma, theta, pi1, pi2, smoothness,
+                                convexity, mu_x) -> bool:
+    """The four-inequality sufficient system for the 5x5 certificate (rho = theta).
+
+    tau >= (1-theta)/mu_x,  sigma >= (1-theta)/(mu_y theta),
+    1/tau >= l'_xx + pi1 l_yx,  1/sigma >= theta l_yx/pi1 + (theta/pi2 + pi2) l_yy.
+
+    The published parameter choices satisfy some of these with equality, so
+    each comparison carries a relative slack of 1e-12.
+    """
+    if min(tau, sigma, theta, pi1, pi2, mu_x) <= 0:
+        raise ConfigurationError("all arguments must be positive")
+    s, mu_y = smoothness, convexity.mu_y
+    lp_xx = s.l_xx + mu_x + convexity.gamma
+
+    def geq(lhs, rhs):
+        return lhs >= rhs - 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+    return (
+        geq(tau, (1.0 - theta) / mu_x)
+        and geq(sigma, (1.0 - theta) / (mu_y * theta))
+        and geq(1.0 / tau, lp_xx + pi1 * s.l_yx)
+        and geq(1.0 / sigma, theta * s.l_yx / pi1 + (theta / pi2 + pi2) * s.l_yy)
+    )
 
 
 def theta_bar_1_oracle(beta, s, c, mu_x):
@@ -239,6 +267,58 @@ class TestLmi:
             assert abs(hi - target) < 1e-6
 
 
+def exact_min_eigenvalue(tau, sigma, theta, rho, alpha, mu_x, s, c):
+    """Smallest eigenvalue of the printed G at a float tuple, in 60 digits."""
+    with mpmath.workdps(60):
+        tau, sigma, theta, rho, alpha, mu_x, l_xx, l_xy, l_yx, l_yy, gamma, mu_y = map(
+            mpmath.mpf, (tau, sigma, theta, rho, alpha, mu_x, s.l_xx, s.l_xy, s.l_yx,
+                         s.l_yy, c.gamma, c.mu_y))
+        off = theta / rho - 1
+        g = mpmath.zeros(5, 5)
+        g[0, 0] = (1 / tau) * (1 - 1 / rho) + mu_x / rho
+        g[1, 1] = (1 / sigma) * (1 - 1 / rho) + mu_y
+        g[1, 2] = g[2, 1] = off * l_yx
+        g[1, 3] = g[3, 1] = off * l_yy
+        g[2, 2] = 1 / tau - (l_xx + mu_x + gamma)
+        g[3, 3] = 1 / sigma - alpha
+        g[2, 4] = g[4, 2] = -(theta / rho) * l_yx
+        g[3, 4] = g[4, 3] = -(theta / rho) * l_yy
+        g[4, 4] = alpha / rho
+        return float(min(mpmath.eigsy(g, eigvals_only=True)))
+
+
+def scales(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# the verdicts may differ where the exact eigenvalue lies within this
+# distance of the threshold -PSD_TOL
+VERDICT_BAND = 0.1 * PSD_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.builds(SmoothnessConstants, scales(-1, 1), scales(-1, 1), scales(-1, 1),
+                   st.one_of(st.just(0.0), scales(-1, 1))),
+       c=st.builds(ConvexityModuli, scales(-1, 1), scales(-2, 1)),
+       gap=scales(-12, -0.01),
+       tau_factor=st.one_of(st.just(1.0), scales(-0.5, 0.5)),
+       sigma_factor=st.one_of(st.just(1.0), scales(-0.5, 0.5)),
+       rho=st.one_of(st.none(), st.floats(0.05, 1.0)))
+def test_certificate_verdict_is_exact(s, c, gap, tau_factor, sigma_factor, rho):
+    # the step-rule tuple at theta = 1 - gap, up to theta = 1 - 1e-12, where G
+    # has entries of order 1/gap; scaling tau or sigma or moving rho off
+    # theta leaves it, mostly infeasibly
+    theta = 1.0 - gap
+    sp = step_rule(theta, c.gamma, s, c)
+    sp = step_rule(theta, c.gamma, s, c, tau=sp.tau * tau_factor,
+                   sigma=sp.sigma * sigma_factor)
+    rho = theta if rho is None else rho
+    exact = exact_min_eigenvalue(sp.tau, sp.sigma, theta, rho, sp.alpha, sp.mu_x, s, c)
+    assume(abs(exact + PSD_TOL) > VERDICT_BAND)
+    cert = build_lmi(sp.tau, sp.sigma, theta, rho, sp.alpha, sp.mu_x, s, c)
+    assert cert.feasible == (exact >= -PSD_TOL), (cert.min_eigenvalue, exact)
+
+
 class TestVrSchedule:
     def test_q1_formulas(self):
         params, cert, t_outer = vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0),
@@ -257,10 +337,6 @@ class TestVrSchedule:
         expected = math.ceil(max(144 * 0.25, 360 * 0.04 * 4.0) / 0.01)
         assert vr_batch_floor(nz, c, 0.1) == expected
 
-    def test_tuning_rule(self):
-        q, b_small = vr_default_batches(3600, 4.0)
-        assert q == 30 and b_small == 120
-
     def test_outer_count(self):
         _, _, t_outer = vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0),
                                     0.1, 1.0, q=2, b_x=4, b_y=4)
@@ -276,7 +352,3 @@ class TestVrSchedule:
                                           b_y=int(rng.integers(1, 16)))
             assert cert.min_eigenvalue >= -PSD_TOL
             assert params.b >= 1
-
-    def test_vr_lmi_rejects_bad_rho(self):
-        with pytest.raises(ConfigurationError):
-            build_vr_lmi(0.1, 0.1, 2, 4, 4, 1.0, CANON_S, CANON_C, rho=1.5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixtures import make_quadratic_finite_sum
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 from sapdplus.problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
@@ -122,16 +123,16 @@ class TestFiniteSum:
 
     def test_full_batch_identity(self):
         rng = np.random.default_rng(2)
-        qfs = datasets.make_quadratic_finite_sum(12, 4, 3, 1.0, 1.0, rng)
+        qfs = make_quadratic_finite_sum(12, 4, 3, 1.0, 1.0, rng)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
         full = qfs.spec.batch_grad_x(np.arange(12), x, y)
         np.testing.assert_allclose(full, qfs.base.problem.grad_x(x, y), atol=1e-10)
 
     def test_single_draw_monte_carlo(self):
         rng = np.random.default_rng(3)
-        qfs = datasets.make_quadratic_finite_sum(10, 3, 2, 1.0, 1.0, rng)
+        qfs = make_quadratic_finite_sum(10, 3, 2, 1.0, 1.0, rng)
         x, y = rng.standard_normal(3), rng.standard_normal(2)
-        full = qfs.spec.full_grad_x(x, y)
+        full = qfs.spec.batch_grad_x(np.arange(10), x, y)
         draws = np.array([
             qfs.spec.batch_grad_x(qfs.spec.sample(rng, 1), x, y)
             for _ in range(10_000)
@@ -153,7 +154,7 @@ class TestFiniteSum:
 
     def test_component_almost_sure_lipschitz(self):
         rng = np.random.default_rng(4)
-        qfs = datasets.make_quadratic_finite_sum(8, 3, 2, 1.0, 1.0, rng)
+        qfs = make_quadratic_finite_sum(8, 3, 2, 1.0, 1.0, rng)
         s = qfs.spec.as_smoothness
         for i in range(8):
             for _ in range(20):

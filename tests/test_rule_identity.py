@@ -136,14 +136,16 @@ class TestStepRule:
         assert sched.rho == sched.theta
 
     def test_noise_floor_near_one_certifies(self):
-        # theta = theta_dbar_1 = 1 - 8.2e-9 here; the min eigenvalue comes out
-        # -5.2e-8 beside entries up to 1.2e9, inside the scaled tolerance
+        # theta = theta_dbar_1 = 1 - 8.2e-9 here, with entries of G up to
+        # 1.2e9; the exact min eigenvalue of this float tuple is -1.4e-17,
+        # and the assembly must not lose it to cancellation (it once came
+        # out -5.2e-8)
         sched = theorem1_schedule(SmoothnessConstants(1.0, 1.0, 1.0, 1.0),
                                   ConvexityModuli(10.0, 0.1),
                                   NoiseLevels(1.0, 0.31622776601683794),
                                   10.0**-1.75, 1.0)
         assert sched.certificate.feasible
-        assert sched.certificate.min_eigenvalue < -PSD_TOL
+        assert sched.certificate.min_eigenvalue >= -PSD_TOL
 
     @settings(max_examples=200, deadline=None)
     @given(sc=constants)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fixtures import make_scsc_quadratic, shifted_saddle
 from reference_loops import reference_guard
 from sapdplus import datasets
 from sapdplus.errors import DivergenceError
@@ -26,7 +27,7 @@ def iterates(p, params, x0, y0, rng, **kwargs):
 
 def scsc_toy():
     """L(x,y) = x^2/2 + x y - y^2/2 as the mu_x = 1 shift of Phi = -x^2/2 + x y."""
-    qs = datasets.make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
+    qs = make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
     sub = shifted_subproblem(qs.problem, np.zeros(1), 1.0)
     return qs, sub
 
@@ -138,7 +139,7 @@ class TestSapdRun:
                                       NoiseLevels(0, 0), 0.1, 1.0)
             center = rng.standard_normal(6)
             sub = shifted_subproblem(qs.problem, center, sched.mu_x)
-            xs, ys = qs.shifted_saddle(center, sched.mu_x)
+            xs, ys = shifted_saddle(qs, center, sched.mu_x)
             x0 = center + rng.standard_normal(6)
             y0 = rng.standard_normal(5)
             res, trace = iterates(sub, sched.sapd_params(), x0, y0, None)

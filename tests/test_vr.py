@@ -3,17 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sapdplus import datasets
+from fixtures import make_quadratic_finite_sum
 from sapdplus.problem import shifted_finite_sum, shifted_subproblem
 from sapdplus.sapd import SapdParams, sapd_run
-from sapdplus.vr import (VrParams, spider_bound_along_trajectory,
-                         spider_variance_probe, vr_sapd_run)
+from sapdplus.vr import VrParams, _SpiderGradient, vr_sapd_run
 
 
 @pytest.fixture
 def shifted_setup():
     rng = np.random.default_rng(5)
-    qfs = datasets.make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
+    qfs = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
     center = rng.standard_normal(4)
     sub = shifted_subproblem(qfs.base.problem, center, 1.0)
     sub_fs = shifted_finite_sum(qfs.spec, center, 2.0)
@@ -38,8 +37,7 @@ class TestVrRun:
         # all components equal: every batch is the exact gradient, so the run
         # must follow deterministic theta=1 SAPD step for step
         rng = np.random.default_rng(5)
-        qfs0 = datasets.make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng,
-                                                  spread=0.0)
+        qfs0 = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.0)
         center = rng.standard_normal(4)
         sub = shifted_subproblem(qfs0.base.problem, center, 1.0)
         sub_fs0 = shifted_finite_sum(qfs0.spec, center, 2.0)
@@ -148,11 +146,72 @@ class TestVrRun:
         np.testing.assert_array_equal(a.y_last, b.y_last)
 
 
+def spider_bound_along_trajectory(points, params: VrParams, as_constants,
+                                  delta: float, which: str = "x"):
+    """Per-iteration bound on the estimator mean squared error, from a fixed
+    trajectory.
+
+    points: sequence of (x_k, y_{k+1}) pairs the x-estimator is evaluated at
+    (for the y-axis, (x_k, y_k) pairs).  At refresh steps (k % q == 0) the
+    bound is delta^2/b; otherwise it adds the since-refresh increments
+        sum_{i=ref+1}^{k} (2 La^2/b') ||x_i - x_{i-1}||^2 + (2 Lb^2/b') ||y'_i - y'_{i-1}||^2
+    with (La, Lb) the almost-sure constants of the axis and b' the small
+    batch size.
+    """
+    s = as_constants
+    if which == "x":
+        la, lb, b_small = s.l_xx, s.l_xy, params.b_x
+    else:
+        la, lb, b_small = s.l_yx, s.l_yy, params.b_y
+    base = delta**2 / params.b
+    bounds = []
+    running = 0.0
+    for k, (xk, yk) in enumerate(points):
+        if k % params.q == 0:
+            running = 0.0
+        else:
+            x_prev, y_prev = points[k - 1]
+            running += (2.0 * la**2 / b_small) * float(np.sum((xk - x_prev) ** 2))
+            running += (2.0 * lb**2 / b_small) * float(np.sum((yk - y_prev) ** 2))
+        bounds.append(base + running)
+    return np.array(bounds)
+
+
+def spider_variance_probe(fs, points, params: VrParams, reps: int, rng,
+                          delta: float, which: str = "x"):
+    """Monte-Carlo MSE of the solver's own SPIDER estimator along a fixed
+    trajectory, with the analytic bound it must not exceed.
+
+    Each repetition drives a fresh `_SpiderGradient` through the points:
+    `primal(k, x_k, y_{k+1})` for the x-estimator v_k; for the y-estimator,
+    `first(x_0, y_0)` and then `dual(k - 1, x_k, y_k)`, reading w_k from
+    `.w` after each call.  The MSE is against the full-batch gradient.
+    Returns a dict with per-iteration 'mse', 'bound' and 'stderr'.
+    """
+    grad = fs.batch_grad_x if which == "x" else fs.batch_grad_y
+    full = [grad(np.arange(fs.n_comp), xk, yk) for xk, yk in points]
+    err = np.empty((reps, len(points)))
+    for r in range(reps):
+        est = _SpiderGradient(fs, params, rng)
+        for k, point in enumerate(points):
+            if which == "x":
+                value = est.primal(k, *point)
+            elif k == 0:
+                value = est.first(*point)
+            else:
+                est.dual(k - 1, *point)
+                value = est.w
+            err[r, k] = float(np.sum((value - full[k]) ** 2))
+    bound = spider_bound_along_trajectory(points, params, fs.as_smoothness,
+                                          delta, which)
+    return {"mse": err.mean(axis=0), "bound": bound,
+            "stderr": err.std(axis=0) / np.sqrt(reps)}
+
+
 class TestVarianceProbe:
     def make_probe_inputs(self, n_comp=30, spread=0.4, seed=7):
         rng = np.random.default_rng(seed)
-        qfs = datasets.make_quadratic_finite_sum(n_comp, 3, 2, 1.0, 1.0, rng,
-                                                 spread=spread)
+        qfs = make_quadratic_finite_sum(n_comp, 3, 2, 1.0, 1.0, rng, spread=spread)
         x0, y0 = rng.standard_normal(3), rng.standard_normal(2)
         return qfs, x0, y0
 
@@ -205,11 +264,3 @@ class TestVarianceProbe:
                                       rng=np.random.default_rng(5), delta=delta,
                                       which="y")
         assert np.all(probe["mse"] <= probe["bound"] + 3 * probe["stderr"])
-
-    def test_low_reps_warns(self):
-        qfs, x0, y0 = self.make_probe_inputs()
-        params = VrParams(tau=0.1, sigma=0.1, b=4, b_x=2, b_y=2, q=2,
-                          n_inner=2, mu_x=1.0)
-        with pytest.warns(UserWarning):
-            spider_variance_probe(qfs.spec, [(x0, y0)], params, reps=10,
-                                  rng=np.random.default_rng(0), delta=1.0)
