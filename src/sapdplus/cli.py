@@ -59,6 +59,20 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _number(key, val, integer):
+    """The value of a numeric config key; an int key takes integral
+    spellings such as 50.0 or 1e3, and digits exactly."""
+    try:
+        num = float(val)
+    except ValueError:
+        raise ConfigurationError(f"config key {key!r}: {val!r} is not a number") from None
+    if not integer:
+        return num
+    if not num.is_integer():
+        raise ConfigurationError(f"config key {key!r}: {val!r} is not an integer")
+    return int(val) if str(val).isdigit() else int(num)
+
+
 @dataclass
 class RunConfig:
     """Resolved configuration for one `solve` invocation."""
@@ -108,7 +122,7 @@ class RunConfig:
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
         """File values, then the non-None overrides; a key that is neither a
-        field nor in RESULT_KEYS raises."""
+        field nor in RESULT_KEYS raises, as does a malformed number."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         merged = dict(file_values)
@@ -120,10 +134,8 @@ class RunConfig:
             if attr not in known:
                 raise ConfigurationError(f"unknown config key {key!r}")
             cur = getattr(cfg, attr)
-            if isinstance(cur, int):
-                val = int(float(val))
-            elif isinstance(cur, float):
-                val = float(val)
+            if isinstance(cur, (int, float)):
+                val = _number(key, val, isinstance(cur, int))
             setattr(cfg, attr, val)
         return cfg
 
@@ -156,9 +168,9 @@ def _build_problem(cfg: RunConfig):
                 np.random.default_rng(cfg.instance_seed))
         else:
             ds = datasets.parse_libsvm(cfg.data)
-        eta2 = cfg.eta2 if cfg.eta2 > 0 else 1.0 / ds.n_samples**2
         inst = datasets.build_dro(ds, alpha=cfg.dro_alpha, eta1=cfg.eta1,
-                                  eta2=eta2, sgrad_batch=cfg.batch)
+                                  eta2=cfg.eta2 if cfg.eta2 > 0 else None,
+                                  sgrad_batch=cfg.batch)
         meta["dro_n"] = ds.n_samples
         meta["dro_d"] = ds.n_features
         return (inst.problem, inst.finite_sum,

@@ -166,18 +166,9 @@ def _logistic_losses(signed, x):
     return np.logaddexp(0.0, -(signed @ x))
 
 
-def _regularizer(x, alpha, eta1):
-    ax2 = alpha * x**2
-    return eta1 * float(np.sum(ax2 / (1.0 + ax2)))
-
-
 def _regularizer_grad(x, alpha, eta1):
     ax2 = alpha * x**2
     return eta1 * 2.0 * alpha * x / (1.0 + ax2) ** 2
-
-
-def _dual_penalty(y, n, eta2):
-    return 0.5 * eta2 * float(np.sum((n * y - 1.0) ** 2))
 
 
 @dataclass
@@ -194,7 +185,7 @@ class DroInstance:
     rows b_i a_i; the labels are +-1, so every product with them is exact.
     """
 
-    dataset: SparseDataset
+    n_samples: int
     alpha: float
     eta1: float
     eta2: float
@@ -206,13 +197,14 @@ class DroInstance:
         return _logistic_losses(self.signed_features, x)
 
     def regularizer(self, x):
-        return _regularizer(x, self.alpha, self.eta1)
+        ax2 = self.alpha * x**2
+        return self.eta1 * float(np.sum(ax2 / (1.0 + ax2)))
 
     def g_value(self, y):
-        return _dual_penalty(y, self.dataset.n_samples, self.eta2)
+        return 0.5 * self.eta2 * float(np.sum((self.n_samples * y - 1.0) ** 2))
 
     def lagrangian(self, x, y):
-        n = self.dataset.n_samples
+        n = self.n_samples
         return (float(y @ self.losses(x)) / n + self.regularizer(x)
                 - self.g_value(y))
 
@@ -226,7 +218,7 @@ class DroInstance:
         simplex, so the 1/n is dropped; that keeps the sums in the
         projection smaller and its rounding error with them.
         """
-        n = self.dataset.n_samples
+        n = self.n_samples
         return prox.project_simplex(self.losses(x) / (self.eta2 * n**3))
 
     def robust_loss(self, x):
@@ -314,14 +306,6 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     def sgrad_y(x, y, rng):
         return batch_grad_y(fs.sample(rng, sgrad_batch), x, y)
 
-    def value(x, y):
-        # the instance's lagrangian(x, y) + g_value(y) in the same operations,
-        # so that the two agree bit for bit
-        penalty = _dual_penalty(y, n, eta2)
-        lagrangian = (float(y @ _logistic_losses(signed, x)) / n
-                      + _regularizer(x, alpha, eta1) - penalty)
-        return lagrangian + penalty
-
     problem = ProblemSpec(
         n=ds.n_features, m=n,
         grad_x=grad_x, grad_y=grad_y,
@@ -331,10 +315,10 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
         noise=NoiseLevels(0.0, 0.0),
         sgrad_x=sgrad_x, sgrad_y=sgrad_y,
-        value=value, d_y=math.sqrt(2.0),
+        d_y=math.sqrt(2.0),
         oracle_batch=sgrad_batch,
     )
-    return DroInstance(dataset=ds, alpha=alpha, eta1=eta1, eta2=eta2,
+    return DroInstance(n_samples=n, alpha=alpha, eta1=eta1, eta2=eta2,
                        problem=problem, finite_sum=fs, signed_features=signed)
 
 
@@ -410,8 +394,6 @@ def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng) -> Qua
         prox_f=prox.prox_zero, prox_g=prox.prox_zero,
         smoothness=constants,
         convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
-        value=lambda x, y: (0.5 * float(x @ a @ x) + float(x @ b @ y)
-                            - 0.5 * mu_y * float(y @ y)),
     )
     return QuadraticSaddle(a=a, b=b, gamma=gamma, mu_y=mu_y, problem=problem)
 
@@ -449,7 +431,6 @@ def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
         prox_g=lambda v, step: np.clip(v, -1.0, 1.0),
         smoothness=SmoothnessConstants(l_xx=0.0, l_xy=abs(c), l_yx=abs(c), l_yy=0.0),
         convexity=ConvexityModuli(gamma=gamma, mu_y=0.0),
-        value=lambda x, y: c * float(x[0]) * float(y[0]),
         d_y=2.0,
     )
     return BilinearBoxToy(c=c, gamma=gamma, problem=problem)

@@ -51,10 +51,10 @@ def moreau_stationarity(p: ProblemSpec, x, lam: Optional[float] = None,
     """Estimate ||grad phi_lam(x)|| for phi(x) = max_y f(x) + Phi(x,y) - g(y).
 
     Approximates prox_{lam phi}(x) by solving the shifted saddle problem
-    min_w max_y L(w,y) + ||w - x||^2/(2 lam) with deterministic inner solves
-    from (x, 0) (warm-started, last iterate carried) until the last-iterate
-    step norm drops below tol.  Default lam = 1/(2 gamma).  A run that
-    exhausts its budget is returned with reliable=False.
+    min_w max_y L(w,y) + ||w - x||^2/(2 lam) with exact-gradient inner
+    solves (rng = None) from (x, 0) (warm-started, last iterate carried)
+    until the last-iterate step norm drops below tol.  Default lam =
+    1/(2 gamma).  A run that exhausts its budget has reliable=False.
     """
     gamma = p.convexity.gamma
     lam = 1.0 / (2.0 * gamma) if lam is None else lam
@@ -62,9 +62,8 @@ def moreau_stationarity(p: ProblemSpec, x, lam: Optional[float] = None,
         raise ConfigurationError("lambda must lie in (0, 1/gamma)")
     x = np.asarray(x, dtype=float)
     mu_x = 1.0 / lam - gamma
-    det = p.deterministic()
-    sub = shifted_subproblem(det, x, mu_x)
-    params = prox_solve_params(det, mu_x)
+    sub = shifted_subproblem(p, x, mu_x)
+    params = prox_solve_params(p, mu_x)
 
     w, y = x.copy(), np.zeros(p.m)
     total_iters = 0

@@ -36,8 +36,6 @@ class StationarityTarget:
 
     epsilon: float
     check_every: int = 10
-    lam: Optional[float] = None
-    tol: float = 1e-8
 
 
 @dataclass
@@ -73,7 +71,6 @@ class OuterResult:
     stages_run: int
     oracle_calls: int
     stages: list
-    stopped_early: bool = False
 
 
 def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
@@ -93,7 +90,6 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
     stages = [StageRecord(stage=0, oracle_calls=0, x=x.copy(), y=y.copy())]
     if on_stage:
         on_stage(stages[0])
-    stopped_early = False
     for t in range(cfg.t_outer):
         sub = shifted_subproblem(p, x, sched.mu_x)
         try:
@@ -108,35 +104,22 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
         calls += inner_draws(sched, res.iterations, p.oracle_batch)
         x, y = res.x_avg, res.y_avg
         record = StageRecord(stage=t + 1, oracle_calls=calls, x=x.copy(), y=y.copy())
+        last = t + 1 == cfg.t_outer
+        met = False
         if isinstance(cfg.stop, StationarityTarget) and (
-            (t + 1) % cfg.stop.check_every == 0 or t + 1 == cfg.t_outer
+            (t + 1) % cfg.stop.check_every == 0 or last
         ):
-            est = moreau_stationarity(p, x, lam=cfg.stop.lam, tol=cfg.stop.tol)
+            est = moreau_stationarity(p, x)
             record.stationarity = est.value
-            if est.reliable and est.value <= cfg.stop.epsilon:
-                stopped_early = t + 1 < cfg.t_outer
-                stages.append(record)
-                if on_stage:
-                    on_stage(record)
-                break
-        if (t + 1) % cfg.record_every == 0 or t + 1 == cfg.t_outer:
+            met = est.reliable and est.value <= cfg.stop.epsilon
+        if met or last or (t + 1) % cfg.record_every == 0:
             stages.append(record)
             if on_stage:
                 on_stage(record)
-    return OuterResult(x=x, y=y, stages_run=(stages[-1].stage if stages else 0),
-                       oracle_calls=calls, stages=stages,
-                       stopped_early=stopped_early)
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    mu_hat_y: float
-    anchor: np.ndarray
-    d_y: float
-
-    def __post_init__(self):
-        if self.mu_hat_y <= 0:
-            raise ConfigurationError("mu_hat_y must be positive")
+        if met:
+            break
+    return OuterResult(x=x, y=y, stages_run=stages[-1].stage,
+                       oracle_calls=calls, stages=stages)
 
 
 def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,
@@ -167,41 +150,25 @@ def smooth_dual(p: ProblemSpec, mu_hat: float, anchor) -> ProblemSpec:
     )
 
 
-def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng,
-                      anchor=None, gap0: float = 1.0,
-                      schedule: Optional[SapdParams] = None,
-                      t_outer: Optional[int] = None,
-                      stop: Optional[Union[FixedT, StationarityTarget]] = None
-                      ):
+def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng):
     """Merely-concave path: smooth the dual, then run the staged solver.
 
-    Requires mu_y = 0, f = 0, and a finite dual diameter on p.  mu_hat comes
-    from the closed-form rule at inner target epsilon/(2 sqrt(6)); by
-    default the inner schedule is the certified closed-form one for the
-    smoothed constants.  Returns (OuterResult, SmoothingConfig).
+    Requires mu_y = 0, f = 0, and a finite dual diameter on p.  The dual is
+    smoothed around y0 with mu_hat from the closed-form rule; the inner
+    schedule is the certified closed-form one for the smoothed constants at
+    target epsilon/(2 sqrt(6)) with gap0 = 1, run for its T stages or until
+    that target is met, checked every 10 stages.  Returns (OuterResult, mu_hat).
     """
     if p.convexity.mu_y != 0:
         raise ConfigurationError("smooth_then_solve is for merely concave problems")
     if p.d_y is None:
         raise ConfigurationError("dual diameter d_y required for smoothing")
-    y0 = np.asarray(y0, dtype=float)
-    anchor = y0 if anchor is None else np.asarray(anchor, dtype=float)
     s = p.smoothness
     mu_hat = smoothing_mu_hat(epsilon, p.convexity.gamma, p.d_y, s.l_yy, s.l_xy)
-    smoothed = smooth_dual(p, mu_hat, anchor)
+    smoothed = smooth_dual(p, mu_hat, y0)
     eps_inner = epsilon / (2.0 * math.sqrt(6.0))
-    if schedule is None:
-        sched = theorem1_schedule(smoothed.smoothness, smoothed.convexity,
-                                  smoothed.noise, eps_inner, gap0)
-        params = sched.sapd_params()
-        cap = sched.t_outer if t_outer is None else t_outer
-    else:
-        params = schedule
-        if t_outer is None:
-            raise ConfigurationError("manual schedule needs t_outer")
-        cap = t_outer
-    if stop is None:
-        stop = StationarityTarget(epsilon=eps_inner, check_every=10)
-    cfg = OuterConfig(t_outer=cap, schedule=params, vr=False, stop=stop)
-    result = sapd_plus_run(smoothed, cfg, x0, y0, rng)
-    return result, SmoothingConfig(mu_hat_y=mu_hat, anchor=anchor, d_y=p.d_y)
+    sched = theorem1_schedule(smoothed.smoothness, smoothed.convexity,
+                              smoothed.noise, eps_inner, 1.0)
+    cfg = OuterConfig(t_outer=sched.t_outer, schedule=sched.sapd_params(),
+                      stop=StationarityTarget(epsilon=eps_inner, check_every=10))
+    return sapd_plus_run(smoothed, cfg, x0, y0, rng), mu_hat

@@ -78,33 +78,37 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
                                     convexity.mu_y))
 
 
+def _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s: SmoothnessConstants):
+    """L'_x = 2(q-1) (l'_xx^2/(mu_x b_x) + 10 l_yx^2/(mu_y b_y)) and
+    L'_y = 2(q-1) (l_xy^2/(mu_x b_x) + 10 l_yy^2/(mu_y b_y)).  Each caller
+    sums lp_xx = l_xx + mu_x + gamma its own way; on DRO they round apart."""
+    if q < 1 or b_x < 1 or b_y < 1:
+        raise ConfigurationError("q, b_x, b_y must be >= 1")
+    if mu_x <= 0 or mu_y <= 0:
+        raise ConfigurationError("mu_x, mu_y must be positive")
+    c_q = 2.0 * (q - 1)
+    return (c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y)),
+            c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y)))
+
+
 def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
                  smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
     """G - diag(g) >= 0 certificate for the variance-reduced inner solver.
 
     The VR parameter rule fixes theta = rho = 1, the multipliers of the
     first two rows at (mu_x, mu_y) and alpha = l_yx + l_yy, the published
-    choices, so g = [mu_x, mu_y, L'_x, L'_y, 0] with
-      L'_x = 2(q-1) (l'_xx^2/(mu_x b_x) + 10 l_yx^2/(mu_y b_y)),
-      L'_y = 2(q-1) (l_xy^2/(mu_x b_x) + 10 l_yy^2/(mu_y b_y)).
-    alpha may sit on the alpha = 1/sigma boundary when l_yy = 0, which is
-    admissible here.
+    choices, so g = [mu_x, mu_y, L'_x, L'_y, 0] with L'_x, L'_y from
+    _vr_corrections.  alpha may sit on the alpha = 1/sigma boundary when
+    l_yy = 0, which is admissible here.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigurationError("tau, sigma must be positive")
-    if q < 1 or b_x < 1 or b_y < 1:
-        raise ConfigurationError("q, b_x, b_y must be >= 1")
-    mu_y = convexity.mu_y
-    if mu_x <= 0 or mu_y <= 0:
-        raise ConfigurationError("mu_x, mu_y must be positive")
-    s = smoothness
+    s, mu_y = smoothness, convexity.mu_y
+    lp_xx = s.l_xx + mu_x + convexity.gamma
+    lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
     alpha = s.l_yx + s.l_yy
     if alpha > 1.0 / sigma + 1e-12:
         raise ConfigurationError("alpha = l_yx + l_yy must be at most 1/sigma")
-    lp_xx = s.l_xx + mu_x + convexity.gamma
-    c_q = 2.0 * (q - 1)
-    lx_corr = c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y))
-    ly_corr = c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y))
 
     s_shift = SmoothnessConstants(lp_xx, s.l_xy, s.l_yx, s.l_yy)
     g = _assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
@@ -192,8 +196,6 @@ class Theorem1Schedule:
     mu_x: float
     n_inner: int
     t_outer: int
-    epsilon: float
-    gap0: float
     certificate: LmiCertificate
 
     def sapd_params(self):
@@ -268,7 +270,7 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
         beta=beta, theta_bar_1=tb1, theta_bar_2=tb2, theta_dbar_1=td1,
         theta_dbar_2=td2, theta=theta, tau=params.tau, sigma=params.sigma,
         alpha=params.alpha, rho=theta, mu_x=mu_x, n_inner=params.n_inner, t_outer=t_outer,
-        epsilon=epsilon, gap0=gap0, certificate=cert,
+        certificate=cert,
     )
 
 
@@ -288,25 +290,20 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
                 q: int, b_x: int, b_y: int, zeta: float = 32.0):
     """Certified variance-reduced schedule (theta = rho = 1).
 
-    tau = (l_yx + l'_xx + 2(q-1)(l'_xx^2/(gamma b_x) + 10 l_yx^2/(mu_y b_y)))^{-1}
-    sigma = (2 l_yy + l_yx + 2(q-1)(l_xy^2/(gamma b_x) + 10 l_yy^2/(mu_y b_y)))^{-1}
+    tau = (l_yx + l'_xx + L'_x)^{-1}, sigma = (2 l_yy + l_yx + L'_y)^{-1}
+    with mu_x = gamma in L'_x, L'_y (see _vr_corrections),
     N = ceil(2(1+zeta) max{1/(gamma tau) - 1, 1/(mu_y sigma)}),
     T = ceil(288 gap0 gamma/eps^2), b from the batch floor.
     Returns (VrParams, LmiCertificate, t_outer).
     """
     from .vr import VrParams
 
-    if convexity.mu_y <= 0:
-        raise ConfigurationError("mu_y must be positive for the VR schedule")
-    if q < 1 or b_x < 1 or b_y < 1:
-        raise ConfigurationError("q, b_x, b_y must be >= 1")
     if zeta <= 0:
         raise ConfigurationError("zeta must be positive")
     s, gamma, mu_y = smoothness, convexity.gamma, convexity.mu_y
     mu_x = gamma
     lp_xx = s.l_xx + 2.0 * gamma
-    lx_corr = 2.0 * (q - 1) * (lp_xx**2 / (gamma * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y))
-    ly_corr = 2.0 * (q - 1) * (s.l_xy**2 / (gamma * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y))
+    lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
     tau = 1.0 / (s.l_yx + lp_xx + lx_corr)
     sigma = 1.0 / (2.0 * s.l_yy + s.l_yx + ly_corr)
     b = vr_batch_floor(noise, convexity, epsilon)

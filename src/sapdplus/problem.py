@@ -68,8 +68,10 @@ class ProblemSpec:
     """Oracle bundle plus constants.
 
     grad_x/grad_y are deterministic partial gradients; sgrad_x/sgrad_y are
-    stochastic versions taking an explicit numpy Generator (None falls back
-    to the deterministic oracle).  prox_f/prox_g take (point, step).
+    stochastic versions taking an explicit numpy Generator.  stoch_grad_*
+    return the exact gradient when rng is None (the one switch to exact
+    gradients) or the stochastic oracle is missing.  prox_f/prox_g take
+    (point, step).
     oracle_batch is the number of single-sample draws one sgrad call costs
     (1 for a single-sample oracle, b for a mini-batch oracle).
     """
@@ -85,9 +87,7 @@ class ProblemSpec:
     noise: NoiseLevels = field(default_factory=NoiseLevels)
     sgrad_x: Optional[Callable] = None
     sgrad_y: Optional[Callable] = None
-    value: Optional[Callable] = None
     d_y: Optional[float] = None
-    mu_x: float = 0.0  # strong convexity of Phi(.,y); > 0 only on shifted specs
     oracle_batch: int = 1
 
     def __post_init__(self):
@@ -111,25 +111,19 @@ class ProblemSpec:
             return self.grad_y(x, y)
         return self.sgrad_y(x, y, rng)
 
-    def deterministic(self):
-        """A copy whose stochastic oracles are the exact gradients."""
-        return replace(
-            self, sgrad_x=None, sgrad_y=None, noise=NoiseLevels(0.0, 0.0), oracle_batch=1
-        )
-
 
 def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> ProblemSpec:
     """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
 
-    grad_<axis> and sgrad_<axis> gain coef*(z - center) and value gains the
-    quadratic; the other oracles are unchanged.  The caller updates the
-    constants through `changes`, which go to the same replace.
+    grad_<axis> and sgrad_<axis> gain coef*(z - center); the other oracles
+    are unchanged.  The caller updates the constants through `changes`,
+    which go to the same replace.
     """
     dim = p.n if axis == "x" else p.m
     center = np.asarray(center, dtype=float)
     if center.shape != (dim,):
         raise ConfigurationError(f"center has shape {center.shape}, expected ({dim},)")
-    grad, sgrad, value = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis), p.value
+    grad, sgrad = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis)
     # closures built per axis, so the oracles do no per-call dispatch
     if axis == "x":
         def new_grad(x, y):
@@ -144,13 +138,9 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
         def new_sgrad(x, y, rng):
             return sgrad(x, y, rng) + coef * (y - center)
 
-    def new_value(x, y):
-        z = x if axis == "x" else y
-        return value(x, y) + 0.5 * coef * float(np.sum((z - center) ** 2))
-
     return replace(p, **{"grad_" + axis: new_grad,
                          "sgrad_" + axis: None if sgrad is None else new_sgrad},
-                   value=None if value is None else new_value, **changes)
+                   **changes)
 
 
 def shifted_subproblem(p: ProblemSpec, center, mu_x: float) -> ProblemSpec:
@@ -163,7 +153,7 @@ def shifted_subproblem(p: ProblemSpec, center, mu_x: float) -> ProblemSpec:
     coef = mu_x + p.convexity.gamma
     s = p.smoothness
     return add_quadratic(
-        p, "x", coef, center, mu_x=mu_x,
+        p, "x", coef, center,
         smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy),
     )
 

@@ -34,8 +34,6 @@ def make_scsc_quadratic(a, b, mu_y: float, gamma: float = 1.0) -> QuadraticSaddl
         prox_f=prox.prox_zero, prox_g=prox.prox_zero,
         smoothness=constants,
         convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
-        value=lambda x, y: (0.5 * float(x @ a @ x) + float(x @ b @ y)
-                            - 0.5 * mu_y * float(y @ y)),
     )
     return QuadraticSaddle(a=a, b=b, gamma=gamma, mu_y=mu_y, problem=problem)
 

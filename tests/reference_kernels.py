@@ -7,9 +7,13 @@ loop, oracles on the unsigned feature rows that multiply by the labels
 afterwards, and the robust loss with its dual solved by 50 prox-gradient
 steps.  Then the per-row loop for the squared row norms of `build_dro`;
 the two quadratic-shift transforms and the step-size arithmetic as they
-stood before each became one function; and the sign-flipped form of the
-5x5 certificate matrix.  They are not part of the package.  Do not edit
-them to follow later changes of the package.
+stood before each became one function; the sign-flipped form of the 5x5
+certificate matrix; and the variance-reduced schedule and certificate with
+their correction terms L'_x, L'_y written out in each, as they stood
+before the two shared one helper.  They are not part of the package.  Do not edit
+them to follow later changes of the package; the one exception is the
+`value` oracle and `mu_x` field the two transforms also carried, which
+went with the package's `ProblemSpec.value` and `ProblemSpec.mu_x`.
 """
 
 import math
@@ -138,7 +142,7 @@ def reference_row_norms_sq(ds):
 def reference_shifted_subproblem(p, center, mu_x):
     center = np.asarray(center, dtype=float)
     coef = mu_x + p.convexity.gamma
-    base_grad_x, base_sgrad_x, base_value = p.grad_x, p.sgrad_x, p.value
+    base_grad_x, base_sgrad_x = p.grad_x, p.sgrad_x
 
     def grad_x(x, y):
         return base_grad_x(x, y) + coef * (x - center)
@@ -148,22 +152,16 @@ def reference_shifted_subproblem(p, center, mu_x):
         def sgrad_x(x, y, rng):
             return base_sgrad_x(x, y, rng) + coef * (x - center)
 
-    value = None
-    if base_value is not None:
-        def value(x, y):
-            return base_value(x, y) + 0.5 * coef * float(np.sum((x - center) ** 2))
-
     s = p.smoothness
     return replace(
-        p, grad_x=grad_x, sgrad_x=sgrad_x, value=value,
+        p, grad_x=grad_x, sgrad_x=sgrad_x,
         smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy),
-        mu_x=mu_x,
     )
 
 
 def reference_smooth_dual(p, mu_hat, anchor):
     anchor = np.asarray(anchor, dtype=float)
-    base_gy, base_sgy, base_value = p.grad_y, p.sgrad_y, p.value
+    base_gy, base_sgy = p.grad_y, p.sgrad_y
 
     def grad_y(x, y):
         return base_gy(x, y) - mu_hat * (y - anchor)
@@ -173,14 +171,9 @@ def reference_smooth_dual(p, mu_hat, anchor):
         def sgrad_y(x, y, rng):
             return base_sgy(x, y, rng) - mu_hat * (y - anchor)
 
-    value = None
-    if base_value is not None:
-        def value(x, y):
-            return base_value(x, y) - 0.5 * mu_hat * float(np.sum((y - anchor) ** 2))
-
     s = p.smoothness
     return replace(
-        p, grad_y=grad_y, sgrad_y=sgrad_y, value=value,
+        p, grad_y=grad_y, sgrad_y=sgrad_y,
         smoothness=SmoothnessConstants(s.l_xx, s.l_xy, s.l_yx, s.l_yy + mu_hat),
         convexity=replace(p.convexity, mu_y=mu_hat),
     )
@@ -241,3 +234,47 @@ def reference_lmi_sign_flipped_feasible(tau, sigma, theta, rho, alpha, mu_x, s, 
     g[3, 4] = g[4, 3] = -(theta / rho) * s.l_yy
     g[4, 4] = alpha / rho
     return float(np.linalg.eigvalsh(g)[0]) >= -PSD_TOL
+
+
+def reference_vr_schedule_steps(s, c, epsilon, gap0, q, b_x, b_y, zeta):
+    """(tau, sigma, n_inner, t_outer) of `vr_schedule`; l'_xx = l_xx + 2 gamma."""
+    gamma, mu_y = c.gamma, c.mu_y
+    lp_xx = s.l_xx + 2.0 * gamma
+    lx_corr = 2.0 * (q - 1) * (lp_xx**2 / (gamma * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y))
+    ly_corr = 2.0 * (q - 1) * (s.l_xy**2 / (gamma * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y))
+    tau = 1.0 / (s.l_yx + lp_xx + lx_corr)
+    sigma = 1.0 / (2.0 * s.l_yy + s.l_yx + ly_corr)
+    n_inner = max(1, math.ceil(2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0,
+                                                        1.0 / (mu_y * sigma))))
+    t_outer = max(1, math.ceil(288.0 * gap0 * gamma / epsilon**2))
+    return tau, sigma, n_inner, t_outer
+
+
+def _reference_assemble_g(tau, sigma, theta, rho, alpha, mu_x, s, mu_y):
+    lbar_xx_gap = 1.0 / tau - s.l_xx
+    c = theta / rho - 1.0
+    g = np.zeros((5, 5))
+    g[0, 0] = (mu_x * tau + (rho - 1.0)) / (tau * rho)
+    g[1, 1] = (rho - 1.0) / (sigma * rho) + mu_y
+    g[1, 2] = g[2, 1] = c * s.l_yx
+    g[1, 3] = g[3, 1] = c * s.l_yy
+    g[2, 2] = lbar_xx_gap
+    g[3, 3] = 1.0 / sigma - alpha
+    g[2, 4] = g[4, 2] = -(theta / rho) * s.l_yx
+    g[3, 4] = g[4, 3] = -(theta / rho) * s.l_yy
+    g[4, 4] = alpha / rho
+    return g
+
+
+def reference_vr_lmi_min_eigenvalue(tau, sigma, q, b_x, b_y, mu_x, s, c):
+    """Smallest eigenvalue of G - diag(g) in `build_vr_lmi`; l'_xx = (l_xx + mu_x) + gamma."""
+    mu_y = c.mu_y
+    alpha = s.l_yx + s.l_yy
+    lp_xx = s.l_xx + mu_x + c.gamma
+    c_q = 2.0 * (q - 1)
+    lx_corr = c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y))
+    ly_corr = c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y))
+    s_shift = SmoothnessConstants(lp_xx, s.l_xy, s.l_yx, s.l_yy)
+    g = _reference_assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
+    g -= np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0])
+    return float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])

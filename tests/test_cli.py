@@ -86,6 +86,26 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key,val,why", [
+        ("reps", "2.7", "not an integer"), ("n_samples", "50.9", "not an integer"),
+        ("reps", "two", "not a number"), ("eps", "small", "not a number")])
+    def test_malformed_number_is_named(self, key, val, why):
+        # integer keys were read as int(float(val)): reps = 2.7 ran 2 reps,
+        # and a non-number escaped as a bare ValueError
+        with pytest.raises(ConfigurationError,
+                           match=f"config key '{key}': '{val}' is {why}"):
+            cli.RunConfig.from_sources({key: val}, {})
+
+    def test_integral_spellings_are_taken(self):
+        # meta files and hand-written configs spell integers several ways;
+        # an int is taken exactly, not through a float
+        cfg = cli.RunConfig.from_sources(
+            {"reps": "2", "n_samples": "50.0", "budget_calls": "1e3"},
+            {"seed": 2**63 + 1})
+        assert (cfg.reps, cfg.n_samples, cfg.budget_calls, cfg.seed) == (
+            2, 50, 1000, 2**63 + 1)
+
+
 class TestSolve:
     def quad_args(self, tmp_path, name, extra=()):
         out = tmp_path / name

@@ -169,7 +169,7 @@ def test_dro_oracles_match_reference(case):
         assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
         assert _bits(p.grad_y(x, y)) == _bits(ref.grad_y(x, y))
         assert _bits(inst.losses(x)) == _bits(ref.losses(x))
-        assert p.value(x, y).hex() == ref.value(x, y).hex()
+        assert inst.lagrangian(x, y).hex() == ref.lagrangian(x, y).hex()
         # matrix-free: one product with the signed rows, not an n x d matrix
         expected = ref.grad_x(x, y)
         np.testing.assert_allclose(p.grad_x(x, y), expected, rtol=1e-12,

@@ -162,6 +162,7 @@ class TestSmoothing:
                               np.random.default_rng(0))
 
     def test_bilinear_toy_well_posed_and_accurate(self):
+        # the smoothing path by hand, with a manual schedule
         toy = datasets.make_bilinear_box_toy(c=1.0, gamma=1.0)
         eps = 0.05
         mu_hat = smoothing_mu_hat(eps, 1.0, 2.0, 0.0, 1.0)
@@ -169,13 +170,40 @@ class TestSmoothing:
         sched = SapdParams(tau=1.0 / 3.0, sigma=1.0 / (1.0 + 2 * mu_hat),
                            theta=1.0, rho=1.0, alpha=1.0 + mu_hat, mu_x=1.0,
                            n_inner=150)
-        res, smcfg = smooth_then_solve(
-            toy.problem, eps, np.array([0.8]), np.array([0.0]),
-            np.random.default_rng(1), schedule=sched, t_outer=300,
-            stop=StationarityTarget(epsilon=eps / (2 * math.sqrt(6)) / 2,
-                                    check_every=10))
-        assert smcfg.mu_hat_y == mu_hat
-        np.testing.assert_array_equal(smcfg.anchor, np.zeros(1))  # default y0
+        cfg = OuterConfig(t_outer=300, schedule=sched,
+                          stop=StationarityTarget(epsilon=eps / (2 * math.sqrt(6)) / 2,
+                                                  check_every=10))
+        res = sapd_plus_run(smooth_dual(toy.problem, mu_hat, np.zeros(1)), cfg,
+                            np.array([0.8]), np.array([0.0]), np.random.default_rng(1))
         est = moreau_stationarity(toy.problem, res.x, tol=1e-9)
         assert est.value <= eps
         assert abs(est.value - toy.moreau_grad_norm(res.x, est.lam)) < 1e-6
+
+    def test_is_its_explicit_composition(self):
+        # c = 10 and eps = 1, as in bilinear-wcmc, with y0 off zero so the
+        # anchor shows; the one smoothing path is mu_hat from the closed-form
+        # rule, the dual smoothed around y0, the closed-form schedule at
+        # eps/(2 sqrt 6) with gap0 = 1 and its T, and that target checked
+        # every 10 stages
+        p, eps = datasets.make_bilinear_box_toy(c=10.0).problem, 1.0
+        x0, y0 = np.array([8.0]), np.array([0.25])
+        got, mu_hat = smooth_then_solve(p, eps, x0, y0, np.random.default_rng(0))
+
+        s = p.smoothness
+        assert mu_hat == smoothing_mu_hat(eps, p.convexity.gamma, p.d_y, s.l_yy, s.l_xy)
+        smoothed = smooth_dual(p, mu_hat, y0)
+        eps_inner = eps / (2.0 * math.sqrt(6.0))
+        sched = theorem1_schedule(smoothed.smoothness, smoothed.convexity,
+                                  smoothed.noise, eps_inner, 1.0)
+        cfg = OuterConfig(t_outer=sched.t_outer, schedule=sched.sapd_params(),
+                          stop=StationarityTarget(eps_inner, check_every=10))
+        want = sapd_plus_run(smoothed, cfg, x0, y0, np.random.default_rng(0))
+
+        def bits(res):
+            return (res.x.tobytes(), res.y.tobytes(), res.stages_run, res.oracle_calls,
+                    [(r.stage, r.oracle_calls, r.x.tobytes(), r.y.tobytes(),
+                      r.stationarity) for r in res.stages])
+
+        assert bits(got) == bits(want)
+        assert got.stages_run < sched.t_outer  # stopped at the target
+        assert got.stages[-1].stationarity <= eps_inner

@@ -3,14 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
-from reference_kernels import reference_lmi_sign_flipped_feasible
-from sapdplus.params import (PSD_TOL, beta_of, build_lmi, inner_iterations,
-                             step_rule, theorem1_schedule, theta_bar,
-                             theta_bar_components, theta_noise_floor,
+from reference_kernels import (reference_lmi_sign_flipped_feasible,
+                               reference_vr_lmi_min_eigenvalue,
+                               reference_vr_schedule_steps)
+from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi,
+                             inner_iterations, step_rule, theorem1_schedule,
+                             theta_bar, theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
 from sapdplus.problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
 
@@ -352,3 +355,59 @@ class TestVrSchedule:
                                           b_y=int(rng.integers(1, 16)))
             assert cert.min_eigenvalue >= -PSD_TOL
             assert params.b >= 1
+
+
+def _dro_vr_constants():
+    # the benchmark's DRO instance, deterministic and almost-sure constants:
+    # here l_xx + 2 gamma (vr_schedule) and (l_xx + gamma) + gamma
+    # (build_vr_lmi) round to different floats
+    ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0 / 1000**2)
+    c = inst.problem.convexity
+    return [(inst.problem.smoothness, c), (inst.finite_sum.as_smoothness, c)]
+
+
+DRO_VR = _dro_vr_constants()
+_scale = st.floats(-2, 2).map(lambda e: 10.0**e)
+vr_constants = st.builds(
+    lambda l_xx, l_xy, l_yx, l_yy, zero_l_yy, gamma, mu_y: (
+        SmoothnessConstants(l_xx, l_xy, l_yx, 0.0 if zero_l_yy else l_yy),
+        ConvexityModuli(gamma, mu_y)),
+    _scale, _scale, _scale, _scale, st.booleans(), _scale, _scale)
+
+
+@pytest.mark.filterwarnings("ignore:large batch b below")
+@settings(max_examples=300, deadline=None)
+@given(sc=st.one_of(st.sampled_from(DRO_VR), vr_constants), q=st.integers(1, 20),
+       b_x=st.integers(1, 100), b_y=st.integers(1, 100), zeta=st.floats(0.5, 64.0),
+       eps=_scale, mu_x=st.one_of(st.none(), _scale), tau_f=st.floats(0.1, 10.0),
+       sigma_f=st.floats(0.1, 1.0))
+@example(sc=DRO_VR[0], q=10, b_x=10, b_y=10, zeta=32.0, eps=0.05, mu_x=None,
+         tau_f=1.0, sigma_f=1.0)
+@example(sc=DRO_VR[1], q=10, b_x=10, b_y=10, zeta=32.0, eps=0.05, mu_x=None,
+         tau_f=1.0, sigma_f=1.0)
+def test_vr_rule_matches_frozen_formulas(sc, q, b_x, b_y, zeta, eps, mu_x, tau_f,
+                                         sigma_f):
+    # the VR schedule's (tau, sigma, N, T) and the VR certificate's smallest
+    # eigenvalue, bit for bit against the correction terms written out in
+    # each, as they were before the two shared one helper
+    s, c = sc
+    tau, sigma, n_inner, t_outer = reference_vr_schedule_steps(
+        s, c, eps, 1.0, q, b_x, b_y, zeta)
+    ref_eig = reference_vr_lmi_min_eigenvalue(tau, sigma, q, b_x, b_y, c.gamma, s, c)
+    if ref_eig < -PSD_TOL:
+        with pytest.raises(RuntimeError):
+            vr_schedule(s, c, NoiseLevels(0, 0), eps, 1.0, q, b_x, b_y, zeta)
+    else:
+        params, cert, got_t = vr_schedule(s, c, NoiseLevels(0, 0), eps, 1.0,
+                                          q, b_x, b_y, zeta)
+        assert (params.tau.hex(), params.sigma.hex(), params.n_inner, got_t) == (
+            tau.hex(), sigma.hex(), n_inner, t_outer)
+        assert cert.min_eigenvalue.hex() == ref_eig.hex()
+    # a certificate of a tuple off the rule, as the CLI's manual VR schedule
+    # asks for one; sigma_f <= 1 keeps alpha = l_yx + l_yy <= 1/sigma
+    mu_x = c.gamma if mu_x is None else mu_x
+    tau, sigma = tau * tau_f, sigma * sigma_f
+    got = build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x, s, c)
+    assert got.min_eigenvalue.hex() == reference_vr_lmi_min_eigenvalue(
+        tau, sigma, q, b_x, b_y, mu_x, s, c).hex()

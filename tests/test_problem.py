@@ -57,7 +57,6 @@ class TestShiftedSubproblem:
     def test_constants_updated(self):
         sub = shifted_subproblem(bilinear_1d(gamma=1.0), np.zeros(1), 1.0)
         assert sub.smoothness.l_xx == 5.0  # 3 + 1 + 1
-        assert sub.mu_x == 1.0
 
     def test_grad_y_unchanged(self):
         sub = shifted_subproblem(bilinear_1d(gamma=1.0), np.zeros(1), 1.0)
