@@ -397,19 +397,22 @@ def main(argv=None) -> int:
     pb.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "check-params":
-        return cmd_check_params(args)
-    if args.command == "solve":
-        overrides = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "config")}
-        return cmd_solve(overrides, args.config)
-    if args.command == "bench":
+    try:
+        if args.command == "check-params":
+            return cmd_check_params(args)
+        if args.command == "solve":
+            overrides = {k: v for k, v in vars(args).items()
+                         if k not in ("command", "config")}
+            return cmd_solve(overrides, args.config)
         code = 0
         for path in args.configs:
             overrides = {"seed": args.seed} if args.seed is not None else {}
             code = max(code, cmd_solve(overrides, path))
         return code
-    return 2
+    except ConfigurationError as err:
+        # reported as argparse reports a bad flag
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

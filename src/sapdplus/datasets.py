@@ -254,6 +254,8 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
 
     The oracles close over the signed feature rows and the scalars, not over
     the instance, so an instance is freed as soon as it is unreachable.
+    Each sgrad_x/sgrad_y call takes sgrad_batch component indices, drawn
+    uniformly with replacement by fs.sample.
     """
     if ds.n_samples < 1 or ds.n_features < 1:
         raise ConfigurationError("dataset must have samples and features")
@@ -300,11 +302,11 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)
 
-    def sgrad_x(x, y, rng):
-        return batch_grad_x(fs.sample(rng, sgrad_batch), x, y)
+    def sgrad_x(x, y, idx):
+        return batch_grad_x(idx, x, y)
 
-    def sgrad_y(x, y, rng):
-        return batch_grad_y(fs.sample(rng, sgrad_batch), x, y)
+    def sgrad_y(x, y, idx):
+        return batch_grad_y(idx, x, y)
 
     problem = ProblemSpec(
         n=ds.n_features, m=n,
@@ -317,6 +319,7 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         sgrad_x=sgrad_x, sgrad_y=sgrad_y,
         d_y=math.sqrt(2.0),
         oracle_batch=sgrad_batch,
+        draw=fs.sample, draw_x=sgrad_batch, draw_y=sgrad_batch,
     )
     return DroInstance(n_samples=n, alpha=alpha, eta1=eta1, eta2=eta2,
                        problem=problem, finite_sum=fs, signed_features=signed)
@@ -428,7 +431,8 @@ def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
         grad_x=lambda x, y: c * y,
         grad_y=lambda x, y: c * x,
         prox_f=prox.prox_zero,
-        prox_g=lambda v, step: np.clip(v, -1.0, 1.0),
+        # bitwise np.clip(v, -1, 1), without clip's dispatch overhead
+        prox_g=lambda v, step: np.minimum(np.maximum(v, -1.0), 1.0),
         smoothness=SmoothnessConstants(l_xx=0.0, l_xy=abs(c), l_yx=abs(c), l_yy=0.0),
         convexity=ConvexityModuli(gamma=gamma, mu_y=0.0),
         d_y=2.0,

@@ -67,11 +67,15 @@ class NoiseLevels:
 class ProblemSpec:
     """Oracle bundle plus constants.
 
-    grad_x/grad_y are deterministic partial gradients; sgrad_x/sgrad_y are
-    stochastic versions taking an explicit numpy Generator.  stoch_grad_*
-    return the exact gradient when rng is None (the one switch to exact
-    gradients) or the stochastic oracle is missing.  prox_f/prox_g take
-    (point, step).
+    grad_x/grad_y are deterministic partial gradients.  sgrad_x/sgrad_y are
+    stochastic versions called as sgrad(x, y, z): z holds the random values
+    of that one call, which the solver draws as draw(rng, size) and hands
+    over.  One x-call consumes draw_x values, one y-call draw_y.  draw must
+    give the same values however a run of draws is split into calls, so a
+    solver may draw many calls' values at once and slice them in call
+    order.  An axis without a stochastic oracle draws nothing (size 0), and
+    a solver run without an rng uses the exact gradients.  prox_f/prox_g
+    take (point, step).
     oracle_batch is the number of single-sample draws one sgrad call costs
     (1 for a single-sample oracle, b for a mini-batch oracle).
     """
@@ -89,10 +93,18 @@ class ProblemSpec:
     sgrad_y: Optional[Callable] = None
     d_y: Optional[float] = None
     oracle_batch: int = 1
+    draw: Optional[Callable] = None
+    draw_x: int = 0
+    draw_y: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigurationError("dimensions must be positive")
+        for sgrad, size in ((self.sgrad_x, self.draw_x), (self.sgrad_y, self.draw_y)):
+            if (sgrad is not None) != (size > 0) or (size > 0 and self.draw is None):
+                raise ConfigurationError(
+                    "a stochastic oracle needs draw and a positive draw size, "
+                    "an exact-only axis a draw size of 0")
         c, s = self.convexity, self.smoothness
         if c.gamma > s.l_xx + 1e-12 and s.l_xx > 0:
             warnings.warn(
@@ -101,23 +113,13 @@ class ProblemSpec:
                 stacklevel=2,
             )
 
-    def stoch_grad_x(self, x, y, rng):
-        if self.sgrad_x is None or rng is None:
-            return self.grad_x(x, y)
-        return self.sgrad_x(x, y, rng)
-
-    def stoch_grad_y(self, x, y, rng):
-        if self.sgrad_y is None or rng is None:
-            return self.grad_y(x, y)
-        return self.sgrad_y(x, y, rng)
-
 
 def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> ProblemSpec:
     """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
 
-    grad_<axis> and sgrad_<axis> gain coef*(z - center); the other oracles
-    are unchanged.  The caller updates the constants through `changes`,
-    which go to the same replace.
+    grad_<axis> and sgrad_<axis> gain coef*(z - center), sgrad_<axis> passing
+    its draws through; the other oracles are unchanged.  The caller updates
+    the constants through `changes`, which go to the same replace.
     """
     dim = p.n if axis == "x" else p.m
     center = np.asarray(center, dtype=float)
@@ -129,14 +131,14 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
         def new_grad(x, y):
             return grad(x, y) + coef * (x - center)
 
-        def new_sgrad(x, y, rng):
-            return sgrad(x, y, rng) + coef * (x - center)
+        def new_sgrad(x, y, draws):
+            return sgrad(x, y, draws) + coef * (x - center)
     else:
         def new_grad(x, y):
             return grad(x, y) + coef * (y - center)
 
-        def new_sgrad(x, y, rng):
-            return sgrad(x, y, rng) + coef * (y - center)
+        def new_sgrad(x, y, draws):
+            return sgrad(x, y, draws) + coef * (y - center)
 
     return replace(p, **{"grad_" + axis: new_grad,
                          "sgrad_" + axis: None if sgrad is None else new_sgrad},
@@ -200,21 +202,26 @@ def with_gaussian_noise(p: ProblemSpec, delta_x: float, delta_y: float) -> Probl
     """Wrap the deterministic oracles with isotropic Gaussian noise.
 
     The noise vector has E||noise||^2 = delta^2, matching the variance-bound
-    convention of NoiseLevels.
+    convention of NoiseLevels.  An x-call takes n standard normals and a
+    y-call m; an axis with delta = 0 keeps its exact gradient and draws
+    nothing.
     """
     gx, gy = p.grad_x, p.grad_y
+    scale_x, scale_y = delta_x / np.sqrt(p.n), delta_y / np.sqrt(p.m)
 
-    def sgrad_x(x, y, rng):
-        return gx(x, y) + (delta_x / np.sqrt(p.n)) * rng.standard_normal(p.n)
+    def sgrad_x(x, y, z):
+        return gx(x, y) + scale_x * z
 
-    def sgrad_y(x, y, rng):
-        return gy(x, y) + (delta_y / np.sqrt(p.m)) * rng.standard_normal(p.m)
+    def sgrad_y(x, y, z):
+        return gy(x, y) + scale_y * z
 
     return replace(
         p,
         sgrad_x=sgrad_x if delta_x > 0 else None,
         sgrad_y=sgrad_y if delta_y > 0 else None,
+        draw=lambda rng, size: rng.standard_normal(size),
+        draw_x=p.n if delta_x > 0 else 0,
+        draw_y=p.m if delta_y > 0 else 0,
         noise=NoiseLevels(delta_x, delta_y),
         oracle_batch=1,
     )
-

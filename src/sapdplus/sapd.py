@@ -9,12 +9,15 @@ dual direction s_k:
 
 and the output is the rho^{-k}-weighted average of iterates 1..N.  A
 gradient estimator supplies s_0, v_k and s_{k+1}.  The plain stochastic
-one (here) draws g_k = sgrad_y(x_k, y_k) once per iteration and sets
+one (here) evaluates g_k = sgrad_y(x_k, y_k) once per iteration and sets
 
     s_0 = g_0 + theta * 0,   s_{k+1} = g_{k+1} + theta * (g_{k+1} - g_k),
 
 so each iteration consumes one fresh x-sample and one fresh y-sample (see
-inner_oracle_calls).  The SPIDER recursion is the other estimator (vr.py).
+inner_oracle_calls).  The oracles take no Generator: each call receives its
+slice of random values, which the estimator draws for many iterations at a
+time (_Draws) in the order per-call drawing would give.  The SPIDER
+recursion is the other estimator (vr.py).
 With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
 stochastic gradient descent-ascent, the CLI's sgda-baseline.
 """
@@ -28,6 +31,8 @@ from .errors import ConfigurationError, DivergenceError
 from .problem import ProblemSpec
 
 DIVERGENCE_NORM = 1e12
+# at most this many random values per drawn block: 512 KB of float64
+CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,9 @@ def inner_oracle_calls(params, iterations: int) -> tuple:
     y-call, (N, N+1).  Variance-reduced solver (a VrParams), in single-sample
     draws: ceil(N/q) x-refreshes and floor(N/q) y-refreshes of b draws each,
     2 b_x (x) or 2 b_y (y) draws per recursion step, and the initial y-batch
-    of b draws.
+    of b draws.  These count component evaluations: a recursion step draws
+    its b_x (b_y) indices once, so it is not the number of random values a
+    stage draws (_SpiderGradient sizes its own blocks).
     """
     if isinstance(params, SapdParams):
         return iterations, iterations + 1
@@ -108,22 +115,76 @@ def _step_norm(x_new, y_new, x, y):
     return float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
 
 
-class _StochasticGradient:
-    """The plain estimator: a fresh stochastic draw per gradient."""
+class _Draws:
+    """The random values of one stage, handed out in call order by take().
 
-    def __init__(self, p: ProblemSpec, theta: float, rng):
-        self.grad_x, self.grad_y = p.stoch_grad_x, p.stoch_grad_y
-        self.theta, self.rng = theta, rng
+    They come from draw(rng, size) in blocks of whole iterations, each block
+    at most CHUNK_VALUES values unless one iteration alone is larger: `head`
+    values before iteration 0, then size_of(k) values for iteration k of n.
+    The values and the final generator state equal those of one draw per
+    call, except that a stage which stops early leaves the generator past
+    the rest of its last block.
+    """
+
+    def __init__(self, draw, rng, head, size_of, n):
+        self.draw, self.rng, self.size_of, self.n = draw, rng, size_of, n
+        self.head = head
+        self.end = 0  # the first iteration not drawn yet
+        self.block, self.pos, self.stop = None, 0, 0
+
+    def take(self, size):
+        pos = self.pos
+        if pos == self.stop:
+            self._next_block()
+            pos = 0
+        self.pos = pos + size
+        return self.block[pos:pos + size]
+
+    def _next_block(self):
+        k, total = self.end + 1, self.head + self.size_of(self.end)
+        while k < self.n:
+            size = self.size_of(k)
+            if total + size > CHUNK_VALUES:
+                break
+            total += size
+            k += 1
+        self.block, self.stop = self.draw(self.rng, total), total
+        self.head, self.end = 0, k
+
+
+class _StochasticGradient:
+    """The plain estimator: a fresh stochastic draw per gradient.
+
+    Once per stage, each axis takes its stochastic oracle when there is an
+    rng and the problem has one, else its exact gradient.  The stochastic
+    calls take their values from one _Draws: the first y-call's, then per
+    iteration the x-call's before the y-call's.
+    """
+
+    def __init__(self, p: ProblemSpec, params, rng):
+        self.theta, self.grad_x, self.grad_y = params.theta, p.grad_x, p.grad_y
+        nx, ny = (0, 0) if rng is None else (p.draw_x, p.draw_y)
+        if nx or ny:
+            take = _Draws(p.draw, rng, ny, lambda k: nx + ny, params.n_inner).take
+        # the drawn oracles close over the draws, not over self: a reference
+        # cycle would keep each stage's block alive until the cyclic collector
+        # runs
+        if nx:
+            sgrad_x = p.sgrad_x
+            self.grad_x = lambda x, y: sgrad_x(x, y, take(nx))
+        if ny:
+            sgrad_y = p.sgrad_y
+            self.grad_y = lambda x, y: sgrad_y(x, y, take(ny))
 
     def first(self, x, y):
-        self.g = self.grad_y(x, y, self.rng)
+        self.g = self.grad_y(x, y)
         return self.g + self.theta * np.zeros_like(y)
 
     def primal(self, k, x, y):
-        return self.grad_x(x, y, self.rng)
+        return self.grad_x(x, y)
 
     def dual(self, k, x, y):
-        g = self.grad_y(x, y, self.rng)
+        g = self.grad_y(x, y)
         s = g + self.theta * (g - self.g)
         self.g = g
         return s
@@ -175,9 +236,11 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
 
     step_tol > 0 allows an early exit once ||z_{k+1} - z_k|| falls below it
     (deterministic prox-evaluation use); the averaged output always covers
-    exactly the iterations performed.  on_iterate, if given, is called as
+    exactly the iterations performed.  With an rng, an early exit leaves the
+    generator past draws of iterations that never ran, since draws come in
+    blocks of many iterations.  on_iterate, if given, is called as
     on_iterate(k, x_{k+1}, y_{k+1}) after each iteration, with the solver's
     own arrays: copy what you keep.
     """
-    return _inner_loop(p, params, _StochasticGradient(p, params.theta, rng),
+    return _inner_loop(p, params, _StochasticGradient(p, params, rng),
                        x0, y0, step_tol, on_iterate)

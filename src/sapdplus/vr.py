@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
-from .sapd import SapdRunResult, _inner_loop
+from .sapd import SapdRunResult, _Draws, _inner_loop
 from .sapd import _guard  # noqa: F401  (perfbench's traced run swaps vr._guard)
 
 
@@ -55,22 +55,31 @@ class VrParams:
 
 class _SpiderGradient:
     """The SPIDER estimator; each recursion step reuses the point of the
-    previous call on its axis."""
+    previous call on its axis.  Its batches are slices of one _Draws of
+    indices: b for w_0, then per iteration the x-batch before the y-batch.
+    A recursion step draws its batch once and evaluates it twice, so the
+    stage draws fewer indices than inner_oracle_calls counts."""
 
     def __init__(self, fs: FiniteSumSpec, params: VrParams, rng):
-        self.fs, self.params, self.rng = fs, params, rng
+        self.fs, self.params = fs, params
+        b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
+
+        def size_of(k):
+            return (b if k % q == 0 else b_x) + (b if (k + 1) % q == 0 else b_y)
+
+        self.draws = _Draws(fs.sample, rng, b, size_of, params.n_inner)
 
     def first(self, x, y):
-        self.w = self.fs.batch_grad_y(self.fs.sample(self.rng, self.params.b), x, y)
+        self.w = self.fs.batch_grad_y(self.draws.take(self.params.b), x, y)
         self.at_y = (x, y)
         return self.w
 
     def primal(self, k, x, y):
         fs, params = self.fs, self.params
         if k % params.q == 0:
-            v = fs.batch_grad_x(fs.sample(self.rng, params.b), x, y)
+            v = fs.batch_grad_x(self.draws.take(params.b), x, y)
         else:
-            batch = fs.sample(self.rng, params.b_x)
+            batch = self.draws.take(params.b_x)
             v = self.v + (fs.batch_grad_x(batch, x, y)
                           - fs.batch_grad_x(batch, *self.at_x))
         self.v, self.at_x = v, (x, y)
@@ -79,9 +88,9 @@ class _SpiderGradient:
     def dual(self, k, x, y):
         fs, params, theta = self.fs, self.params, self.params.theta
         if (k + 1) % params.q == 0:
-            w = fs.batch_grad_y(fs.sample(self.rng, params.b), x, y)
+            w = fs.batch_grad_y(self.draws.take(params.b), x, y)
         else:
-            batch = fs.sample(self.rng, params.b_y)
+            batch = self.draws.take(params.b_y)
             w = self.w + (fs.batch_grad_y(batch, x, y)
                           - fs.batch_grad_y(batch, *self.at_y))
         s = (1.0 + theta) * w - theta * self.w
@@ -95,8 +104,8 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
 
     fs supplies batch gradients of the (possibly shifted) coupling; p supplies
     the prox maps.  Batch indices are drawn with replacement from a single rng
-    stream: the initial y-batch, then per iteration the x batch before the y
-    batch.
+    stream, in blocks of whole iterations: the initial y-batch, then per
+    iteration the x batch before the y batch.
     """
     if params.b > fs.n_comp:
         warnings.warn("large batch exceeds component count; sampling with "

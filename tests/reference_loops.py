@@ -6,7 +6,10 @@ averages, guard via `np.isfinite` then a sum of squares), and of the CLI's
 `sgda_baseline_run` before it became a `sapd_run` call.  They are not part
 of the package: the tests run both versions on the same inputs and require
 every result field to match bit for bit.  Do not edit them to follow later
-changes of the solvers.
+changes of the solvers.  The one exception: the stochastic oracles now
+take their random values as an argument, so `reference_grad` draws each
+call's values with the problem's draw callable as that call is made, the
+order the removed `ProblemSpec.stoch_grad_*` drew them in.
 """
 
 from dataclasses import dataclass
@@ -41,11 +44,20 @@ def reference_guard(x, y, k):
                               iteration=k)
 
 
+def reference_grad(p, axis, x, y, rng):
+    """One oracle call that draws its own values; exact when rng is None or
+    the axis has no stochastic oracle."""
+    sgrad = getattr(p, "sgrad_" + axis)
+    if sgrad is None or rng is None:
+        return getattr(p, "grad_" + axis)(x, y)
+    return sgrad(x, y, p.draw(rng, getattr(p, "draw_" + axis)))
+
+
 def reference_sapd_run(p, params, x0, y0, rng, step_tol=0.0, record_iterates=False):
     tau, sigma, theta, rho = params.tau, params.sigma, params.theta, params.rho
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
-    gy_prev = p.stoch_grad_y(x, y, rng)
+    gy_prev = reference_grad(p, "y", x, y, rng)
     q_tilde = np.zeros_like(y)
     x_calls, y_calls = 0, 1
     acc_x = np.zeros_like(x)
@@ -57,11 +69,11 @@ def reference_sapd_run(p, params, x0, y0, rng, step_tol=0.0, record_iterates=Fal
     for k in range(params.n_inner):
         s = gy_prev + theta * q_tilde
         y_new = p.prox_g(y + sigma * s, sigma)
-        gx = p.stoch_grad_x(x, y_new, rng)
+        gx = reference_grad(p, "x", x, y_new, rng)
         x_calls += 1
         x_new = p.prox_f(x - tau * gx, tau)
         reference_guard(x_new, y_new, k)
-        gy_new = p.stoch_grad_y(x_new, y_new, rng)
+        gy_new = reference_grad(p, "y", x_new, y_new, rng)
         y_calls += 1
         q_tilde = gy_new - gy_prev
         gy_prev = gy_new
@@ -146,9 +158,9 @@ def reference_sgda_run(p, steps, tau, sigma, rng, x0=None, y0=None,
     records = [(0, 0, x.copy(), y.copy())]
     calls = 0
     for k in range(steps):
-        gy = p.stoch_grad_y(x, y, rng)
+        gy = reference_grad(p, "y", x, y, rng)
         y = p.prox_g(y + sigma * gy, sigma)
-        gx = p.stoch_grad_x(x, y, rng)
+        gx = reference_grad(p, "x", x, y, rng)
         x = p.prox_f(x - tau * gx, tau)
         reference_guard(x, y, k)
         calls += 2 * p.oracle_batch

@@ -3,7 +3,9 @@
 Every field of the run result, the iterates seen through `on_iterate`, the
 VR batch-gradient calls and the CLI's sgda-baseline rows must match the
 reference bit for bit: the one inner loop may only drop work whose result
-is never read, never reorder arithmetic or rng draws.
+is never read, never reorder arithmetic or rng draws.  The solvers draw a
+stage's random values in blocks, the references one oracle call at a time;
+both must leave the generator in the same state.
 """
 
 from dataclasses import replace
@@ -20,7 +22,7 @@ from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import (NoiseLevels, shifted_finite_sum, shifted_subproblem,
                               with_gaussian_noise)
-from sapdplus.sapd import SapdParams, sapd_run
+from sapdplus.sapd import CHUNK_VALUES, SapdParams, sapd_run
 from sapdplus.vr import VrParams, vr_sapd_run
 
 
@@ -196,6 +198,8 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
 SGDA_CASES = {
     "quadratic": dict(problem="quadratic", noise_x=0.3, noise_y=0.3, budget_calls=3000),
     "dro": dict(problem="dro", n_samples=200, batch=10, budget_calls=20000),
+    # 7,000 iterations of 20 indices: three blocks
+    "dro-chunked": dict(problem="dro", n_samples=200, batch=10, budget_calls=140000),
 }
 
 
@@ -245,3 +249,90 @@ def test_sgda_divergence_trips_at_the_same_iteration():
     assert rows == []
     assert note == (f"rep 0 diverged: {err.value} (stage None, "
                     f"iter {err.value.iteration})")
+
+
+class CountingRng:
+    """A Generator that records the size of every draw made from it."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size)
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self.rng.standard_normal(size)
+
+
+def noisy_quadratic_case(delta_x, delta_y, n_inner):
+    rng = np.random.default_rng(3)
+    qs = datasets.make_quadratic_saddle(6, 4, 1.0, 0.5, rng)
+    p = with_gaussian_noise(qs.problem, delta_x, delta_y)
+    params = _schedule(p, n_inner)
+    center = rng.standard_normal(6)
+    return shifted_subproblem(p, center, params.mu_x), params, center, np.zeros(4)
+
+
+def dro_batch_case(batch, n_inner):
+    ds = datasets.synthetic_logistic_dataset(60, 5, np.random.default_rng(4))
+    p = datasets.build_dro(ds, sgrad_batch=batch).problem
+    params = _schedule(p, n_inner)
+    center = np.random.default_rng(5).standard_normal(p.n)
+    return (shifted_subproblem(p, center, params.mu_x), params, center,
+            np.full(p.m, 1.0 / p.m))
+
+
+class TestBlockedDraws:
+    """Blocked draws against the per-call references: the same iterates, the
+    same generator state after the stage, one generator call per block."""
+
+    @pytest.mark.parametrize("case,blocks", [
+        # (n + m) * N + m values: 3,004 in one block
+        (lambda: noisy_quadratic_case(0.3, 0.3, 300), [3004]),
+        # delta_x = 0: only the y-axis draws, 4 * 301 values
+        (lambda: noisy_quadratic_case(0.0, 0.3, 300), [1204]),
+        # delta_y = 0: only the x-axis draws, 6 * 300 values
+        (lambda: noisy_quadratic_case(0.3, 0.0, 300), [1800]),
+        # 4 + 10 * 7,000 values: whole iterations up to the cap, then the rest
+        (lambda: noisy_quadratic_case(0.3, 0.3, 7000),
+         [4 + 10 * ((CHUNK_VALUES - 4) // 10), 10 * (7000 - (CHUNK_VALUES - 4) // 10)]),
+        # an odd minibatch: 7 indices per call
+        (lambda: dro_batch_case(7, 150), [7 + 14 * 150]),
+        # one iteration above the cap is a block of its own
+        (lambda: dro_batch_case(40001, 2), [40001 + 80002, 80002]),
+    ], ids=["both-axes", "y-only", "x-only", "above-cap", "dro-odd-batch",
+            "iteration-above-cap"])
+    def test_sapd_run(self, case, blocks):
+        sub, params, x0, y0 = case()
+        got_rng, ref_rng = CountingRng(17), CountingRng(17)
+        seen, on_iterate = recorder()
+        got = sapd_run(sub, params, x0, y0, got_rng, on_iterate=on_iterate)
+        ref = reference_sapd_run(sub, params, x0, y0, ref_rng, record_iterates=True)
+        assert_same_run(got, ref)
+        assert_same_iterates(seen, ref.trace)
+        assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+        assert got_rng.sizes == blocks
+        assert sum(ref_rng.sizes) == sum(blocks)
+
+    @pytest.mark.filterwarnings("ignore:large batch exceeds component count")
+    @pytest.mark.parametrize("case,n_inner,b,blocks", [
+        # b for w_0, b per refresh, b_x (b_y) per x (y) recursion step
+        ("quadratic", 37, 20, [20 + 8 * 20 + 29 * 3 + 7 * 20 + 30 * 2]),
+        ("dro", 41, 30, [30 + 11 * 30 + 30 * 3 + 10 * 30 + 31 * 3]),
+        # 2,000-index refreshes: whole iterations up to the cap, then the rest
+        ("quadratic", 97, 2000, [64317, 16070])])
+    def test_vr_sapd_run(self, case, n_inner, b, blocks):
+        fs, sub, params, x0, y0 = VR_CASES[case]()
+        # n_inner is no multiple of q; b_x != b_y in the quadratic case
+        params = replace(params, n_inner=n_inner, b=b)
+        assert n_inner % params.q
+        got_rng, ref_rng = CountingRng(23), CountingRng(23)
+        got = vr_sapd_run(fs, sub, params, x0, y0, got_rng)
+        ref = reference_vr_sapd_run(fs, sub, params, x0, y0, ref_rng)
+        assert_same_run(got, ref)
+        assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+        assert got_rng.sizes == blocks
+        assert sum(ref_rng.sizes) == sum(blocks)
+        assert max(blocks) <= CHUNK_VALUES

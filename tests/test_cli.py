@@ -75,14 +75,26 @@ class TestConfigFile:
     @pytest.mark.parametrize("typos,named", [
         pytest.param("n_sample = 50\nnoise_xx = 3\n", "n_sample", id="both"),
         pytest.param("noise_xx = 3\n", "noise_xx", id="noise")])
-    def test_unknown_key_is_named(self, tmp_path, typos, named):
+    def test_unknown_key_is_named(self, tmp_path, capsys, typos, named):
         # misspelt keys were once kept aside and ignored: the first config
         # ran with the default n_samples = 1000 and no noise
         out = tmp_path / "typo.csv"
         cfg_file = tmp_path / "typo.cfg"
         cfg_file.write_text(f"problem = dro\nt_outer = 1\nout = {out}\n{typos}")
-        with pytest.raises(ConfigurationError, match=f"unknown config key '{named}'"):
-            cli.main(["solve", "--config", str(cfg_file)])
+        assert cli.main(["solve", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"sapdplus: error: unknown config key '{named}'\n")
+        assert not out.exists()
+
+    def test_bad_config_value_exits_like_a_bad_flag(self, tmp_path, capsys):
+        # a ConfigurationError once escaped main as a traceback with exit
+        # code 1, the key named only on its last line
+        out = tmp_path / "reps.csv"
+        cfg_file = tmp_path / "reps.cfg"
+        cfg_file.write_text(f"problem = quadratic\nreps = 2.7\nout = {out}\n")
+        assert cli.main(["solve", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == (
+            "sapdplus: error: config key 'reps': '2.7' is not an integer\n")
         assert not out.exists()
 
 
@@ -112,6 +124,12 @@ class TestSolve:
         return ["solve", "--problem", "quadratic", "--schedule", "theory",
                 "--eps", "0.05", "--t-outer", "6", "--reps", "2",
                 "--seed", "100", "--out", str(out), *extra], out
+
+    def test_unknown_problem_exits_like_a_bad_flag(self, tmp_path, capsys):
+        out = tmp_path / "nope.csv"
+        assert cli.main(["solve", "--problem", "nope", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "sapdplus: error: unknown problem 'nope'\n"
+        assert not out.exists()
 
     def test_csv_schema_and_monotone_calls(self, tmp_path):
         args, out = self.quad_args(tmp_path, "a.csv")

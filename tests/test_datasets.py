@@ -293,3 +293,19 @@ def test_synthetic_dataset_shapes():
     dense = ds.dense()
     np.testing.assert_allclose(np.linalg.norm(dense, axis=1), np.ones(40),
                                atol=1e-12)
+
+
+# any float64 bit pattern: both zeros, both infinities and NaNs with payloads
+any_float = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(any_float, st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0])), min_size=1, max_size=5),
+    step=st.floats(1e-3, 1e3))
+def test_bilinear_prox_g_is_clip_bit_for_bit(values, step):
+    v = np.array(values, dtype=float)
+    got = datasets.make_bilinear_box_toy().problem.prox_g(v, step)
+    assert (got.dtype, got.shape, got.tobytes()) == (
+        v.dtype, v.shape, np.clip(v, -1.0, 1.0).tobytes())

@@ -183,10 +183,11 @@ def test_sgrad_oracles_match_reference():
     p, fs = inst.problem, inst.finite_sum
     x = np.random.default_rng(1).standard_normal(6)
     y = np.full(40, 1.0 / 40)
+    assert (p.draw, p.draw_x, p.draw_y) == (fs.sample, p.oracle_batch, p.oracle_batch)
     for seed in range(20):
         idx = fs.sample(np.random.default_rng(seed), p.oracle_batch)
-        gx = p.sgrad_x(x, y, np.random.default_rng(seed))
-        gy = p.sgrad_y(x, y, np.random.default_rng(seed))
+        gx = p.sgrad_x(x, y, idx)
+        gy = p.sgrad_y(x, y, idx)
         assert _bits(gx) == _bits(ref.batch_grad_x(idx, x, y))
         assert _bits(gy) == _bits(ref.batch_grad_y(idx, x, y))
 

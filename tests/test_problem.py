@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sapdplus.problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
                               ProblemSpec, SmoothnessConstants,
                               shifted_subproblem, with_gaussian_noise)
 from sapdplus.prox import prox_zero
+from sapdplus.sapd import SapdParams, sapd_run
 
 
 def bilinear_1d(gamma=1.0):
@@ -178,7 +181,7 @@ class TestStochasticOracles:
         p = with_gaussian_noise(qs.problem, 0.5, 0.7)
         x, y = rng.standard_normal(4), rng.standard_normal(3)
         gx = p.grad_x(x, y)
-        draws = np.array([p.stoch_grad_x(x, y, rng) for _ in range(10_000)])
+        draws = np.array([p.sgrad_x(x, y, p.draw(rng, p.draw_x)) for _ in range(10_000)])
         err = np.abs(draws.mean(axis=0) - gx)
         assert np.all(err <= 4 * draws.std(axis=0) / 100.0 + 1e-12)
 
@@ -191,15 +194,35 @@ class TestStochasticOracles:
         gx, gy = p.grad_x(x, y), p.grad_y(x, y)
         sq_x = sq_y = 0.0
         for _ in range(4000):
-            sq_x += float(np.sum((p.stoch_grad_x(x, y, rng) - gx) ** 2))
-            sq_y += float(np.sum((p.stoch_grad_y(x, y, rng) - gy) ** 2))
+            sq_x += float(np.sum((p.sgrad_x(x, y, p.draw(rng, p.draw_x)) - gx) ** 2))
+            sq_y += float(np.sum((p.sgrad_y(x, y, p.draw(rng, p.draw_y)) - gy) ** 2))
         assert p.noise == NoiseLevels(0.5, 0.7)
         assert abs(np.sqrt(sq_x / 4000) - 0.5) < 0.05
         assert abs(np.sqrt(sq_y / 4000) - 0.7) < 0.05
 
     def test_deterministic_fallback(self):
+        # an axis without a stochastic oracle draws nothing: a run given an
+        # rng is the exact run and leaves the generator where it was
         qs = datasets.make_quadratic_saddle(3, 2, 1.0, 1.0, np.random.default_rng(7))
         p = qs.problem
-        x, y = np.ones(3), np.ones(2)
-        np.testing.assert_array_equal(p.stoch_grad_x(x, y, np.random.default_rng(0)),
-                                      p.grad_x(x, y))
+        assert (p.sgrad_x, p.sgrad_y, p.draw_x, p.draw_y) == (None, None, 0, 0)
+        params = SapdParams(tau=0.1, sigma=0.1, theta=0.5, rho=1.0, alpha=0.0,
+                            mu_x=1.0, n_inner=20)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        got = sapd_run(p, params, np.ones(3), np.ones(2), rng)
+        exact = sapd_run(p, params, np.ones(3), np.ones(2), None)
+        assert np.array_equal(got.x_avg, exact.x_avg)
+        assert np.array_equal(got.y_avg, exact.y_avg)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("sizes", [(0, 0), (1, 2), (0, 1)])
+    def test_draw_sizes_must_match_the_oracles(self, sizes):
+        # a stochastic axis needs a draw callable and a positive size; an
+        # exact axis draws nothing
+        noisy = with_gaussian_noise(bilinear_1d(), 0.5, 0.0)
+        assert (noisy.draw_x, noisy.draw_y) == (1, 0)
+        with pytest.raises(ConfigurationError, match="draw size"):
+            replace(noisy, draw_x=sizes[0], draw_y=sizes[1])
+        with pytest.raises(ConfigurationError, match="draw size"):
+            replace(noisy, draw=None)

@@ -52,12 +52,13 @@ def scales(lo, hi):
 def assert_same_oracles(got, ref, x, y, seed):
     assert _bits(got.grad_x(x, y)) == _bits(ref.grad_x(x, y))
     assert _bits(got.grad_y(x, y)) == _bits(ref.grad_y(x, y))
+    assert (got.draw, got.draw_x, got.draw_y) == (ref.draw, ref.draw_x, ref.draw_y)
     for axis in ("x", "y"):
         g, r = getattr(got, "sgrad_" + axis), getattr(ref, "sgrad_" + axis)
         assert (g is None) == (r is None)
         if g is not None:
-            assert _bits(g(x, y, np.random.default_rng(seed))) == _bits(
-                r(x, y, np.random.default_rng(seed)))
+            draws = got.draw(np.random.default_rng(seed), getattr(got, "draw_" + axis))
+            assert _bits(g(x, y, draws)) == _bits(r(x, y, draws))
     assert (got.smoothness, got.convexity) == (ref.smoothness, ref.convexity)
 
 
