@@ -145,19 +145,38 @@ def _sigmoid_neg(z):
     return 0.5 * (1.0 - np.tanh(0.5 * z))
 
 
-def _pairwise_mean(rows):
-    """Tree-reduction mean over the row dimension: reproducible accuracy for
-    large batches.  Overwrites ``rows``."""
-    count = rows.shape[0]
+# row count -> the tree mean's steps; see _pairwise_mean
+_TREE_PLANS = {}
+
+
+def _tree_plan(count):
+    """Steps (low, high, odd, last) of the tree mean over `count` rows.
+
+    Each level adds rows[high] into rows[low]; a level with an odd count
+    then moves its leftover row from `last` to `odd` (None when even).
+    """
+    steps = []
     m = count
     while m > 1:
         half = m // 2
-        np.add(rows[:half], rows[half: 2 * half], out=rows[:half])
-        if m % 2:
-            rows[half] = rows[2 * half]
-            half += 1
-        m = half
-        rows = rows[:m]
+        steps.append((slice(half), slice(half, 2 * half),
+                      half if m % 2 else None, 2 * half))
+        m = half + m % 2
+    return steps
+
+
+def _pairwise_mean(rows):
+    """Tree-reduction mean over the row dimension: reproducible accuracy for
+    large batches.  Overwrites ``rows``.  Its steps are planned once per row
+    count and kept in _TREE_PLANS, one entry per batch size seen."""
+    count = rows.shape[0]
+    plan = _TREE_PLANS.get(count)
+    if plan is None:
+        plan = _TREE_PLANS[count] = _tree_plan(count)
+    for low, high, odd, last in plan:
+        np.add(rows[low], rows[high], out=rows[low])
+        if odd is not None:
+            rows[odd] = rows[last]
     return rows[0] / count
 
 
@@ -287,17 +306,17 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
 
     def batch_grad_x(idx, x, y):
         # mean over components Phi_i = y_i * l_i(x) + reg(x)
-        idx = np.asarray(idx)
-        a = signed[idx]
+        # take gathers rows as signed[idx] does, with less overhead
+        a = signed.take(idx, axis=0)
         sig = _sigmoid_neg(a @ x)
-        rows = (-(y[idx] * sig))[:, None] * a
+        rows = (-(y.take(idx) * sig))[:, None] * a
         return _pairwise_mean(rows) + _regularizer_grad(x, alpha, eta1)
 
     def batch_grad_y(idx, x, y):
         idx = np.asarray(idx)
         # bincount adds repeated indices in batch order, as np.add.at does
-        return np.bincount(idx, weights=_logistic_losses(signed[idx], x),
-                           minlength=n) / idx.size
+        losses = _logistic_losses(signed.take(idx, axis=0), x)
+        return np.bincount(idx, weights=losses, minlength=n) / idx.size
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)

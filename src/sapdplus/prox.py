@@ -4,6 +4,8 @@ All operators take the point first and the prox step second, and are pure
 functions of their arguments.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -32,10 +34,12 @@ def project_simplex(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ConfigurationError("project_simplex expects a nonempty vector")
-    if not np.isfinite(v).all():
+    ascending = np.sort(v)
+    # NaN sorts last and -inf/+inf sort to the ends, so the ends decide
+    if not (math.isfinite(ascending[0]) and math.isfinite(ascending[-1])):
         raise ConfigurationError("project_simplex expects finite input")
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u)
+    u = ascending[::-1]
+    cssv = np.add.accumulate(u)  # np.cumsum's kernel, without its wrapper
     lam = (1.0 - cssv[-1]) / v.size
     if u[-1] + lam > 0:
         return v + lam

@@ -22,6 +22,7 @@ With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
 stochastic gradient descent-ascent, the CLI's sgda-baseline.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,7 +113,7 @@ def _guard(x, y, k):
 
 
 def _step_norm(x_new, y_new, x, y):
-    return float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
+    return math.sqrt(((x_new - x) ** 2).sum() + ((y_new - y) ** 2).sum())
 
 
 class _Draws:
@@ -211,9 +212,10 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
         s = dual(k, x_new, y_new)
         x_prev, y_prev = x, y
         x, y = x_new, y_new
-        acc_x *= rho
+        if rho != 1.0:  # at rho = 1 the products are exact identities
+            acc_x *= rho
+            acc_y *= rho
         acc_x += x
-        acc_y *= rho
         acc_y += y
         weight = rho * weight + 1.0
         if on_iterate is not None:

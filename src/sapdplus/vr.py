@@ -86,14 +86,14 @@ class _SpiderGradient:
         return v
 
     def dual(self, k, x, y):
-        fs, params, theta = self.fs, self.params, self.params.theta
+        fs, params = self.fs, self.params
         if (k + 1) % params.q == 0:
             w = fs.batch_grad_y(self.draws.take(params.b), x, y)
         else:
             batch = self.draws.take(params.b_y)
             w = self.w + (fs.batch_grad_y(batch, x, y)
                           - fs.batch_grad_y(batch, *self.at_y))
-        s = (1.0 + theta) * w - theta * self.w
+        s = 2.0 * w - self.w  # (1 + theta) w - theta w_k at theta = 1
         self.w, self.at_y = w, (x, y)
         return s
 

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum, make_scsc_quadratic, shifted_saddle
-from reference_kernels import reference_row_norms_sq
+from reference_kernels import (ReferenceDro, reference_pairwise_mean,
+                               reference_row_norms_sq)
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 
@@ -190,6 +191,74 @@ def test_dro_batch_grad_y_matches_add_at():
         np.add.at(expected, idx, np.logaddexp(0.0, -z))
         got = inst.finite_sum.batch_grad_y(idx, x, y)
         assert got.tobytes() == (expected / idx.size).tobytes()
+
+
+def test_tree_mean_matches_reference_for_every_row_count(monkeypatch):
+    # up to past the VR refresh batch of 1000 rows, at every parity pattern
+    monkeypatch.setattr(datasets, "_TREE_PLANS", {})
+    rng = np.random.default_rng(12)
+    for count in range(1, 2101):
+        # magnitudes over 16 decades, so the order of the adds shows in the bits
+        a = rng.standard_normal((count, 2)) * 10.0 ** rng.integers(-8, 8, (count, 1))
+        got = datasets._pairwise_mean(a.copy())
+        assert got.tobytes() == reference_pairwise_mean(a.copy()).tobytes(), count
+    assert sorted(datasets._TREE_PLANS) == list(range(1, 2101))
+
+
+def test_tree_mean_plans_each_row_count_once(monkeypatch):
+    planned = []
+
+    def counting_plan(count):
+        planned.append(count)
+        return tree_plan(count)
+
+    tree_plan = datasets._tree_plan
+    monkeypatch.setattr(datasets, "_TREE_PLANS", {})
+    monkeypatch.setattr(datasets, "_tree_plan", counting_plan)
+    rows = np.arange(21.0).reshape(7, 3)
+    first = datasets._pairwise_mean(rows.copy())
+    plan = datasets._TREE_PLANS[7]
+    assert datasets._pairwise_mean(rows.copy()).tobytes() == first.tobytes()
+    assert datasets._TREE_PLANS[7] is plan
+    assert planned == [7]
+
+
+class TestDroBatchIndexing:
+    """The batch oracles gather rows with take; they keep the results and
+    errors of indexing with signed[idx]."""
+
+    ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(13))
+
+    def _pair(self):
+        inst = datasets.build_dro(self.ds)
+        ref = ReferenceDro(self.ds, 10.0, 1e-3, 1.0 / 30**2)
+        rng = np.random.default_rng(14)
+        y = np.abs(rng.standard_normal(30))
+        return inst.finite_sum, ref, rng.standard_normal(4), y / y.sum()
+
+    @pytest.mark.parametrize("idx", [[3], [0, 29, 7], [5, 5, 5, 2, 5],
+                                     np.array([1, 1, 28, 0, 28])])
+    def test_lists_and_repeats(self, idx):
+        fs, ref, x, y = self._pair()
+        assert fs.batch_grad_x(idx, x, y).tobytes() == ref.batch_grad_x(idx, x, y).tobytes()
+        assert fs.batch_grad_y(idx, x, y).tobytes() == ref.batch_grad_y(idx, x, y).tobytes()
+
+    @pytest.mark.parametrize("idx", [[-1], [-30, 4, -1, -1], np.array([2, -3, 27])])
+    def test_negative_indices(self, idx):
+        fs, ref, x, y = self._pair()
+        assert fs.batch_grad_x(idx, x, y).tobytes() == ref.batch_grad_x(idx, x, y).tobytes()
+        # bincount rejects negative indices in both
+        with pytest.raises(ValueError):
+            ref.batch_grad_y(idx, x, y)
+        with pytest.raises(ValueError):
+            fs.batch_grad_y(idx, x, y)
+
+    @pytest.mark.parametrize("idx", [[30], [0, 31], [-31], np.array([4, 99])])
+    def test_out_of_range_raises_index_error(self, idx):
+        fs, ref, x, y = self._pair()
+        for oracle in (fs.batch_grad_x, fs.batch_grad_y, ref.batch_grad_x):
+            with pytest.raises(IndexError):
+                oracle(idx, x, y)
 
 
 class TestQuadraticFixture:

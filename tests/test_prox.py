@@ -85,6 +85,17 @@ class TestProjectSimplex:
         with pytest.raises(ConfigurationError):
             project_simplex(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_non_finite_rejected(self, bad, where):
+        # alone, and in a vector whose other coordinates all stay active,
+        # which would otherwise take the fast path
+        for v in (np.array([bad]), np.full(9, 1.0 / 9)):
+            v[min(where, v.size - 1)] = bad
+            with pytest.raises(ConfigurationError,
+                               match="^project_simplex expects finite input$"):
+                project_simplex(v)
+
     def test_feasibility_invariants(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

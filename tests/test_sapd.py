@@ -13,7 +13,7 @@ from sapdplus import datasets
 from sapdplus.errors import DivergenceError
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
-from sapdplus.sapd import DIVERGENCE_NORM, SapdParams, _guard, sapd_run
+from sapdplus.sapd import DIVERGENCE_NORM, SapdParams, _guard, _step_norm, sapd_run
 
 
 def iterates(p, params, x0, y0, rng, **kwargs):
@@ -214,3 +214,17 @@ class TestGuard:
             bound = Fraction(DIVERGENCE_NORM**2)
             assume(abs(exact - bound) > bound * Fraction(1, 10**9))
         assert self.outcome(_guard, xs, ys) == self.outcome(reference_guard, xs, ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(1, 30), data=st.data())
+def test_step_norm_matches_numpy_sqrt_of_sums(n, m, data):
+    # math.sqrt and np.sqrt both round the square root correctly, and
+    # ndarray.sum is np.sum, so the two forms agree bit for bit
+    floats = st.floats(-1e150, 1e150, allow_nan=False)
+    x_new, x, y_new, y = (np.array(data.draw(st.lists(floats, min_size=k, max_size=k)))
+                          for k in (n, n, m, m))
+    expected = float(np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2)))
+    got = _step_norm(x_new, y_new, x, y)
+    assert type(got) is float
+    assert got.hex() == expected.hex()
