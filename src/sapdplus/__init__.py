@@ -7,8 +7,8 @@ from .evaluation import StationarityEstimate, moreau_stationarity
 from .outer import (FixedT, OuterConfig, StationarityTarget, sapd_plus_run,
                     smooth_then_solve)
 from .params import (LmiCertificate, Theorem1Schedule, beta_of, build_lmi,
-                     build_vr_lmi, theorem1_schedule, theta_bar,
-                     theta_noise_floor, vr_schedule)
+                     build_vr_lmi, theorem1_schedule, theta_noise_floor,
+                     vr_schedule)
 from .problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
                       ProblemSpec, SmoothnessConstants, shifted_subproblem)
 from .sapd import SapdParams, SapdRunResult, sapd_run
@@ -24,5 +24,5 @@ __all__ = [
     "StationarityTarget", "Theorem1Schedule", "VrParams", "beta_of",
     "build_lmi", "build_vr_lmi", "moreau_stationarity", "sapd_plus_run",
     "sapd_run", "shifted_subproblem", "smooth_then_solve", "theorem1_schedule",
-    "theta_bar", "theta_noise_floor", "vr_sapd_run", "vr_schedule",
+    "theta_noise_floor", "vr_sapd_run", "vr_schedule",
 ]

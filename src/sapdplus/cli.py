@@ -389,7 +389,7 @@ def main(argv=None) -> int:
                       ("tau", float), ("sigma", float), ("theta", float),
                       ("n-inner", int), ("t-outer", int), ("batch", int),
                       ("b", int), ("b-x", int), ("b-y", int), ("q", int),
-                      ("stat-every", int), ("data", str)]:
+                      ("stat-every", int), ("record-every", int), ("data", str)]:
         ps.add_argument(f"--{flag}", type=typ, default=None)
 
     pb = sub.add_parser("bench", help="run a list of config files")

@@ -28,14 +28,21 @@ class FixedT:
 
 @dataclass(frozen=True)
 class StationarityTarget:
-    """Stop once the Moreau stationarity estimate drops to epsilon.
+    """Stop once a reliable Moreau stationarity estimate drops to epsilon.
 
-    The estimate needs a nested solve, so it is only evaluated every
-    check_every stages; t_outer still caps the run.
+    The estimate is evaluated after every check_every-th stage and after the
+    last one; t_outer still caps the run.  On a strongly concave problem a
+    check is a certified accelerated prox solve, a small fraction of a
+    stage, so the default checks every stage; on a merely concave one it is
+    a nested SAPD solve, which may cost more than a stage.
     """
 
     epsilon: float
-    check_every: int = 10
+    check_every: int = 1
+
+    def __post_init__(self):
+        if self.check_every < 1:
+            raise ConfigurationError("check_every must be >= 1")
 
 
 @dataclass
@@ -49,6 +56,8 @@ class OuterConfig:
     def __post_init__(self):
         if self.t_outer < 0:
             raise ConfigurationError("t_outer must be nonnegative")
+        if self.record_every < 1:
+            raise ConfigurationError("record_every must be >= 1")
         if self.vr and not isinstance(self.schedule, VrParams):
             raise ConfigurationError("vr=True requires a VrParams schedule")
         if not self.vr and not isinstance(self.schedule, SapdParams):
@@ -157,7 +166,9 @@ def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng):
     smoothed around y0 with mu_hat from the closed-form rule; the inner
     schedule is the certified closed-form one for the smoothed constants at
     target epsilon/(2 sqrt(6)) with gap0 = 1, run for its T stages or until
-    that target is met, checked every 10 stages.  Returns (OuterResult, mu_hat).
+    that target is met, checked after every stage (the smoothed problem is
+    strongly concave, so each check is a certified accelerated prox solve).
+    Returns (OuterResult, mu_hat).
     """
     if p.convexity.mu_y != 0:
         raise ConfigurationError("smooth_then_solve is for merely concave problems")
@@ -170,5 +181,5 @@ def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng):
     sched = theorem1_schedule(smoothed.smoothness, smoothed.convexity,
                               smoothed.noise, eps_inner, 1.0)
     cfg = OuterConfig(t_outer=sched.t_outer, schedule=sched.sapd_params(),
-                      stop=StationarityTarget(epsilon=eps_inner, check_every=10))
+                      stop=StationarityTarget(epsilon=eps_inner))
     return sapd_plus_run(smoothed, cfg, x0, y0, rng), mu_hat

@@ -150,11 +150,6 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
     return tb1, tb2
 
 
-def theta_bar(beta, smoothness, convexity, mu_x) -> float:
-    tb1, tb2 = theta_bar_components(beta, smoothness, convexity, mu_x)
-    return max(tb1, tb2)
-
-
 def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -> tuple:
     """Noise-driven momentum floors; both 0 in the deterministic case.
 

@@ -166,7 +166,10 @@ class FiniteSumSpec:
 
     batch_grad_x/batch_grad_y take (indices, x, y) and return the arithmetic
     mean of the component gradients over the index list (repeats allowed).
-    as_smoothness holds the almost-sure per-component Lipschitz constants.
+    Every index lies in [0, n_comp), as sample draws them; the oracles do not
+    check this, and outside it they may disagree (a DRO x-batch wraps a
+    negative index, its y-batch raises).  as_smoothness holds the
+    almost-sure per-component Lipschitz constants.
     """
 
     n_comp: int

@@ -4,15 +4,19 @@
 `shifted_saddle` is the exact saddle of one proximal-point stage of a
 quadratic instance, and `make_quadratic_finite_sum` splits a quadratic
 instance into components with exact single-draw variances.  They moved here
-unchanged from the package, which runs none of them.
+unchanged from the package, which runs none of them, as did `theta_bar`.
+`huber_prox` is the exact Moreau prox of the bilinear toy once its dual is
+smoothed.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from sapdplus import prox
 from sapdplus.datasets import QuadraticSaddle, make_quadratic_saddle
+from sapdplus.params import theta_bar_components
 from sapdplus.problem import (ConvexityModuli, FiniteSumSpec, ProblemSpec,
                               SmoothnessConstants)
 
@@ -36,6 +40,29 @@ def make_scsc_quadratic(a, b, mu_y: float, gamma: float = 1.0) -> QuadraticSaddl
         convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
     )
     return QuadraticSaddle(a=a, b=b, gamma=gamma, mu_y=mu_y, problem=problem)
+
+
+def theta_bar(beta, smoothness, convexity, mu_x) -> float:
+    """The momentum lower bound max(theta_bar_1, theta_bar_2)."""
+    return max(theta_bar_components(beta, smoothness, convexity, mu_x))
+
+
+def huber_prox(c, mu_hat, x, lam):
+    """prox_{lam phi}(x) of the bilinear toy c*x*y, y in [-1, 1], with the dual
+    smoothed by (mu_hat/2) y^2 around anchor 0.
+
+    phi(w) = max_y c w y - mu_hat y^2/2 is the Huber function: c^2 w^2/(2 mu_hat)
+    for |w| <= delta = mu_hat/|c|, and |c w| - mu_hat/2 beyond.  Its prox
+    scales x by 1/(1 + lam c^2/mu_hat) while that lands in [-delta, delta],
+    i.e. for |x| <= delta (1 + lam c^2/mu_hat), and otherwise moves x by
+    lam |c| towards 0.
+    """
+    v = float(x[0])
+    curv = c * c / mu_hat
+    delta = mu_hat / abs(c)
+    if abs(v) <= delta * (1.0 + lam * curv):
+        return np.array([v / (1.0 + lam * curv)])
+    return np.array([v - math.copysign(lam * abs(c), v)])
 
 
 def shifted_saddle(qs: QuadraticSaddle, center, mu_x):

@@ -193,18 +193,10 @@ def reference_theorem1_steps(theta, gamma, mu_y, l_yy):
     return tau, sigma, alpha, reference_inner_iterations(theta)
 
 
-def reference_scsc_inner_params(s, c, mu_x, theta_bar):
-    """(tau, sigma, theta, rho, alpha, n_inner) of the nested prox solve;
-    theta_bar is the momentum bound at mu_x when mu_y > 0."""
+def reference_scsc_inner_params(s, c, mu_x):
+    """(tau, sigma, theta, rho, alpha, n_inner) of the nested prox solve, which
+    only a merely concave problem (mu_y = 0) runs."""
     lp_xx = s.l_xx + mu_x + c.gamma
-    if c.mu_y > 0:
-        theta = min(max(theta_bar, 1e-12), 1.0 - 1e-12)
-        tau = (1.0 - theta) / mu_x
-        sigma = (1.0 - theta) / (c.mu_y * theta)
-        alpha = 1.0 / sigma - math.sqrt(theta) * s.l_yy
-        if alpha >= 1.0 / sigma:
-            alpha = (1.0 - 1e-9) / sigma
-        return tau, sigma, theta, theta, alpha, reference_inner_iterations(theta)
     tau = 1.0 / (s.l_yx + lp_xx)
     sigma = 1.0 / (2.0 * s.l_yy + s.l_yx)
     alpha = min(s.l_yx + s.l_yy, (1.0 - 1e-9) / sigma)

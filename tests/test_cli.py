@@ -203,6 +203,20 @@ class TestSolve:
         last = read_rows(tmp_path / "b.csv")[1][-1]
         assert (int(last[1]), int(last[2])) == (3, 3 * per_stage)
 
+    def test_record_every_flag(self, tmp_path):
+        # a row every K stages plus the last stage, for every rep
+        args, out = self.quad_args(tmp_path, "r.csv",
+                                   extra=("--t-outer", "7", "--record-every", "3"))
+        assert cli.main(args) == 0
+        _, rows = read_rows(out)
+        assert [(r[0], r[1]) for r in rows] == [
+            (rep, stage) for rep in ("0", "1") for stage in ("0", "3", "6", "7")]
+
+    def test_record_every_zero_exits_like_a_bad_flag(self, tmp_path, capsys):
+        args, _ = self.quad_args(tmp_path, "z.csv", extra=("--record-every", "0"))
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "sapdplus: error: record_every must be >= 1\n"
+
     def test_stationarity_column(self, tmp_path):
         args, out = self.quad_args(tmp_path, "d.csv",
                                    extra=("--stat-every", "2"))

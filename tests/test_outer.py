@@ -114,6 +114,13 @@ class TestSapdPlusRun:
         start = moreau_stationarity(qfs.base.problem, res.stages[0].x, tol=1e-9)
         assert est.value < 0.5 * start.value
 
+    def test_cadences_must_be_positive(self):
+        _, sched, _ = wcsc_setup()
+        with pytest.raises(ConfigurationError, match="check_every"):
+            StationarityTarget(epsilon=0.1, check_every=0)
+        with pytest.raises(ConfigurationError, match="record_every"):
+            OuterConfig(t_outer=3, schedule=sched.sapd_params(), record_every=0)
+
     def test_divergence_carries_stage(self):
         qs, _, rng = wcsc_setup(seed=6)
         bad = SapdParams(tau=80.0, sigma=80.0, theta=1.0, rho=1.0, alpha=0.0,
@@ -184,7 +191,7 @@ class TestSmoothing:
         # anchor shows; the one smoothing path is mu_hat from the closed-form
         # rule, the dual smoothed around y0, the closed-form schedule at
         # eps/(2 sqrt 6) with gap0 = 1 and its T, and that target checked
-        # every 10 stages
+        # after every stage: stage 1 misses it, stage 2 meets it
         p, eps = datasets.make_bilinear_box_toy(c=10.0).problem, 1.0
         x0, y0 = np.array([8.0]), np.array([0.25])
         got, mu_hat = smooth_then_solve(p, eps, x0, y0, np.random.default_rng(0))
@@ -196,7 +203,7 @@ class TestSmoothing:
         sched = theorem1_schedule(smoothed.smoothness, smoothed.convexity,
                                   smoothed.noise, eps_inner, 1.0)
         cfg = OuterConfig(t_outer=sched.t_outer, schedule=sched.sapd_params(),
-                          stop=StationarityTarget(eps_inner, check_every=10))
+                          stop=StationarityTarget(eps_inner, check_every=1))
         want = sapd_plus_run(smoothed, cfg, x0, y0, np.random.default_rng(0))
 
         def bits(res):
@@ -205,5 +212,5 @@ class TestSmoothing:
                       r.stationarity) for r in res.stages])
 
         assert bits(got) == bits(want)
-        assert got.stages_run < sched.t_outer  # stopped at the target
-        assert got.stages[-1].stationarity <= eps_inner
+        assert [r.stage for r in got.stages] == [0, 1, 2]
+        assert got.stages[1].stationarity > eps_inner >= got.stages[2].stationarity

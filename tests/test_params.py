@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fixtures import theta_bar
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
 from reference_kernels import (reference_lmi_sign_flipped_feasible,
@@ -13,7 +14,7 @@ from reference_kernels import (reference_lmi_sign_flipped_feasible,
                                reference_vr_schedule_steps)
 from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi,
                              inner_iterations, step_rule, theorem1_schedule,
-                             theta_bar, theta_bar_components, theta_noise_floor,
+                             theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
 from sapdplus.problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
 

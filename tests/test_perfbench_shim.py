@@ -47,7 +47,7 @@ def test_smoothing_path_runs_through_the_shims(tracing):
     from sapdplus import datasets
     from sapdplus.outer import smooth_then_solve
 
-    # the bilinear-wcmc run itself, to its target: checked every 10 stages,
+    # the bilinear-wcmc run itself, to its target: checked after every stage,
     # met at the first check
     toy = datasets.make_bilinear_box_toy(c=10.0)
     tr = tracing.Tracer()
@@ -55,14 +55,16 @@ def test_smoothing_path_runs_through_the_shims(tracing):
         result, _ = smooth_then_solve(toy.problem, 1.0, np.ones(1), np.zeros(1),
                                       np.random.default_rng(0))
     stats, counters = tr.summary()
-    assert result.stages_run == 10
+    assert result.stages_run == 1
     assert result.stages[-1].stationarity <= 1.0 / (2 * np.sqrt(6))
     assert stats["smooth_dual"].calls == 1
-    assert stats["shifted_subproblem"].calls == 10
-    assert stats["stage.sapd"].calls == 10
+    assert stats["shifted_subproblem"].calls == 1
+    assert stats["stage.sapd"].calls == 1
     assert stats["moreau_stationarity"].calls == 1
-    # the nested solves of moreau_stationarity pass the guard too
-    assert stats["guard"].calls > counters["sapd.iterations"] > 0
+    assert counters["moreau.inner_iterations"] > 0
+    assert counters["moreau.unreliable"] == 0
+    # the check runs no SAPD iterations, so only the stage passes the guard
+    assert stats["guard"].calls == counters["sapd.iterations"] > 0
 
 
 def test_vr_path_runs_through_the_shims(tracing):

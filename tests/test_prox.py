@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
@@ -111,6 +113,62 @@ class TestProjectSimplex:
             v = rng.uniform(-2, 2, d)
             np.testing.assert_allclose(project_simplex(v),
                                        simplex_projection_oracle(v), atol=1e-8)
+
+
+@st.composite
+def simplex_targets(draw, sparse):
+    """(v, active) with project_simplex(v) known to keep every coordinate
+    (sparse=False) or to zero at least one (sparse=True), up to a shift."""
+    d = draw(st.integers(2 if sparse else 1, 40))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    offset = draw(st.floats(-100.0, 100.0))
+    if not sparse:
+        # v_i + lam >= 1/d - 2 spread > 0 at the projection's shift lam
+        spread = draw(st.floats(0.0, 0.49)) / d
+        return offset + 1.0 / d + spread * u
+    v = offset + draw(st.floats(1.0, 1000.0)) * u
+    # the projection's threshold is at least max(v) - 1, so coordinate k,
+    # set below the others' maximum by more than 1, drops
+    k = draw(st.integers(0, d - 1))
+    v[k] = np.delete(v, k).max() - 1.0 - draw(st.floats(0.1, 10.0))
+    return v
+
+
+def assert_projection_identity(p, direction, scale, sparse):
+    """p lies on the simplex and <direction, e_i - p> <= 1e-12 scale at every
+    vertex e_i: the optimality condition of a projection of p + direction.
+    scale is 1 + the largest |coordinate| projected: p = v + lam rounds
+    relative to v, so the sum of p does too.  The e_i - p sum to 0 once p
+    sums to 1, so a constant part of direction adds nothing; it is taken
+    out first, or it would multiply the rounding of sum(p)."""
+    assert np.all(p >= 0.0)
+    assert abs(p.sum() - 1.0) <= 1e-12 * scale
+    direction = direction - direction.mean()
+    assert np.max(direction - direction @ p) <= 1e-12 * scale
+    assert (np.count_nonzero(p) < p.size) == sparse
+
+
+class TestProxIdentities:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse=st.booleans(), data=st.data())
+    def test_project_simplex(self, sparse, data):
+        v = data.draw(simplex_targets(sparse))
+        p = project_simplex(v)
+        assert_projection_identity(p, v - p, 1.0 + np.max(np.abs(v)), sparse)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse=st.booleans(), data=st.data(), step=st.floats(1e-3, 1e3),
+           eta2=st.floats(1e-6, 1.0), n_scale=st.integers(1, 1000))
+    def test_prox_quadratic_over_simplex(self, sparse, data, step, eta2, n_scale):
+        # v is chosen so that the shifted point of the objective
+        # g(y) + ||y - v||^2/(2 step) is the target; the identity is checked
+        # on minus the objective's gradient, scaled by 1/(its curvature)
+        target = data.draw(simplex_targets(sparse))
+        curv = eta2 * n_scale**2 + 1.0 / step
+        v = step * (curv * target - eta2 * n_scale)
+        y = prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        grad = eta2 * n_scale * (n_scale * y - 1.0) + (y - v) / step
+        assert_projection_identity(y, -grad / curv, 1.0 + np.max(np.abs(target)), sparse)
 
 
 class TestProxQuadraticOverSimplex:

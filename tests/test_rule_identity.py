@@ -4,8 +4,8 @@ step rule must keep.
 
 `shifted_subproblem` and `smooth_dual` both go through `add_quadratic`; their
 oracles must match the two separate transforms they replaced bit for bit.
-`theorem1_schedule`, the nested prox solve and the manual CLI schedule all
-take their tuple from `step_rule`.
+`theorem1_schedule` and the manual CLI schedule take their tuple from
+`step_rule`; the nested prox solve (mu_y = 0 only) keeps its own steps.
 """
 
 import math
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fixtures import theta_bar
 from reference_kernels import (reference_cli_manual_alpha_rho,
                                reference_scsc_inner_params,
                                reference_shifted_subproblem,
@@ -25,7 +26,7 @@ from sapdplus.errors import ConfigurationError
 from sapdplus.evaluation import prox_solve_params
 from sapdplus.outer import smooth_dual
 from sapdplus.params import (PSD_TOL, beta_of, build_lmi, step_rule,
-                             theorem1_schedule, theta_bar)
+                             theorem1_schedule)
 from sapdplus.problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
                               shifted_subproblem, with_gaussian_noise)
 
@@ -165,10 +166,13 @@ class TestStepRule:
             c = ConvexityModuli(c.gamma, 0.0)
         p = replace(BILINEAR, smoothness=s, convexity=c)
         mu_x = 1.0 / (lam_frac / c.gamma) - c.gamma
-        tb = theta_bar(beta_of(s, c), s, c, mu_x) if c.mu_y > 0 else None
+        if c.mu_y > 0:
+            # a strongly concave problem takes the certificate path instead
+            with pytest.raises(ConfigurationError):
+                prox_solve_params(p, mu_x)
+            return
         got = prox_solve_params(p, mu_x)
-        tau, sigma, theta, rho, alpha, n_inner = reference_scsc_inner_params(
-            s, c, mu_x, tb)
+        tau, sigma, theta, rho, alpha, n_inner = reference_scsc_inner_params(s, c, mu_x)
         assert hexes(got) == (tau.hex(), sigma.hex(), float(theta).hex(),
                               float(rho).hex(), alpha.hex(), mu_x.hex(), n_inner)
 
