@@ -3,7 +3,8 @@
 LIBSVM sparse text parsing, the distributionally-robust logistic instance
 over the simplex, and the two synthetic instances whose Moreau stationarity
 has a closed form: a weakly convex-strongly concave quadratic and a
-bilinear box toy.
+bilinear box toy.  The DRO oracles are matrix-vector products with the
+dense signed feature rows, all of them or the rows a batch gathers.
 """
 
 import gzip
@@ -145,41 +146,6 @@ def _sigmoid_neg(z):
     return 0.5 * (1.0 - np.tanh(0.5 * z))
 
 
-# row count -> the tree mean's steps; see _pairwise_mean
-_TREE_PLANS = {}
-
-
-def _tree_plan(count):
-    """Steps (low, high, odd, last) of the tree mean over `count` rows.
-
-    Each level adds rows[high] into rows[low]; a level with an odd count
-    then moves its leftover row from `last` to `odd` (None when even).
-    """
-    steps = []
-    m = count
-    while m > 1:
-        half = m // 2
-        steps.append((slice(half), slice(half, 2 * half),
-                      half if m % 2 else None, 2 * half))
-        m = half + m % 2
-    return steps
-
-
-def _pairwise_mean(rows):
-    """Tree-reduction mean over the row dimension: reproducible accuracy for
-    large batches.  Overwrites ``rows``.  Its steps are planned once per row
-    count and kept in _TREE_PLANS, one entry per batch size seen."""
-    count = rows.shape[0]
-    plan = _TREE_PLANS.get(count)
-    if plan is None:
-        plan = _TREE_PLANS[count] = _tree_plan(count)
-    for low, high, odd, last in plan:
-        np.add(rows[low], rows[high], out=rows[low])
-        if odd is not None:
-            rows[odd] = rows[last]
-    return rows[0] / count
-
-
 def _logistic_losses(signed, x):
     """log(1 + exp(-b_i a_i'x)) for every row b_i a_i of ``signed``."""
     return np.logaddexp(0.0, -(signed @ x))
@@ -273,6 +239,10 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
 
     The oracles close over the signed feature rows and the scalars, not over
     the instance, so an instance is freed as soon as it is unreachable.
+    grad_x and batch_grad_x share one helper, two matrix-vector products
+    over the rows (all of them, or the batch's gathered in order), so a
+    batch of every index in order gives grad_x bit for bit; against a
+    row-by-row sum the BLAS product agrees to rounding, not in every bit.
     Each sgrad_x/sgrad_y call takes sgrad_batch component indices, drawn
     uniformly with replacement by fs.sample.
     """
@@ -297,20 +267,22 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         l_xy=max_norm, l_yx=max_norm, l_yy=0.0,
     )
 
+    def mean_grad_x(rows, weights, x):
+        # mean of the component gradients w_i * grad l_i(x) + reg'(x) over
+        # the signed rows, as two matrix-vector products
+        sig = _sigmoid_neg(rows @ x)
+        return (rows.T @ (-sig * weights) / rows.shape[0]
+                + _regularizer_grad(x, alpha, eta1))
+
     def grad_x(x, y):
-        sig = _sigmoid_neg(signed @ x)
-        return signed.T @ (-sig * y) / n + _regularizer_grad(x, alpha, eta1)
+        return mean_grad_x(signed, y, x)
 
     def grad_y(x, y):
         return _logistic_losses(signed, x) / n
 
     def batch_grad_x(idx, x, y):
-        # mean over components Phi_i = y_i * l_i(x) + reg(x)
         # take gathers rows as signed[idx] does, with less overhead
-        a = signed.take(idx, axis=0)
-        sig = _sigmoid_neg(a @ x)
-        rows = (-(y.take(idx) * sig))[:, None] * a
-        return _pairwise_mean(rows) + _regularizer_grad(x, alpha, eta1)
+        return mean_grad_x(signed.take(idx, axis=0), y.take(idx), x)
 
     def batch_grad_y(idx, x, y):
         idx = np.asarray(idx)

@@ -164,8 +164,10 @@ def shifted_subproblem(p: ProblemSpec, center, mu_x: float) -> ProblemSpec:
 class FiniteSumSpec:
     """Finite-sum oracle: Phi = (1/n_comp) * sum_i Phi_i.
 
-    batch_grad_x/batch_grad_y take (indices, x, y) and return the arithmetic
-    mean of the component gradients over the index list (repeats allowed).
+    batch_grad_x/batch_grad_y take (indices, x, y) and return the mean of
+    the component gradients over the index list (repeats allowed), summed in
+    any order: the DRO x-batch sums by a BLAS product, so it matches a
+    sequential sum to rounding only.
     Every index lies in [0, n_comp), as sample draws them; the oracles do not
     check this, and outside it they may disagree (a DRO x-batch wraps a
     negative index, its y-batch raises).  as_smoothness holds the

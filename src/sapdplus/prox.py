@@ -19,21 +19,28 @@ def prox_zero(v, step):
 def project_simplex(v):
     """Euclidean projection onto the unit simplex {y >= 0, sum(y) = 1}.
 
-    Sort-then-threshold method: with u the coordinates of v in decreasing
-    order, the active set size is the largest j with
+    All-active check first, in O(d): with lam = (1 - sum(v))/d, if
+    min(v) + lam > 0 every coordinate stays active and the projection is
+    v + lam.  np.sum adds pairwise, so this lam can differ from the sorted
+    path's in the last bits; the two projections agree to rounding.
+
+    Otherwise sort-then-threshold: with u the coordinates of v in
+    decreasing order, the active set size is the largest j with
     u_j + (1 - sum_{i<=j} u_i)/j > 0, and the projection is
     max(v + lam, 0) for the corresponding shift lam.  O(d log d),
-    deterministic (ties resolved by the cumulative rule).
-
-    Fast path: when the rule holds at the last index, every coordinate
-    stays active and the projection is v + lam, with lam computed exactly as
-    the general path would.  The general path takes the last index where
-    the rule holds; in floating point the rule is not monotone in j, so
-    counting the indices where it holds can pick a different one.
+    deterministic (ties resolved by the cumulative rule).  When the rule
+    holds at the last index, the projection is v + lam with lam computed
+    exactly as the general path would.  The general path takes the last
+    index where the rule holds; in floating point the rule is not monotone
+    in j, so counting the indices where it holds can pick a different one.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ConfigurationError("project_simplex expects a nonempty vector")
+    # a finite lam means a finite sum, so no NaN or +-inf in v
+    lam = (1.0 - v.sum()) / v.size
+    if math.isfinite(lam) and v.min() + lam > 0:
+        return v + lam
     ascending = np.sort(v)
     # NaN sorts last and -inf/+inf sort to the ends, so the ends decide
     if not (math.isfinite(ascending[0]) and math.isfinite(ascending[-1])):

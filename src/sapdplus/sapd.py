@@ -176,6 +176,11 @@ class _StochasticGradient:
         if ny:
             sgrad_y = p.sgrad_y
             self.grad_y = lambda x, y: sgrad_y(x, y, take(ny))
+        if self.theta == 0:
+            # the sgda baseline: s = g, where the momentum form would give
+            # +0.0 for g = -0.0 and NaN for an infinite g - g_k
+            grad_y = self.first = self.grad_y
+            self.dual = lambda k, x, y: grad_y(x, y)
 
     def first(self, x, y):
         self.g = self.grad_y(x, y)

@@ -22,7 +22,7 @@ from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import (NoiseLevels, shifted_finite_sum, shifted_subproblem,
                               with_gaussian_noise)
-from sapdplus.sapd import CHUNK_VALUES, SapdParams, sapd_run
+from sapdplus.sapd import CHUNK_VALUES, SapdParams, _StochasticGradient, sapd_run
 from sapdplus.vr import VrParams, vr_sapd_run
 
 
@@ -193,6 +193,49 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
     for call_got, call_ref in zip(got_log, ref_log):
         assert call_got[0] == call_ref[0]
         assert [_bits(a) for a in call_got[1:]] == [_bits(a) for a in call_ref[1:]]
+
+
+class TestSgdaDirection:
+    """At theta = 0 the plain estimator returns each y-gradient g as the
+    dual direction.  The momentum form g + theta * (g - g_k) it replaces is
+    not the same in two places, stated here: g = -0.0 with g - g_k >= 0
+    gives +0.0, and an infinite g - g_k gives NaN.  At theta > 0 the
+    momentum form stays."""
+
+    G = [np.array([1.0, -0.0, 2.0]),
+         np.array([-0.0, np.inf, 3.0]),
+         np.array([-0.0, 5.0, -np.inf])]
+
+    def directions(self, theta):
+        qs = make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
+        scripted = iter(self.G)
+        p = replace(qs.problem, m=3, grad_y=lambda x, y: next(scripted))
+        params = SapdParams(tau=0.1, sigma=0.1, theta=theta, rho=1.0, alpha=0.0,
+                            mu_x=1.0, n_inner=3)
+        est = _StochasticGradient(p, params, None)
+        x, y = np.zeros(1), np.zeros(3)
+        return [est.first(x, y)] + [est.dual(k, x, y) for k in range(2)]
+
+    def momentum_form(self, theta):
+        first = self.G[0] + theta * np.zeros(3)
+        return [first] + [g + theta * (g - g_k) for g_k, g in zip(self.G, self.G[1:])]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_theta_zero_returns_g(self):
+        got, old = self.directions(0.0), self.momentum_form(0.0)
+        assert [_bits(s) for s in got] == [_bits(g) for g in self.G]
+        # the momentum form differs at five entries: -0.0 turns +0.0 at
+        # (0, 1) and (2, 0), and inf - g_k gives NaN at (1, 1), (2, 1), (2, 2);
+        # at (1, 0) g - g_k < 0 and -0.0 stays
+        differs = [(k, i) for k in range(3) for i in range(3)
+                   if _bits(got[k][i]) != _bits(old[k][i])]
+        assert differs == [(0, 1), (1, 1), (2, 0), (2, 1), (2, 2)]
+        assert not (np.signbit(old[0][1]) or np.signbit(old[2][0]))
+        assert np.isnan([old[1][1], old[2][1], old[2][2]]).all()
+
+    def test_positive_theta_keeps_momentum_form(self):
+        got = self.directions(0.5)
+        assert [_bits(s) for s in got] == [_bits(s) for s in self.momentum_form(0.5)]
 
 
 SGDA_CASES = {

@@ -1,11 +1,13 @@
 """The DRO kernels against frozen reference copies (tests/reference_kernels.py).
 
-The simplex projection, the tree mean, `SparseDataset.dense` and the DRO
-batch and deterministic oracles must match the references bit for bit.
-Two outputs are allowed to move, within a stated tolerance: the
-deterministic `grad_x` (one matrix-vector product in place of an n x d
-matrix) and `robust_loss` (the dual best response in closed form in place
-of 50 prox-gradient steps).
+`SparseDataset.dense` and the DRO y-oracles, losses and Lagrangian must
+match the references bit for bit.  Four outputs are allowed to move,
+within a stated tolerance (rtol = 1e-12, atol = 1e-12 * max|expected|):
+the deterministic `grad_x` and the batch x-gradient (matrix-vector
+products in place of an n x d matrix and of the tree mean), the simplex
+projection (an O(d) all-active check with a pairwise sum ahead of the
+sorted path), and `robust_loss` (the dual best response in closed form in
+place of 50 prox-gradient steps).
 """
 
 import gc
@@ -16,11 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernels import (ReferenceDro, reference_dense,
-                               reference_pairwise_mean,
-                               reference_project_simplex)
+from reference_kernels import ReferenceDro, reference_dense, reference_project_simplex
 from sapdplus import datasets
-from sapdplus.datasets import _pairwise_mean
 from sapdplus.prox import project_simplex
 
 # the test u_j + (1 - sum_{i<=j} u_i)/j > 0 holds at indices 0, 1, 2, 5 of
@@ -34,6 +33,12 @@ NON_MONOTONE = np.array([
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
+
+
+def assert_close(got, expected):
+    """Equal to rounding: the tolerance the deterministic grad_x always had."""
+    np.testing.assert_allclose(got, expected, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(expected))))
 
 
 def _float_vectors(elements, max_size=60):
@@ -50,16 +55,57 @@ all_active = st.integers(1, 60).flatmap(lambda n: st.lists(
         lambda e: (1.0 + np.array(e)) / len(e)))
 
 
+@st.composite
+def near_boundary(draw):
+    """v with min(v) + (1 - sum(v))/d a few ulps from 0: the smallest
+    coordinate sits where the all-active check changes its answer.  A
+    common shift of v moves neither the projection nor the boundary."""
+    d = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.sampled_from([0.0, -1.0, 1e-3, 1e3]))
+    rest = rng.random(d - 1) + 0.01
+    rest *= draw(st.floats(0.05, 0.99)) / rest.sum()
+    low = shift - (1.0 - rest.sum()) / (d - 1)
+    step = np.inf if draw(st.booleans()) else -np.inf
+    for _ in range(draw(st.integers(0, 6))):
+        low = np.nextafter(low, step)
+    v = np.append(rest + shift, low)
+    return v[rng.permutation(d)]
+
+
+def _takes_fast_path(v):
+    lam = (1.0 - v.sum()) / v.size
+    return bool(np.isfinite(lam) and v.min() + lam > 0)
+
+
 class TestProjectSimplex:
     @settings(max_examples=300, deadline=None)
     @given(v=st.one_of(random_vectors, rounded_ties, all_active))
     def test_matches_reference(self, v):
-        assert _bits(project_simplex(v)) == _bits(reference_project_simplex(v))
+        ref = reference_project_simplex(v)
+        assert_close(project_simplex(v), ref)
+        if not _takes_fast_path(v):  # the sorted path is the reference's
+            assert _bits(project_simplex(v)) == _bits(ref)
 
     @settings(max_examples=100, deadline=None)
     @given(v=all_active)
     def test_all_active_inputs_take_fast_path(self, v):
         assert np.all(project_simplex(v) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=near_boundary())
+    def test_near_boundary_fast_path(self, v):
+        # the draws fall on both sides of the check; where it holds, the
+        # output is v + lam itself, and positive
+        w = project_simplex(v)
+        scale = max(1.0, float(np.max(np.abs(v))))
+        assert np.all(w >= 0)
+        assert abs(float(np.sum(w)) - 1.0) <= 64 * v.size * np.finfo(float).eps * scale
+        if _takes_fast_path(v):
+            assert np.all(w > 0)
+            assert _bits(w) == _bits(v + (1.0 - v.sum()) / v.size)
+        np.testing.assert_allclose(w, reference_project_simplex(v), rtol=0,
+                                   atol=1e-12 * scale)
 
     def test_non_monotone_threshold(self):
         u = np.sort(NON_MONOTONE)[::-1]
@@ -73,7 +119,7 @@ class TestProjectSimplex:
         assert _bits(project_simplex(NON_MONOTONE)) == _bits(ref)
 
     @settings(max_examples=300, deadline=None)
-    @given(v=st.one_of(random_vectors, rounded_ties, all_active))
+    @given(v=st.one_of(random_vectors, rounded_ties, all_active, near_boundary()))
     def test_kkt(self, v):
         # w = max(v - t, 0) for one threshold t, and w sums to 1
         w = project_simplex(v)
@@ -85,15 +131,6 @@ class TestProjectSimplex:
         t = float(np.mean(gaps))
         assert np.all(np.abs(gaps - t) <= tol)
         assert np.all(v[~active] <= t + tol)
-
-
-@settings(max_examples=200, deadline=None)
-@given(rows=st.integers(1, 40), cols=st.integers(1, 4), data=st.data())
-def test_pairwise_mean_matches_reference(rows, cols, data):
-    values = data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
-                                min_size=rows * cols, max_size=rows * cols))
-    a = np.array(values).reshape(rows, cols)
-    assert _bits(_pairwise_mean(a.copy())) == _bits(reference_pairwise_mean(a.copy()))
 
 
 @st.composite
@@ -165,15 +202,32 @@ def test_dro_oracles_match_reference(case):
     @given(inputs=oracle_inputs(n, d))
     def check(inputs):
         idx, x, y = inputs
-        assert _bits(fs.batch_grad_x(idx, x, y)) == _bits(ref.batch_grad_x(idx, x, y))
+        assert_close(fs.batch_grad_x(idx, x, y), ref.batch_grad_x(idx, x, y))
         assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
         assert _bits(p.grad_y(x, y)) == _bits(ref.grad_y(x, y))
         assert _bits(inst.losses(x)) == _bits(ref.losses(x))
         assert inst.lagrangian(x, y).hex() == ref.lagrangian(x, y).hex()
         # matrix-free: one product with the signed rows, not an n x d matrix
-        expected = ref.grad_x(x, y)
-        np.testing.assert_allclose(p.grad_x(x, y), expected, rtol=1e-12,
-                                   atol=1e-12 * float(np.max(np.abs(expected))))
+        assert_close(p.grad_x(x, y), ref.grad_x(x, y))
+
+    check()
+
+
+@pytest.mark.parametrize("case", sorted(DRO_CASES))
+def test_full_batch_is_the_full_gradient(case):
+    # one helper computes both x-gradients: over every index in order, the
+    # batch oracles are the deterministic ones bit for bit
+    inst, _ = _pair(case)
+    p, fs = inst.problem, inst.finite_sum
+    n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
+    every = np.arange(n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=oracle_inputs(n, d))
+    def check(inputs):
+        _, x, y = inputs
+        assert _bits(fs.batch_grad_x(every, x, y)) == _bits(p.grad_x(x, y))
+        assert _bits(fs.batch_grad_y(every, x, y)) == _bits(p.grad_y(x, y))
 
     check()
 
