@@ -148,7 +148,7 @@ def _sigmoid_neg(z):
 
 def _logistic_losses(signed, x):
     """log(1 + exp(-b_i a_i'x)) for every row b_i a_i of ``signed``."""
-    return np.logaddexp(0.0, -(signed @ x))
+    return np.logaddexp(0.0, -signed.dot(x))
 
 
 def _regularizer_grad(x, alpha, eta1):
@@ -188,13 +188,16 @@ class DroInstance:
     def g_value(self, y):
         return 0.5 * self.eta2 * float(np.sum((self.n_samples * y - 1.0) ** 2))
 
-    def lagrangian(self, x, y):
-        n = self.n_samples
-        return (float(y @ self.losses(x)) / n + self.regularizer(x)
+    def lagrangian(self, x, y, *, losses=None):
+        """The objective at (x, y); `losses`, if given, is losses(x)."""
+        if losses is None:
+            losses = self.losses(x)
+        return (float(y.dot(losses)) / self.n_samples + self.regularizer(x)
                 - self.g_value(y))
 
-    def best_response_y(self, x):
-        """argmax_y of the dual at x, in closed form.
+    def best_response_y(self, x, *, losses=None):
+        """argmax_y of the dual at x, in closed form; `losses`, if given, is
+        losses(x).
 
         The dual objective (1/n) y'l(x) - (eta2/2)||n y - 1||^2 has Hessian
         -eta2 n^2 I, so its maximizer over the simplex is the projection of
@@ -203,12 +206,17 @@ class DroInstance:
         simplex, so the 1/n is dropped; that keeps the sums in the
         projection smaller and its rounding error with them.
         """
+        if losses is None:
+            losses = self.losses(x)
         n = self.n_samples
-        return prox.project_simplex(self.losses(x) / (self.eta2 * n**3))
+        return prox.project_simplex(losses / (self.eta2 * n**3))
 
     def robust_loss(self, x):
-        """Primal robust loss at x: the Lagrangian at the dual best response."""
-        return self.lagrangian(x, self.best_response_y(x))
+        """Primal robust loss at x: the Lagrangian at the dual best response,
+        with the n losses at x computed once for both."""
+        losses = self.losses(x)
+        return self.lagrangian(x, self.best_response_y(x, losses=losses),
+                               losses=losses)
 
 
 def _row_norms_sq(ds: SparseDataset) -> np.ndarray:
@@ -270,8 +278,8 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     def mean_grad_x(rows, weights, x):
         # mean of the component gradients w_i * grad l_i(x) + reg'(x) over
         # the signed rows, as two matrix-vector products
-        sig = _sigmoid_neg(rows @ x)
-        return (rows.T @ (-sig * weights) / rows.shape[0]
+        sig = _sigmoid_neg(rows.dot(x))
+        return (rows.T.dot(-sig * weights) / rows.shape[0]
                 + _regularizer_grad(x, alpha, eta1))
 
     def grad_x(x, y):
@@ -377,11 +385,13 @@ def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng) -> Qua
     constants = SmoothnessConstants(l_xx=l_xx, l_xy=l_coupling,
                                     l_yx=l_coupling, l_yy=mu_y)
 
+    bt = b.T
+
     def grad_x(x, y):
-        return a @ x + b @ y
+        return a.dot(x) + b.dot(y)
 
     def grad_y(x, y):
-        return b.T @ x - mu_y * y
+        return bt.dot(x) - mu_y * y
 
     problem = ProblemSpec(
         n=n, m=m, grad_x=grad_x, grad_y=grad_y,

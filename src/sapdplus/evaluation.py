@@ -61,7 +61,7 @@ def prox_solve_params(p: ProblemSpec, mu_x: float) -> SapdParams:
 
 
 def _norm(v):
-    return math.sqrt(v @ v)
+    return math.sqrt(v.dot(v))
 
 
 def _accelerated_prox(p: ProblemSpec, x, lam, tol, steps):

@@ -170,6 +170,12 @@ def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng):
     strongly concave, so each check is a certified accelerated prox solve).
     Returns (OuterResult, mu_hat).
     """
+    smoothed, cfg, mu_hat = _smoothing_plan(p, epsilon, y0)
+    return sapd_plus_run(smoothed, cfg, x0, y0, rng), mu_hat
+
+
+def _smoothing_plan(p: ProblemSpec, epsilon: float, y0):
+    """(smoothed problem, OuterConfig, mu_hat) that smooth_then_solve runs."""
     if p.convexity.mu_y != 0:
         raise ConfigurationError("smooth_then_solve is for merely concave problems")
     if p.d_y is None:
@@ -182,4 +188,4 @@ def smooth_then_solve(p: ProblemSpec, epsilon: float, x0, y0, rng):
                               smoothed.noise, eps_inner, 1.0)
     cfg = OuterConfig(t_outer=sched.t_outer, schedule=sched.sapd_params(),
                       stop=StationarityTarget(epsilon=eps_inner))
-    return sapd_plus_run(smoothed, cfg, x0, y0, rng), mu_hat
+    return smoothed, cfg, mu_hat

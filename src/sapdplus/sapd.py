@@ -20,6 +20,15 @@ time (_Draws) in the order per-call drawing would give.  The SPIDER
 recursion is the other estimator (vr.py).
 With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
 stochastic gradient descent-ascent, the CLI's sgda-baseline.
+
+Products that run once per iteration, per oracle call or per accelerated
+prox step (the guard here, the quadratic and DRO oracles, evaluation's
+norm) are written ndarray.dot, not @: on vectors of length 10, @ pays the
+matmul gufunc's dispatch and takes about twice as long.  Both call the same
+BLAS routine, so they agree bit for bit; the one exception is a product of
+two one-element operands, where .dot is a plain multiply and keeps a -0.0
+that @ returns as +0.0 (tests/test_kernel_identity.py holds this premise).
+Setup-time products keep @.
 """
 
 import math
@@ -104,7 +113,7 @@ def inner_draws(params, iterations: int, oracle_batch: int) -> int:
 
 def _guard(x, y, k):
     # One comparison covers both failures: it is also false for NaN and +-inf.
-    if not (x @ x + y @ y <= DIVERGENCE_NORM**2):
+    if not (x.dot(x) + y.dot(y) <= DIVERGENCE_NORM**2):
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DivergenceError(f"non-finite iterate at inner iteration {k}",
                                   iteration=k)

@@ -8,6 +8,12 @@ products in place of an n x d matrix and of the tree mean), the simplex
 projection (an O(d) all-active check with a pairwise sum ahead of the
 sorted path), and `robust_loss` (the dual best response in closed form in
 place of 50 prox-gradient steps).
+
+The hot-path products are written `ndarray.dot`, not `@` (see the `sapd`
+module docstring), on the premise that both call the same BLAS routine.
+The tests at the end pin that premise, its one exception (two one-element
+operands), and the oracles built on it, bit for bit; if a BLAS build ever
+breaks it, they are the tests that fail.
 """
 
 import gc
@@ -273,3 +279,124 @@ def test_instance_freed_without_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# ndarray.dot against @, bit for bit
+
+SCALES = [1e-150, 1e-3, 1.0, 1e3, 1e150]
+
+
+def assert_dot_is_matmul(got, expected, one_by_one):
+    """Equal bit for bit.  When both operands have one element, .dot is one
+    multiply and @ adds that product to +0.0, so a -0.0 product comes back
+    +0.0 from @: there the two agree once the sign of a zero is dropped."""
+    if one_by_one:
+        got, expected = got + 0.0, expected + 0.0
+    assert _bits(got) == _bits(expected)
+
+
+def _with_zeros(rng, a, zeros):
+    """a with about a quarter of its entries +0.0 and a quarter -0.0."""
+    if zeros:
+        u = rng.random(a.shape)
+        a = np.where(u < 0.25, 0.0, np.where(u > 0.75, -0.0, a))
+    return a
+
+
+@st.composite
+def dot_operands(draw, max_rows=2000, max_cols=40):
+    """(rows, v): an (n, d) array in one of the layouts the oracles use and a
+    vector it multiplies, v of length d, or of length n for a transpose."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, zeros = draw(st.sampled_from(SCALES)), draw(st.booleans())
+    rows = _with_zeros(rng, rng.standard_normal((n, d)) * scale, zeros)
+    layout = draw(st.sampled_from(["c", "t", "take", "take-t"]))
+    if layout.startswith("take"):
+        # gathered with repeats, in draw order, as batch_grad_x gathers them
+        rows = rows.take(rng.integers(0, n, draw(st.integers(1, n))), axis=0)
+    if layout.endswith("t"):
+        rows = rows.T
+    return rows, _with_zeros(rng, rng.standard_normal(rows.shape[1]) * scale, zeros)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from(SCALES), zeros=st.booleans())
+def test_vector_dot_is_matmul(n, seed, scale, zeros):
+    rng = np.random.default_rng(seed)
+    u, v = _with_zeros(rng, rng.standard_normal((2, n)) * scale, zeros)
+    assert_dot_is_matmul(u.dot(v), u @ v, n == 1)
+    # a sum of squares is never -0.0, so the guard's products agree outright
+    assert_dot_is_matmul(v.dot(v), v @ v, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=dot_operands())
+def test_matrix_vector_dot_is_matmul(operands):
+    rows, v = operands
+    assert_dot_is_matmul(rows.dot(v), rows @ v, rows.size == 1)
+
+
+def test_one_by_one_product_keeps_a_negative_zero():
+    one, zero = np.array([[-1.0]]), np.array([0.0])
+    assert one.dot(zero)[0].hex() == "-0x0.0p+0"
+    assert (one @ zero)[0].hex() == "0x0.0p+0"
+    assert one[0].dot(zero).hex() == "-0x0.0p+0"
+    assert (one[0] @ zero).hex() == "0x0.0p+0"
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+def test_quadratic_oracles_are_their_matmul_forms(n, m, seed, scale):
+    # with n = 1, A x (and for m = 1 also B y and B'x) multiplies one by one
+    rng = np.random.default_rng(seed)
+    qs = datasets.make_quadratic_saddle(n, m, 1.0, 0.5, rng)
+    x, y = rng.standard_normal(n) * scale, rng.standard_normal(m) * scale
+    a, b = qs.a, qs.b
+    assert_dot_is_matmul(qs.problem.grad_x(x, y), a @ x + b @ y, n == 1)
+    assert_dot_is_matmul(qs.problem.grad_y(x, y), b.T @ x - 0.5 * y, n == 1)
+
+
+def _matmul_grad_x(rows, weights, x):
+    reg = datasets._regularizer_grad(x, 10.0, 1e-3)
+    sig = datasets._sigmoid_neg(rows @ x)
+    return rows.T @ (-sig * weights) / rows.shape[0] + reg
+
+
+@pytest.mark.parametrize("case", sorted(DRO_CASES))
+def test_dro_oracles_are_their_matmul_forms(case):
+    inst, _ = _pair(case)
+    p, fs = inst.problem, inst.finite_sum
+    signed = inst.signed_features
+    n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=oracle_inputs(n, d))
+    def check(inputs):
+        idx, x, y = inputs
+        losses = np.logaddexp(0.0, -(signed @ x))
+        assert _bits(p.grad_x(x, y)) == _bits(_matmul_grad_x(signed, y, x))
+        assert _bits(fs.batch_grad_x(idx, x, y)) == _bits(
+            _matmul_grad_x(signed[idx], y[idx], x))
+        assert _bits(p.grad_y(x, y)) == _bits(losses / n)
+        expected = (float(y @ losses) / n + inst.regularizer(x) - inst.g_value(y))
+        assert inst.lagrangian(x, y).hex() == expected.hex()
+
+    # every operand here has more than one element: d > 1 and n > 1
+    assert d > 1 and n > 1
+    check()
+
+
+@pytest.mark.parametrize("eta2", [None, 1e-4, 1.0])
+def test_robust_loss_is_the_lagrangian_at_the_best_response(eta2):
+    # the losses are computed once for both, which moves no bit
+    ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=eta2)
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1.0, 30.0):
+        x = rng.standard_normal(20) * scale
+        expected = inst.lagrangian(x, inst.best_response_y(x))
+        assert inst.robust_loss(x).hex() == expected.hex()

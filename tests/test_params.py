@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fixtures import theta_bar
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
+from sapdplus.outer import _smoothing_plan
 from reference_kernels import (reference_lmi_sign_flipped_feasible,
                                reference_vr_lmi_min_eigenvalue,
                                reference_vr_schedule_steps)
@@ -16,7 +17,10 @@ from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi,
                              inner_iterations, step_rule, theorem1_schedule,
                              theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
-from sapdplus.problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
+from sapdplus.problem import (ConvexityModuli, NoiseLevels, ProblemSpec,
+                              SmoothnessConstants)
+from sapdplus.prox import prox_zero
+from sapdplus.sapd import inner_draws
 
 CANON_S = SmoothnessConstants(1.0, 1.0, 1.0, 1.0)
 CANON_C = ConvexityModuli(1.0, 1.0)
@@ -412,3 +416,56 @@ def test_vr_rule_matches_frozen_formulas(sc, q, b_x, b_y, zeta, eps, mu_x, tau_f
     got = build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x, s, c)
     assert got.min_eigenvalue.hex() == reference_vr_lmi_min_eigenvalue(
         tau, sigma, q, b_x, b_y, mu_x, s, c).hex()
+
+
+# The oracle complexities of the abstract, as exponents of the schedules
+# alone: a schedule fixes T stages of N iterations, and inner_draws counts
+# the single-sample draws of one stage, so N * T * draws needs no run.
+EPS_LADDER = [0.2, 0.1, 0.05, 0.025, 0.0125]
+
+
+def _slope(xs, counts):
+    """Least-squares slope of log(count) against log(x)."""
+    return float(np.polyfit(np.log(xs), np.log([float(c) for c in counts]), 1)[0])
+
+
+def _theorem1_draws(s, c, noise, eps):
+    sched = theorem1_schedule(s, c, noise, eps, 1.0)
+    return sched.t_outer * inner_draws(sched.sapd_params(), sched.n_inner, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.floats(0.5, 4.0), gamma_f=st.floats(0.1, 1.0), mu_f=st.floats(0.05, 1.0),
+       delta=st.floats(0.5, 10.0))
+def test_theorem1_draws_scale_as_kappa_over_eps_to_the_fourth(l, gamma_f, mu_f, delta):
+    # O(L kappa_y eps^-4): over the eps ladder at each mu_y of a halving
+    # ladder, and over the mu_y ladder (kappa_y = l/mu_y) at each eps
+    s, noise = SmoothnessConstants(l, l, l, l), NoiseLevels(delta, delta)
+    mus = [l * mu_f / 2**k for k in range(5)]
+    counts = [[_theorem1_draws(s, ConvexityModuli(l * gamma_f, mu), noise, eps)
+               for eps in EPS_LADDER] for mu in mus]
+    for row in counts:
+        assert abs(_slope(EPS_LADDER, row) + 4.0) <= 0.1
+    for column in zip(*counts):
+        assert _slope([l / mu for mu in mus], column) <= 1.1
+
+
+@settings(max_examples=60, deadline=None)
+@given(l=st.floats(1.0, 4.0), gamma=st.floats(0.25, 1.0), delta=st.floats(0.25, 1.0),
+       d_y=st.floats(0.5, 2.0))
+def test_smoothing_path_draws_scale_as_eps_to_the_sixth(l, gamma, delta, d_y):
+    # O(L^3 eps^-6) for merely concave problems, counted on the plan that
+    # smooth_then_solve runs.  Its momentum bound 1/(1 + t) has
+    # t = eps^4/(2211840 (gamma d_y delta)^2), 2.8e-15 at eps = 0.0125 and
+    # gamma d_y delta = 2: as t nears the spacing of floats at 1 the
+    # rounding of 1 + t swamps the count, which this domain stays clear of
+    p = ProblemSpec(n=1, m=1, grad_x=lambda x, y: l * y, grad_y=lambda x, y: l * x,
+                    prox_f=prox_zero, prox_g=prox_zero,
+                    smoothness=SmoothnessConstants(l, l, l, 0.0),
+                    convexity=ConvexityModuli(gamma, 0.0),
+                    noise=NoiseLevels(delta, delta), d_y=d_y)
+    counts = []
+    for eps in EPS_LADDER:
+        _, cfg, _ = _smoothing_plan(p, eps, np.zeros(1))
+        counts.append(cfg.t_outer * inner_draws(cfg.schedule, cfg.schedule.n_inner, 1))
+    assert abs(_slope(EPS_LADDER, counts) + 6.0) <= 0.1
