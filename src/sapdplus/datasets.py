@@ -247,10 +247,13 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
 
     The oracles close over the signed feature rows and the scalars, not over
     the instance, so an instance is freed as soon as it is unreachable.
-    grad_x and batch_grad_x share one helper, two matrix-vector products
-    over the rows (all of them, or the batch's gathered in order), so a
-    batch of every index in order gives grad_x bit for bit; against a
-    row-by-row sum the BLAS product agrees to rounding, not in every bit.
+    The regularizer gradient is the finite sum's grad_h, shared by every
+    component; batch_grad_x is the mean of the loss terms alone.  grad_x,
+    sgrad_x and batch_grad_x share one helper, two matrix-vector products
+    over the rows (all of them, or the batch's gathered in order), and
+    grad_x and sgrad_x add grad_h to it, so a batch of every index in order
+    plus grad_h gives grad_x bit for bit; against a row-by-row sum the BLAS
+    product agrees to rounding, not in every bit.
     Each sgrad_x/sgrad_y call takes sgrad_batch component indices, drawn
     uniformly with replacement by fs.sample.
     """
@@ -275,22 +278,24 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         l_xy=max_norm, l_yx=max_norm, l_yy=0.0,
     )
 
-    def mean_grad_x(rows, weights, x):
-        # mean of the component gradients w_i * grad l_i(x) + reg'(x) over
-        # the signed rows, as two matrix-vector products
+    def mean_loss_grad_x(rows, weights, x):
+        # mean of the component gradients w_i * grad l_i(x) over the signed
+        # rows, as two matrix-vector products
         sig = _sigmoid_neg(rows.dot(x))
-        return (rows.T.dot(-sig * weights) / rows.shape[0]
-                + _regularizer_grad(x, alpha, eta1))
+        return rows.T.dot(-sig * weights) / rows.shape[0]
+
+    def grad_h(x):
+        return _regularizer_grad(x, alpha, eta1)
 
     def grad_x(x, y):
-        return mean_grad_x(signed, y, x)
+        return mean_loss_grad_x(signed, y, x) + grad_h(x)
 
     def grad_y(x, y):
         return _logistic_losses(signed, x) / n
 
     def batch_grad_x(idx, x, y):
         # take gathers rows as signed[idx] does, with less overhead
-        return mean_grad_x(signed.take(idx, axis=0), y.take(idx), x)
+        return mean_loss_grad_x(signed.take(idx, axis=0), y.take(idx), x)
 
     def batch_grad_y(idx, x, y):
         idx = np.asarray(idx)
@@ -299,10 +304,11 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         return np.bincount(idx, weights=losses, minlength=n) / idx.size
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
-                       batch_grad_y=batch_grad_y, as_smoothness=as_constants)
+                       batch_grad_y=batch_grad_y, as_smoothness=as_constants,
+                       grad_h=grad_h)
 
     def sgrad_x(x, y, idx):
-        return batch_grad_x(idx, x, y)
+        return batch_grad_x(idx, x, y) + grad_h(x)
 
     def sgrad_y(x, y, idx):
         return batch_grad_y(idx, x, y)

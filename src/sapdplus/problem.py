@@ -162,22 +162,28 @@ def shifted_subproblem(p: ProblemSpec, center, mu_x: float) -> ProblemSpec:
 
 @dataclass
 class FiniteSumSpec:
-    """Finite-sum oracle: Phi = (1/n_comp) * sum_i Phi_i.
+    """Finite-sum oracle: Phi = h(x) + (1/n_comp) * sum_i Phi_i.
 
     batch_grad_x/batch_grad_y take (indices, x, y) and return the mean of
     the component gradients over the index list (repeats allowed), summed in
     any order: the DRO x-batch sums by a BLAS product, so it matches a
-    sequential sum to rounding only.
+    sequential sum to rounding only.  grad_h, if given, is the gradient
+    grad_h(x) of the term h that every component shares; it is not part of
+    batch_grad_x, so an unbiased x-gradient estimate is a batch mean plus
+    grad_h, and a difference of two batches at the same indices needs no
+    h at all.  None means h = 0.  h depends on x alone, so batch_grad_y
+    has no such term.
     Every index lies in [0, n_comp), as sample draws them; the oracles do not
     check this, and outside it they may disagree (a DRO x-batch wraps a
     negative index, its y-batch raises).  as_smoothness holds the
-    almost-sure per-component Lipschitz constants.
+    almost-sure per-component Lipschitz constants, h included.
     """
 
     n_comp: int
     batch_grad_x: Callable
     batch_grad_y: Callable
     as_smoothness: SmoothnessConstants
+    grad_h: Optional[Callable] = None
 
     def sample(self, rng, size):
         """Uniform batch with replacement from {0, ..., n_comp-1}."""
@@ -187,20 +193,23 @@ class FiniteSumSpec:
 
 
 def shifted_finite_sum(fs: FiniteSumSpec, center, coef: float) -> FiniteSumSpec:
-    """Finite sum of the shifted coupling: every component x-gradient gains coef*(x-center)."""
-    center = np.asarray(center, dtype=float)
-    base = fs.batch_grad_x
+    """Finite sum of the shifted coupling: h(x) gains (coef/2)*||x - center||^2.
 
-    def batch_grad_x(idx, x, y):
-        return base(idx, x, y) + coef * (x - center)
+    The shift is shared by every component, so it joins grad_h, which gains
+    coef*(x - center); the batch oracles are fs's own.
+    """
+    center = np.asarray(center, dtype=float)
+    base = fs.grad_h
+    if base is None:
+        def grad_h(x):
+            return coef * (x - center)
+    else:
+        def grad_h(x):
+            return base(x) + coef * (x - center)
 
     s = fs.as_smoothness
-    return FiniteSumSpec(
-        n_comp=fs.n_comp,
-        batch_grad_x=batch_grad_x,
-        batch_grad_y=fs.batch_grad_y,
-        as_smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy),
-    )
+    return replace(fs, grad_h=grad_h,
+                   as_smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy))
 
 
 def with_gaussian_noise(p: ProblemSpec, delta_x: float, delta_y: float) -> ProblemSpec:

@@ -38,8 +38,9 @@ def project_simplex(v):
     if v.ndim != 1 or v.size == 0:
         raise ConfigurationError("project_simplex expects a nonempty vector")
     # a finite lam means a finite sum, so no NaN or +-inf in v
-    lam = (1.0 - v.sum()) / v.size
-    if math.isfinite(lam) and v.min() + lam > 0:
+    # the ufunc reductions v.sum() and v.min() call, without their wrappers
+    lam = (1.0 - np.add.reduce(v)) / v.size
+    if math.isfinite(lam) and np.minimum.reduce(v) + lam > 0:
         return v + lam
     ascending = np.sort(v)
     # NaN sorts last and -inf/+inf sort to the ends, so the ends decide
@@ -62,13 +63,16 @@ def prox_quadratic_over_simplex(v, step, eta2, n_scale):
 
     The quadratic has Hessian eta2*n_scale^2*I, so
         argmin_{y in simplex} g(y) + ||y - v||^2/(2*step)
-    reduces to a simplex projection of the shifted point
-        (v/step + eta2*n_scale*1) / (eta2*n_scale^2 + 1/step).
+    is the simplex projection of
+        (v/step + eta2*n_scale*1) / (eta2*n_scale^2 + 1/step)
+        = v/(1 + eta2*n_scale^2*step) + c*1,  c a constant.
+    A shift by a multiple of the ones vector does not move a projection
+    onto the simplex, so c is dropped and the projected point is one
+    division of v; the projection agrees with the shifted form to rounding.
     """
     if step <= 0:
         raise ConfigurationError("prox step must be positive")
     if eta2 <= 0 or n_scale < 1:
         raise ConfigurationError("need eta2 > 0 and n_scale >= 1")
     v = np.asarray(v, dtype=float)
-    shifted = (v / step + eta2 * n_scale) / (eta2 * n_scale**2 + 1.0 / step)
-    return project_simplex(shifted)
+    return project_simplex(v / (1.0 + eta2 * n_scale**2 * step))

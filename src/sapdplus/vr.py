@@ -4,17 +4,21 @@ periodic large-batch refreshes, for finite-sum couplings.
 Per iteration k (theta fixed to 1 by the parameter rule):
 
     y_{k+1} = prox_{sigma g}(y_k + sigma * s_k)
-    v_k     = large-batch x-gradient at (x_k, y_{k+1})        if k % q == 0
-              v_{k-1} + batch(x_k, y_{k+1}) - batch(x_{k-1}, y_k)  otherwise
+    u_k     = large-batch x-gradient at (x_k, y_{k+1})        if k % q == 0
+              u_{k-1} + batch(x_k, y_{k+1}) - batch(x_{k-1}, y_k)  otherwise
+    v_k     = u_k + grad_h(x_k)
     x_{k+1} = prox_{tau f}(x_k - tau * v_k)
     w_{k+1} = large-batch y-gradient at (x_{k+1}, y_{k+1})    if (k+1) % q == 0
               w_k + batch(x_{k+1}, y_{k+1}) - batch(x_k, y_k)     otherwise
     s_{k+1} = (1 + theta) w_{k+1} - theta w_k
 
 with w_0 a large-batch draw at (x_0, y_0) and s_0 = w_0.  The recursion
-evaluates the same batch at both point pairs.  Oracle cost is counted in
-single-sample draws.  The iteration is the one inner loop of sapd.py; this
-module supplies its SPIDER estimator of v_k and s_{k+1}.
+evaluates the same batch at both point pairs.  u_k estimates the mean of the
+component x-gradients only: the shared term grad_h (FiniteSumSpec) depends
+on x alone, so it would cancel in the batch difference, and it is added
+once, at x_k.  Oracle cost is counted in single-sample draws.  The iteration
+is the one inner loop of sapd.py; this module supplies its SPIDER estimator
+of v_k and s_{k+1}.
 """
 
 import warnings
@@ -55,13 +59,15 @@ class VrParams:
 
 class _SpiderGradient:
     """The SPIDER estimator; each recursion step reuses the point of the
-    previous call on its axis.  Its batches are slices of one _Draws of
-    indices: b for w_0, then per iteration the x-batch before the y-batch.
+    previous call on its axis.  The x-recursion runs on the component part
+    u_k; grad_h, bound once per stage, is added at x_k alone.  Its batches
+    are slices of one _Draws of indices: b for w_0, then per iteration the
+    x-batch before the y-batch.
     A recursion step draws its batch once and evaluates it twice, so the
     stage draws fewer indices than inner_oracle_calls counts."""
 
     def __init__(self, fs: FiniteSumSpec, params: VrParams, rng):
-        self.fs, self.params = fs, params
+        self.fs, self.params, self.grad_h = fs, params, fs.grad_h
         b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
 
         def size_of(k):
@@ -77,13 +83,13 @@ class _SpiderGradient:
     def primal(self, k, x, y):
         fs, params = self.fs, self.params
         if k % params.q == 0:
-            v = fs.batch_grad_x(self.draws.take(params.b), x, y)
+            u = fs.batch_grad_x(self.draws.take(params.b), x, y)
         else:
             batch = self.draws.take(params.b_x)
-            v = self.v + (fs.batch_grad_x(batch, x, y)
+            u = self.u + (fs.batch_grad_x(batch, x, y)
                           - fs.batch_grad_x(batch, *self.at_x))
-        self.v, self.at_x = v, (x, y)
-        return v
+        self.u, self.at_x = u, (x, y)
+        return u if self.grad_h is None else u + self.grad_h(x)
 
     def dual(self, k, x, y):
         fs, params = self.fs, self.params

@@ -10,6 +10,12 @@ changes of the solvers.  The one exception: the stochastic oracles now
 take their random values as an argument, so `reference_grad` draws each
 call's values with the problem's draw callable as that call is made, the
 order the removed `ProblemSpec.stoch_grad_*` drew them in.
+
+`reference_vr_sapd_run` evaluates the full component x-gradient at both
+points of a recursion step, batch plus the shared `grad_h` at each, as the
+solver did before `FiniteSumSpec` split `grad_h` out.  The solver now adds
+`grad_h` once, at the new point, so the two agree to rounding, not bit for
+bit; draws, batches and call counts still match exactly.
 """
 
 from dataclasses import dataclass
@@ -95,6 +101,10 @@ def reference_sapd_run(p, params, x0, y0, rng, step_tol=0.0, record_iterates=Fal
 
 def reference_vr_sapd_run(fs, p, params, x0, y0, rng):
     tau, sigma, theta, q = params.tau, params.sigma, params.theta, params.q
+
+    def batch_grad_x(batch, x, y):
+        g = fs.batch_grad_x(batch, x, y)
+        return g if fs.grad_h is None else g + fs.grad_h(x)
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     x_prev = x.copy()
@@ -113,11 +123,11 @@ def reference_vr_sapd_run(fs, p, params, x0, y0, rng):
         y_new = p.prox_g(y + sigma * s, sigma)
         if k % q == 0:
             batch = fs.sample(rng, params.b)
-            v = fs.batch_grad_x(batch, x, y_new)
+            v = batch_grad_x(batch, x, y_new)
             x_samples += params.b
         else:
             batch = fs.sample(rng, params.b_x)
-            diff = fs.batch_grad_x(batch, x, y_new) - fs.batch_grad_x(batch, x_prev, y)
+            diff = batch_grad_x(batch, x, y_new) - batch_grad_x(batch, x_prev, y)
             v = v + diff
             x_samples += 2 * params.b_x
         x_new = p.prox_f(x - tau * v, tau)

@@ -1,11 +1,16 @@
 """The inner solvers against frozen reference copies of their loops.
 
-Every field of the run result, the iterates seen through `on_iterate`, the
-VR batch-gradient calls and the CLI's sgda-baseline rows must match the
-reference bit for bit: the one inner loop may only drop work whose result
-is never read, never reorder arithmetic or rng draws.  The solvers draw a
-stage's random values in blocks, the references one oracle call at a time;
-both must leave the generator in the same state.
+Every field of the run result, the iterates seen through `on_iterate` and
+the CLI's sgda-baseline rows must match the reference bit for bit: the one
+inner loop may only drop work whose result is never read, never reorder
+arithmetic or rng draws.  The one exception is the VR solver: its SPIDER
+recursion adds the shared term grad_h once, at the new point, where the
+reference adds it at both points of a step and subtracts, so its iterates
+and the points of its batch-gradient calls match to rounding (rtol = 1e-12,
+atol = 1e-12 * max|expected|); its batches, call counts and oracle counts
+still match exactly.  The solvers draw a stage's random values in blocks,
+the references one oracle call at a time; both must leave the generator in
+the same state.
 """
 
 from dataclasses import replace
@@ -35,6 +40,25 @@ def assert_same_run(got, ref):
     for name in ("x_avg", "y_avg", "x_last", "y_last"):
         assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
     assert _bits(got.last_step_norm) == _bits(ref.last_step_norm)
+    assert (got.iterations, got.x_calls, got.y_calls) == (
+        ref.iterations, ref.x_calls, ref.y_calls)
+
+
+def assert_close(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(expected))))
+
+
+def assert_close_vr_run(got, ref):
+    """The VR run against its reference: iterates to rounding, counts exactly.
+
+    The last step norm is a difference of iterates, so its tolerance is
+    taken against the iterates' size, not its own.
+    """
+    for name in ("x_avg", "y_avg", "x_last", "y_last"):
+        assert_close(getattr(got, name), getattr(ref, name))
+    size = max(np.max(np.abs(ref.x_last)), np.max(np.abs(ref.y_last)))
+    assert abs(got.last_step_norm - ref.last_step_norm) <= 1e-12 * size
     assert (got.iterations, got.x_calls, got.y_calls) == (
         ref.iterations, ref.x_calls, ref.y_calls)
 
@@ -184,7 +208,7 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
     fs_got, fs_ref = (logged(fs, log) for log in logs) if log_calls else (fs, fs)
     got = vr_sapd_run(fs_got, sub, params, x0, y0, np.random.default_rng(23))
     ref = reference_vr_sapd_run(fs_ref, sub, params, x0, y0, np.random.default_rng(23))
-    assert_same_run(got, ref)
+    assert_close_vr_run(got, ref)
     got_log, ref_log = logs
     # one call per refresh, two per recursion step, and the initial y-batch
     q = params.q
@@ -192,7 +216,9 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
     assert len(got_log) == len(ref_log) == calls * log_calls
     for call_got, call_ref in zip(got_log, ref_log):
         assert call_got[0] == call_ref[0]
-        assert [_bits(a) for a in call_got[1:]] == [_bits(a) for a in call_ref[1:]]
+        assert _bits(call_got[1]) == _bits(call_ref[1])
+        for a_got, a_ref in zip(call_got[2:], call_ref[2:]):
+            assert_close(a_got, a_ref)
 
 
 class TestSgdaDirection:
@@ -374,7 +400,7 @@ class TestBlockedDraws:
         got_rng, ref_rng = CountingRng(23), CountingRng(23)
         got = vr_sapd_run(fs, sub, params, x0, y0, got_rng)
         ref = reference_vr_sapd_run(fs, sub, params, x0, y0, ref_rng)
-        assert_same_run(got, ref)
+        assert_close_vr_run(got, ref)
         assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
         assert got_rng.sizes == blocks
         assert sum(ref_rng.sizes) == sum(blocks)

@@ -119,7 +119,9 @@ class TestDroInstance:
         x = rng.standard_normal(5)
         y = np.abs(rng.standard_normal(64))
         y /= y.sum()
-        full_x = inst.finite_sum.batch_grad_x(np.arange(64), x, y)
+        # the regularizer is the shared term grad_h, not part of the batch
+        fs = inst.finite_sum
+        full_x = fs.batch_grad_x(np.arange(64), x, y) + fs.grad_h(x)
         assert np.max(np.abs(full_x - inst.problem.grad_x(x, y))) <= 1e-12
         full_y = inst.finite_sum.batch_grad_y(np.arange(64), x, y)
         assert np.max(np.abs(full_y - inst.problem.grad_y(x, y))) <= 1e-12
@@ -201,7 +203,8 @@ def assert_close_grad_x(got, expected):
 
 class TestDroBatchIndexing:
     """The batch oracles gather rows with take; they keep the results and
-    errors of indexing with signed[idx], the x-gradient to rounding."""
+    errors of indexing with signed[idx], the x-gradient (batch plus the
+    shared grad_h) to rounding."""
 
     ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(13))
 
@@ -216,13 +219,15 @@ class TestDroBatchIndexing:
                                      np.array([1, 1, 28, 0, 28])])
     def test_lists_and_repeats(self, idx):
         fs, ref, x, y = self._pair()
-        assert_close_grad_x(fs.batch_grad_x(idx, x, y), ref.batch_grad_x(idx, x, y))
+        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + fs.grad_h(x),
+                            ref.batch_grad_x(idx, x, y))
         assert fs.batch_grad_y(idx, x, y).tobytes() == ref.batch_grad_y(idx, x, y).tobytes()
 
     @pytest.mark.parametrize("idx", [[-1], [-30, 4, -1, -1], np.array([2, -3, 27])])
     def test_negative_indices(self, idx):
         fs, ref, x, y = self._pair()
-        assert_close_grad_x(fs.batch_grad_x(idx, x, y), ref.batch_grad_x(idx, x, y))
+        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + fs.grad_h(x),
+                            ref.batch_grad_x(idx, x, y))
         # bincount rejects negative indices in both
         with pytest.raises(ValueError):
             ref.batch_grad_y(idx, x, y)

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernels import ReferenceDro, reference_dense, reference_project_simplex
+from reference_kernels import (ReferenceDro, reference_dense, reference_project_simplex,
+                               reference_prox_quadratic_over_simplex)
 from sapdplus import datasets
-from sapdplus.prox import project_simplex
+from sapdplus.prox import project_simplex, prox_quadratic_over_simplex
 
 # the test u_j + (1 - sum_{i<=j} u_i)/j > 0 holds at indices 0, 1, 2, 5 of
 # the sorted vector: counting them would pick index 3, not 5
@@ -139,6 +140,53 @@ class TestProjectSimplex:
         assert np.all(v[~active] <= t + tol)
 
 
+class TestProxQuadraticOverSimplex:
+    """The prox projects v / (1 + eta2 n^2 step); the reference projects
+    (v/step + eta2 n) / (eta2 n^2 + 1/step), the same point plus a multiple
+    of the ones vector, which the projection ignores.  They agree within
+    1e-12 * (1 + max|v|)."""
+
+    @staticmethod
+    def assert_matches_reference(v, step, eta2, n_scale):
+        got = prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        ref = reference_prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-12 * (1.0 + float(np.max(np.abs(v)))))
+
+    prox_args = dict(step=st.floats(1e-3, 1e3), eta2=st.floats(1e-6, 10.0),
+                     n_scale=st.integers(1, 1000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=st.one_of(random_vectors, rounded_ties), **prox_args)
+    def test_matches_reference(self, w, step, eta2, n_scale):
+        # v is scaled so that the projected point is w to rounding; most of
+        # these draws take the sort path
+        v = w * (1.0 + eta2 * n_scale**2 * step)
+        self.assert_matches_reference(v, step, eta2, n_scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=all_active, **prox_args)
+    def test_all_active_matches_reference(self, w, step, eta2, n_scale):
+        scale = 1.0 + eta2 * n_scale**2 * step
+        v = w * scale
+        assert _takes_fast_path(v / scale)
+        self.assert_matches_reference(v, step, eta2, n_scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=near_boundary(), prox=st.sampled_from(
+        # (step, eta2, n_scale) with 1 + eta2 n^2 step a power of two
+        [(1.0, 1.0, 1), (3.0, 1.0, 1), (7.0, 1.0, 1), (1.0, 0.0625, 4),
+         (0.25, 2.0**-10, 64)]))
+    def test_near_boundary(self, w, prox):
+        # v / (1 + eta2 n^2 step) is w exactly, so the projected point sits
+        # a few ulps on either side of the all-active check
+        step, eta2, n_scale = prox
+        scale = 1.0 + eta2 * n_scale**2 * step
+        v = w * scale
+        assert _bits(v / scale) == _bits(w)
+        self.assert_matches_reference(v, step, eta2, n_scale)
+
+
 @st.composite
 def ragged_datasets(draw):
     d = draw(st.integers(1, 8))
@@ -208,7 +256,7 @@ def test_dro_oracles_match_reference(case):
     @given(inputs=oracle_inputs(n, d))
     def check(inputs):
         idx, x, y = inputs
-        assert_close(fs.batch_grad_x(idx, x, y), ref.batch_grad_x(idx, x, y))
+        assert_close(fs.batch_grad_x(idx, x, y) + fs.grad_h(x), ref.batch_grad_x(idx, x, y))
         assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
         assert _bits(p.grad_y(x, y)) == _bits(ref.grad_y(x, y))
         assert _bits(inst.losses(x)) == _bits(ref.losses(x))
@@ -222,7 +270,8 @@ def test_dro_oracles_match_reference(case):
 @pytest.mark.parametrize("case", sorted(DRO_CASES))
 def test_full_batch_is_the_full_gradient(case):
     # one helper computes both x-gradients: over every index in order, the
-    # batch oracles are the deterministic ones bit for bit
+    # batch oracles (the x-batch plus the shared grad_h) are the
+    # deterministic ones bit for bit
     inst, _ = _pair(case)
     p, fs = inst.problem, inst.finite_sum
     n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
@@ -232,7 +281,7 @@ def test_full_batch_is_the_full_gradient(case):
     @given(inputs=oracle_inputs(n, d))
     def check(inputs):
         _, x, y = inputs
-        assert _bits(fs.batch_grad_x(every, x, y)) == _bits(p.grad_x(x, y))
+        assert _bits(fs.batch_grad_x(every, x, y) + fs.grad_h(x)) == _bits(p.grad_x(x, y))
         assert _bits(fs.batch_grad_y(every, x, y)) == _bits(p.grad_y(x, y))
 
     check()
@@ -379,7 +428,7 @@ def test_dro_oracles_are_their_matmul_forms(case):
         idx, x, y = inputs
         losses = np.logaddexp(0.0, -(signed @ x))
         assert _bits(p.grad_x(x, y)) == _bits(_matmul_grad_x(signed, y, x))
-        assert _bits(fs.batch_grad_x(idx, x, y)) == _bits(
+        assert _bits(fs.batch_grad_x(idx, x, y) + fs.grad_h(x)) == _bits(
             _matmul_grad_x(signed[idx], y[idx], x))
         assert _bits(p.grad_y(x, y)) == _bits(losses / n)
         expected = (float(y @ losses) / n + inst.regularizer(x) - inst.g_value(y))

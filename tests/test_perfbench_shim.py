@@ -69,7 +69,10 @@ def test_smoothing_path_runs_through_the_shims(tracing):
 
 def test_vr_path_runs_through_the_shims(tracing):
     # the VR stage, the guard inside the one inner loop and the refresh batches
-    # must all reach the traced run's per-layer figures
+    # must all reach the traced run's per-layer figures, and the traced draw
+    # count must be the solver's own oracle count (draws_mismatch = 0)
+    from dataclasses import replace
+
     from sapdplus import datasets
     from sapdplus.outer import OuterConfig, sapd_plus_run
     from sapdplus.vr import VrParams
@@ -77,16 +80,31 @@ def test_vr_path_runs_through_the_shims(tracing):
     stages, n, q = 3, 11, 4
     params = VrParams(tau=0.05, sigma=0.05, b=40, b_x=3, b_y=2, q=q, n_inner=n,
                       mu_x=1.0)
+    grad_h_calls = []
     tr = tracing.Tracer()
     with tracing.installed(tr):
         ds = datasets.synthetic_logistic_dataset(40, 5, np.random.default_rng(1))
         inst = datasets.build_dro(ds, sgrad_batch=3)
+        grad_h = inst.finite_sum.grad_h
+
+        def counted_grad_h(x):
+            grad_h_calls.append(x)
+            return grad_h(x)
+
+        counted = replace(inst.finite_sum, grad_h=counted_grad_h)
         result = sapd_plus_run(inst.problem, OuterConfig(t_outer=stages,
                                                          schedule=params, vr=True),
                                np.zeros(5), np.full(40, 1 / 40),
-                               np.random.default_rng(2), fs=inst.finite_sum)
+                               np.random.default_rng(2), fs=counted)
     stats, counters = tr.summary()
     assert result.stages_run == stages
     assert stats["stage.vr"].calls == stages
     assert stats["guard"].calls == counters["vr.iterations"] == stages * n
-    assert counters["vr.refreshes"] == stages * (-(-n // q) + n // q + 1)
+    refresh_x, refresh_y = -(-n // q), n // q
+    assert counters["vr.refreshes"] == stages * (refresh_x + refresh_y + 1)
+    assert counters["draws"] == result.oracle_calls
+    # an x-refresh is one batch call, a recursion step two at the same indices
+    assert stats["batch_grad_x"].calls == stages * (refresh_x + 2 * (n - refresh_x))
+    assert stats["batch_grad_y"].calls == stages * (1 + refresh_y + 2 * (n - refresh_y))
+    # the shared term is evaluated once per iteration, at x_k alone
+    assert len(grad_h_calls) == stages * n

@@ -2,8 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum
+from sapdplus import datasets
 from sapdplus.problem import shifted_finite_sum, shifted_subproblem
 from sapdplus.sapd import SapdParams, sapd_run
 from sapdplus.vr import VrParams, _SpiderGradient, vr_sapd_run
@@ -53,9 +56,10 @@ class TestVrRun:
         np.testing.assert_allclose(res_vr.x_avg, res_sp.x_avg, atol=1e-12)
 
     def test_recursion_identity_bitwise(self, shifted_setup):
-        # log every batch gradient and prox call of a run, rebuild v and w by
-        # the recursion from the logged outputs, and require the prox
-        # arguments x - tau v and y + sigma s bit for bit
+        # log every batch gradient, grad_h and prox call of a run, rebuild
+        # u, v = u + grad_h(x) and w by the recursion from the logged
+        # outputs, and require the prox arguments x - tau v and y + sigma s
+        # bit for bit
         _, sub, sub_fs, x0, y0 = shifted_setup
         vrp = VrParams(tau=0.03, sigma=0.03, b=10, b_x=3, b_y=2, q=5,
                        n_inner=17, mu_x=1.0)
@@ -69,7 +73,7 @@ class TestVrRun:
             return call
 
         fs = replace(sub_fs, **{name: logged(name, getattr(sub_fs, name))
-                                for name in ("batch_grad_x", "batch_grad_y")})
+                                for name in ("batch_grad_x", "batch_grad_y", "grad_h")})
         p = replace(sub, **{name: logged(name, getattr(sub, name))
                             for name in ("prox_f", "prox_g")})
         res = vr_sapd_run(fs, p, vrp, x0, y0, np.random.default_rng(2))
@@ -94,11 +98,17 @@ class TestVrRun:
             assert call[1][0].tobytes() == arg.tobytes()
             return call[2]
 
-        x, y, x_prev, v = x0, y0, None, None
+        def grad_h(x):
+            call = next(calls)
+            assert call[0] == "grad_h" and call[1][0].tobytes() == x.tobytes()
+            return call[2]
+
+        x, y, x_prev, u = x0, y0, None, None
         w = s = estimate("batch_grad_y", 0, None, (x0, y0), None)
         for k in range(vrp.n_inner):
             y_new = prox("prox_g", y + vrp.sigma * s, vrp.sigma)
-            v = estimate("batch_grad_x", k, v, (x, y_new), (x_prev, y))
+            u = estimate("batch_grad_x", k, u, (x, y_new), (x_prev, y))
+            v = u + grad_h(x)
             x_new = prox("prox_f", x - vrp.tau * v, vrp.tau)
             w_new = estimate("batch_grad_y", k + 1, w, (x_new, y_new), (x, y))
             s = (1.0 + vrp.theta) * w_new - vrp.theta * w
@@ -185,11 +195,14 @@ def spider_variance_probe(fs, points, params: VrParams, reps: int, rng,
     Each repetition drives a fresh `_SpiderGradient` through the points:
     `primal(k, x_k, y_{k+1})` for the x-estimator v_k; for the y-estimator,
     `first(x_0, y_0)` and then `dual(k - 1, x_k, y_k)`, reading w_k from
-    `.w` after each call.  The MSE is against the full-batch gradient.
-    Returns a dict with per-iteration 'mse', 'bound' and 'stderr'.
+    `.w` after each call.  The MSE is against the full-batch gradient, plus
+    grad_h on the x-axis.  Returns a dict with per-iteration 'mse', 'bound'
+    and 'stderr'.
     """
     grad = fs.batch_grad_x if which == "x" else fs.batch_grad_y
     full = [grad(np.arange(fs.n_comp), xk, yk) for xk, yk in points]
+    if which == "x" and fs.grad_h is not None:
+        full = [g + fs.grad_h(xk) for g, (xk, _) in zip(full, points)]
     err = np.empty((reps, len(points)))
     for r in range(reps):
         est = _SpiderGradient(fs, params, rng)
@@ -264,3 +277,65 @@ class TestVarianceProbe:
                                       rng=np.random.default_rng(5), delta=delta,
                                       which="y")
         assert np.all(probe["mse"] <= probe["bound"] + 3 * probe["stderr"])
+
+
+def single_draw_variance(fs, x, y, which):
+    """E||g_j - mean_j g_j||^2 of one uniform component draw, by enumeration."""
+    grad = fs.batch_grad_x if which == "x" else fs.batch_grad_y
+    comps = np.array([grad(np.array([i]), x, y) for i in range(fs.n_comp)])
+    return float(np.mean(np.sum((comps - comps.mean(axis=0)) ** 2, axis=1)))
+
+
+def shifted_quadratic_fs():
+    rng = np.random.default_rng(7)
+    qfs = make_quadratic_finite_sum(12, 3, 2, 1.0, 1.0, rng, spread=0.4)
+    return shifted_finite_sum(qfs.spec, rng.standard_normal(3), 2.0)
+
+
+def shifted_dro_fs():
+    ds = datasets.synthetic_logistic_dataset(12, 3, np.random.default_rng(8))
+    fs = datasets.build_dro(ds).finite_sum
+    return shifted_finite_sum(fs, np.random.default_rng(9).standard_normal(3), 0.5)
+
+
+SHIFTED_FINITE_SUMS = {"quadratic": shifted_quadratic_fs, "dro": shifted_dro_fs}
+
+
+@st.composite
+def spider_trajectories(draw):
+    """A shifted finite sum, VR batch sizes and a random-walk trajectory.
+
+    The DRO walk keeps y on the simplex, where its per-component constants
+    hold (they bound y_i by 1).
+    """
+    kind = draw(st.sampled_from(sorted(SHIFTED_FINITE_SUMS)))
+    fs = SHIFTED_FINITE_SUMS[kind]()
+    b_x, b_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    b = draw(st.integers(max(b_x, b_y), 12))
+    q = draw(st.integers(1, 5))
+    n_points = draw(st.integers(2, 9))
+    scale = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = 3, (2 if kind == "quadratic" else fs.n_comp)
+    xs = np.cumsum(scale * rng.standard_normal((n_points, n)), axis=0)
+    zs = np.cumsum(scale * rng.standard_normal((n_points, m)), axis=0)
+    if kind == "dro":
+        zs = np.exp(zs) / np.exp(zs).sum(axis=1, keepdims=True)
+    params = VrParams(tau=0.1, sigma=0.1, b=b, b_x=b_x, b_y=b_y, q=q,
+                      n_inner=n_points, mu_x=1.0)
+    return fs, params, list(zip(xs, zs)), draw(st.sampled_from(["x", "y"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=spider_trajectories(), seed=st.integers(0, 2**32 - 1))
+def test_spider_mse_under_its_bound_on_random_trajectories(case, seed):
+    # the solver's own estimator, with grad_h split out of the batches, on
+    # shifted quadratic and DRO finite sums: at a refresh the bound is
+    # attained where the single-draw variance peaks, so the Monte-Carlo MSE
+    # gets four standard errors over thirty drawn trajectories
+    fs, params, points, which = case
+    delta = max(np.sqrt(single_draw_variance(fs, *pt, which)) for pt in points)
+    probe = spider_variance_probe(fs, points, params, reps=400,
+                                  rng=np.random.default_rng(seed), delta=delta,
+                                  which=which)
+    assert np.all(probe["mse"] <= probe["bound"] + 4 * probe["stderr"] + 1e-24)
