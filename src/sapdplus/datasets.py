@@ -141,19 +141,48 @@ def synthetic_logistic_dataset(n: int, d: int, rng) -> SparseDataset:
                          labels=labels, n_samples=n, n_features=d)
 
 
+def _constant(value):
+    """A read-only 0-d float64 coefficient (see the sapd module docstring)."""
+    c = np.array(value, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
+# 0-d coefficients of the oracles below, built once at import
+_ZERO, _HALF, _ONE, _MINUS_ONE = (_constant(0.0), _constant(0.5), _constant(1.0),
+                                  _constant(-1.0))
+
+
 def _sigmoid_neg(z):
     """sigmoid(-z) = 1/(1+e^z), overflow-safe for any z."""
-    return 0.5 * (1.0 - np.tanh(0.5 * z))
+    return _HALF * (_ONE - np.tanh(_HALF * z))
 
 
 def _logistic_losses(signed, x):
     """log(1 + exp(-b_i a_i'x)) for every row b_i a_i of ``signed``."""
-    return np.logaddexp(0.0, -signed.dot(x))
+    return np.logaddexp(_ZERO, -signed.dot(x))
+
+
+def _regularizer_grad_of(alpha, eta1):
+    """x -> the gradient of eta1 * sum_j alpha x_j^2/(1 + alpha x_j^2),
+    eta1 * 2 alpha x / (1 + alpha x^2)^2, with its coefficients bound once.
+
+    np.square(v) computes v**2 bit for bit, without the power's exponent
+    conversion.
+    """
+    # 0-d coefficients; scale is the left-to-right product that
+    # eta1 * 2.0 * alpha * x forms before it multiplies x
+    alpha_c, scale = _constant(alpha), _constant(eta1 * 2.0 * alpha)
+
+    def grad(x):
+        return scale * x / np.square(_ONE + alpha_c * np.square(x))
+
+    return grad
 
 
 def _regularizer_grad(x, alpha, eta1):
-    ax2 = alpha * x**2
-    return eta1 * 2.0 * alpha * x / (1.0 + ax2) ** 2
+    """The regularizer gradient at one x, as the oracles compute it."""
+    return _regularizer_grad_of(alpha, eta1)(x)
 
 
 @dataclass
@@ -264,34 +293,47 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     signed = ds.labels[:, None] * ds.dense()
 
     row_norms_sq = _row_norms_sq(ds)
-    max_norm = math.sqrt(row_norms_sq.max())
+    # a Python float, so the constants and the prox steps derived from them
+    # are Python floats too
+    max_sq = float(row_norms_sq.max())
+    max_norm = math.sqrt(max_sq)
     reg_curv = 2.0 * eta1 * alpha
     gamma = reg_curv
     mu_y = eta2 * n**2
     coupling_det = math.sqrt(row_norms_sq.sum()) / n
     det_constants = SmoothnessConstants(
-        l_xx=row_norms_sq.max() / 4.0 + reg_curv,
+        l_xx=max_sq / 4.0 + reg_curv,
         l_xy=coupling_det, l_yx=coupling_det, l_yy=0.0,
     )
     as_constants = SmoothnessConstants(
-        l_xx=row_norms_sq.max() / 4.0 + reg_curv,
+        l_xx=max_sq / 4.0 + reg_curv,
         l_xy=max_norm, l_yx=max_norm, l_yy=0.0,
     )
+
+    # batch size -> its 0-d divisor, built once per size; threads that race
+    # on a new size build the same constant twice
+    divisors = {}
+
+    def mean_of(total, size):
+        # total / size, as the Python int size would divide it
+        divisor = divisors.get(size)
+        if divisor is None:
+            divisor = divisors[size] = _constant(size)
+        return total / divisor
 
     def mean_loss_grad_x(rows, weights, x):
         # mean of the component gradients w_i * grad l_i(x) over the signed
         # rows, as two matrix-vector products
         sig = _sigmoid_neg(rows.dot(x))
-        return rows.T.dot(-sig * weights) / rows.shape[0]
+        return mean_of(rows.T.dot(-sig * weights), rows.shape[0])
 
-    def grad_h(x):
-        return _regularizer_grad(x, alpha, eta1)
+    grad_h = _regularizer_grad_of(alpha, eta1)
 
     def grad_x(x, y):
         return mean_loss_grad_x(signed, y, x) + grad_h(x)
 
     def grad_y(x, y):
-        return _logistic_losses(signed, x) / n
+        return mean_of(_logistic_losses(signed, x), n)
 
     def batch_grad_x(idx, x, y):
         # take gathers rows as signed[idx] does, with less overhead
@@ -301,7 +343,7 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         idx = np.asarray(idx)
         # bincount adds repeated indices in batch order, as np.add.at does
         losses = _logistic_losses(signed.take(idx, axis=0), x)
-        return np.bincount(idx, weights=losses, minlength=n) / idx.size
+        return mean_of(np.bincount(idx, weights=losses, minlength=n), idx.size)
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants,
@@ -392,12 +434,13 @@ def make_quadratic_saddle(n: int, m: int, gamma: float, mu_y: float, rng) -> Qua
                                     l_yx=l_coupling, l_yy=mu_y)
 
     bt = b.T
+    mu_y_c = _constant(mu_y)  # 0-d coefficient (sapd module docstring)
 
     def grad_x(x, y):
         return a.dot(x) + b.dot(y)
 
     def grad_y(x, y):
-        return bt.dot(x) - mu_y * y
+        return bt.dot(x) - mu_y_c * y
 
     problem = ProblemSpec(
         n=n, m=m, grad_x=grad_x, grad_y=grad_y,
@@ -433,13 +476,14 @@ class BilinearBoxToy:
 
 
 def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
+    c_c = _constant(c)  # 0-d coefficient (sapd module docstring)
     problem = ProblemSpec(
         n=1, m=1,
-        grad_x=lambda x, y: c * y,
-        grad_y=lambda x, y: c * x,
+        grad_x=lambda x, y: c_c * y,
+        grad_y=lambda x, y: c_c * x,
         prox_f=prox.prox_zero,
         # bitwise np.clip(v, -1, 1), without clip's dispatch overhead
-        prox_g=lambda v, step: np.minimum(np.maximum(v, -1.0), 1.0),
+        prox_g=lambda v, step: np.minimum(np.maximum(v, _MINUS_ONE), _ONE),
         smoothness=SmoothnessConstants(l_xx=0.0, l_xy=abs(c), l_yx=abs(c), l_yy=0.0),
         convexity=ConvexityModuli(gamma=gamma, mu_y=0.0),
         d_y=2.0,

@@ -91,6 +91,10 @@ def _accelerated_prox(p: ProblemSpec, x, lam, tol, steps):
     sigma = 1.0 / s.l_yy if s.l_yy > 0 else 1.0 / c.mu_y
     err_per_dy = s.l_xy / (sigma * c.mu_y)
     grad_x, grad_y, prox_f, prox_g = p.grad_x, p.grad_y, p.prox_f, p.prox_g
+    # 0-d coefficients for the array updates; the float steps go to the prox
+    # maps (sapd module docstring)
+    sigma_c, t_c, lam_c, momentum_c = (np.array(sigma), np.array(t), np.array(lam),
+                                       np.array(momentum))
 
     v = u = x
     y = np.zeros(p.m)
@@ -98,13 +102,13 @@ def _accelerated_prox(p: ProblemSpec, x, lam, tol, steps):
     dual_left = steps
     for k in range(1, steps + 1):
         while True:
-            y_new = prox_g(y + sigma * grad_y(u, y), sigma)
+            y_new = prox_g(y + sigma_c * grad_y(u, y), sigma)
             err = err_per_dy * _norm(y_new - y)
             y = y_new
             dual_left -= 1
             if err <= err_target or dual_left == 0:
                 break
-        w = prox_f(u - t * (grad_x(u, y) + (u - x) / lam), t)
+        w = prox_f(u - t_c * (grad_x(u, y) + (u - x) / lam_c), t)
         # u - w loses what is below an ulp of w: count that as unseen gradient
         grad_map = (_norm(u - w) + ULP * _norm(w)) / t
         if (grad_map + err) / mu <= tol:
@@ -112,7 +116,7 @@ def _accelerated_prox(p: ProblemSpec, x, lam, tol, steps):
         if dual_left == 0:
             return w, k, False
         err_target = 0.5 * max(mu * tol, grad_map)
-        u = w + momentum * (w - v)
+        u = w + momentum_c * (w - v)
         v = w
     return v, steps, False
 

@@ -76,6 +76,10 @@ class ProblemSpec:
     order.  An axis without a stochastic oracle draws nothing (size 0), and
     a solver run without an rng uses the exact gradients.  prox_f/prox_g
     take (point, step).
+    The package's oracles and prox maps compute in float64: their
+    coefficients are 0-d float64 arrays, so a float32 operand is promoted
+    to float64 (NEP 50), where a Python-float coefficient would keep it
+    float32.
     oracle_batch is the number of single-sample draws one sgrad call costs
     (1 for a single-sample oracle, b for a mini-batch oracle).
     """
@@ -126,19 +130,20 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
     if center.shape != (dim,):
         raise ConfigurationError(f"center has shape {center.shape}, expected ({dim},)")
     grad, sgrad = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis)
+    coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
     # closures built per axis, so the oracles do no per-call dispatch
     if axis == "x":
         def new_grad(x, y):
-            return grad(x, y) + coef * (x - center)
+            return grad(x, y) + coef_c * (x - center)
 
         def new_sgrad(x, y, draws):
-            return sgrad(x, y, draws) + coef * (x - center)
+            return sgrad(x, y, draws) + coef_c * (x - center)
     else:
         def new_grad(x, y):
-            return grad(x, y) + coef * (y - center)
+            return grad(x, y) + coef_c * (y - center)
 
         def new_sgrad(x, y, draws):
-            return sgrad(x, y, draws) + coef * (y - center)
+            return sgrad(x, y, draws) + coef_c * (y - center)
 
     return replace(p, **{"grad_" + axis: new_grad,
                          "sgrad_" + axis: None if sgrad is None else new_sgrad},
@@ -199,13 +204,14 @@ def shifted_finite_sum(fs: FiniteSumSpec, center, coef: float) -> FiniteSumSpec:
     coef*(x - center); the batch oracles are fs's own.
     """
     center = np.asarray(center, dtype=float)
+    coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
     base = fs.grad_h
     if base is None:
         def grad_h(x):
-            return coef * (x - center)
+            return coef_c * (x - center)
     else:
         def grad_h(x):
-            return base(x) + coef * (x - center)
+            return base(x) + coef_c * (x - center)
 
     s = fs.as_smoothness
     return replace(fs, grad_h=grad_h,
@@ -221,7 +227,8 @@ def with_gaussian_noise(p: ProblemSpec, delta_x: float, delta_y: float) -> Probl
     nothing.
     """
     gx, gy = p.grad_x, p.grad_y
-    scale_x, scale_y = delta_x / np.sqrt(p.n), delta_y / np.sqrt(p.m)
+    # 0-d coefficients (sapd module docstring)
+    scale_x, scale_y = np.array(delta_x / np.sqrt(p.n)), np.array(delta_y / np.sqrt(p.m))
 
     def sgrad_x(x, y, z):
         return gx(x, y) + scale_x * z

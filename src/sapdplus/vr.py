@@ -24,10 +24,14 @@ of v_k and s_{k+1}.
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
 from .sapd import SapdRunResult, _Draws, _inner_loop
-from .sapd import _guard  # noqa: F401  (perfbench's traced run swaps vr._guard)
+# kept for perfbench/tracing.py, whose swap list names vr._guard; the inner
+# loop looks _guard up in sapd, so that swap times nothing
+from .sapd import _guard  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,7 @@ class _SpiderGradient:
 
     def __init__(self, fs: FiniteSumSpec, params: VrParams, rng):
         self.fs, self.params, self.grad_h = fs, params, fs.grad_h
+        self.two = np.array(2.0)  # 0-d coefficient (sapd module docstring)
         b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
 
         def size_of(k):
@@ -99,7 +104,7 @@ class _SpiderGradient:
             batch = self.draws.take(params.b_y)
             w = self.w + (fs.batch_grad_y(batch, x, y)
                           - fs.batch_grad_y(batch, *self.at_y))
-        s = 2.0 * w - self.w  # (1 + theta) w - theta w_k at theta = 1
+        s = self.two * w - self.w  # (1 + theta) w - theta w_k at theta = 1
         self.w, self.at_y = w, (x, y)
         return s
 

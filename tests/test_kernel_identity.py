@@ -13,7 +13,9 @@ The hot-path products are written `ndarray.dot`, not `@` (see the `sapd`
 module docstring), on the premise that both call the same BLAS routine.
 The tests at the end pin that premise, its one exception (two one-element
 operands), and the oracles built on it, bit for bit; if a BLAS build ever
-breaks it, they are the tests that fail.
+breaks it, they are the tests that fail.  After them, the premise of the
+0-d float64 coefficients: each rewritten operation equals its Python-float
+form bit for bit.
 """
 
 import gc
@@ -449,3 +451,72 @@ def test_robust_loss_is_the_lagrangian_at_the_best_response(eta2):
         x = rng.standard_normal(20) * scale
         expected = inst.lagrangian(x, inst.best_response_y(x))
         assert inst.robust_loss(x).hex() == expected.hex()
+
+
+# 0-d float64 coefficients against Python floats, bit for bit
+#
+# The hot path binds its coefficients as 0-d float64 arrays (see the `sapd`
+# module docstring) on the premise that numpy runs the same float64 loop for
+# both forms.  These tests pin that premise for every operation it rewrote,
+# on values that include +-0.0, subnormals, +-inf and NaN.
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -(2.0**-1060), 1e308, -1e308,
+           np.inf, -np.inf, np.nan]
+coefficients = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.0**-1060, 1e308, 0.5, 0.95, 2.0]))
+
+
+@st.composite
+def premise_vectors(draw):
+    """float64 vectors of sizes 1-64 and 1000, with the special values among
+    the entries (st.floats draws them too)."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(), min_size=1, max_size=64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    return np.where(rng.random(1000) < 0.2, rng.choice(SPECIAL, 1000), finite)
+
+
+def assert_same(got, expected):
+    assert _bits(got) == _bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=premise_vectors(), c=coefficients)
+@np.errstate(all="ignore")
+def test_zero_d_coefficient_is_the_python_float(v, c):
+    c0 = np.array(c)
+    assert_same(c0 * v, c * v)
+    assert_same(v * c0, v * c)
+    assert_same(v / c0, v / c)
+    assert_same(c0 + v, c + v)
+    assert_same(np.array(1.0) + v, 1.0 + v)
+    assert_same(np.array(1.0) - v, 1.0 - v)
+    lower, upper = np.array(-1.0), np.array(1.0)
+    assert_same(np.minimum(np.maximum(v, lower), upper),
+                np.minimum(np.maximum(v, -1.0), 1.0))
+    assert_same(np.minimum(np.maximum(v, -abs(c0)), abs(c0)),
+                np.minimum(np.maximum(v, -abs(c)), abs(c)))
+    assert_same(np.logaddexp(np.array(0.0), v), np.logaddexp(0.0, v))
+    assert_same(np.square(v), v**2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=premise_vectors(), size=st.integers(1, 2**53))
+@np.errstate(all="ignore")
+def test_zero_d_divisor_is_the_python_int(v, size):
+    # the DRO batch means divide by the batch size
+    assert_same(v / np.array(float(size)), v / size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=premise_vectors(), r=coefficients, seed=st.integers(0, 2**32 - 1))
+@np.errstate(all="ignore")
+def test_in_place_ufuncs_are_the_augmented_operators(v, r, seed):
+    acc = np.random.default_rng(seed).standard_normal(v.size)
+    expected = acc.copy()
+    expected *= r
+    expected += v
+    np.multiply(acc, np.array(r), acc)
+    np.add(acc, v, acc)
+    assert_same(acc, expected)
