@@ -1,10 +1,11 @@
 """Data ingestion and problem builders.
 
-LIBSVM sparse text parsing, the distributionally-robust logistic instance
-over the simplex, and the two synthetic instances whose Moreau stationarity
-has a closed form: a weakly convex-strongly concave quadratic and a
-bilinear box toy.  The DRO oracles are matrix-vector products with the
-dense signed feature rows, all of them or the rows a batch gathers.
+LIBSVM text parsing into dense rows, the distributionally-robust logistic
+instance over the simplex, and the two synthetic instances whose Moreau
+stationarity has a closed form: a weakly convex-strongly concave quadratic
+and a bilinear box toy.  Datasets are dense from the parse (or the
+generator) on; the DRO oracles are matrix-vector products with the dense
+signed feature rows, all of them or the rows a batch gathers.
 """
 
 import gzip
@@ -23,25 +24,13 @@ from .problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels, ProblemSpec,
 
 
 @dataclass
-class SparseDataset:
-    """CSR-ish sparse rows with +-1 labels (file indices are 1-based, memory 0-based)."""
+class Dataset:
+    """Dense feature rows with +-1 labels."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    labels: np.ndarray
+    features: np.ndarray  # (n_samples, n_features) float64
+    labels: np.ndarray  # (n_samples,) int64, each +-1
     n_samples: int
     n_features: int
-
-    def row(self, i):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
-    def dense(self):
-        a = np.zeros((self.n_samples, self.n_features))
-        rows = np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
-        a[rows, self.indices] = self.values
-        return a
 
 
 def _parse_label(tok, lineno):
@@ -56,14 +45,17 @@ def _parse_label(tok, lineno):
     raise ConfigurationError(f"line {lineno}: label {tok!r} not in {{-1,0,+1}}")
 
 
-def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
-    """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices).
+def parse_libsvm(source, n_features: Optional[int] = None) -> Dataset:
+    """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices) into
+    dense rows.
 
     source may be a path (gzip accepted by .gz extension), a text stream, or
     a string of the format itself.  A string naming an existing file is read
-    as a path even when it contains ':'.  Labels {0,1} map to {-1,+1}.
-    Malformed lines raise with their line number; indices must strictly
-    increase within a row.
+    as a path even when it contains ':'; a path that cannot be read raises
+    ConfigurationError naming it.  Labels {0,1} map to {-1,+1}.  Malformed
+    lines raise with their line number; indices must strictly increase
+    within a row.  The entries are scattered into a zero (n, d) array once,
+    after the whole text is parsed.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -71,15 +63,18 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
         s = str(source)
         if "\n" in s or (":" in s and not os.path.isfile(s)):
             text = s
-        elif s.endswith(".gz"):
-            with gzip.open(s, "rt") as f:
-                text = f.read()
         else:
-            with open(s, "rt") as f:
-                text = f.read()
+            opener = gzip.open if s.endswith(".gz") else open
+            try:
+                with opener(s, "rt") as f:
+                    text = f.read()
+            except (OSError, EOFError, UnicodeDecodeError) as err:
+                # missing or unreadable, a truncated gzip, or undecodable text
+                raise ConfigurationError(
+                    f"cannot read data file {s!r}: {getattr(err, 'strerror', None) or err}"
+                ) from None
 
-    indptr = [0]
-    indices, values, labels = [], [], []
+    rows, indices, values, labels = [], [], [], []
     max_idx = -1
     for lineno, line in enumerate(io.StringIO(text), start=1):
         line = line.split("#", 1)[0].strip()
@@ -104,27 +99,23 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> SparseDataset:
                     f"line {lineno}: non-increasing index {idx + 1}"
                 )
             prev = idx
+            rows.append(len(labels) - 1)
             indices.append(idx)
             values.append(val)
             max_idx = max(max_idx, idx)
-        indptr.append(len(indices))
     if not labels:
         raise ConfigurationError("empty dataset")
     d = max_idx + 1 if n_features is None else n_features
     if d < max_idx + 1:
         raise ConfigurationError("n_features below the largest index present")
-    return SparseDataset(
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        values=np.asarray(values, dtype=float),
-        labels=np.asarray(labels, dtype=np.int64),
-        n_samples=len(labels),
-        n_features=d,
-    )
+    features = np.zeros((len(labels), d))
+    features[rows, indices] = values
+    return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64),
+                   n_samples=len(labels), n_features=d)
 
 
-def synthetic_logistic_dataset(n: int, d: int, rng) -> SparseDataset:
-    """Dense synthetic binary-classification rows stored sparsely.
+def synthetic_logistic_dataset(n: int, d: int, rng) -> Dataset:
+    """Dense synthetic binary-classification rows.
 
     Features are standard normal, row-normalized to unit norm; labels come
     from a random ground-truth logistic model.
@@ -135,10 +126,7 @@ def synthetic_logistic_dataset(n: int, d: int, rng) -> SparseDataset:
     w /= np.linalg.norm(w)
     probs = 1.0 / (1.0 + np.exp(-3.0 * (a @ w)))
     labels = np.where(rng.random(n) < probs, 1, -1)
-    indptr = np.arange(0, n * d + 1, d, dtype=np.int64)
-    indices = np.tile(np.arange(d, dtype=np.int64), n)
-    return SparseDataset(indptr=indptr, indices=indices, values=a.ravel().copy(),
-                         labels=labels, n_samples=n, n_features=d)
+    return Dataset(features=a, labels=labels, n_samples=n, n_features=d)
 
 
 def _constant(value):
@@ -248,22 +236,7 @@ class DroInstance:
                                losses=losses)
 
 
-def _row_norms_sq(ds: SparseDataset) -> np.ndarray:
-    """||a_i||^2 of every row, each summed as np.sum sums that row alone.
-
-    Rows of one length are gathered into a (k, L) array and summed along
-    its rows, which takes the same pairwise order as the sum of one row.
-    """
-    lengths = np.diff(ds.indptr)
-    out = np.empty(ds.n_samples)
-    for length in np.flatnonzero(np.bincount(lengths)):
-        rows = np.flatnonzero(lengths == length)
-        vals = ds.values[ds.indptr[rows, None] + np.arange(length)]
-        out[rows] = np.sum(vals**2, axis=1)
-    return out
-
-
-def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
+def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
               eta2: Optional[float] = None, sgrad_batch: int = 1) -> DroInstance:
     """Assemble robust-logistic oracles and conservative analytic constants.
 
@@ -273,6 +246,10 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
     almost-sure bounds replace those with max_i||a_i||^2/4 and max_i||a_i||.
     The folded regularizer contributes curvature at most 2*eta1*alpha, which
     is also the weak-convexity modulus gamma.  mu_y = eta2*n^2 via g.
+    Each ||a_i||^2 is np.sum over the dense row, zeros included, so on a
+    sparse row it can differ in its last bits from a sum over the row's
+    nonzero entries alone: the terms fall into numpy's pairwise partial
+    sums differently.
 
     The oracles close over the signed feature rows and the scalars, not over
     the instance, so an instance is freed as soon as it is unreachable.
@@ -290,9 +267,8 @@ def build_dro(ds: SparseDataset, alpha: float = 10.0, eta1: float = 1e-3,
         raise ConfigurationError("dataset must have samples and features")
     n = ds.n_samples
     eta2 = 1.0 / n**2 if eta2 is None else eta2
-    signed = ds.labels[:, None] * ds.dense()
-
-    row_norms_sq = _row_norms_sq(ds)
+    signed = ds.labels[:, None] * ds.features
+    row_norms_sq = np.sum(np.square(signed), axis=1)
     # a Python float, so the constants and the prox steps derived from them
     # are Python floats too
     max_sq = float(row_norms_sq.max())

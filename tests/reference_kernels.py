@@ -10,14 +10,19 @@ the two quadratic-shift transforms and the step-size arithmetic as they
 stood before each became one function; the sign-flipped form of the 5x5
 certificate matrix; and the variance-reduced schedule and certificate with
 their correction terms L'_x, L'_y written out in each, as they stood
-before the two shared one helper.  They are not part of the package.  Do not edit
+before the two shared one helper.  Last, the CSR round trip the DRO data
+took before it became dense from end to end: the `SparseDataset` with its
+`row` and `dense()` scatter, the synthetic generator with its CSR packing,
+the row-length grouping of `_row_norms_sq`, and `build_dro`'s signed rows
+and constants over them.  `reference_dense` and `ReferenceDro` take such a
+CSR dataset.  They are not part of the package.  Do not edit
 them to follow later changes of the package; the one exception is the
 `value` oracle and `mu_x` field the two transforms also carried, which
 went with the package's `ProblemSpec.value` and `ProblemSpec.mu_x`.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -270,3 +275,83 @@ def reference_vr_lmi_min_eigenvalue(tau, sigma, q, b_x, b_y, mu_x, s, c):
     g = _reference_assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
     g -= np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0])
     return float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+
+
+@dataclass
+class ReferenceSparseDataset:
+    """CSR-ish sparse rows with +-1 labels (file indices are 1-based, memory 0-based)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
+    n_samples: int
+    n_features: int
+
+    def row(self, i):
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.values[lo:hi]
+
+    def dense(self):
+        a = np.zeros((self.n_samples, self.n_features))
+        rows = np.repeat(np.arange(self.n_samples), np.diff(self.indptr))
+        a[rows, self.indices] = self.values
+        return a
+
+
+def reference_pack_rows(labels, rows, n_features):
+    """CSR of (cols, vals) rows, each row's columns strictly increasing."""
+    indptr, indices, values = [0], [], []
+    for cols, vals in rows:
+        indices += list(cols)
+        values += list(vals)
+        indptr.append(len(indices))
+    return ReferenceSparseDataset(
+        indptr=np.asarray(indptr, dtype=np.int64),
+        indices=np.asarray(indices, dtype=np.int64),
+        values=np.asarray(values, dtype=float),
+        labels=np.asarray(labels, dtype=np.int64),
+        n_samples=len(labels), n_features=n_features)
+
+
+def reference_synthetic_logistic_dataset(n, d, rng):
+    """Dense synthetic binary-classification rows stored sparsely."""
+    a = rng.standard_normal((n, d))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    probs = 1.0 / (1.0 + np.exp(-3.0 * (a @ w)))
+    labels = np.where(rng.random(n) < probs, 1, -1)
+    indptr = np.arange(0, n * d + 1, d, dtype=np.int64)
+    indices = np.tile(np.arange(d, dtype=np.int64), n)
+    return ReferenceSparseDataset(indptr=indptr, indices=indices,
+                                  values=a.ravel().copy(), labels=labels,
+                                  n_samples=n, n_features=d)
+
+
+def reference_grouped_row_norms_sq(ds):
+    """||a_i||^2 of every stored row, rows of one length summed together."""
+    lengths = np.diff(ds.indptr)
+    out = np.empty(ds.n_samples)
+    for length in np.flatnonzero(np.bincount(lengths)):
+        rows = np.flatnonzero(lengths == length)
+        vals = ds.values[ds.indptr[rows, None] + np.arange(length)]
+        out[rows] = np.sum(vals**2, axis=1)
+    return out
+
+
+def reference_dro_data(ds, alpha, eta1):
+    """(signed rows, deterministic constants, almost-sure constants) of
+    `build_dro` over the CSR dataset."""
+    n = ds.n_samples
+    signed = ds.labels[:, None] * ds.dense()
+    row_norms_sq = reference_grouped_row_norms_sq(ds)
+    max_sq = float(row_norms_sq.max())
+    max_norm = math.sqrt(max_sq)
+    reg_curv = 2.0 * eta1 * alpha
+    coupling_det = math.sqrt(row_norms_sq.sum()) / n
+    return (signed,
+            SmoothnessConstants(l_xx=max_sq / 4.0 + reg_curv, l_xy=coupling_det,
+                                l_yx=coupling_det, l_yy=0.0),
+            SmoothnessConstants(l_xx=max_sq / 4.0 + reg_curv, l_xy=max_norm,
+                                l_yx=max_norm, l_yy=0.0))

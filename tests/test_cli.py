@@ -131,6 +131,17 @@ class TestSolve:
         assert capsys.readouterr().err == "sapdplus: error: unknown problem 'nope'\n"
         assert not out.exists()
 
+    def test_missing_data_file_exits_like_a_bad_flag(self, tmp_path, capsys):
+        # a missing --data file once ended in a FileNotFoundError traceback
+        # with exit code 1
+        out, data = tmp_path / "dro.csv", tmp_path / "missing" / "data.svm"
+        assert cli.main(["solve", "--problem", "dro", "--data", str(data),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"sapdplus: error: cannot read data file {str(data)!r}: "
+            "No such file or directory\n")
+        assert not out.exists()
+
     def test_csv_schema_and_monotone_calls(self, tmp_path):
         args, out = self.quad_args(tmp_path, "a.csv")
         assert cli.main(args) == 0

@@ -1,6 +1,8 @@
 import gzip
 import io
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum, make_scsc_quadratic, shifted_saddle
-from reference_kernels import ReferenceDro, reference_row_norms_sq
+from reference_kernels import (ReferenceDro, reference_dense, reference_dro_data,
+                               reference_pack_rows, reference_row_norms_sq,
+                               reference_synthetic_logistic_dataset)
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 
@@ -19,9 +23,7 @@ class TestLibsvmParser:
         assert ds.n_samples == 2
         assert ds.n_features == 3
         np.testing.assert_array_equal(ds.labels, [1, -1])
-        idx, val = ds.row(0)
-        np.testing.assert_array_equal(idx, [0, 2])
-        np.testing.assert_array_equal(val, [0.5, 2.0])
+        np.testing.assert_array_equal(ds.features, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
 
     def test_non_increasing_index(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -64,6 +66,23 @@ class TestLibsvmParser:
             ds = datasets.parse_libsvm(source)
             assert ds.n_samples == 3
             assert ds.n_features == 2
+
+    @pytest.mark.parametrize("name,content,reason", [
+        ("missing.libsvm", None, "No such file"),
+        ("missing.libsvm.gz", None, "No such file"),
+        ("binary.libsvm", b"+1 1:0.5\n\xd0\x00\n", "can't decode byte 0xd0"),
+        ("truncated.libsvm.gz", gzip.compress(b"+1 1:0.5\n")[:15], "ended before"),
+        ("plain.libsvm.gz", b"+1 1:0.5\n", "Not a gzipped file")])
+    def test_unreadable_path_is_named(self, tmp_path, name, content, reason):
+        # these once escaped as FileNotFoundError, UnicodeDecodeError or
+        # EOFError tracebacks
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"cannot read data file {str(path)!r}: ")
+                           + f".*{reason}"):
+            datasets.parse_libsvm(str(path))
 
 
 class TestDroInstance:
@@ -157,9 +176,9 @@ class TestDroInstance:
                         <= s.l_yx * np.linalg.norm(x1 - x2) + 1e-9)
 
     def test_zero_feature_rejected(self):
-        ds = datasets.SparseDataset(indptr=np.array([0]), indices=np.array([]),
-                                    values=np.array([]), labels=np.array([]),
-                                    n_samples=0, n_features=0)
+        ds = datasets.Dataset(features=np.zeros((0, 0)),
+                              labels=np.array([], dtype=np.int64),
+                              n_samples=0, n_features=0)
         with pytest.raises(ConfigurationError):
             datasets.build_dro(ds)
 
@@ -187,7 +206,7 @@ def test_dro_batch_grad_y_matches_add_at():
     y = np.full(30, 1.0 / 30)
     for size in (1, 10, 100):  # size 100 of 30 components repeats indices
         idx = inst.finite_sum.sample(rng, size)
-        z = ds.labels[idx] * (ds.dense()[idx] @ x)
+        z = ds.labels[idx] * (ds.features[idx] @ x)
         expected = np.zeros(30)
         np.add.at(expected, idx, np.logaddexp(0.0, -z))
         got = inst.finite_sum.batch_grad_y(idx, x, y)
@@ -207,10 +226,11 @@ class TestDroBatchIndexing:
     shared grad_h) to rounding."""
 
     ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(13))
+    ref_ds = reference_synthetic_logistic_dataset(30, 4, np.random.default_rng(13))
 
     def _pair(self):
         inst = datasets.build_dro(self.ds)
-        ref = ReferenceDro(self.ds, 10.0, 1e-3, 1.0 / 30**2)
+        ref = ReferenceDro(self.ref_ds, 10.0, 1e-3, 1.0 / 30**2)
         rng = np.random.default_rng(14)
         y = np.abs(rng.standard_normal(30))
         return inst.finite_sum, ref, rng.standard_normal(4), y / y.sum()
@@ -296,52 +316,95 @@ class TestQuadraticFixture:
 
 @st.composite
 def ragged_rows(draw):
-    # empty rows, and rows longer than numpy's 128-element pairwise block
+    """(dense dataset, its CSR form): rows of k of 300 columns, empty rows
+    and rows longer than numpy's 128-element pairwise block."""
     lengths = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(4, 299)),
                             min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-    return datasets.SparseDataset(
-        indptr=indptr, indices=np.concatenate([np.arange(k) for k in lengths]),
-        values=rng.standard_normal(int(indptr[-1])) * scale,
-        labels=np.ones(len(lengths), dtype=np.int64),
-        n_samples=len(lengths), n_features=300)
+    csr = reference_pack_rows(
+        np.ones(len(lengths), dtype=np.int64),
+        [(np.sort(rng.choice(300, k, replace=False)), rng.standard_normal(k) * scale)
+         for k in lengths], 300)
+    ds = datasets.Dataset(features=reference_dense(csr), labels=csr.labels,
+                          n_samples=csr.n_samples, n_features=300)
+    return ds, csr
+
+
+def dense_row_norms_sq(ds):
+    """The frozen per-row loop, over every entry of each dense row."""
+    n, d = ds.features.shape
+    every = reference_pack_rows(ds.labels, [(np.arange(d), row) for row in ds.features], d)
+    return reference_row_norms_sq(every)
+
+
+def dro_constants(sq, n, alpha=10.0, eta1=1e-3):
+    """(deterministic, almost-sure) constants of build_dro from row norms."""
+    l_xx = float(sq.max()) / 4.0 + 2.0 * eta1 * alpha
+    coupling, max_norm = math.sqrt(sq.sum()) / n, math.sqrt(float(sq.max()))
+    return (datasets.SmoothnessConstants(l_xx, coupling, coupling, 0.0),
+            datasets.SmoothnessConstants(l_xx, max_norm, max_norm, 0.0))
+
+
+def constant_bits(*constants):
+    return [[v.hex() for v in astuple(c)] for c in constants]
 
 
 class TestRowNormsSq:
-    """build_dro's squared row norms against the frozen per-row loop."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(ds=ragged_rows())
-    def test_matches_row_loop(self, ds):
-        got = datasets._row_norms_sq(ds)
-        assert got.tobytes() == reference_row_norms_sq(ds).tobytes()
+    """build_dro's constants against the frozen per-row loop."""
 
     def test_matches_row_loop_on_the_benchmark_data(self):
-        ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
-        got = datasets._row_norms_sq(ds)
-        assert got.tobytes() == reference_row_norms_sq(ds).tobytes()
+        # the synthetic rows are dense, so the per-row loop over the stored
+        # entries of the old CSR form sums exactly what build_dro sums
+        ref = reference_synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+        inst = datasets.build_dro(
+            datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7)))
+        expected = dro_constants(reference_row_norms_sq(ref), 1000)
+        assert constant_bits(inst.problem.smoothness, inst.finite_sum.as_smoothness) == (
+            constant_bits(*expected))
 
     @settings(max_examples=50, deadline=None)
-    @given(ds=ragged_rows())
-    def test_build_dro_constants(self, ds):
-        sq = reference_row_norms_sq(ds)
-        assume(sq.max() > 0)
+    @given(data=ragged_rows())
+    def test_build_dro_constants(self, data):
+        # each row norm sums the dense row, its zeros included
+        ds, csr = data
+        assume(np.any(ds.features))  # else a zero coupling constant raises
         inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3)
-        n, l_xx = ds.n_samples, sq.max() / 4.0 + 2.0 * 1e-3 * 10.0
-        assert inst.problem.smoothness == datasets.SmoothnessConstants(
-            l_xx, math.sqrt(sq.sum()) / n, math.sqrt(sq.sum()) / n, 0.0)
-        assert inst.finite_sum.as_smoothness == datasets.SmoothnessConstants(
-            l_xx, math.sqrt(sq.max()), math.sqrt(sq.max()), 0.0)
+        det, a_s = dro_constants(dense_row_norms_sq(ds), ds.n_samples)
+        assert constant_bits(inst.problem.smoothness, inst.finite_sum.as_smoothness) == (
+            constant_bits(det, a_s))
+        # against the sum of the stored entries alone, within the bound
+        # of two summation orders of the same nonnegative terms
+        _, ref_det, ref_as = reference_dro_data(csr, 10.0, 1e-3)
+        assert_within_summation_bound(
+            (inst.problem.smoothness, inst.finite_sum.as_smoothness),
+            (ref_det, ref_as), ds.n_samples, ds.n_features)
+
+
+def assert_within_summation_bound(got, expected, n, d):
+    """Each field within 2 (d + n) ulp(1) relative of the CSR reference.
+
+    A row norm is a sum of the same rounded squares in the package and in
+    the reference, in two orders.  Any order of d nonnegative terms is
+    within gamma_{d-1} ~ (d - 1) u of the exact sum (u = ulp(1)/2; a zero
+    adds exactly), so the two are within about (d - 1) ulp(1) of each
+    other, relative.  The sum over n rows adds about n - 1 ulp(1), the
+    square roots and the last roundings about 2 more; the factor 2 covers
+    the second-order terms.  Measured on random rows of 3-200 entries in
+    300 features: at most 3 ulp.
+    """
+    tol = 2.0 * (d + n) * math.ulp(1.0)
+    for g, e in zip(got, expected):
+        for gv, ev in zip(astuple(g), astuple(e)):
+            assert abs(gv - ev) <= tol * abs(ev), (gv, ev)
 
 
 def test_synthetic_dataset_shapes():
     ds = datasets.synthetic_logistic_dataset(40, 6, np.random.default_rng(0))
     assert ds.n_samples == 40 and ds.n_features == 6
     assert set(np.unique(ds.labels)) <= {-1, 1}
-    dense = ds.dense()
-    np.testing.assert_allclose(np.linalg.norm(dense, axis=1), np.ones(40),
+    assert ds.features.shape == (40, 6) and ds.features.dtype == np.float64
+    np.testing.assert_allclose(np.linalg.norm(ds.features, axis=1), np.ones(40),
                                atol=1e-12)
 
 

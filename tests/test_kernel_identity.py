@@ -1,7 +1,10 @@
 """The DRO kernels against frozen reference copies (tests/reference_kernels.py).
 
-`SparseDataset.dense` and the DRO y-oracles, losses and Lagrangian must
-match the references bit for bit.  Four outputs are allowed to move,
+The dense rows `parse_libsvm` builds, the DRO y-oracles, losses and
+Lagrangian must match the references bit for bit, and on synthetic data
+so must everything `build_dro` takes from its rows: the signed rows, the
+constants and the oracles at fixed points, against the CSR round trip the
+data took before it went dense.  Four outputs are allowed to move,
 within a stated tolerance (rtol = 1e-12, atol = 1e-12 * max|expected|):
 the deterministic `grad_x` and the batch x-gradient (matrix-vector
 products in place of an n x d matrix and of the tree mean), the simplex
@@ -19,15 +22,21 @@ form bit for bit.
 """
 
 import gc
+import gzip
+import os
+import tempfile
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_kernels import (ReferenceDro, reference_dense, reference_project_simplex,
-                               reference_prox_quadratic_over_simplex)
+from reference_kernels import (ReferenceDro, reference_dense, reference_dro_data,
+                               reference_pack_rows, reference_project_simplex,
+                               reference_prox_quadratic_over_simplex,
+                               reference_synthetic_logistic_dataset)
 from sapdplus import datasets
 from sapdplus.prox import project_simplex, prox_quadratic_over_simplex
 
@@ -189,51 +198,88 @@ class TestProxQuadraticOverSimplex:
         self.assert_matches_reference(v, step, eta2, n_scale)
 
 
+def _libsvm_text(labels, rows):
+    """LIBSVM lines of (cols, vals) rows; repr round-trips every float64."""
+    return "".join(
+        " ".join([label] + [f"{j + 1}:{v!r}" for j, v in zip(cols, vals)]) + "\n"
+        for label, (cols, vals) in zip(labels, rows))
+
+
+LABEL_SIGNS = {"0": -1, "-1": -1, "+1": 1, "1": 1}
+ROW_LENGTHS = st.one_of(st.just(0), st.integers(1, 8), st.integers(9, 128),
+                        st.integers(129, 300))
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -1e308]
+
+
 @st.composite
-def ragged_datasets(draw):
-    d = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 12))
-    indptr, indices, values = [0], [], []
-    for _ in range(n):
-        cols = sorted(draw(st.sets(st.integers(0, d - 1))))
-        indices += cols
-        values += draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False),
-                                min_size=len(cols), max_size=len(cols)))
-        indptr.append(len(indices))
-    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    return datasets.SparseDataset(
-        indptr=np.array(indptr, dtype=np.int64),
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array(values, dtype=float), labels=np.array(labels, dtype=np.int64),
-        n_samples=n, n_features=d)
+def libsvm_data(draw):
+    """(labels as written, (cols, vals) rows, n_features or None): empty
+    rows, explicit j:0 entries, rows past 8 and 128 entries, labels 0, -1,
+    +1, and n_features at or above the largest index."""
+    width = draw(st.sampled_from([8, 40, 300]))
+    lengths = draw(st.lists(ROW_LENGTHS.map(lambda k: min(k, width)),
+                            min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3]))
+    rows = []
+    for k in lengths:
+        cols = np.sort(rng.choice(width, k, replace=False))
+        vals = rng.standard_normal(k) * scale
+        special = rng.random(k) < 0.2
+        vals[special] = rng.choice(SPECIAL_VALUES, int(special.sum()))
+        rows.append((cols, vals.tolist()))
+    labels = draw(st.lists(st.sampled_from(sorted(LABEL_SIGNS)),
+                           min_size=len(rows), max_size=len(rows)))
+    extra = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return labels, rows, extra
 
 
 @settings(max_examples=200, deadline=None)
-@given(ds=ragged_datasets())
-def test_dense_matches_row_loop(ds):
-    assert _bits(ds.dense()) == _bits(reference_dense(ds))
+@given(data=libsvm_data(), source=st.sampled_from(["text", "path", "gz"]))
+def test_parse_libsvm_matches_row_loop(data, source):
+    labels, rows, extra = data
+    top = max((int(cols[-1]) + 1 for cols, _ in rows if len(cols)), default=0)
+    d = top if extra is None else top + extra
+    text = _libsvm_text(labels, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        where = text
+        if source != "text":
+            where = os.path.join(tmp, "data.libsvm" + (".gz" if source == "gz" else ""))
+            with (gzip.open if source == "gz" else open)(where, "wt") as f:
+                f.write(text)
+        ds = datasets.parse_libsvm(where, n_features=None if extra is None else d)
+    ref = reference_pack_rows([LABEL_SIGNS[lab] for lab in labels], rows, d)
+    assert (ds.n_samples, ds.n_features) == (len(rows), d)
+    assert _bits(ds.features) == _bits(reference_dense(ref))
+    assert _bits(ds.labels) == _bits(ref.labels)
 
 
 def _ragged_libsvm():
+    """(dataset, its CSR form): 25 rows over 9 columns, about 40 % filled."""
     rng = np.random.default_rng(11)
-    lines = []
+    labels, rows = [], []
     for i in range(25):
         cols = np.flatnonzero(rng.random(9) < 0.4)
-        feats = " ".join(f"{j + 1}:{rng.standard_normal():.17g}" for j in cols)
-        lines.append(f"{'+1' if rng.random() < 0.5 else '-1'} {feats}".rstrip())
-    return datasets.parse_libsvm("\n".join(lines) + "\n")
+        vals = [float(f"{rng.standard_normal():.17g}") for _ in cols]
+        labels.append("+1" if rng.random() < 0.5 else "-1")
+        rows.append((cols, vals))
+    ds = datasets.parse_libsvm(_libsvm_text(labels, rows))
+    return ds, reference_pack_rows([LABEL_SIGNS[lab] for lab in labels], rows,
+                                   ds.n_features)
 
 
+# (dataset, the CSR form the references read)
 DRO_CASES = {
-    "synthetic": datasets.synthetic_logistic_dataset(40, 6, np.random.default_rng(0)),
+    "synthetic": (datasets.synthetic_logistic_dataset(40, 6, np.random.default_rng(0)),
+                  reference_synthetic_logistic_dataset(40, 6, np.random.default_rng(0))),
     "ragged": _ragged_libsvm(),
 }
 
 
 def _pair(case):
-    ds = DRO_CASES[case]
+    ds, ref_ds = DRO_CASES[case]
     inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0 / ds.n_samples**2)
-    return inst, ReferenceDro(ds, 10.0, 1e-3, 1.0 / ds.n_samples**2)
+    return inst, ReferenceDro(ref_ds, 10.0, 1e-3, 1.0 / ds.n_samples**2)
 
 
 @st.composite
@@ -252,7 +298,7 @@ def oracle_inputs(draw, n, d):
 def test_dro_oracles_match_reference(case):
     inst, ref = _pair(case)
     p, fs = inst.problem, inst.finite_sum
-    n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
+    n, d = DRO_CASES[case][0].n_samples, DRO_CASES[case][0].n_features
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=oracle_inputs(n, d))
@@ -276,7 +322,7 @@ def test_full_batch_is_the_full_gradient(case):
     # deterministic ones bit for bit
     inst, _ = _pair(case)
     p, fs = inst.problem, inst.finite_sum
-    n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
+    n, d = DRO_CASES[case][0].n_samples, DRO_CASES[case][0].n_features
     every = np.arange(n)
 
     @settings(max_examples=150, deadline=None)
@@ -309,7 +355,8 @@ def test_robust_loss_matches_fifty_step_dual(eta2, scale):
     ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
     eta2 = 1.0 / 1000**2 if eta2 is None else eta2
     inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=eta2)
-    ref = ReferenceDro(ds, 10.0, 1e-3, eta2)
+    ref = ReferenceDro(reference_synthetic_logistic_dataset(1000, 20, np.random.default_rng(7)),
+                       10.0, 1e-3, eta2)
     rng = np.random.default_rng(3)
     for _ in range(3):
         x = rng.standard_normal(20) * scale
@@ -422,7 +469,7 @@ def test_dro_oracles_are_their_matmul_forms(case):
     inst, _ = _pair(case)
     p, fs = inst.problem, inst.finite_sum
     signed = inst.signed_features
-    n, d = DRO_CASES[case].n_samples, DRO_CASES[case].n_features
+    n, d = DRO_CASES[case][0].n_samples, DRO_CASES[case][0].n_features
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=oracle_inputs(n, d))
@@ -439,6 +486,49 @@ def test_dro_oracles_are_their_matmul_forms(case):
     # every operand here has more than one element: d > 1 and n > 1
     assert d > 1 and n > 1
     check()
+
+
+# build_dro on synthetic data against the CSR round trip (the dense()
+# scatter and the row-length grouped norms), bit for bit
+
+def assert_matches_csr_path(ds, ref_ds, x, y, idx):
+    n = ds.n_samples
+    inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0 / n**2)
+    p, fs = inst.problem, inst.finite_sum
+    signed, det, a_s = reference_dro_data(ref_ds, 10.0, 1e-3)
+    assert _bits(ds.features) == _bits(ref_ds.dense())
+    assert _bits(ds.labels) == _bits(ref_ds.labels)
+    assert _bits(inst.signed_features) == _bits(signed)
+    assert [[v.hex() for v in astuple(c)] for c in (p.smoothness, fs.as_smoothness)] == (
+        [[v.hex() for v in astuple(c)] for c in (det, a_s)])
+    assert _bits(p.grad_x(x, y)) == _bits(_matmul_grad_x(signed, y, x))
+    assert _bits(p.grad_y(x, y)) == _bits(np.logaddexp(0.0, -(signed @ x)) / n)
+    assert _bits(fs.batch_grad_x(idx, x, y) + fs.grad_h(x)) == _bits(
+        _matmul_grad_x(signed[idx], y[idx], x))
+    ref = ReferenceDro(ref_ds, 10.0, 1e-3, 1.0 / n**2)
+    assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
+
+
+def test_benchmark_instance_matches_csr_path():
+    # the 1000 x 20 instance both DRO workloads build
+    ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    ref_ds = reference_synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    rng = np.random.default_rng(15)
+    for scale in (0.0, 1.0, 30.0):
+        x = rng.standard_normal(20) * scale
+        y = np.abs(rng.standard_normal(1000))
+        assert_matches_csr_path(ds, ref_ds, x, y / y.sum(), rng.integers(0, 1000, 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 30), d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_synthetic_instance_matches_csr_path(n, d, seed, data):
+    # n, d >= 2: no product here is of two one-element operands
+    ds = datasets.synthetic_logistic_dataset(n, d, np.random.default_rng(seed))
+    ref_ds = reference_synthetic_logistic_dataset(n, d, np.random.default_rng(seed))
+    idx, x, y = data.draw(oracle_inputs(n, d))
+    assert_matches_csr_path(ds, ref_ds, x, y, idx)
 
 
 @pytest.mark.parametrize("eta2", [None, 1e-4, 1.0])
