@@ -8,15 +8,19 @@ Subcommands:
 Config files are flat ``key = value`` text with ``#`` comments, whose keys
 are the fields of RunConfig (an unknown key is an error); CLI flags
 override file values.  The reps of a `solve` run serially, in rep order.
-Traces have the fixed header
-``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
-``<out>.meta.txt`` with everything needed to reproduce the run.
-``wall_ms`` is stamped when each stage record is produced, so it excludes
-the objective evaluation that fills the row.  ``sgda-baseline`` runs the
-inner solver with theta = 0, rho = 1, alpha = 0 and writes a row every
+`solve` and `check-params` resolve ``algo`` and ``schedule`` into the
+parameters, stage count and LMI certificate in one place,
+_resolve_schedule, for the noise the problem declares; `solve` caps the
+stage count by the budget.  ``sgda-baseline`` resolves none: it runs the
+inner solver with theta = 0, rho = 1, alpha = 0, mu_x = 0 and N from the
+budget, has no certificate (no LMI covers it), and writes a row every
 epoch of draws; its ``oracle_calls`` after k iterations is (2k + 1) batch
 draws, as for any inner run (see sapd.inner_draws): the extra batch is the
-y-gradient drawn at the last iterate.
+y-gradient drawn at the last iterate.  Traces have the fixed header
+``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
+``<out>.meta.txt`` with everything needed to reproduce the run.
+``wall_ms`` is StageRecord.wall, taken as each stage record is kept, so it
+excludes the objective evaluation that fills the row.
 """
 
 import argparse
@@ -30,7 +34,8 @@ import numpy as np
 
 from . import datasets
 from .errors import ConfigurationError, DivergenceError
-from .outer import FixedT, OuterConfig, StationarityTarget, sapd_plus_run
+from .outer import (FixedT, OuterConfig, StageRecord, StationarityTarget,
+                    sapd_plus_run)
 from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
                      vr_schedule)
 from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
@@ -158,6 +163,8 @@ def _build_problem(cfg: RunConfig):
             p = with_gaussian_noise(p, cfg.noise_x, cfg.noise_y)
         objective = lambda x: qs.phi(x)
         return p, None, objective, cfg.n + cfg.m, meta
+    if cfg.noise_x or cfg.noise_y:
+        raise ConfigurationError("noise_x and noise_y apply to the quadratic problem only")
     if cfg.problem == "bilinear":
         toy = datasets.make_bilinear_box_toy(gamma=cfg.gamma)
         return toy.problem, None, (lambda x: toy.phi(x)), 2, meta
@@ -178,44 +185,50 @@ def _build_problem(cfg: RunConfig):
     raise ConfigurationError(f"unknown problem {cfg.problem!r}")
 
 
-def _resolve_schedule(cfg: RunConfig, p, meta: dict):
-    """Returns (params, t_outer, certificate, vr_flag)."""
-    s, c, nz = p.smoothness, p.convexity, p.noise
-    nz = NoiseLevels(cfg.noise_x or nz.delta_x, cfg.noise_y or nz.delta_y)
-    vr_flag = cfg.algo == "sapd-plus-vr"
+def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
+    """The schedule cfg.algo and cfg.schedule name for these constants:
+    (params, t_outer, certificate, theory), theory being the
+    Theorem1Schedule of a plain theory schedule and None otherwise.  A
+    plain manual tuple takes unset tau, sigma and N from step_rule."""
+    s, c = smoothness, convexity
+    if cfg.algo not in ("sapd-plus", "sapd-plus-vr"):
+        raise ConfigurationError(f"unknown algo {cfg.algo!r}")
+    vr = cfg.algo == "sapd-plus-vr"
+    theory = None
     if cfg.schedule == "theory":
-        if vr_flag:
-            params, cert, t_theory = vr_schedule(
-                s, c, nz, cfg.eps, cfg.gap0, cfg.q, cfg.b_x, cfg.b_y, cfg.zeta)
+        if vr:
+            params, cert, t_outer = vr_schedule(
+                s, c, noise, cfg.eps, cfg.gap0, cfg.q, cfg.b_x, cfg.b_y, cfg.zeta)
             if cfg.b > 0:
                 params = replace(params, b=cfg.b)
         else:
-            sched = theorem1_schedule(s, c, nz, cfg.eps, cfg.gap0)
-            params, cert, t_theory = sched.sapd_params(), sched.certificate, sched.t_outer
-            meta["theta_bounds"] = (f"{sched.theta_bar_1:.12g},{sched.theta_bar_2:.12g},"
-                                    f"{sched.theta_dbar_1:.12g},{sched.theta_dbar_2:.12g}")
-        t_outer = cfg.t_outer if cfg.t_outer > 0 else t_theory
-        return params, t_outer, cert, vr_flag
-    if cfg.schedule != "manual":
-        raise ConfigurationError(f"unknown schedule source {cfg.schedule!r}")
-    if cfg.tau <= 0 or cfg.sigma <= 0 or not (0 < cfg.theta <= 1) or cfg.n_inner < 1:
-        raise ConfigurationError("manual schedule needs tau, sigma, theta, n_inner")
-    mu_x = cfg.mu_x if cfg.mu_x > 0 else c.gamma
-    if vr_flag:
-        b = cfg.b if cfg.b > 0 else max(cfg.b_x, cfg.b_y)
-        params = VrParams(tau=cfg.tau, sigma=cfg.sigma, b=b, b_x=cfg.b_x,
-                          b_y=cfg.b_y, q=cfg.q, n_inner=cfg.n_inner, mu_x=mu_x)
-        cert = build_vr_lmi(cfg.tau, cfg.sigma, cfg.q, cfg.b_x, cfg.b_y, mu_x, s, c)
+            theory = theorem1_schedule(s, c, noise, cfg.eps, cfg.gap0)
+            params, cert, t_outer = theory.sapd_params(), theory.certificate, theory.t_outer
+    elif cfg.schedule == "manual":
+        mu_x = cfg.mu_x if cfg.mu_x > 0 else c.gamma
+        if vr:
+            if cfg.tau <= 0 or cfg.sigma <= 0 or cfg.n_inner < 1:
+                raise ConfigurationError("manual VR schedule needs tau, sigma, n_inner")
+            b = cfg.b if cfg.b > 0 else max(cfg.b_x, cfg.b_y)
+            params = VrParams(tau=cfg.tau, sigma=cfg.sigma, b=b, b_x=cfg.b_x,
+                              b_y=cfg.b_y, q=cfg.q, n_inner=cfg.n_inner, mu_x=mu_x)
+            cert = build_vr_lmi(cfg.tau, cfg.sigma, cfg.q, cfg.b_x, cfg.b_y, mu_x, s, c)
+        else:
+            if not 0 < cfg.theta <= 1 or min(cfg.tau, cfg.sigma, cfg.n_inner) < 0:
+                raise ConfigurationError("manual schedule needs theta in (0, 1] "
+                                         "and no negative tau, sigma or n_inner")
+            if cfg.theta == 1 and not (cfg.tau and cfg.sigma and cfg.n_inner):
+                # the closed forms of tau and sigma vanish there, and N has none
+                raise ConfigurationError(
+                    "manual schedule at theta = 1 needs tau, sigma and n_inner")
+            params = step_rule(cfg.theta, mu_x, s, c, tau=cfg.tau or None,
+                               sigma=cfg.sigma or None, n_inner=cfg.n_inner or None)
+            cert = build_lmi(params.tau, params.sigma, params.theta, params.rho,
+                             params.alpha, mu_x, s, c)
+        t_outer = 1
     else:
-        params = step_rule(cfg.theta, mu_x, s, c, tau=cfg.tau, sigma=cfg.sigma,
-                           n_inner=cfg.n_inner)
-        cert = build_lmi(params.tau, params.sigma, params.theta, params.rho,
-                         params.alpha, mu_x, s, c)
-    if not cert.feasible:
-        print(f"warning: manual schedule is not certified "
-              f"(min eigenvalue {cert.min_eigenvalue:.3e}); proceeding", file=sys.stderr)
-    t_outer = cfg.t_outer if cfg.t_outer > 0 else 1
-    return params, t_outer, cert, vr_flag
+        raise ConfigurationError(f"unknown schedule source {cfg.schedule!r}")
+    return params, cfg.t_outer if cfg.t_outer > 0 else t_outer, cert, theory
 
 
 def _start_point(cfg: RunConfig, p):
@@ -229,78 +242,77 @@ def _start_point(cfg: RunConfig, p):
     return np.ones(p.n), np.zeros(p.m)
 
 
-def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, vr_flag,
-                    epoch_size):
-    """One repetition; returns (rows, note) where rows are CSV tuples."""
+def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
+    """One repetition; returns (rows, note) where rows are CSV tuples.
+
+    sgda-baseline keeps a record every epoch of draws and after its last
+    iteration; the other algorithms keep the outer loop's stage records.
+    """
     rng = np.random.default_rng(cfg.seed + rep)
     x0, y0 = _start_point(cfg, p)
     t_start = time.perf_counter()
-    stamps = []  # perf_counter as each stage record is produced
-
-    def stamp(_record):
-        stamps.append(time.perf_counter())
-
-    rows = []
-    note = ""
-
-    def emit(stage, calls, x, at, stat=None):
-        wall_ms = (at - t_start) * 1e3
-        obj = objective(x)
-        stat_s = "" if stat is None else f"{stat:.17g}"
-        rows.append((rep, stage, calls, f"{wall_ms:.3f}", f"{obj:.17g}", stat_s))
-
-    budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
     try:
         if cfg.algo == "sgda-baseline":
-            if cfg.tau <= 0 or cfg.sigma <= 0:
-                raise ConfigurationError("sgda-baseline needs manual tau and sigma")
-            per_iter = 2 * p.oracle_batch
-            steps = max(1, (budget or 10000) // per_iter)
-            rec_every = max(1, epoch_size // per_iter)
-            sgda = SapdParams(cfg.tau, cfg.sigma, theta=0.0, rho=1.0, alpha=0.0,
-                              mu_x=0.0, n_inner=steps)
-            records = [(0, 0, x0, time.perf_counter())]
+            rec_every = max(1, epoch_size // (2 * p.oracle_batch))
+            records = [StageRecord(0, 0, x0, y0, time.perf_counter())]
 
-            def record(k, x, _y):
-                if (k + 1) % rec_every == 0 or k + 1 == steps:
-                    records.append((k + 1, inner_draws(sgda, k + 1, p.oracle_batch),
-                                    x.copy(), time.perf_counter()))
+            def record(k, x, y):
+                if (k + 1) % rec_every == 0 or k + 1 == params.n_inner:
+                    records.append(StageRecord(
+                        k + 1, inner_draws(params, k + 1, p.oracle_batch), x.copy(),
+                        y.copy(), time.perf_counter()))
 
-            sapd_run(p, sgda, x0, y0, rng, on_iterate=record)
-            for stage, calls, x, at in records:
-                emit(stage, calls, x, at)
+            sapd_run(p, params, x0, y0, rng, on_iterate=record)
         else:
-            per_stage = inner_draws(params, params.n_inner, p.oracle_batch)
-            cap = t_outer
-            if budget:
-                cap = min(cap, max(1, budget // per_stage))
             stop = FixedT()
             if cfg.stat_every > 0:
                 stop = StationarityTarget(epsilon=cfg.eps,
                                           check_every=cfg.stat_every)
-            out_cfg = OuterConfig(t_outer=cap, schedule=params, vr=vr_flag,
-                                  stop=stop, record_every=cfg.record_every)
-            result = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs, on_stage=stamp)
-            for rec, at in zip(result.stages, stamps):
-                emit(rec.stage, rec.oracle_calls, rec.x, at, rec.stationarity)
+            out_cfg = OuterConfig(t_outer=t_outer, schedule=params,
+                                  vr=isinstance(params, VrParams), stop=stop,
+                                  record_every=cfg.record_every)
+            records = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs).stages
     except DivergenceError as err:
-        note = f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
-    return rows, note
+        return [], f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
+    rows = []
+    for r in records:
+        stat = "" if r.stationarity is None else f"{r.stationarity:.17g}"
+        rows.append((rep, r.stage, r.oracle_calls, f"{(r.wall - t_start) * 1e3:.3f}",
+                     f"{objective(r.x):.17g}", stat))
+    return rows, ""
 
 
 def cmd_solve(argv_overrides, config_path=None) -> int:
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, argv_overrides)
     p, fs, objective, epoch_size, meta = _build_problem(cfg)
-    params, t_outer, cert, vr_flag = _resolve_schedule(cfg, p, meta)
-    if vr_flag and fs is None:
-        raise ConfigurationError("variance-reduced algorithm needs a finite-sum problem")
+    budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
+    if cfg.algo == "sgda-baseline":
+        if cfg.tau <= 0 or cfg.sigma <= 0:
+            raise ConfigurationError("sgda-baseline needs manual tau and sigma")
+        params = SapdParams(cfg.tau, cfg.sigma, theta=0.0, rho=1.0, alpha=0.0, mu_x=0.0,
+                            n_inner=max(1, (budget or 10000) // (2 * p.oracle_batch)))
+        t_outer = cert = None  # one inner run, which no LMI covers
+    else:
+        params, t_outer, cert, theory = _resolve_schedule(cfg, p.smoothness,
+                                                          p.convexity, p.noise)
+        if isinstance(params, VrParams) and fs is None:
+            raise ConfigurationError("variance-reduced algorithm needs a finite-sum problem")
+        if not cert.feasible:
+            print(f"warning: manual schedule is not certified "
+                  f"(min eigenvalue {cert.min_eigenvalue:.3e}); proceeding", file=sys.stderr)
+        if budget:
+            per_stage = inner_draws(params, params.n_inner, p.oracle_batch)
+            t_outer = min(t_outer, max(1, budget // per_stage))
+        if theory is not None:
+            meta["theta_bounds"] = (f"{theory.theta_bar_1:.12g},{theory.theta_bar_2:.12g},"
+                                    f"{theory.theta_dbar_1:.12g},{theory.theta_dbar_2:.12g}")
 
     notes = []
     all_rows = []
     for r in range(cfg.reps):
         rows, note = _run_single_rep(r, cfg, p, fs, objective, params, t_outer,
-                                     vr_flag, epoch_size)
+                                     epoch_size)
         all_rows.extend(rows)
         if note:
             notes.append(note)
@@ -315,9 +327,10 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
     meta_lines = cfg.as_lines()
     meta_lines += [f"{k} = {v}" for k, v in sorted(meta.items())]
     meta_lines.append(f"schedule_params = {json.dumps(asdict(params))}")
-    meta_lines.append(f"certificate_min_eigenvalue = {cert.min_eigenvalue:.17g}")
-    meta_lines.append(f"certificate_feasible = {cert.feasible}")
-    meta_lines.append(f"resolved_t_outer = {t_outer}")
+    if cert is not None:
+        meta_lines.append(f"certificate_min_eigenvalue = {cert.min_eigenvalue:.17g}")
+        meta_lines.append(f"certificate_feasible = {cert.feasible}")
+        meta_lines.append(f"resolved_t_outer = {t_outer}")
     for note in notes:
         meta_lines.append(f"note = {note}")
     Path(str(out) + ".meta.txt").write_text("\n".join(meta_lines) + "\n")
@@ -328,25 +341,24 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
 def cmd_check_params(args) -> int:
     s = SmoothnessConstants(args.l_xx, args.l_xy, args.l_yx, args.l_yy)
     c = ConvexityModuli(args.gamma, args.mu_y)
-    nz = NoiseLevels(args.delta_x, args.delta_y)
-    if args.theta is not None:
-        # certify a manual tuple instead of deriving one; N is no part of it
-        mu_x = args.mu_x if args.mu_x else c.gamma
-        sp = step_rule(args.theta, mu_x, s, c, tau=args.tau or None,
-                       sigma=args.sigma or None, n_inner=1)
-        cert = build_lmi(sp.tau, sp.sigma, sp.theta, sp.rho, sp.alpha, mu_x, s, c)
-        shown = dict(theta=sp.theta, tau=sp.tau, sigma=sp.sigma, alpha=sp.alpha)
-    elif args.vr:
-        params, cert, t_outer = vr_schedule(s, c, nz, args.eps, args.gap0,
-                                            args.q, args.b_x, args.b_y, args.zeta)
-        shown = dict(tau=params.tau, sigma=params.sigma, theta=1, b=params.b,
-                     n_inner=params.n_inner, t_outer=t_outer)
-    else:
-        sched = theorem1_schedule(s, c, nz, args.eps, args.gap0)
-        cert = sched.certificate
-        shown = {name: getattr(sched, name) for name in (
+    manual = args.theta is not None  # a plain tuple to certify, --vr or not
+    cfg = RunConfig(algo="sapd-plus-vr" if args.vr and not manual else "sapd-plus",
+                    schedule="manual" if manual else "theory", eps=args.eps,
+                    gap0=args.gap0, q=args.q, b_x=args.b_x, b_y=args.b_y, zeta=args.zeta,
+                    theta=args.theta or 0.0, tau=args.tau or 0.0,
+                    sigma=args.sigma or 0.0, mu_x=args.mu_x or 0.0)
+    params, t_outer, cert, theory = _resolve_schedule(
+        cfg, s, c, NoiseLevels(args.delta_x, args.delta_y))
+    if theory is not None:
+        shown = {name: getattr(theory, name) for name in (
             "beta", "theta_bar_1", "theta_bar_2", "theta_dbar_1", "theta_dbar_2",
             "theta", "tau", "sigma", "alpha", "n_inner", "t_outer")}
+    elif manual:
+        shown = dict(theta=params.theta, tau=params.tau, sigma=params.sigma,
+                     alpha=params.alpha, n_inner=params.n_inner)
+    else:
+        shown = dict(tau=params.tau, sigma=params.sigma, theta=1, b=params.b,
+                     n_inner=params.n_inner, t_outer=t_outer)
     shown.update(lmi_min_eigenvalue=cert.min_eigenvalue)
     for name, val in shown.items():
         print(f"{name} = {val:.12g}" if isinstance(val, float) else f"{name} = {val}")
@@ -404,11 +416,9 @@ def main(argv=None) -> int:
             overrides = {k: v for k, v in vars(args).items()
                          if k not in ("command", "config")}
             return cmd_solve(overrides, args.config)
-        code = 0
         for path in args.configs:
-            overrides = {"seed": args.seed} if args.seed is not None else {}
-            code = max(code, cmd_solve(overrides, path))
-        return code
+            cmd_solve({"seed": args.seed} if args.seed is not None else {}, path)
+        return 0
     except ConfigurationError as err:
         # reported as argparse reports a bad flag
         print(f"{parser.prog}: error: {err}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Data ingestion and problem builders.
 
-LIBSVM text parsing into dense rows, the distributionally-robust logistic
+LIBSVM file parsing into dense rows, the distributionally-robust logistic
 instance over the simplex, and the two synthetic instances whose Moreau
 stationarity has a closed form: a weakly convex-strongly concave quadratic
 and a bilinear box toy.  Datasets are dense from the parse (or the
@@ -11,7 +11,6 @@ signed feature rows, all of them or the rows a batch gathers.
 import gzip
 import io
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,34 +44,26 @@ def _parse_label(tok, lineno):
     raise ConfigurationError(f"line {lineno}: label {tok!r} not in {{-1,0,+1}}")
 
 
-def parse_libsvm(source, n_features: Optional[int] = None) -> Dataset:
-    """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices) into
-    dense rows.
+def parse_libsvm(path) -> Dataset:
+    """Parse a LIBSVM file ("label idx:val idx:val ...", 1-based indices)
+    into dense rows; d is the largest index present.
 
-    source may be a path (gzip accepted by .gz extension), a text stream, or
-    a string of the format itself.  A string naming an existing file is read
-    as a path even when it contains ':'; a path that cannot be read raises
-    ConfigurationError naming it.  Labels {0,1} map to {-1,+1}.  Malformed
-    lines raise with their line number; indices must strictly increase
-    within a row.  The entries are scattered into a zero (n, d) array once,
-    after the whole text is parsed.
+    A path ending in .gz is read through gzip; one that cannot be read
+    raises ConfigurationError naming it.  Labels {0,1} map to {-1,+1}.
+    Malformed lines raise with their line number; indices must strictly
+    increase within a row.  The entries are scattered into a zero (n, d)
+    array once, after the whole file is parsed.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        s = str(source)
-        if "\n" in s or (":" in s and not os.path.isfile(s)):
-            text = s
-        else:
-            opener = gzip.open if s.endswith(".gz") else open
-            try:
-                with opener(s, "rt") as f:
-                    text = f.read()
-            except (OSError, EOFError, UnicodeDecodeError) as err:
-                # missing or unreadable, a truncated gzip, or undecodable text
-                raise ConfigurationError(
-                    f"cannot read data file {s!r}: {getattr(err, 'strerror', None) or err}"
-                ) from None
+    s = str(path)
+    opener = gzip.open if s.endswith(".gz") else open
+    try:
+        with opener(s, "rt") as f:
+            text = f.read()
+    except (OSError, EOFError, UnicodeDecodeError) as err:
+        # missing or unreadable, a truncated gzip, or undecodable text
+        raise ConfigurationError(
+            f"cannot read data file {s!r}: {getattr(err, 'strerror', None) or err}"
+        ) from None
 
     rows, indices, values, labels = [], [], [], []
     max_idx = -1
@@ -105,9 +96,7 @@ def parse_libsvm(source, n_features: Optional[int] = None) -> Dataset:
             max_idx = max(max_idx, idx)
     if not labels:
         raise ConfigurationError("empty dataset")
-    d = max_idx + 1 if n_features is None else n_features
-    if d < max_idx + 1:
-        raise ConfigurationError("n_features below the largest index present")
+    d = max_idx + 1
     features = np.zeros((len(labels), d))
     features[rows, indices] = values
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64),
@@ -166,11 +155,6 @@ def _regularizer_grad_of(alpha, eta1):
         return scale * x / np.square(_ONE + alpha_c * np.square(x))
 
     return grad
-
-
-def _regularizer_grad(x, alpha, eta1):
-    """The regularizer gradient at one x, as the oracles compute it."""
-    return _regularizer_grad_of(alpha, eta1)(x)
 
 
 @dataclass

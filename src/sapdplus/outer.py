@@ -7,8 +7,9 @@ inner output seeds the next stage.
 """
 
 import math
+import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -66,10 +67,14 @@ class OuterConfig:
 
 @dataclass
 class StageRecord:
+    """The iterates after a stage.  wall is the time.perf_counter() at which
+    sapd_plus_run kept the record, after its stationarity estimate."""
+
     stage: int
     oracle_calls: int  # cumulative single-sample-equivalent draws
     x: np.ndarray
     y: np.ndarray
+    wall: float
     stationarity: Optional[float] = None
 
 
@@ -83,12 +88,13 @@ class OuterResult:
 
 
 def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
-                  fs=None, on_stage: Optional[Callable] = None) -> OuterResult:
+                  fs=None) -> OuterResult:
     """Run the staged outer loop from (x0, y0).
 
-    fs (a FiniteSumSpec) is required when cfg.vr is set.  on_stage, if
-    given, is called with each StageRecord as it is produced.  Oracle calls
-    accumulate in single-sample draws (see inner_draws).
+    fs (a FiniteSumSpec) is required when cfg.vr is set.  Each kept
+    StageRecord carries the time.perf_counter() at which it was kept, after
+    its stationarity estimate.  Oracle calls accumulate in single-sample
+    draws (see inner_draws).
     """
     if cfg.vr and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
@@ -96,9 +102,7 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
     y = np.array(y0, dtype=float)
     sched = cfg.schedule
     calls = 0
-    stages = [StageRecord(stage=0, oracle_calls=0, x=x.copy(), y=y.copy())]
-    if on_stage:
-        on_stage(stages[0])
+    stages = [StageRecord(0, 0, x.copy(), y.copy(), time.perf_counter())]
     for t in range(cfg.t_outer):
         sub = shifted_subproblem(p, x, sched.mu_x)
         try:
@@ -112,19 +116,17 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
             raise
         calls += inner_draws(sched, res.iterations, p.oracle_batch)
         x, y = res.x_avg, res.y_avg
-        record = StageRecord(stage=t + 1, oracle_calls=calls, x=x.copy(), y=y.copy())
         last = t + 1 == cfg.t_outer
-        met = False
+        stat, met = None, False
         if isinstance(cfg.stop, StationarityTarget) and (
             (t + 1) % cfg.stop.check_every == 0 or last
         ):
             est = moreau_stationarity(p, x)
-            record.stationarity = est.value
+            stat = est.value
             met = est.reliable and est.value <= cfg.stop.epsilon
         if met or last or (t + 1) % cfg.record_every == 0:
-            stages.append(record)
-            if on_stage:
-                on_stage(record)
+            stages.append(StageRecord(t + 1, calls, x.copy(), y.copy(),
+                                      time.perf_counter(), stat))
         if met:
             break
     return OuterResult(x=x, y=y, stages_run=stages[-1].stage,

@@ -274,17 +274,18 @@ SGDA_CASES = {
 
 def sgda_rep(cfg):
     """The CLI's rows and per-row x, beside the frozen loop on the same inputs."""
-    p, fs, objective, epoch_size, meta = cli._build_problem(cfg)
-    params, t_outer, _, vr_flag = cli._resolve_schedule(cfg, p, meta)
+    p, fs, objective, epoch_size, _ = cli._build_problem(cfg)
+    per_iter = 2 * p.oracle_batch
+    # the tuple cmd_solve builds for sgda-baseline
+    params = SapdParams(cfg.tau, cfg.sigma, theta=0.0, rho=1.0, alpha=0.0, mu_x=0.0,
+                        n_inner=cfg.budget_calls // per_iter)
     xs = []
 
     def spy(x):
         xs.append(x.copy())
         return objective(x)
 
-    rows, note = cli._run_single_rep(0, cfg, p, fs, spy, params, t_outer, vr_flag,
-                                     epoch_size)
-    per_iter = 2 * p.oracle_batch
+    rows, note = cli._run_single_rep(0, cfg, p, fs, spy, params, None, epoch_size)
     x0, y0 = cli._start_point(cfg, p)
 
     def reference():

@@ -1,5 +1,6 @@
 import json
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fixtures import make_scsc_quadratic
 from sapdplus import cli
 from sapdplus.errors import ConfigurationError
+from sapdplus.params import inner_iterations, step_rule
 from sapdplus.sapd import SapdParams, inner_draws
 from sapdplus.vr import VrParams
 from sapdplus.evaluation import moreau_stationarity
@@ -15,6 +17,18 @@ from sapdplus.evaluation import moreau_stationarity
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def read_meta(out):
+    """The key = value lines of a trace's meta file."""
+    text = Path(str(out) + ".meta.txt").read_text()
+    return dict(line.split(" = ", 1) for line in text.splitlines())
+
+
+def sgda_params(step, n_inner):
+    """The tuple cmd_solve builds for sgda-baseline."""
+    return SapdParams(step, step, theta=0.0, rho=1.0, alpha=0.0, mu_x=0.0,
+                      n_inner=n_inner)
 
 
 def strip_wall(path):
@@ -53,6 +67,119 @@ class TestCheckParams:
         out = capsys.readouterr().out
         assert code == 0
         assert "b = 14400" in out  # ceil(144 * 1 / 0.01)
+
+    def test_manual_theta_one_needs_the_whole_tuple(self, capsys):
+        # tau = (1 - theta)/mu_x and its sigma twin vanish at theta = 1, and
+        # the N rule has no value there: alpha = 1/sigma once raised
+        # ZeroDivisionError
+        assert cli.main(["check-params", "--theta", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "sapdplus: error: manual schedule at theta = 1 needs tau, sigma and n_inner\n")
+
+
+class TestOneSchedulePath:
+    """solve and check-params resolve their schedule in one place."""
+
+    @pytest.mark.parametrize("run,flags", [
+        pytest.param(dict(problem="quadratic"), ["--eps", "0.05"], id="theory"),
+        pytest.param(dict(problem="dro", n_samples=60, n_features=5,
+                          algo="sapd-plus-vr", b_x=1, b_y=1, zeta=0.5),
+                     ["--vr", "--eps", "0.05", "--b-x", "1", "--b-y", "1",
+                      "--zeta", "0.5"], id="theory-vr"),
+        pytest.param(dict(problem="quadratic", schedule="manual", theta=0.8),
+                     ["--theta", "0.8"], id="manual")])
+    def test_check_params_prints_what_solve_runs(self, tmp_path, capsys, run, flags):
+        out = tmp_path / "s.csv"
+        assert cli.cmd_solve(dict(run, t_outer=1, out=str(out))) == 0
+        capsys.readouterr()
+        meta = read_meta(out)
+        ran = json.loads(meta["schedule_params"])
+        cert = float(meta["certificate_min_eigenvalue"])
+        p = cli._build_problem(cli.RunConfig(**run))[0]
+        s, c, nz = p.smoothness, p.convexity, p.noise
+        constants = dict(l_xx=s.l_xx, l_xy=s.l_xy, l_yx=s.l_yx, l_yy=s.l_yy,
+                         gamma=c.gamma, mu_y=c.mu_y, delta_x=nz.delta_x,
+                         delta_y=nz.delta_y)
+        argv = [a for k, v in constants.items()
+                for a in (f"--{k.replace('_', '-')}", repr(v))]
+        assert cli.main(["check-params", *argv, *flags]) == 0
+        shown = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert [shown[k] for k in ("tau", "sigma", "n_inner", "lmi_min_eigenvalue")] == [
+            f"{ran['tau']:.12g}", f"{ran['sigma']:.12g}", str(ran["n_inner"]),
+            f"{cert:.12g}"]
+        assert shown["feasible"] == meta["certificate_feasible"] == "True"
+
+    @pytest.mark.parametrize("given", [{}, dict(tau=0.1), dict(sigma=0.3, n_inner=4)])
+    def test_manual_takes_the_step_rule_for_what_is_unset(self, given):
+        cfg = cli.RunConfig(problem="quadratic", schedule="manual", theta=0.8, **given)
+        p = cli._build_problem(cfg)[0]
+        s, c = p.smoothness, p.convexity
+        params, t_outer, _, theory = cli._resolve_schedule(cfg, s, c, p.noise)
+        assert params == step_rule(0.8, c.gamma, s, c, **given)
+        if not given:
+            assert (params.tau, params.sigma) == ((1 - 0.8) / c.gamma,
+                                                  (1 - 0.8) / (c.mu_y * 0.8))
+            assert params.n_inner == inner_iterations(0.8)
+        assert (t_outer, theory) == (1, None)
+
+    def test_sgda_baseline_meta_records_what_ran(self, tmp_path):
+        # the meta file once recorded the plain theory schedule, its
+        # certificate and its T, none of which sgda-baseline runs
+        out = tmp_path / "g.csv"
+        assert cli.main(["solve", "--algo", "sgda-baseline", "--tau", "0.05",
+                         "--sigma", "0.05", "--budget-calls", "56", "--out", str(out)]) == 0
+        meta = read_meta(out)
+        assert json.loads(meta["schedule_params"]) == asdict(sgda_params(0.05, 28))
+        assert not {"theta_bounds", "certificate_min_eigenvalue", "certificate_feasible",
+                    "resolved_t_outer"} & meta.keys()
+        assert read_rows(out)[1][-1][1] == "28"
+
+    def test_sgda_baseline_runs_on_bilinear(self, tmp_path, capsys):
+        # it once resolved the theory schedule of the merely concave toy and
+        # exited 2 with "mu_y = 0: merely-concave problems take the
+        # smoothing path"
+        out = tmp_path / "bl.csv"
+        assert cli.main(["solve", "--problem", "bilinear", "--algo", "sgda-baseline",
+                         "--tau", "0.05", "--sigma", "0.05", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_rows(out)[1][-1][1] == "5000"  # 10,000 draws of 2
+
+    NOISE = "noise_x and noise_y apply to the quadratic problem only"
+
+    @pytest.mark.parametrize("argv,config,err", [
+        # an unknown algo once ran plain SAPD+ and exited 0
+        pytest.param(["--algo", "sapd-vr"], "", "unknown algo 'sapd-vr'", id="algo"),
+        # noise the oracles do not draw once moved N from 132 to 42,857
+        pytest.param(["--problem", "dro"], "noise_y = 0.5\n", NOISE, id="dro-noise"),
+        pytest.param(["--problem", "bilinear"], "noise_x = 0.1\n", NOISE,
+                     id="bilinear-noise"),
+        # a missing path with ':' was once parsed as LIBSVM text, and text
+        # as a one-sample dataset
+        pytest.param(["--problem", "dro", "--data", "run:1.svm"], "",
+                     "cannot read data file 'run:1.svm': No such file or directory",
+                     id="colon-path"),
+        pytest.param(["--problem", "dro", "--data", "+1 1:0.5"], "",
+                     "cannot read data file '+1 1:0.5': No such file or directory",
+                     id="text-data"),
+        pytest.param(["--schedule", "manual", "--theta", "1", "--tau", "0.1"], "",
+                     "manual schedule at theta = 1 needs tau, sigma and n_inner",
+                     id="theta-one"),
+        pytest.param(["--schedule", "manual", "--theta", "0.5", "--tau", "-0.1"], "",
+                     "manual schedule needs theta in (0, 1] and no negative tau, "
+                     "sigma or n_inner", id="negative-tau"),
+        pytest.param(["--schedule", "manual"], "",
+                     "manual schedule needs theta in (0, 1] and no negative tau, "
+                     "sigma or n_inner", id="no-theta"),
+        pytest.param(["--problem", "dro", "--algo", "sapd-plus-vr", "--schedule", "manual",
+                      "--tau", "0.05", "--sigma", "0.05"], "",
+                     "manual VR schedule needs tau, sigma, n_inner", id="vr-no-n")])
+    def test_exits_2_naming_the_fault(self, tmp_path, monkeypatch, capsys, argv,
+                                      config, err):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(config)
+        assert cli.main(["solve", "--config", "run.cfg", "--out", "t.csv", *argv]) == 2
+        assert capsys.readouterr().err == f"sapdplus: error: {err}\n"
+        assert not Path("t.csv").exists()
 
 
 class TestConfigFile:
@@ -191,8 +318,8 @@ class TestSolve:
         run = dict(overrides, t_outer=2, seed=4, out=str(out))
         assert cli.cmd_solve(run) == 0
         cfg = cli.RunConfig.from_sources({}, run)
-        p, _, _, _, meta = cli._build_problem(cfg)
-        params = cli._resolve_schedule(cfg, p, meta)[0]
+        p = cli._build_problem(cfg)[0]
+        params = cli._resolve_schedule(cfg, p.smoothness, p.convexity, p.noise)[0]
         line = next(line for line in Path(str(out) + ".meta.txt").read_text().splitlines()
                     if line.startswith("schedule_params = "))
         replayed = cls(**json.loads(line.split(" = ", 1)[1]))
@@ -213,6 +340,8 @@ class TestSolve:
         cli.cmd_solve(dict(run, t_outer=100, budget_calls=3 * per_stage + per_stage // 2))
         last = read_rows(tmp_path / "b.csv")[1][-1]
         assert (int(last[1]), int(last[2])) == (3, 3 * per_stage)
+        # the meta file once kept the uncapped t_outer = 100
+        assert read_meta(tmp_path / "b.csv")["resolved_t_outer"] == "3"
 
     def test_record_every_flag(self, tmp_path):
         # a row every K stages plus the last stage, for every rep
@@ -263,17 +392,20 @@ class TestSolve:
         assert cli.main(args) == 0
         assert seen == [(rep, threading.get_ident()) for rep in range(3)]
 
-    @pytest.mark.parametrize("algo,manual,stages", [
-        pytest.param("sapd-plus", {}, [0, 1, 2, 3, 4], id="sapd-plus"),
+    @pytest.mark.parametrize("algo,stages", [
+        pytest.param("sapd-plus", [0, 1, 2, 3, 4], id="sapd-plus"),
         # 28 steps of 2 calls, one record per (n + m) // 2 = 7 steps
-        pytest.param("sgda-baseline", dict(tau=0.05, sigma=0.05, budget_calls=56),
-                     [0, 7, 14, 21, 28], id="sgda-baseline")])
-    def test_wall_ms_stamped_before_objective(self, monkeypatch, algo, manual, stages):
+        pytest.param("sgda-baseline", [0, 7, 14, 21, 28], id="sgda-baseline")])
+    def test_wall_ms_stamped_before_objective(self, monkeypatch, algo, stages):
         # on a fake clock only the objective takes time (1 s per call), so a
-        # stamp taken as each stage record is produced reads 0 on every row
-        cfg = cli.RunConfig(problem="quadratic", algo=algo, t_outer=4, seed=3, **manual)
-        p, fs, objective, epoch_size, meta = cli._build_problem(cfg)
-        params, t_outer, _, vr_flag = cli._resolve_schedule(cfg, p, meta)
+        # stamp taken as each stage record is kept reads 0 on every row
+        cfg = cli.RunConfig(problem="quadratic", algo=algo, t_outer=4, seed=3)
+        p, fs, objective, epoch_size, _ = cli._build_problem(cfg)
+        if algo == "sgda-baseline":
+            params, t_outer = sgda_params(0.05, 28), None
+        else:
+            params, t_outer = cli._resolve_schedule(cfg, p.smoothness, p.convexity,
+                                                    p.noise)[:2]
         now = [100.0]
         monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
 
@@ -282,7 +414,7 @@ class TestSolve:
             return objective(x)
 
         rows, note = cli._run_single_rep(0, cfg, p, fs, slow_objective, params,
-                                         t_outer, vr_flag, epoch_size)
+                                         t_outer, epoch_size)
         assert note == ""
         assert [row[1] for row in rows] == stages
         assert [row[3] for row in rows] == ["0.000"] * 5
@@ -321,8 +453,8 @@ class TestSgdaBaseline:
             return 0.0
 
         # epoch_size = 2 draws: one row per iteration
-        rows, note = cli._run_single_rep(0, cfg, qs.problem, None, objective, None,
-                                         1, False, 2)
+        rows, note = cli._run_single_rep(0, cfg, qs.problem, None, objective,
+                                         sgda_params(step, budget_calls // 2), None, 2)
         return rows, note, xs
 
     def test_small_steps_contract(self):
@@ -352,8 +484,7 @@ class TestSgdaBaseline:
 
     def test_oracle_accounting(self):
         rows, note, _ = self.run(0.05, 74)
-        sgda = SapdParams(0.05, 0.05, theta=0.0, rho=1.0, alpha=0.0, mu_x=0.0,
-                          n_inner=37)
+        sgda = sgda_params(0.05, 37)
         assert [row[1] for row in rows] == list(range(38))
         assert [row[2] for row in rows] == [0] + [inner_draws(sgda, k, 1)
                                                  for k in range(1, 38)]

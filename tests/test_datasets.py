@@ -1,5 +1,4 @@
 import gzip
-import io
 import math
 import re
 from dataclasses import astuple
@@ -17,37 +16,44 @@ from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 
 
+@pytest.fixture
+def parse_text(tmp_path):
+    """parse_libsvm of LIBSVM text written to a file of its own."""
+    def parse(text):
+        path = tmp_path / f"data{len(list(tmp_path.iterdir()))}.libsvm"
+        path.write_text(text)
+        return datasets.parse_libsvm(path)
+
+    return parse
+
+
 class TestLibsvmParser:
-    def test_basic(self):
-        ds = datasets.parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n")
+    def test_basic(self, parse_text):
+        ds = parse_text("+1 1:0.5 3:2.0\n-1 2:1.0\n")
         assert ds.n_samples == 2
         assert ds.n_features == 3
         np.testing.assert_array_equal(ds.labels, [1, -1])
         np.testing.assert_array_equal(ds.features, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
 
-    def test_non_increasing_index(self):
+    def test_non_increasing_index(self, parse_text):
         with pytest.raises(ConfigurationError, match="line 1"):
-            datasets.parse_libsvm("1 2:1 1:1\n")
+            parse_text("1 2:1 1:1\n")
 
-    def test_zero_one_labels(self):
-        ds = datasets.parse_libsvm("1 1:1\n0 1:2\n")
+    def test_zero_one_labels(self, parse_text):
+        ds = parse_text("1 1:1\n0 1:2\n")
         np.testing.assert_array_equal(ds.labels, [1, -1])
 
-    def test_bad_label(self):
+    def test_bad_label(self, parse_text):
         with pytest.raises(ConfigurationError, match="line 2"):
-            datasets.parse_libsvm("+1 1:1\n3 1:2\n")
+            parse_text("+1 1:1\n3 1:2\n")
 
-    def test_malformed_token(self):
+    def test_malformed_token(self, parse_text):
         with pytest.raises(ConfigurationError, match="line 1"):
-            datasets.parse_libsvm("+1 1:abc\n")
+            parse_text("+1 1:abc\n")
 
-    def test_empty(self):
-        with pytest.raises(ConfigurationError):
-            datasets.parse_libsvm("\n\n")
-
-    def test_stream_input(self):
-        ds = datasets.parse_libsvm(io.StringIO("+1 2:1.5\n"))
-        assert ds.n_features == 2
+    def test_empty(self, parse_text):
+        with pytest.raises(ConfigurationError, match="empty dataset"):
+            parse_text("\n\n")
 
     def test_gzip_path(self, tmp_path):
         path = tmp_path / "data.libsvm.gz"
@@ -86,26 +92,26 @@ class TestLibsvmParser:
 
 
 class TestDroInstance:
-    def test_single_sample_gradient(self):
+    def test_single_sample_gradient(self, parse_text):
         # one sample a = (1), b = +1, x = 0, y = (1): sigmoid(0) = 1/2 and the
         # regularizer gradient vanishes at the origin
-        ds = datasets.parse_libsvm("+1 1:1.0\n")
+        ds = parse_text("+1 1:1.0\n")
         inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0)
         gx = inst.problem.grad_x(np.zeros(1), np.ones(1))
         np.testing.assert_allclose(gx, [-0.5], atol=1e-15)
 
-    def test_regularizer_gradient_limits(self):
-        ds = datasets.parse_libsvm("+1 1:1.0\n")
+    def test_regularizer_gradient_limits(self, parse_text):
+        ds = parse_text("+1 1:1.0\n")
         inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3)
-        reg_grad = datasets._regularizer_grad  # what the oracles add
-        assert reg_grad(np.zeros(1), inst.alpha, inst.eta1)[0] == 0.0
-        assert abs(reg_grad(np.array([1e6]), inst.alpha, inst.eta1)[0]) < 1e-12
+        # what the oracles add
+        reg_grad = datasets._regularizer_grad_of(inst.alpha, inst.eta1)
+        assert reg_grad(np.zeros(1))[0] == 0.0
+        assert abs(reg_grad(np.array([1e6]))[0]) < 1e-12
         # bounded value: eta1 * d as x -> inf
         assert inst.regularizer(np.array([1e9])) <= 1e-3 + 1e-12
 
-    def test_mu_y_arithmetic(self):
-        rows = "\n".join("+1 1:1.0" for _ in range(4))
-        ds = datasets.parse_libsvm(rows)
+    def test_mu_y_arithmetic(self, parse_text):
+        ds = parse_text("+1 1:1.0\n" * 4)
         inst = datasets.build_dro(ds, eta2=1.0 / 16.0)
         assert inst.problem.convexity.mu_y == 1.0
 

@@ -213,9 +213,8 @@ SPECIAL_VALUES = [0.0, -0.0, 5e-324, -1e308]
 
 @st.composite
 def libsvm_data(draw):
-    """(labels as written, (cols, vals) rows, n_features or None): empty
-    rows, explicit j:0 entries, rows past 8 and 128 entries, labels 0, -1,
-    +1, and n_features at or above the largest index."""
+    """(labels as written, (cols, vals) rows): empty rows, explicit j:0
+    entries, rows past 8 and 128 entries, labels 0, -1 and +1."""
     width = draw(st.sampled_from([8, 40, 300]))
     lengths = draw(st.lists(ROW_LENGTHS.map(lambda k: min(k, width)),
                             min_size=1, max_size=8))
@@ -230,24 +229,24 @@ def libsvm_data(draw):
         rows.append((cols, vals.tolist()))
     labels = draw(st.lists(st.sampled_from(sorted(LABEL_SIGNS)),
                            min_size=len(rows), max_size=len(rows)))
-    extra = draw(st.one_of(st.none(), st.integers(0, 3)))
-    return labels, rows, extra
+    return labels, rows
+
+
+def _parse_text(text, gz=False):
+    """parse_libsvm of LIBSVM text written to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.libsvm" + (".gz" if gz else ""))
+        with (gzip.open if gz else open)(path, "wt") as f:
+            f.write(text)
+        return datasets.parse_libsvm(path)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=libsvm_data(), source=st.sampled_from(["text", "path", "gz"]))
+@given(data=libsvm_data(), source=st.sampled_from(["path", "gz"]))
 def test_parse_libsvm_matches_row_loop(data, source):
-    labels, rows, extra = data
-    top = max((int(cols[-1]) + 1 for cols, _ in rows if len(cols)), default=0)
-    d = top if extra is None else top + extra
-    text = _libsvm_text(labels, rows)
-    with tempfile.TemporaryDirectory() as tmp:
-        where = text
-        if source != "text":
-            where = os.path.join(tmp, "data.libsvm" + (".gz" if source == "gz" else ""))
-            with (gzip.open if source == "gz" else open)(where, "wt") as f:
-                f.write(text)
-        ds = datasets.parse_libsvm(where, n_features=None if extra is None else d)
+    labels, rows = data
+    d = max((int(cols[-1]) + 1 for cols, _ in rows if len(cols)), default=0)
+    ds = _parse_text(_libsvm_text(labels, rows), gz=source == "gz")
     ref = reference_pack_rows([LABEL_SIGNS[lab] for lab in labels], rows, d)
     assert (ds.n_samples, ds.n_features) == (len(rows), d)
     assert _bits(ds.features) == _bits(reference_dense(ref))
@@ -263,7 +262,7 @@ def _ragged_libsvm():
         vals = [float(f"{rng.standard_normal():.17g}") for _ in cols]
         labels.append("+1" if rng.random() < 0.5 else "-1")
         rows.append((cols, vals))
-    ds = datasets.parse_libsvm(_libsvm_text(labels, rows))
+    ds = _parse_text(_libsvm_text(labels, rows))
     return ds, reference_pack_rows([LABEL_SIGNS[lab] for lab in labels], rows,
                                    ds.n_features)
 
@@ -459,7 +458,7 @@ def test_quadratic_oracles_are_their_matmul_forms(n, m, seed, scale):
 
 
 def _matmul_grad_x(rows, weights, x):
-    reg = datasets._regularizer_grad(x, 10.0, 1e-3)
+    reg = datasets._regularizer_grad_of(10.0, 1e-3)(x)
     sig = datasets._sigmoid_neg(rows @ x)
     return rows.T @ (-sig * weights) / rows.shape[0] + reg
 

@@ -184,7 +184,7 @@ class TestManualSchedule:
     def manual(problem, p, theta, tau, sigma):
         cfg = cli.RunConfig(problem=problem, schedule="manual", tau=tau,
                             sigma=sigma, theta=theta, n_inner=5)
-        return cli._resolve_schedule(cfg, p, {})[0]
+        return cli._resolve_schedule(cfg, p.smoothness, p.convexity, p.noise)[0]
 
     @settings(max_examples=100, deadline=None)
     @given(theta=st.floats(0.01, 1.0), tau=scales(-3, 0), sigma=scales(-3, 0))
