@@ -38,7 +38,8 @@ from .outer import (FixedT, OuterConfig, StageRecord, StationarityTarget,
                     sapd_plus_run)
 from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
                      vr_schedule)
-from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
+from .problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
+                      with_gaussian_noise)
 from .sapd import SapdParams, inner_draws, sapd_run
 from .vr import VrParams
 
@@ -48,6 +49,9 @@ TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
 RESULT_KEYS = frozenset({"dro_n", "dro_d", "theta_bounds", "schedule_params",
                          "certificate_min_eigenvalue", "certificate_feasible",
                          "resolved_t_outer", "note"})
+# RunConfig fields whose 0 means unset or off; cmd_solve rejects a negative one
+UNSET_AT_ZERO = ("noise_x", "noise_y", "eta2", "mu_x", "t_outer", "b",
+                 "budget_calls", "epochs", "stat_every")
 
 
 def parse_config_file(path) -> dict:
@@ -158,8 +162,6 @@ def _build_problem(cfg: RunConfig):
                                             inst_rng)
         p = qs.problem
         if cfg.noise_x > 0 or cfg.noise_y > 0:
-            from .problem import with_gaussian_noise
-
             p = with_gaussian_noise(p, cfg.noise_x, cfg.noise_y)
         objective = lambda x: qs.phi(x)
         return p, None, objective, cfg.n + cfg.m, meta
@@ -285,6 +287,9 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
 def cmd_solve(argv_overrides, config_path=None) -> int:
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, argv_overrides)
+    for key in UNSET_AT_ZERO:
+        if getattr(cfg, key) < 0:
+            raise ConfigurationError(f"{key} must be nonnegative")
     p, fs, objective, epoch_size, meta = _build_problem(cfg)
     budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
     if cfg.algo == "sgda-baseline":
@@ -380,13 +385,13 @@ def main(argv=None) -> int:
     pc.add_argument("--mu-y", type=float, default=1.0)
     pc.add_argument("--delta-x", type=float, default=0.0)
     pc.add_argument("--delta-y", type=float, default=0.0)
-    pc.add_argument("--eps", type=float, default=0.1)
-    pc.add_argument("--gap0", type=float, default=1.0)
+    pc.add_argument("--eps", type=float, default=RunConfig.eps)
+    pc.add_argument("--gap0", type=float, default=RunConfig.gap0)
     pc.add_argument("--vr", action="store_true")
-    pc.add_argument("--q", type=int, default=10)
-    pc.add_argument("--b-x", type=int, default=10)
-    pc.add_argument("--b-y", type=int, default=10)
-    pc.add_argument("--zeta", type=float, default=32.0)
+    pc.add_argument("--q", type=int, default=RunConfig.q)
+    pc.add_argument("--b-x", type=int, default=RunConfig.b_x)
+    pc.add_argument("--b-y", type=int, default=RunConfig.b_y)
+    pc.add_argument("--zeta", type=float, default=RunConfig.zeta)
     pc.add_argument("--theta", type=float, default=None,
                     help="certify a manual tuple instead of deriving one")
     pc.add_argument("--tau", type=float, default=None)

@@ -237,9 +237,9 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
 
     The oracles close over the signed feature rows and the scalars, not over
     the instance, so an instance is freed as soon as it is unreachable.
-    The regularizer gradient is the finite sum's grad_h, shared by every
-    component; batch_grad_x is the mean of the loss terms alone.  grad_x,
-    sgrad_x and batch_grad_x share one helper, two matrix-vector products
+    The regularizer gradient is the problem's grad_h, shared by the finite
+    sum's components; batch_grad_x is the mean of the loss terms alone.
+    grad_x, sgrad_x and batch_grad_x share one helper, two matrix-vector products
     over the rows (all of them, or the batch's gathered in order), and
     grad_x and sgrad_x add grad_h to it, so a batch of every index in order
     plus grad_h gives grad_x bit for bit; against a row-by-row sum the BLAS
@@ -270,8 +270,7 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         l_xy=max_norm, l_yx=max_norm, l_yy=0.0,
     )
 
-    # batch size -> its 0-d divisor, built once per size; threads that race
-    # on a new size build the same constant twice
+    # batch size -> its 0-d divisor, built once per size
     divisors = {}
 
     def mean_of(total, size):
@@ -306,8 +305,7 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         return mean_of(np.bincount(idx, weights=losses, minlength=n), idx.size)
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
-                       batch_grad_y=batch_grad_y, as_smoothness=as_constants,
-                       grad_h=grad_h)
+                       batch_grad_y=batch_grad_y, as_smoothness=as_constants)
 
     def sgrad_x(x, y, idx):
         return batch_grad_x(idx, x, y) + grad_h(x)
@@ -327,6 +325,7 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         d_y=math.sqrt(2.0),
         oracle_batch=sgrad_batch,
         draw=fs.sample, draw_x=sgrad_batch, draw_y=sgrad_batch,
+        grad_h=grad_h,
     )
     return DroInstance(n_samples=n, alpha=alpha, eta1=eta1, eta2=eta2,
                        problem=problem, finite_sum=fs, signed_features=signed)

@@ -17,7 +17,7 @@ from .errors import ConfigurationError, DivergenceError
 from .evaluation import moreau_stationarity
 from .params import theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
-                      shifted_finite_sum, shifted_subproblem)
+                      shifted_subproblem)
 from .sapd import SapdParams, inner_draws, sapd_run
 from .vr import VrParams, vr_sapd_run
 
@@ -91,10 +91,11 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
                   fs=None) -> OuterResult:
     """Run the staged outer loop from (x0, y0).
 
-    fs (a FiniteSumSpec) is required when cfg.vr is set.  Each kept
-    StageRecord carries the time.perf_counter() at which it was kept, after
-    its stationarity estimate.  Oracle calls accumulate in single-sample
-    draws (see inner_draws).
+    fs (a FiniteSumSpec of p's components) is required when cfg.vr is set;
+    a stage shifts p alone.  Each kept StageRecord carries the
+    time.perf_counter() at which it was kept, after its stationarity
+    estimate.  Oracle calls accumulate in single-sample draws (see
+    inner_draws).
     """
     if cfg.vr and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
@@ -107,8 +108,7 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
         sub = shifted_subproblem(p, x, sched.mu_x)
         try:
             if cfg.vr:
-                sub_fs = shifted_finite_sum(fs, x, sched.mu_x + p.convexity.gamma)
-                res = vr_sapd_run(sub_fs, sub, sched, x, y, rng)
+                res = vr_sapd_run(fs, sub, sched, x, y, rng)
             else:
                 res = sapd_run(sub, sched, x, y, rng)
         except DivergenceError as err:

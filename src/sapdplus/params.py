@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, InfeasibleScheduleError
 from .problem import ConvexityModuli, NoiseLevels, SmoothnessConstants
 from .sapd import SapdParams
+from .vr import VrParams
 
 PSD_TOL = 1e-9
 
@@ -291,8 +292,6 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     T = ceil(288 gap0 gamma/eps^2), b from the batch floor.
     Returns (VrParams, LmiCertificate, t_outer).
     """
-    from .vr import VrParams
-
     if zeta <= 0:
         raise ConfigurationError("zeta must be positive")
     s, gamma, mu_y = smoothness, convexity.gamma, convexity.mu_y

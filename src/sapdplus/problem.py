@@ -82,6 +82,9 @@ class ProblemSpec:
     float32.
     oracle_batch is the number of single-sample draws one sgrad call costs
     (1 for a single-sample oracle, b for a mini-batch oracle).
+    grad_h(x) is the gradient of the x-only part h of the coupling, shared by
+    every component of a finite sum (FiniteSumSpec): grad_x and sgrad_x
+    include it, batch_grad_x leaves it out.  None means h = 0.
     """
 
     n: int
@@ -100,6 +103,7 @@ class ProblemSpec:
     draw: Optional[Callable] = None
     draw_x: int = 0
     draw_y: int = 0
+    grad_h: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -122,8 +126,9 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
     """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
 
     grad_<axis> and sgrad_<axis> gain coef*(z - center), sgrad_<axis> passing
-    its draws through; the other oracles are unchanged.  The caller updates
-    the constants through `changes`, which go to the same replace.
+    its draws through, and on the x axis so does grad_h; the other oracles
+    are unchanged.  The caller updates the constants through `changes`,
+    which go to the same replace.
     """
     dim = p.n if axis == "x" else p.m
     center = np.asarray(center, dtype=float)
@@ -138,6 +143,15 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
 
         def new_sgrad(x, y, draws):
             return sgrad(x, y, draws) + coef_c * (x - center)
+
+        base = p.grad_h
+        if base is None:
+            def grad_h(x):
+                return coef_c * (x - center)
+        else:
+            def grad_h(x):
+                return base(x) + coef_c * (x - center)
+        changes["grad_h"] = grad_h
     else:
         def new_grad(x, y):
             return grad(x, y) + coef_c * (y - center)
@@ -172,50 +186,29 @@ class FiniteSumSpec:
     batch_grad_x/batch_grad_y take (indices, x, y) and return the mean of
     the component gradients over the index list (repeats allowed), summed in
     any order: the DRO x-batch sums by a BLAS product, so it matches a
-    sequential sum to rounding only.  grad_h, if given, is the gradient
-    grad_h(x) of the term h that every component shares; it is not part of
-    batch_grad_x, so an unbiased x-gradient estimate is a batch mean plus
-    grad_h, and a difference of two batches at the same indices needs no
-    h at all.  None means h = 0.  h depends on x alone, so batch_grad_y
-    has no such term.
+    sequential sum to rounding only.  The shared term h is the problem's
+    (ProblemSpec.grad_h) and is not part of batch_grad_x, so an unbiased
+    x-gradient estimate is a batch mean plus grad_h, and a difference of two
+    batches at the same indices needs no h at all.  h depends on x alone,
+    so batch_grad_y has no such term.
     Every index lies in [0, n_comp), as sample draws them; the oracles do not
     check this, and outside it they may disagree (a DRO x-batch wraps a
     negative index, its y-batch raises).  as_smoothness holds the
-    almost-sure per-component Lipschitz constants, h included.
+    almost-sure per-component Lipschitz constants of the unshifted
+    coupling, h included: a stage's quadratic shift (shifted_subproblem)
+    moves the problem's constants, not these.
     """
 
     n_comp: int
     batch_grad_x: Callable
     batch_grad_y: Callable
     as_smoothness: SmoothnessConstants
-    grad_h: Optional[Callable] = None
 
     def sample(self, rng, size):
         """Uniform batch with replacement from {0, ..., n_comp-1}."""
         if size < 1:
             raise ConfigurationError("batch size must be >= 1")
         return rng.integers(0, self.n_comp, size=size)
-
-
-def shifted_finite_sum(fs: FiniteSumSpec, center, coef: float) -> FiniteSumSpec:
-    """Finite sum of the shifted coupling: h(x) gains (coef/2)*||x - center||^2.
-
-    The shift is shared by every component, so it joins grad_h, which gains
-    coef*(x - center); the batch oracles are fs's own.
-    """
-    center = np.asarray(center, dtype=float)
-    coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
-    base = fs.grad_h
-    if base is None:
-        def grad_h(x):
-            return coef_c * (x - center)
-    else:
-        def grad_h(x):
-            return base(x) + coef_c * (x - center)
-
-    s = fs.as_smoothness
-    return replace(fs, grad_h=grad_h,
-                   as_smoothness=SmoothnessConstants(s.l_xx + coef, s.l_xy, s.l_yx, s.l_yy))
 
 
 def with_gaussian_noise(p: ProblemSpec, delta_x: float, delta_y: float) -> ProblemSpec:

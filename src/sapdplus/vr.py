@@ -14,11 +14,11 @@ Per iteration k (theta fixed to 1 by the parameter rule):
 
 with w_0 a large-batch draw at (x_0, y_0) and s_0 = w_0.  The recursion
 evaluates the same batch at both point pairs.  u_k estimates the mean of the
-component x-gradients only: the shared term grad_h (FiniteSumSpec) depends
-on x alone, so it would cancel in the batch difference, and it is added
-once, at x_k.  Oracle cost is counted in single-sample draws.  The iteration
-is the one inner loop of sapd.py; this module supplies its SPIDER estimator
-of v_k and s_{k+1}.
+component x-gradients only: the shared term grad_h (ProblemSpec) depends on
+x alone, so it would cancel in the batch difference, and it is added once,
+at x_k; in a SAPD+ stage it carries the stage's shift too.  Oracle cost is
+counted in single-sample draws.  The iteration is the one inner loop of
+sapd.py; this module supplies its SPIDER estimator of v_k and s_{k+1}.
 """
 
 import warnings
@@ -63,15 +63,15 @@ class VrParams:
 
 class _SpiderGradient:
     """The SPIDER estimator; each recursion step reuses the point of the
-    previous call on its axis.  The x-recursion runs on the component part
-    u_k; grad_h, bound once per stage, is added at x_k alone.  Its batches
-    are slices of one _Draws of indices: b for w_0, then per iteration the
-    x-batch before the y-batch.
+    previous call on its axis.  The x-recursion runs on fs's component part
+    u_k; the grad_h of p, bound once per stage, is added at x_k alone.  Its
+    batches are slices of one _Draws of indices: b for w_0, then per
+    iteration the x-batch before the y-batch.
     A recursion step draws its batch once and evaluates it twice, so the
     stage draws fewer indices than inner_oracle_calls counts."""
 
-    def __init__(self, fs: FiniteSumSpec, params: VrParams, rng):
-        self.fs, self.params, self.grad_h = fs, params, fs.grad_h
+    def __init__(self, fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
+        self.fs, self.params, self.grad_h = fs, params, p.grad_h
         self.two = np.array(2.0)  # 0-d coefficient (sapd module docstring)
         b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
 
@@ -113,12 +113,13 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
                 rng) -> SapdRunResult:
     """Run the variance-reduced inner solver on a finite-sum coupling.
 
-    fs supplies batch gradients of the (possibly shifted) coupling; p supplies
-    the prox maps.  Batch indices are drawn with replacement from a single rng
-    stream, in blocks of whole iterations: the initial y-batch, then per
-    iteration the x batch before the y batch.
+    fs supplies the component batch gradients; p supplies the shared term
+    grad_h (in a SAPD+ stage, with the stage's shift) and the prox maps.
+    Batch indices are drawn with replacement from a single rng stream, in
+    blocks of whole iterations: the initial y-batch, then per iteration the
+    x batch before the y batch.
     """
     if params.b > fs.n_comp:
         warnings.warn("large batch exceeds component count; sampling with "
                       "replacement", stacklevel=2)
-    return _inner_loop(p, params, _SpiderGradient(fs, params, rng), x0, y0)
+    return _inner_loop(p, params, _SpiderGradient(fs, p, params, rng), x0, y0)

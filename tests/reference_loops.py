@@ -13,9 +13,11 @@ order the removed `ProblemSpec.stoch_grad_*` drew them in.
 
 `reference_vr_sapd_run` evaluates the full component x-gradient at both
 points of a recursion step, batch plus the shared `grad_h` at each, as the
-solver did before `FiniteSumSpec` split `grad_h` out.  The solver now adds
+solver did before the batches left `grad_h` out.  The solver now adds
 `grad_h` once, at the new point, so the two agree to rounding, not bit for
-bit; draws, batches and call counts still match exactly.
+bit; draws, batches and call counts still match exactly.  `grad_h` is read
+from the problem (`ProblemSpec.grad_h`, which a stage's shift extends),
+where the finite sum once carried it; the recursion is unchanged.
 """
 
 from dataclasses import dataclass
@@ -104,7 +106,7 @@ def reference_vr_sapd_run(fs, p, params, x0, y0, rng):
 
     def batch_grad_x(batch, x, y):
         g = fs.batch_grad_x(batch, x, y)
-        return g if fs.grad_h is None else g + fs.grad_h(x)
+        return g if p.grad_h is None else g + p.grad_h(x)
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     x_prev = x.copy()

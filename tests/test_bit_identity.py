@@ -25,8 +25,7 @@ from sapdplus import cli, datasets
 from sapdplus.errors import DivergenceError
 from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
-from sapdplus.problem import (NoiseLevels, shifted_finite_sum, shifted_subproblem,
-                              with_gaussian_noise)
+from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
 from sapdplus.sapd import CHUNK_VALUES, SapdParams, _StochasticGradient, sapd_run
 from sapdplus.vr import VrParams, vr_sapd_run
 
@@ -162,10 +161,9 @@ def quadratic_fs_case():
     qfs = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
     center = rng.standard_normal(4)
     sub = shifted_subproblem(qfs.base.problem, center, 1.0)
-    sub_fs = shifted_finite_sum(qfs.spec, center, 2.0)
     params = VrParams(tau=0.03, sigma=0.03, b=20, b_x=3, b_y=2, q=5, n_inner=37,
                       mu_x=1.0)
-    return sub_fs, sub, params, rng.standard_normal(4), rng.standard_normal(3)
+    return qfs.spec, sub, params, rng.standard_normal(4), rng.standard_normal(3)
 
 
 def dro_fs_case():
@@ -174,10 +172,9 @@ def dro_fs_case():
     sched = theorem1_schedule(p.smoothness, p.convexity, NoiseLevels(0, 0), 0.1, 1.0)
     center = np.random.default_rng(6).standard_normal(p.n)
     sub = shifted_subproblem(p, center, sched.mu_x)
-    sub_fs = shifted_finite_sum(inst.finite_sum, center, sched.mu_x + p.convexity.gamma)
     params = VrParams(tau=sched.tau, sigma=sched.sigma, b=30, b_x=3, b_y=3, q=4,
                       n_inner=41, mu_x=sched.mu_x)
-    return sub_fs, sub, params, center, np.full(p.m, 1.0 / p.m)
+    return inst.finite_sum, sub, params, center, np.full(p.m, 1.0 / p.m)
 
 
 VR_CASES = {"quadratic": quadratic_fs_case, "dro": dro_fs_case}

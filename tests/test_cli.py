@@ -87,7 +87,11 @@ class TestOneSchedulePath:
                      ["--vr", "--eps", "0.05", "--b-x", "1", "--b-y", "1",
                       "--zeta", "0.5"], id="theory-vr"),
         pytest.param(dict(problem="quadratic", schedule="manual", theta=0.8),
-                     ["--theta", "0.8"], id="manual")])
+                     ["--theta", "0.8"], id="manual"),
+        # no --eps: check-params once defaulted to 0.1 against solve's 0.05,
+        # which moves theta-double-bar, and so tau, sigma and N, when noisy
+        pytest.param(dict(problem="quadratic", noise_x=0.1, noise_y=0.1), [],
+                     id="theory-default-eps")])
     def test_check_params_prints_what_solve_runs(self, tmp_path, capsys, run, flags):
         out = tmp_path / "s.csv"
         assert cli.cmd_solve(dict(run, t_outer=1, out=str(out))) == 0
@@ -180,6 +184,28 @@ class TestOneSchedulePath:
         assert cli.main(["solve", "--config", "run.cfg", "--out", "t.csv", *argv]) == 2
         assert capsys.readouterr().err == f"sapdplus: error: {err}\n"
         assert not Path("t.csv").exists()
+
+    @pytest.mark.parametrize("config,argv,key", [
+        # each value once selected the default its 0 stands for and exited 0:
+        # the theory T (38,401 stages), a noiseless run, the theory b, gamma
+        # for mu_x, 1/n^2 for eta2, one stage for a negative budget
+        pytest.param("", ["--t-outer", "-1"], "t_outer", id="t_outer"),
+        pytest.param("noise_x = -0.5\n", [], "noise_x", id="noise_x"),
+        pytest.param("noise_y = -0.5\n", [], "noise_y", id="noise_y"),
+        pytest.param("problem = dro\nalgo = sapd-plus-vr\n", ["--b", "-5"], "b", id="b"),
+        pytest.param("schedule = manual\ntheta = 0.8\nmu_x = -1\n", [], "mu_x", id="mu_x"),
+        pytest.param("problem = dro\neta2 = -1\n", [], "eta2", id="eta2"),
+        pytest.param("", ["--budget-calls", "-100"], "budget_calls", id="budget_calls"),
+        pytest.param("", ["--epochs", "-1"], "epochs", id="epochs"),
+        pytest.param("", ["--stat-every", "-1"], "stat_every", id="stat_every")])
+    def test_negative_unset_value_exits_2(self, tmp_path, monkeypatch, capsys,
+                                          config, argv, key):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(config)
+        assert cli.main(["solve", "--config", "run.cfg", "--out", "t.csv", *argv]) == 2
+        assert capsys.readouterr().err == f"sapdplus: error: {key} must be nonnegative\n"
+        assert not Path("t.csv").exists()
+        assert not Path("t.csv.meta.txt").exists()
 
 
 class TestConfigFile:

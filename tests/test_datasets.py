@@ -144,9 +144,10 @@ class TestDroInstance:
         x = rng.standard_normal(5)
         y = np.abs(rng.standard_normal(64))
         y /= y.sum()
-        # the regularizer is the shared term grad_h, not part of the batch
+        # the regularizer is the problem's shared term grad_h, not part of
+        # the batch
         fs = inst.finite_sum
-        full_x = fs.batch_grad_x(np.arange(64), x, y) + fs.grad_h(x)
+        full_x = fs.batch_grad_x(np.arange(64), x, y) + inst.problem.grad_h(x)
         assert np.max(np.abs(full_x - inst.problem.grad_x(x, y))) <= 1e-12
         full_y = inst.finite_sum.batch_grad_y(np.arange(64), x, y)
         assert np.max(np.abs(full_y - inst.problem.grad_y(x, y))) <= 1e-12
@@ -239,20 +240,21 @@ class TestDroBatchIndexing:
         ref = ReferenceDro(self.ref_ds, 10.0, 1e-3, 1.0 / 30**2)
         rng = np.random.default_rng(14)
         y = np.abs(rng.standard_normal(30))
-        return inst.finite_sum, ref, rng.standard_normal(4), y / y.sum()
+        return (inst.finite_sum, inst.problem.grad_h, ref, rng.standard_normal(4),
+                y / y.sum())
 
     @pytest.mark.parametrize("idx", [[3], [0, 29, 7], [5, 5, 5, 2, 5],
                                      np.array([1, 1, 28, 0, 28])])
     def test_lists_and_repeats(self, idx):
-        fs, ref, x, y = self._pair()
-        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + fs.grad_h(x),
+        fs, grad_h, ref, x, y = self._pair()
+        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + grad_h(x),
                             ref.batch_grad_x(idx, x, y))
         assert fs.batch_grad_y(idx, x, y).tobytes() == ref.batch_grad_y(idx, x, y).tobytes()
 
     @pytest.mark.parametrize("idx", [[-1], [-30, 4, -1, -1], np.array([2, -3, 27])])
     def test_negative_indices(self, idx):
-        fs, ref, x, y = self._pair()
-        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + fs.grad_h(x),
+        fs, grad_h, ref, x, y = self._pair()
+        assert_close_grad_x(fs.batch_grad_x(idx, x, y) + grad_h(x),
                             ref.batch_grad_x(idx, x, y))
         # bincount rejects negative indices in both
         with pytest.raises(ValueError):
@@ -262,7 +264,7 @@ class TestDroBatchIndexing:
 
     @pytest.mark.parametrize("idx", [[30], [0, 31], [-31], np.array([4, 99])])
     def test_out_of_range_raises_index_error(self, idx):
-        fs, ref, x, y = self._pair()
+        fs, grad_h, ref, x, y = self._pair()
         for oracle in (fs.batch_grad_x, fs.batch_grad_y, ref.batch_grad_x):
             with pytest.raises(IndexError):
                 oracle(idx, x, y)

@@ -303,7 +303,7 @@ def test_dro_oracles_match_reference(case):
     @given(inputs=oracle_inputs(n, d))
     def check(inputs):
         idx, x, y = inputs
-        assert_close(fs.batch_grad_x(idx, x, y) + fs.grad_h(x), ref.batch_grad_x(idx, x, y))
+        assert_close(fs.batch_grad_x(idx, x, y) + p.grad_h(x), ref.batch_grad_x(idx, x, y))
         assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))
         assert _bits(p.grad_y(x, y)) == _bits(ref.grad_y(x, y))
         assert _bits(inst.losses(x)) == _bits(ref.losses(x))
@@ -328,7 +328,7 @@ def test_full_batch_is_the_full_gradient(case):
     @given(inputs=oracle_inputs(n, d))
     def check(inputs):
         _, x, y = inputs
-        assert _bits(fs.batch_grad_x(every, x, y) + fs.grad_h(x)) == _bits(p.grad_x(x, y))
+        assert _bits(fs.batch_grad_x(every, x, y) + p.grad_h(x)) == _bits(p.grad_x(x, y))
         assert _bits(fs.batch_grad_y(every, x, y)) == _bits(p.grad_y(x, y))
 
     check()
@@ -476,7 +476,7 @@ def test_dro_oracles_are_their_matmul_forms(case):
         idx, x, y = inputs
         losses = np.logaddexp(0.0, -(signed @ x))
         assert _bits(p.grad_x(x, y)) == _bits(_matmul_grad_x(signed, y, x))
-        assert _bits(fs.batch_grad_x(idx, x, y) + fs.grad_h(x)) == _bits(
+        assert _bits(fs.batch_grad_x(idx, x, y) + p.grad_h(x)) == _bits(
             _matmul_grad_x(signed[idx], y[idx], x))
         assert _bits(p.grad_y(x, y)) == _bits(losses / n)
         expected = (float(y @ losses) / n + inst.regularizer(x) - inst.g_value(y))
@@ -502,7 +502,7 @@ def assert_matches_csr_path(ds, ref_ds, x, y, idx):
         [[v.hex() for v in astuple(c)] for c in (det, a_s)])
     assert _bits(p.grad_x(x, y)) == _bits(_matmul_grad_x(signed, y, x))
     assert _bits(p.grad_y(x, y)) == _bits(np.logaddexp(0.0, -(signed @ x)) / n)
-    assert _bits(fs.batch_grad_x(idx, x, y) + fs.grad_h(x)) == _bits(
+    assert _bits(fs.batch_grad_x(idx, x, y) + p.grad_h(x)) == _bits(
         _matmul_grad_x(signed[idx], y[idx], x))
     ref = ReferenceDro(ref_ds, 10.0, 1e-3, 1.0 / n**2)
     assert _bits(fs.batch_grad_y(idx, x, y)) == _bits(ref.batch_grad_y(idx, x, y))

@@ -85,17 +85,17 @@ def test_vr_path_runs_through_the_shims(tracing):
     with tracing.installed(tr):
         ds = datasets.synthetic_logistic_dataset(40, 5, np.random.default_rng(1))
         inst = datasets.build_dro(ds, sgrad_batch=3)
-        grad_h = inst.finite_sum.grad_h
+        grad_h = inst.problem.grad_h
 
         def counted_grad_h(x):
             grad_h_calls.append(x)
             return grad_h(x)
 
-        counted = replace(inst.finite_sum, grad_h=counted_grad_h)
-        result = sapd_plus_run(inst.problem, OuterConfig(t_outer=stages,
-                                                         schedule=params, vr=True),
+        counted = replace(inst.problem, grad_h=counted_grad_h)
+        result = sapd_plus_run(counted, OuterConfig(t_outer=stages,
+                                                    schedule=params, vr=True),
                                np.zeros(5), np.full(40, 1 / 40),
-                               np.random.default_rng(2), fs=counted)
+                               np.random.default_rng(2), fs=inst.finite_sum)
     stats, counters = tr.summary()
     assert result.stages_run == stages
     assert stats["stage.vr"].calls == stages

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum
 from sapdplus import datasets
@@ -102,6 +104,40 @@ class TestShiftedSubproblem:
             lhs = np.linalg.norm(p.grad_y(x1, y1) - p.grad_y(x2, y2))
             rhs = s.l_yx * np.linalg.norm(x1 - x2) + s.l_yy * np.linalg.norm(y1 - y2)
             assert lhs <= rhs + 1e-9
+
+
+SHIFT_CASES = {
+    "dro": lambda: datasets.build_dro(datasets.synthetic_logistic_dataset(
+        30, 4, np.random.default_rng(1)), sgrad_batch=5),
+    "quadratic": lambda: make_quadratic_finite_sum(12, 4, 3, 1.0, 1.0,
+                                                   np.random.default_rng(2)),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(SHIFT_CASES)),
+       mu_x=st.floats(1e-3, 1e2), seed=st.integers(0, 2**32 - 1))
+def test_shift_carries_the_shared_term(kind, mu_x, seed):
+    # one transform shifts everything a stage reads: the shared x-term
+    # grad_h gains the proximal term, so a VR stage's batch mean plus
+    # grad_h estimates what the shifted sgrad_x does
+    case = SHIFT_CASES[kind]()
+    p, fs = (case.problem, case.finite_sum) if kind == "dro" else (
+        case.base.problem, case.spec)
+    rng = np.random.default_rng(seed)
+    c, x = rng.standard_normal(p.n), 3.0 * rng.standard_normal(p.n)
+    sub = shifted_subproblem(p, c, mu_x)
+    shift = (mu_x + p.convexity.gamma) * (x - c)
+    want = shift if p.grad_h is None else p.grad_h(x) + shift
+    assert sub.grad_h(x).tobytes() == want.tobytes()
+    if kind == "dro":
+        y, idx = rng.dirichlet(np.ones(p.m)), fs.sample(rng, 5)
+        batch = fs.batch_grad_x(idx, x, y)
+        assert sub.sgrad_x(x, y, idx).tobytes() == (batch + p.grad_h(x) + shift).tobytes()
+        # (batch + h) + shift against batch + (h + shift): the same sum in
+        # another association, so equal to rounding, not in every bit
+        bound = 2 * np.finfo(float).eps * (abs(batch) + abs(p.grad_h(x)) + abs(shift))
+        assert np.all(abs(sub.sgrad_x(x, y, idx) - (batch + sub.grad_h(x))) <= bound)
 
 
 class TestFiniteSum:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum
 from sapdplus import datasets
-from sapdplus.problem import shifted_finite_sum, shifted_subproblem
+from sapdplus.problem import shifted_subproblem
 from sapdplus.sapd import SapdParams, sapd_run
 from sapdplus.vr import VrParams, _SpiderGradient, vr_sapd_run
 
@@ -18,9 +18,8 @@ def shifted_setup():
     qfs = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.4)
     center = rng.standard_normal(4)
     sub = shifted_subproblem(qfs.base.problem, center, 1.0)
-    sub_fs = shifted_finite_sum(qfs.spec, center, 2.0)
     x0, y0 = rng.standard_normal(4), rng.standard_normal(3)
-    return qfs, sub, sub_fs, x0, y0
+    return qfs, sub, qfs.spec, x0, y0
 
 
 class TestVrParams:
@@ -43,11 +42,10 @@ class TestVrRun:
         qfs0 = make_quadratic_finite_sum(20, 4, 3, 1.0, 1.0, rng, spread=0.0)
         center = rng.standard_normal(4)
         sub = shifted_subproblem(qfs0.base.problem, center, 1.0)
-        sub_fs0 = shifted_finite_sum(qfs0.spec, center, 2.0)
         x0, y0 = rng.standard_normal(4), rng.standard_normal(3)
         vrp = VrParams(tau=0.05, sigma=0.05, b=20, b_x=3, b_y=3, q=4,
                        n_inner=25, mu_x=1.0)
-        res_vr = vr_sapd_run(sub_fs0, sub, vrp, x0, y0, np.random.default_rng(9))
+        res_vr = vr_sapd_run(qfs0.spec, sub, vrp, x0, y0, np.random.default_rng(9))
         sp = SapdParams(tau=0.05, sigma=0.05, theta=1.0, rho=1.0, alpha=0.0,
                         mu_x=1.0, n_inner=25)
         res_sp = sapd_run(sub, sp, x0, y0, rng=None)
@@ -60,7 +58,7 @@ class TestVrRun:
         # u, v = u + grad_h(x) and w by the recursion from the logged
         # outputs, and require the prox arguments x - tau v and y + sigma s
         # bit for bit
-        _, sub, sub_fs, x0, y0 = shifted_setup
+        _, sub, fs, x0, y0 = shifted_setup
         vrp = VrParams(tau=0.03, sigma=0.03, b=10, b_x=3, b_y=2, q=5,
                        n_inner=17, mu_x=1.0)
         log = []
@@ -72,10 +70,10 @@ class TestVrRun:
                 return out
             return call
 
-        fs = replace(sub_fs, **{name: logged(name, getattr(sub_fs, name))
-                                for name in ("batch_grad_x", "batch_grad_y", "grad_h")})
+        fs = replace(fs, **{name: logged(name, getattr(fs, name))
+                            for name in ("batch_grad_x", "batch_grad_y")})
         p = replace(sub, **{name: logged(name, getattr(sub, name))
-                            for name in ("prox_f", "prox_g")})
+                            for name in ("grad_h", "prox_f", "prox_g")})
         res = vr_sapd_run(fs, p, vrp, x0, y0, np.random.default_rng(2))
         calls = iter(log)
 
@@ -187,8 +185,8 @@ def spider_bound_along_trajectory(points, params: VrParams, as_constants,
     return np.array(bounds)
 
 
-def spider_variance_probe(fs, points, params: VrParams, reps: int, rng,
-                          delta: float, which: str = "x"):
+def spider_variance_probe(fs, p, points, params: VrParams, reps: int, rng,
+                          delta: float, which: str = "x", as_constants=None):
     """Monte-Carlo MSE of the solver's own SPIDER estimator along a fixed
     trajectory, with the analytic bound it must not exceed.
 
@@ -196,16 +194,17 @@ def spider_variance_probe(fs, points, params: VrParams, reps: int, rng,
     `primal(k, x_k, y_{k+1})` for the x-estimator v_k; for the y-estimator,
     `first(x_0, y_0)` and then `dual(k - 1, x_k, y_k)`, reading w_k from
     `.w` after each call.  The MSE is against the full-batch gradient, plus
-    grad_h on the x-axis.  Returns a dict with per-iteration 'mse', 'bound'
-    and 'stderr'.
+    p's grad_h on the x-axis.  The bound takes as_constants, fs's own
+    almost-sure constants by default.  Returns a dict with per-iteration
+    'mse', 'bound' and 'stderr'.
     """
     grad = fs.batch_grad_x if which == "x" else fs.batch_grad_y
     full = [grad(np.arange(fs.n_comp), xk, yk) for xk, yk in points]
-    if which == "x" and fs.grad_h is not None:
-        full = [g + fs.grad_h(xk) for g, (xk, _) in zip(full, points)]
+    if which == "x" and p.grad_h is not None:
+        full = [g + p.grad_h(xk) for g, (xk, _) in zip(full, points)]
     err = np.empty((reps, len(points)))
     for r in range(reps):
-        est = _SpiderGradient(fs, params, rng)
+        est = _SpiderGradient(fs, p, params, rng)
         for k, point in enumerate(points):
             if which == "x":
                 value = est.primal(k, *point)
@@ -215,7 +214,8 @@ def spider_variance_probe(fs, points, params: VrParams, reps: int, rng,
                 est.dual(k - 1, *point)
                 value = est.w
             err[r, k] = float(np.sum((value - full[k]) ** 2))
-    bound = spider_bound_along_trajectory(points, params, fs.as_smoothness,
+    bound = spider_bound_along_trajectory(points, params,
+                                          as_constants or fs.as_smoothness,
                                           delta, which)
     return {"mse": err.mean(axis=0), "bound": bound,
             "stderr": err.std(axis=0) / np.sqrt(reps)}
@@ -237,8 +237,8 @@ class TestVarianceProbe:
         bound = spider_bound_along_trajectory(points, params,
                                               qfs.spec.as_smoothness, delta)
         np.testing.assert_allclose(bound, delta**2 / 8, atol=1e-12)
-        probe = spider_variance_probe(qfs.spec, points, params, reps=600,
-                                      rng=np.random.default_rng(1), delta=delta)
+        probe = spider_variance_probe(qfs.spec, qfs.base.problem, points, params,
+                                      reps=600, rng=np.random.default_rng(1), delta=delta)
         assert np.all(probe["mse"] <= probe["bound"] + 3 * probe["stderr"])
 
     def test_refresh_step_mse(self):
@@ -249,8 +249,8 @@ class TestVarianceProbe:
         points = [(x0 + 0.2 * k * rng.standard_normal(3),
                    y0 + 0.1 * k * rng.standard_normal(2)) for k in range(6)]
         delta = max(np.sqrt(qfs.single_draw_variance_x(*pt)) for pt in points)
-        probe = spider_variance_probe(qfs.spec, points, params, reps=800,
-                                      rng=np.random.default_rng(3), delta=delta)
+        probe = spider_variance_probe(qfs.spec, qfs.base.problem, points, params,
+                                      reps=800, rng=np.random.default_rng(3), delta=delta)
         for k in range(0, 6, 3):  # refresh indices
             assert probe["mse"][k] <= delta**2 / 8 + 3 * probe["stderr"][k]
 
@@ -262,8 +262,8 @@ class TestVarianceProbe:
         points = [(x0 + 0.15 * k * np.ones(3), y0 - 0.1 * k * np.ones(2))
                   for k in range(6)]
         delta = max(np.sqrt(qfs.single_draw_variance_x(*pt)) for pt in points)
-        probe = spider_variance_probe(qfs.spec, points, params, reps=2000,
-                                      rng=rng, delta=delta)
+        probe = spider_variance_probe(qfs.spec, qfs.base.problem, points, params,
+                                      reps=2000, rng=rng, delta=delta)
         assert np.all(probe["mse"] <= probe["bound"] + 3 * probe["stderr"])
 
     def test_y_axis_probe(self):
@@ -273,8 +273,8 @@ class TestVarianceProbe:
         points = [(x0 + 0.1 * k * np.ones(3), y0 + 0.05 * k * np.ones(2))
                   for k in range(8)]
         delta = max(np.sqrt(qfs.single_draw_variance_y(*pt)) for pt in points)
-        probe = spider_variance_probe(qfs.spec, points, params, reps=600,
-                                      rng=np.random.default_rng(5), delta=delta,
+        probe = spider_variance_probe(qfs.spec, qfs.base.problem, points, params,
+                                      reps=600, rng=np.random.default_rng(5), delta=delta,
                                       which="y")
         assert np.all(probe["mse"] <= probe["bound"] + 3 * probe["stderr"])
 
@@ -286,16 +286,28 @@ def single_draw_variance(fs, x, y, which):
     return float(np.mean(np.sum((comps - comps.mean(axis=0)) ** 2, axis=1)))
 
 
+def with_shift_constants(fs, sub, coef):
+    """(fs, sub, fs's almost-sure constants with l_xx grown by the shift
+    coef): the stage's shift is sub's grad_h, which the x-estimator adds."""
+    s = fs.as_smoothness
+    return fs, sub, replace(s, l_xx=s.l_xx + coef)
+
+
 def shifted_quadratic_fs():
     rng = np.random.default_rng(7)
     qfs = make_quadratic_finite_sum(12, 3, 2, 1.0, 1.0, rng, spread=0.4)
-    return shifted_finite_sum(qfs.spec, rng.standard_normal(3), 2.0)
+    # gamma = 1, so mu_x = 1 shifts by 2
+    sub = shifted_subproblem(qfs.base.problem, rng.standard_normal(3), 1.0)
+    return with_shift_constants(qfs.spec, sub, 2.0)
 
 
 def shifted_dro_fs():
     ds = datasets.synthetic_logistic_dataset(12, 3, np.random.default_rng(8))
-    fs = datasets.build_dro(ds).finite_sum
-    return shifted_finite_sum(fs, np.random.default_rng(9).standard_normal(3), 0.5)
+    inst = datasets.build_dro(ds)
+    p = inst.problem
+    mu_x = 0.5 - p.convexity.gamma  # a shift by 0.5
+    sub = shifted_subproblem(p, np.random.default_rng(9).standard_normal(3), mu_x)
+    return with_shift_constants(inst.finite_sum, sub, 0.5)
 
 
 SHIFTED_FINITE_SUMS = {"quadratic": shifted_quadratic_fs, "dro": shifted_dro_fs}
@@ -303,13 +315,14 @@ SHIFTED_FINITE_SUMS = {"quadratic": shifted_quadratic_fs, "dro": shifted_dro_fs}
 
 @st.composite
 def spider_trajectories(draw):
-    """A shifted finite sum, VR batch sizes and a random-walk trajectory.
+    """A finite sum with its shifted problem and constants, VR batch sizes
+    and a random-walk trajectory.
 
     The DRO walk keeps y on the simplex, where its per-component constants
     hold (they bound y_i by 1).
     """
     kind = draw(st.sampled_from(sorted(SHIFTED_FINITE_SUMS)))
-    fs = SHIFTED_FINITE_SUMS[kind]()
+    fs, sub, as_constants = SHIFTED_FINITE_SUMS[kind]()
     b_x, b_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     b = draw(st.integers(max(b_x, b_y), 12))
     q = draw(st.integers(1, 5))
@@ -323,19 +336,20 @@ def spider_trajectories(draw):
         zs = np.exp(zs) / np.exp(zs).sum(axis=1, keepdims=True)
     params = VrParams(tau=0.1, sigma=0.1, b=b, b_x=b_x, b_y=b_y, q=q,
                       n_inner=n_points, mu_x=1.0)
-    return fs, params, list(zip(xs, zs)), draw(st.sampled_from(["x", "y"]))
+    return (fs, sub, as_constants, params, list(zip(xs, zs)),
+            draw(st.sampled_from(["x", "y"])))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(case=spider_trajectories(), seed=st.integers(0, 2**32 - 1))
 def test_spider_mse_under_its_bound_on_random_trajectories(case, seed):
-    # the solver's own estimator, with grad_h split out of the batches, on
-    # shifted quadratic and DRO finite sums: at a refresh the bound is
+    # the solver's own estimator, with the shifted problem's grad_h split
+    # out of the batches, on quadratic and DRO finite sums: at a refresh the bound is
     # attained where the single-draw variance peaks, so the Monte-Carlo MSE
     # gets four standard errors over thirty drawn trajectories
-    fs, params, points, which = case
+    fs, sub, as_constants, params, points, which = case
     delta = max(np.sqrt(single_draw_variance(fs, *pt, which)) for pt in points)
-    probe = spider_variance_probe(fs, points, params, reps=400,
+    probe = spider_variance_probe(fs, sub, points, params, reps=400,
                                   rng=np.random.default_rng(seed), delta=delta,
-                                  which=which)
+                                  which=which, as_constants=as_constants)
     assert np.all(probe["mse"] <= probe["bound"] + 4 * probe["stderr"] + 1e-24)
