@@ -6,17 +6,23 @@ Subcommands:
   bench          run a list of config files in sequence
 
 Config files are flat ``key = value`` text with ``#`` comments, whose keys
-are the fields of RunConfig (an unknown key is an error); CLI flags
-override file values.  The reps of a `solve` run serially, in rep order.
+are the fields of RunConfig (an unknown key is an error).  The RunConfig
+flags of `solve` and `check-params` are config values too: they arrive as
+text, override file values, and RunConfig.from_sources types and checks
+them all alike.  The reps of a `solve` run serially, in rep order.
 `solve` and `check-params` resolve ``algo`` and ``schedule`` into the
 parameters, stage count and LMI certificate in one place,
 _resolve_schedule, for the noise the problem declares; `solve` caps the
-stage count by the budget.  ``sgda-baseline`` resolves none: it runs the
-inner solver with theta = 0, rho = 1, alpha = 0, mu_x = 0 and N from the
-budget, has no certificate (no LMI covers it), and writes a row every
-epoch of draws; its ``oracle_calls`` after k iterations is (2k + 1) batch
-draws, as for any inner run (see sapd.inner_draws): the extra batch is the
-y-gradient drawn at the last iterate.  Traces have the fixed header
+stage count by the budget.  `check-params` prints the schedule as `solve`
+records it in its meta file (the ``schedule_params`` fields, the stage
+count and the certificate), with theta first and, for a plain theory
+schedule, Theorem 1's beta and theta bounds.  ``sgda-baseline`` resolves
+none: it runs the inner solver with theta = 0, rho = 1, alpha = 0,
+mu_x = 0 and N from the budget, has no certificate (no LMI covers it),
+and writes a row every epoch of draws; its ``oracle_calls`` after k
+iterations is (2k + 1) batch draws, as for any inner run (see
+sapd.inner_draws): the extra batch is the y-gradient drawn at the last
+iterate.  Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
 ``<out>.meta.txt`` with everything needed to reproduce the run.
 ``wall_ms`` is StageRecord.wall, taken as each stage record is kept, so it
@@ -49,9 +55,15 @@ TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
 RESULT_KEYS = frozenset({"dro_n", "dro_d", "theta_bounds", "schedule_params",
                          "certificate_min_eigenvalue", "certificate_feasible",
                          "resolved_t_outer", "note"})
-# RunConfig fields whose 0 means unset or off; cmd_solve rejects a negative one
+# RunConfig fields whose 0 means unset or off; from_sources rejects a
+# negative one, as it does a negative seed
 UNSET_AT_ZERO = ("noise_x", "noise_y", "eta2", "mu_x", "t_outer", "b",
                  "budget_calls", "epochs", "stat_every")
+# the RunConfig keys each subcommand takes as flags
+_SOLVE_KEYS = ("seed", "reps", "eps", "out", "algo", "schedule", "problem", "epochs",
+               "budget_calls", "gap0", "tau", "sigma", "theta", "n_inner", "t_outer",
+               "batch", "b", "b_x", "b_y", "q", "stat_every", "record_every", "data")
+_CHECK_KEYS = ("eps", "gap0", "q", "b_x", "b_y", "zeta", "theta", "tau", "sigma", "mu_x")
 
 
 def parse_config_file(path) -> dict:
@@ -130,8 +142,10 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
-        """File values, then the non-None overrides; a key that is neither a
-        field nor in RESULT_KEYS raises, as does a malformed number."""
+        """File values, then the non-None overrides, each text or a value; a
+        key that is neither a field nor in RESULT_KEYS raises, as do a
+        malformed number, reps < 1 and a negative seed or UNSET_AT_ZERO
+        value."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         merged = dict(file_values)
@@ -146,6 +160,11 @@ class RunConfig:
             if isinstance(cur, (int, float)):
                 val = _number(key, val, isinstance(cur, int))
             setattr(cfg, attr, val)
+        if cfg.reps < 1:
+            raise ConfigurationError("reps must be >= 1")
+        for key in ("seed", "instance_seed") + UNSET_AT_ZERO:
+            if getattr(cfg, key) < 0:
+                raise ConfigurationError(f"{key} must be nonnegative")
         return cfg
 
     def as_lines(self):
@@ -287,9 +306,6 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
 def cmd_solve(argv_overrides, config_path=None) -> int:
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, argv_overrides)
-    for key in UNSET_AT_ZERO:
-        if getattr(cfg, key) < 0:
-            raise ConfigurationError(f"{key} must be nonnegative")
     p, fs, objective, epoch_size, meta = _build_problem(cfg)
     budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
     if cfg.algo == "sgda-baseline":
@@ -344,30 +360,21 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
 
 
 def cmd_check_params(args) -> int:
-    s = SmoothnessConstants(args.l_xx, args.l_xy, args.l_yx, args.l_yy)
-    c = ConvexityModuli(args.gamma, args.mu_y)
     manual = args.theta is not None  # a plain tuple to certify, --vr or not
-    cfg = RunConfig(algo="sapd-plus-vr" if args.vr and not manual else "sapd-plus",
-                    schedule="manual" if manual else "theory", eps=args.eps,
-                    gap0=args.gap0, q=args.q, b_x=args.b_x, b_y=args.b_y, zeta=args.zeta,
-                    theta=args.theta or 0.0, tau=args.tau or 0.0,
-                    sigma=args.sigma or 0.0, mu_x=args.mu_x or 0.0)
+    cfg = RunConfig.from_sources({}, dict(
+        {key: getattr(args, key) for key in _CHECK_KEYS},
+        algo="sapd-plus-vr" if args.vr and not manual else "sapd-plus",
+        schedule="manual" if manual else "theory"))
     params, t_outer, cert, theory = _resolve_schedule(
-        cfg, s, c, NoiseLevels(args.delta_x, args.delta_y))
+        cfg, SmoothnessConstants(args.l_xx, args.l_xy, args.l_yx, args.l_yy),
+        ConvexityModuli(args.gamma, args.mu_y), NoiseLevels(args.delta_x, args.delta_y))
+    shown = {"theta": params.theta, **asdict(params), "t_outer": t_outer}
     if theory is not None:
-        shown = {name: getattr(theory, name) for name in (
-            "beta", "theta_bar_1", "theta_bar_2", "theta_dbar_1", "theta_dbar_2",
-            "theta", "tau", "sigma", "alpha", "n_inner", "t_outer")}
-    elif manual:
-        shown = dict(theta=params.theta, tau=params.tau, sigma=params.sigma,
-                     alpha=params.alpha, n_inner=params.n_inner)
-    else:
-        shown = dict(tau=params.tau, sigma=params.sigma, theta=1, b=params.b,
-                     n_inner=params.n_inner, t_outer=t_outer)
-    shown.update(lmi_min_eigenvalue=cert.min_eigenvalue)
+        shown.update((name, getattr(theory, name)) for name in (
+            "beta", "theta_bar_1", "theta_bar_2", "theta_dbar_1", "theta_dbar_2"))
+    shown.update(lmi_min_eigenvalue=cert.min_eigenvalue, feasible=cert.feasible)
     for name, val in shown.items():
         print(f"{name} = {val:.12g}" if isinstance(val, float) else f"{name} = {val}")
-    print(f"feasible = {cert.feasible}")
     return 0 if cert.feasible else 1
 
 
@@ -376,7 +383,9 @@ def main(argv=None) -> int:
                                      description="saddle-point solver benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("check-params", help="print a certified schedule")
+    pc = sub.add_parser("check-params", help="print a certified schedule",
+                        description="print a certified schedule; --theta: certify "
+                                    "a manual tuple instead of deriving one")
     pc.add_argument("--l-xx", type=float, default=1.0)
     pc.add_argument("--l-xy", type=float, default=1.0)
     pc.add_argument("--l-yx", type=float, default=1.0)
@@ -385,44 +394,28 @@ def main(argv=None) -> int:
     pc.add_argument("--mu-y", type=float, default=1.0)
     pc.add_argument("--delta-x", type=float, default=0.0)
     pc.add_argument("--delta-y", type=float, default=0.0)
-    pc.add_argument("--eps", type=float, default=RunConfig.eps)
-    pc.add_argument("--gap0", type=float, default=RunConfig.gap0)
     pc.add_argument("--vr", action="store_true")
-    pc.add_argument("--q", type=int, default=RunConfig.q)
-    pc.add_argument("--b-x", type=int, default=RunConfig.b_x)
-    pc.add_argument("--b-y", type=int, default=RunConfig.b_y)
-    pc.add_argument("--zeta", type=float, default=RunConfig.zeta)
-    pc.add_argument("--theta", type=float, default=None,
-                    help="certify a manual tuple instead of deriving one")
-    pc.add_argument("--tau", type=float, default=None)
-    pc.add_argument("--sigma", type=float, default=None)
-    pc.add_argument("--mu-x", type=float, default=None)
+    for key in _CHECK_KEYS:
+        pc.add_argument(f"--{key.replace('_', '-')}")
 
     ps = sub.add_parser("solve", help="run one configuration, write a CSV trace")
     ps.add_argument("--config", type=str, default=None)
-    for flag, typ in [("seed", int), ("reps", int), ("eps", float), ("out", str),
-                      ("algo", str), ("schedule", str), ("problem", str),
-                      ("epochs", float), ("budget-calls", int), ("gap0", float),
-                      ("tau", float), ("sigma", float), ("theta", float),
-                      ("n-inner", int), ("t-outer", int), ("batch", int),
-                      ("b", int), ("b-x", int), ("b-y", int), ("q", int),
-                      ("stat-every", int), ("record-every", int), ("data", str)]:
-        ps.add_argument(f"--{flag}", type=typ, default=None)
+    for key in _SOLVE_KEYS:
+        ps.add_argument(f"--{key.replace('_', '-')}")
 
     pb = sub.add_parser("bench", help="run a list of config files")
     pb.add_argument("--configs", nargs="+", required=True)
-    pb.add_argument("--seed", type=int, default=None)
+    pb.add_argument("--seed")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "check-params":
             return cmd_check_params(args)
         if args.command == "solve":
-            overrides = {k: v for k, v in vars(args).items()
-                         if k not in ("command", "config")}
-            return cmd_solve(overrides, args.config)
+            return cmd_solve({key: getattr(args, key) for key in _SOLVE_KEYS},
+                             args.config)
         for path in args.configs:
-            cmd_solve({"seed": args.seed} if args.seed is not None else {}, path)
+            cmd_solve({"seed": args.seed}, path)
         return 0
     except ConfigurationError as err:
         # reported as argparse reports a bad flag

@@ -28,9 +28,7 @@ def project_simplex(v):
     decreasing order, the active set size is the largest j with
     u_j + (1 - sum_{i<=j} u_i)/j > 0, and the projection is
     max(v + lam, 0) for the corresponding shift lam.  O(d log d),
-    deterministic (ties resolved by the cumulative rule).  When the rule
-    holds at the last index, the projection is v + lam with lam computed
-    exactly as the general path would.  The general path takes the last
+    deterministic (ties resolved by the cumulative rule).  It takes the last
     index where the rule holds; in floating point the rule is not monotone
     in j, so counting the indices where it holds can pick a different one.
     """
@@ -48,9 +46,6 @@ def project_simplex(v):
         raise ConfigurationError("project_simplex expects finite input")
     u = ascending[::-1]
     cssv = np.add.accumulate(u)  # np.cumsum's kernel, without its wrapper
-    lam = (1.0 - cssv[-1]) / v.size
-    if u[-1] + lam > 0:
-        return v + lam
     j = np.arange(1, v.size + 1)
     # j = 1 always qualifies: u_1 + (1 - u_1) = 1 > 0
     rho = np.nonzero(u + (1.0 - cssv) / j > 0)[0][-1]

@@ -58,6 +58,12 @@ class TestCheckParams:
         assert code == 1
         assert "feasible = False" in out
 
+    def test_negative_mu_x_exits_2(self, capsys):
+        # a negative mu_x once fell back to gamma: the same schedule as with
+        # no --mu-x, and exit 0
+        assert cli.main(["check-params", "--theta", "0.8", "--mu-x", "-1"]) == 2
+        assert capsys.readouterr() == ("", "sapdplus: error: mu_x must be nonnegative\n")
+
     def test_manual_theta_at_bound_passes(self):
         assert cli.main(["check-params", "--theta", "0.75"]) == 0
 
@@ -92,9 +98,12 @@ class TestOneSchedulePath:
         # which moves theta-double-bar, and so tau, sigma and N, when noisy
         pytest.param(dict(problem="quadratic", noise_x=0.1, noise_y=0.1), [],
                      id="theory-default-eps")])
-    def test_check_params_prints_what_solve_runs(self, tmp_path, capsys, run, flags):
+    def test_check_params_prints_what_solve_runs(self, tmp_path, monkeypatch, capsys,
+                                                 run, flags):
+        # no rep runs, so the meta file keeps the schedule's own stage count
+        monkeypatch.setattr(cli, "_run_single_rep", lambda *args: ([], ""))
         out = tmp_path / "s.csv"
-        assert cli.cmd_solve(dict(run, t_outer=1, out=str(out))) == 0
+        assert cli.cmd_solve(dict(run, out=str(out))) == 0
         capsys.readouterr()
         meta = read_meta(out)
         ran = json.loads(meta["schedule_params"])
@@ -111,6 +120,9 @@ class TestOneSchedulePath:
         assert [shown[k] for k in ("tau", "sigma", "n_inner", "lmi_min_eigenvalue")] == [
             f"{ran['tau']:.12g}", f"{ran['sigma']:.12g}", str(ran["n_inner"]),
             f"{cert:.12g}"]
+        assert {k: shown[k] for k in ran} == {
+            k: f"{v:.12g}" if isinstance(v, float) else str(v) for k, v in ran.items()}
+        assert shown["t_outer"] == meta["resolved_t_outer"]
         assert shown["feasible"] == meta["certificate_feasible"] == "True"
 
     @pytest.mark.parametrize("given", [{}, dict(tau=0.1), dict(sigma=0.3, n_inner=4)])
@@ -176,7 +188,10 @@ class TestOneSchedulePath:
                      "sigma or n_inner", id="no-theta"),
         pytest.param(["--problem", "dro", "--algo", "sapd-plus-vr", "--schedule", "manual",
                       "--tau", "0.05", "--sigma", "0.05"], "",
-                     "manual VR schedule needs tau, sigma, n_inner", id="vr-no-n")])
+                     "manual VR schedule needs tau, sigma, n_inner", id="vr-no-n"),
+        # no reps once wrote a header-only trace and exited 0
+        pytest.param(["--reps", "0"], "", "reps must be >= 1", id="reps-0"),
+        pytest.param(["--reps", "-1"], "", "reps must be >= 1", id="reps-negative")])
     def test_exits_2_naming_the_fault(self, tmp_path, monkeypatch, capsys, argv,
                                       config, err):
         monkeypatch.chdir(tmp_path)
@@ -197,7 +212,10 @@ class TestOneSchedulePath:
         pytest.param("problem = dro\neta2 = -1\n", [], "eta2", id="eta2"),
         pytest.param("", ["--budget-calls", "-100"], "budget_calls", id="budget_calls"),
         pytest.param("", ["--epochs", "-1"], "epochs", id="epochs"),
-        pytest.param("", ["--stat-every", "-1"], "stat_every", id="stat_every")])
+        pytest.param("", ["--stat-every", "-1"], "stat_every", id="stat_every"),
+        # a negative seed once ended in numpy's ValueError traceback, exit 1
+        pytest.param("", ["--seed", "-1"], "seed", id="seed"),
+        pytest.param("instance_seed = -1\n", [], "instance_seed", id="instance_seed")])
     def test_negative_unset_value_exits_2(self, tmp_path, monkeypatch, capsys,
                                           config, argv, key):
         monkeypatch.chdir(tmp_path)
@@ -269,6 +287,36 @@ class TestConfigFile:
             {"seed": 2**63 + 1})
         assert (cfg.reps, cfg.n_samples, cfg.budget_calls, cfg.seed) == (
             2, 50, 1000, 2**63 + 1)
+
+
+class TestOneWayIn:
+    """A solve flag is read as the same text in a config file is."""
+
+    @pytest.mark.parametrize("key,text,base,value", [
+        # argparse once refused both flags: "invalid int value"
+        pytest.param("t_outer", "1e0", "", "1", id="t_outer"),
+        pytest.param("reps", "2.0", "t_outer = 1\n", "2", id="reps")])
+    def test_flag_reads_as_file_text(self, tmp_path, monkeypatch, key, text, base, value):
+        monkeypatch.chdir(tmp_path)
+        metas = []
+        for as_flag in (True, False):
+            Path("run.cfg").write_text(base + ("" if as_flag else f"{key} = {text}\n"))
+            flag = [f"--{key.replace('_', '-')}", text] if as_flag else []
+            assert cli.main(["solve", "--config", "run.cfg", "--out", f"{as_flag}.csv",
+                             *flag]) == 0
+            metas.append({k: v for k, v in read_meta(f"{as_flag}.csv").items()
+                          if k != "out"})
+        assert metas[0] == metas[1]
+        assert metas[0][key] == value
+
+    def test_bad_flag_reads_as_bad_file_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("reps = 2.7\n")
+        for argv in (["--reps", "2.7"], ["--config", "run.cfg"]):
+            assert cli.main(["solve", "--out", "t.csv", *argv]) == 2
+            assert capsys.readouterr().err == (
+                "sapdplus: error: config key 'reps': '2.7' is not an integer\n")
+        assert not Path("t.csv").exists()
 
 
 class TestSolve:
