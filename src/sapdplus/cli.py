@@ -144,8 +144,8 @@ class RunConfig:
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
         """File values, then the non-None overrides, each text or a value; a
         key that is neither a field nor in RESULT_KEYS raises, as do a
-        malformed number, reps < 1 and a negative seed or UNSET_AT_ZERO
-        value."""
+        malformed number, reps or batch < 1 and a negative seed or
+        UNSET_AT_ZERO value."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         merged = dict(file_values)
@@ -160,8 +160,9 @@ class RunConfig:
             if isinstance(cur, (int, float)):
                 val = _number(key, val, isinstance(cur, int))
             setattr(cfg, attr, val)
-        if cfg.reps < 1:
-            raise ConfigurationError("reps must be >= 1")
+        for key in ("reps", "batch"):
+            if getattr(cfg, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
         for key in ("seed", "instance_seed") + UNSET_AT_ZERO:
             if getattr(cfg, key) < 0:
                 raise ConfigurationError(f"{key} must be nonnegative")

@@ -38,13 +38,26 @@ instance.  numpy 2 converts a Python-float operand on every call, which
 costs about 175 ns more than a 0-d array (timeit minima, numpy 2.4.6:
 543 against 367 ns for c * v at n = 1, 737 against 561 ns at n = 1000).
 For float64 operands both forms run the same float64 loop (NEP 50), so
-they agree bit for bit, as np.multiply(a, r, a) and np.add(a, v, a) agree
-with a *= r and a += v (tests/test_kernel_identity.py holds these
-premises).  A 0-d array spreads: a product of two of them is an
-np.float64, and a float32 operand is promoted to float64.  So scalar
-arithmetic stays in Python floats: the weight recursion, the guard's
-comparison, the fields of SapdParams and VrParams, and the step handed to
-a prox map (tests/test_scalar_types.py).
+they agree bit for bit (tests/test_kernel_identity.py holds this premise).
+A 0-d array spreads: a product of two of them is an np.float64, and a
+float32 operand is promoted to float64.  So scalar arithmetic stays in
+Python floats: the weight recursion, the guard's comparison, the fields of
+SapdParams and VrParams, and the step handed to a prox map
+(tests/test_scalar_types.py).
+
+No ufunc on the hot path writes into one of its own operands.  When the
+output aliases a one-element input, numpy copies that input first:
+np.add(a, x, a) takes 0.9-1.6 us against 0.3-0.6 us for np.add(a, x, b)
+(timeit minima, numpy 2.4.6, on a 2-vCPU VM whose speed drifts between
+runs; from two elements on there is no gap).  So the inner loop keeps
+the running sums of x and y in one array and writes each update into a
+spare array of the same layout: at rho < 1 one product of the whole array
+into the spare and one sum per axis back, at rho = 1 the sums into the
+spare and a swap of the two.  Each element gets the arithmetic of
+a *= r; a += v, bit for bit, except that a sum of two NaNs may keep the
+other one's sign; the guard keeps NaN out of the sums
+(test_in_place_ufuncs_are_the_augmented_operators in
+tests/test_kernel_identity.py holds this premise).
 """
 
 import math
@@ -237,8 +250,13 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
     s = estimator.first(x, y)
-    acc_x = np.zeros_like(x)
-    acc_y = np.zeros_like(y)
+    # the running sums of x (first n entries) and y; each update is written
+    # into `spare` (module docstring), and at rho = 1 the two arrays then
+    # swap roles, every name at once
+    plain = rho == 1.0  # at rho = 1 the products are exact identities
+    n = x.size
+    acc, spare = np.zeros(n + y.size), np.empty(n + y.size)
+    acc_x, acc_y, spare_x, spare_y = acc[:n], acc[n:], spare[:n], spare[n:]
     weight = 0.0
     for k in range(params.n_inner):
         y_new = prox_g(y + sigma_c * s, sigma)
@@ -247,12 +265,15 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
         s = dual(k, x_new, y_new)
         x_prev, y_prev = x, y
         x, y = x_new, y_new
-        # acc = rho * acc + x in place, as *= and += compute it
-        if rho != 1.0:  # at rho = 1 the products are exact identities
-            multiply(acc_x, rho_c, acc_x)
-            multiply(acc_y, rho_c, acc_y)
-        add(acc_x, x, acc_x)
-        add(acc_y, y, acc_y)
+        if plain:
+            add(acc_x, x, spare_x)
+            add(acc_y, y, spare_y)
+            acc, acc_x, acc_y, spare, spare_x, spare_y = (
+                spare, spare_x, spare_y, acc, acc_x, acc_y)
+        else:
+            multiply(acc, rho_c, spare)
+            add(spare_x, x, acc_x)
+            add(spare_y, y, acc_y)
         weight = rho * weight + 1.0
         if on_iterate is not None:
             on_iterate(k, x, y)

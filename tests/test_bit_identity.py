@@ -23,6 +23,7 @@ from reference_loops import (reference_sapd_run, reference_sgda_run,
                              reference_vr_sapd_run)
 from sapdplus import cli, datasets
 from sapdplus.errors import DivergenceError
+from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
@@ -403,3 +404,68 @@ class TestBlockedDraws:
         assert got_rng.sizes == blocks
         assert sum(ref_rng.sizes) == sum(blocks)
         assert max(blocks) <= CHUNK_VALUES
+
+
+class WatchedUfunc:
+    """A ufunc that counts its calls and fails one whose positional output
+    shares memory with one of its inputs; it takes no keyword arguments,
+    and its other attributes (reduce, ...) pass through."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.calls = ufunc, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def __call__(self, *args):
+        nin = self.ufunc.nin
+        for out in args[nin:]:
+            for operand in args[:nin]:
+                assert not np.shares_memory(out, operand), self.ufunc.__name__
+        self.calls += 1
+        return self.ufunc(*args)
+
+
+def stochastic_bilinear_run():
+    # rho < 1 and n = m = 1
+    sub, params, x0, y0 = bilinear_case(0.3)
+    assert params.rho < 1 and (sub.n, sub.m) == (1, 1)
+    return sapd_run(sub, params, x0, y0, np.random.default_rng(17)).iterations, 1
+
+
+def sgda_baseline_run():
+    # theta = 0 and rho = 1, as the CLI runs it
+    cfg = cli.RunConfig(algo="sgda-baseline", tau=0.05, sigma=0.05, seed=8,
+                        **SGDA_CASES["quadratic"])
+    p, rows, note, _, _ = sgda_rep(cfg)
+    assert note == "" and rows
+    return cfg.budget_calls // (2 * p.oracle_batch), 0
+
+
+def vr_run():
+    fs, sub, params, x0, y0 = VR_CASES["dro"]()
+    return vr_sapd_run(fs, sub, params, x0, y0, np.random.default_rng(23)).iterations, 0
+
+
+def nested_prox_run():
+    # mu_y = 0: the nested path, exact-gradient SAPD runs at rho = 1
+    toy = datasets.make_bilinear_box_toy()
+    assert toy.problem.convexity.mu_y == 0
+    return moreau_stationarity(toy.problem, np.array([0.7])).inner_iterations, 0
+
+
+@pytest.mark.parametrize("run", [stochastic_bilinear_run, sgda_baseline_run, vr_run,
+                                 nested_prox_run],
+                         ids=["bilinear-rho-below-1", "sgda", "vr", "nested-prox"])
+def test_inner_loop_ufuncs_write_into_no_operand(monkeypatch, run):
+    """On one-element arrays numpy copies an operand that the output
+    aliases (see the sapd module docstring), so the running sums keep their
+    output apart from their inputs: one product per iteration at rho < 1,
+    none at rho = 1, and two sums."""
+    multiply, add = WatchedUfunc(np.multiply), WatchedUfunc(np.add)
+    monkeypatch.setattr(np, "multiply", multiply)
+    monkeypatch.setattr(np, "add", add)
+    iterations, products_per_iteration = run()
+    assert iterations > 0
+    assert (multiply.calls, add.calls) == (products_per_iteration * iterations,
+                                           2 * iterations)

@@ -191,7 +191,13 @@ class TestOneSchedulePath:
                      "manual VR schedule needs tau, sigma, n_inner", id="vr-no-n"),
         # no reps once wrote a header-only trace and exited 0
         pytest.param(["--reps", "0"], "", "reps must be >= 1", id="reps-0"),
-        pytest.param(["--reps", "-1"], "", "reps must be >= 1", id="reps-negative")])
+        pytest.param(["--reps", "-1"], "", "reps must be >= 1", id="reps-negative"),
+        # a dro batch of 0 once named neither batch nor the value, and the
+        # quadratic problem took it without a word
+        pytest.param(["--problem", "dro", "--batch", "0"], "", "batch must be >= 1",
+                     id="dro-batch-0"),
+        pytest.param(["--batch", "-1"], "", "batch must be >= 1", id="batch-negative"),
+        pytest.param([], "batch = 0\n", "batch must be >= 1", id="batch-0-in-file")])
     def test_exits_2_naming_the_fault(self, tmp_path, monkeypatch, capsys, argv,
                                       config, err):
         monkeypatch.chdir(tmp_path)

@@ -18,7 +18,8 @@ The tests at the end pin that premise, its one exception (two one-element
 operands), and the oracles built on it, bit for bit; if a BLAS build ever
 breaks it, they are the tests that fail.  After them, the premise of the
 0-d float64 coefficients: each rewritten operation equals its Python-float
-form bit for bit.
+form bit for bit, and the inner loop's running sums, written into a spare
+array, equal the augmented operators.
 """
 
 import gc
@@ -30,7 +31,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_kernels import (ReferenceDro, reference_dense, reference_dro_data,
@@ -600,14 +601,51 @@ def test_zero_d_divisor_is_the_python_int(v, size):
     assert_same(v / np.array(float(size)), v / size)
 
 
+def assert_same_sum(got, expected, a, b):
+    """assert_same for sums a + b, except where a and b are both NaN: there
+    both sides are NaN, but which term's sign the sum keeps depends on the
+    loop numpy picks for the operands' alignment and aliasing (x86 returns
+    the first operand's NaN, and the compiled loops do not fix the operand
+    order).  The inner loop never meets this: the guard stops a stage
+    before a non-finite iterate reaches the running sums."""
+    both = np.isnan(a) & np.isnan(b)
+    assert_same(got[~both], expected[~both])
+    assert np.isnan(got[both]).all() and np.isnan(expected[both]).all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(v=premise_vectors(), r=coefficients, seed=st.integers(0, 2**32 - 1))
+@example(v=np.array([-0.0]), r=0.5, seed=0)
+@example(v=np.array([np.inf]), r=-0.0, seed=1)
+@example(v=np.array([-np.inf]), r=np.inf, seed=2)
+@example(v=np.array([np.nan]), r=0.95, seed=3)
+@example(v=np.array([0.0, -0.0, np.inf, -np.inf, np.nan]), r=1.0, seed=4)
 @np.errstate(all="ignore")
 def test_in_place_ufuncs_are_the_augmented_operators(v, r, seed):
-    acc = np.random.default_rng(seed).standard_normal(v.size)
-    expected = acc.copy()
-    expected *= r
-    expected += v
-    np.multiply(acc, np.array(r), acc)
-    np.add(acc, v, acc)
-    assert_same(acc, expected)
+    # the inner loop's running sum acc <- r * acc + v, with v the stacked
+    # (x, y) and the split between x and y anywhere, on an accumulator of
+    # standard normals and on one of the special values
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal(v.size), rng.choice(SPECIAL, v.size)
+    split = int(rng.integers(0, v.size + 1))
+    for start in starts:
+        expected = start.copy()
+        expected *= r
+        expected += v
+        acc = start.copy()
+        np.multiply(acc, np.array(r), acc)
+        np.add(acc, v, acc)
+        assert_same(acc, expected)
+        # rho != 1: the product into a spare, the sums back into the views
+        acc, spare = start.copy(), np.empty_like(start)
+        np.multiply(acc, np.array(r), spare)
+        np.add(spare[:split], v[:split], acc[:split])
+        np.add(spare[split:], v[split:], acc[split:])
+        assert_same_sum(acc, expected, spare, v)
+        # rho = 1: no product, the sums into the views of the spare
+        expected = start.copy()
+        expected += v
+        acc, spare = start.copy(), np.empty_like(start)
+        np.add(acc[:split], v[:split], spare[:split])
+        np.add(acc[split:], v[split:], spare[split:])
+        assert_same_sum(spare, expected, acc, v)
