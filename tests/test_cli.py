@@ -349,6 +349,27 @@ class TestSolve:
             "No such file or directory\n")
         assert not out.exists()
 
+    def test_unwritable_out_exits_2_before_the_first_rep(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the output directory was once made after every rep had run, and a
+        # regular file in its place ended in a FileExistsError traceback
+        calls = []
+        monkeypatch.setattr(cli, "_run_single_rep",
+                            lambda *args: calls.append(args) or ([], ""))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x.csv"
+        assert cli.main(["solve", "--problem", "dro", "--batch", "10", "--reps", "2",
+                         "--t-outer", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"sapdplus: error: cannot write {out}: ")
+        assert calls == []
+
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        args, _ = self.quad_args(tmp_path, "dir", extra=("--reps", "1"))
+        (tmp_path / "dir").mkdir()
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"sapdplus: error: cannot write {tmp_path / 'dir'}: Is a directory\n")
+
     def test_csv_schema_and_monotone_calls(self, tmp_path):
         args, out = self.quad_args(tmp_path, "a.csv")
         assert cli.main(args) == 0
