@@ -7,7 +7,9 @@ imported on first access and then cached in this module, so that
 ``import sapdplus`` loads no numpy.  ``python -m sapdplus.cli`` imports this
 package before it runs cli.py, and the CLI must act before numpy loads to
 start it with one BLAS thread (see cli.py).  ``errors`` imports no numpy
-and stays eager.
+and stays eager.  ``cli`` is not among the lazy submodules: importing it
+before numpy fixes the process's BLAS thread count, so a host program
+imports it by name.
 """
 
 from importlib import import_module as _import_module
@@ -30,7 +32,7 @@ _EXPORTS = {
     "vr": ("VrParams", "vr_sapd_run"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "datasets", "errors", "evaluation", "outer", "params",
+_SUBMODULES = ("datasets", "errors", "evaluation", "outer", "params",
                "problem", "prox", "sapd", "vr")
 
 __all__ = sorted(["ConfigurationError", "DivergenceError", "InfeasibleScheduleError",

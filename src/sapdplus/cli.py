@@ -27,19 +27,31 @@ iterate.  Traces have the fixed header
 ``<out>.meta.txt`` with everything needed to reproduce the run.
 ``wall_ms`` is StageRecord.wall, taken as each stage record is kept, so it
 excludes the objective evaluation that fills the row.  `solve` makes the
-output directory before the first rep; a path it cannot write exits 2.
+output directory and opens the trace and meta files before the first rep;
+a path it cannot write exits 2.
 
 When the CLI is the program, it loads numpy with one BLAS thread: if numpy
-is not yet imported, it sets ``OPENBLAS_NUM_THREADS=1`` unless the user has
-set that variable.  The reps run serially, and the products are small
-batches plus one 1000 x 20 product per trace row, so the OpenBLAS thread
-pool that numpy otherwise starts at import does not pay for itself.  On a
-2-vCPU VM starting it cost about 70 ms of every launch (`python -c "import
-numpy"` took a median 0.200 s, against 0.131 s with one thread), and
-dro-sapd-cli's solve_s fell from 0.429 to 0.388 s without it.  A host
-program that imported numpy first keeps its BLAS threads.  The check is on
+is not yet imported and the user has not set ``OPENBLAS_NUM_THREADS``, it
+sets that variable to 1 for the numpy import alone and removes it after,
+so child processes and a host program do not inherit it.  A host program
+that imported numpy first keeps its BLAS threads.  The check is on
 ``sys.modules``, not ``__name__``, so that the ``sapdplus`` console script,
 which imports this module, gets it too.
+
+One thread suits runs whose products are small: the default DRO instance
+(1000 x 20, batches of 10) and the quadratic and bilinear problems.  On a
+2-vCPU VM the OpenBLAS pool cost about 70 ms of every launch (`python -c
+"import numpy"` took a median 0.200 s, against 0.131 s with one thread),
+and dro-sapd-cli's solve_s fell from 0.429 to 0.388 s without it.  On a
+50000 x 200 instance the pool bought nothing for sapd-plus, at batch 1, 10
+or 5000, while it took up to twice the CPU.  Its one measured gain is a
+variance-reduced run with full-batch refreshes, where each refresh is an
+n x d product of 10 to 12 million entries: ``--b 50000`` on 50000 x 200
+ran in a median 9.1 s with two threads against 10.1 s with one, and ``--b
+6000`` on 6000 x 2000 in 7.0 s against 8.5 s.  Set
+``OPENBLAS_NUM_THREADS`` for such runs.  The CLI cannot choose for itself:
+the thread count is fixed when numpy loads, before the instance and the
+schedule's batch are known, and numpy has no call that changes it later.
 """
 
 import argparse
@@ -50,10 +62,17 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# OpenBLAS reads its thread count only while numpy loads it, so the CLI
+# sets the variable for that import alone and leaves no trace of it in the
+# environment that child processes and a host program see
+_ONE_BLAS_THREAD = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+if _ONE_BLAS_THREAD:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
+
+if _ONE_BLAS_THREAD:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import datasets
 from .errors import ConfigurationError, DivergenceError
@@ -328,11 +347,19 @@ def _cannot_write(path, err):
     return ConfigurationError(f"cannot write {path}: {err.strerror or err}{where}")
 
 
-def _write_lines(path, lines):
+def _open_to_write(path):
     try:
-        path.write_text("".join(line + "\n" for line in lines))
+        return open(path, "w")
     except OSError as err:
         raise _cannot_write(path, err) from None
+
+
+def _write_lines(file, lines):
+    try:
+        file.write("".join(line + "\n" for line in lines))
+        file.flush()
+    except OSError as err:
+        raise _cannot_write(Path(file.name), err) from None
 
 
 def cmd_solve(argv_overrides, config_path=None) -> int:
@@ -366,27 +393,30 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise _cannot_write(out, err) from None
+    # both files are opened before the first rep, so that a path that
+    # cannot be written fails before the run, not after it
+    with (_open_to_write(out) as trace,
+          _open_to_write(Path(str(out) + ".meta.txt")) as meta_file):
+        notes = []
+        all_rows = []
+        for r in range(cfg.reps):
+            rows, note = _run_single_rep(r, cfg, p, fs, objective, params, t_outer,
+                                         epoch_size)
+            all_rows.extend(rows)
+            if note:
+                notes.append(note)
 
-    notes = []
-    all_rows = []
-    for r in range(cfg.reps):
-        rows, note = _run_single_rep(r, cfg, p, fs, objective, params, t_outer,
-                                     epoch_size)
-        all_rows.extend(rows)
-        if note:
-            notes.append(note)
-
-    _write_lines(out, [TRACE_HEADER] + [",".join(map(str, row)) for row in all_rows])
-    meta_lines = cfg.as_lines()
-    meta_lines += [f"{k} = {v}" for k, v in sorted(meta.items())]
-    meta_lines.append(f"schedule_params = {json.dumps(asdict(params))}")
-    if cert is not None:
-        meta_lines.append(f"certificate_min_eigenvalue = {cert.min_eigenvalue:.17g}")
-        meta_lines.append(f"certificate_feasible = {cert.feasible}")
-        meta_lines.append(f"resolved_t_outer = {t_outer}")
-    for note in notes:
-        meta_lines.append(f"note = {note}")
-    _write_lines(Path(str(out) + ".meta.txt"), meta_lines)
+        _write_lines(trace, [TRACE_HEADER] + [",".join(map(str, row)) for row in all_rows])
+        meta_lines = cfg.as_lines()
+        meta_lines += [f"{k} = {v}" for k, v in sorted(meta.items())]
+        meta_lines.append(f"schedule_params = {json.dumps(asdict(params))}")
+        if cert is not None:
+            meta_lines.append(f"certificate_min_eigenvalue = {cert.min_eigenvalue:.17g}")
+            meta_lines.append(f"certificate_feasible = {cert.feasible}")
+            meta_lines.append(f"resolved_t_outer = {t_outer}")
+        for note in notes:
+            meta_lines.append(f"note = {note}")
+        _write_lines(meta_file, meta_lines)
     print(f"wrote {out} ({len(all_rows)} rows)")
     return 0
 

@@ -363,12 +363,19 @@ class TestSolve:
         assert capsys.readouterr().err.startswith(f"sapdplus: error: cannot write {out}: ")
         assert calls == []
 
-    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("taken", ["dir", "dir.meta.txt"])
+    def test_out_that_is_a_directory_exits_2_before_the_first_rep(
+            self, tmp_path, monkeypatch, capsys, taken):
+        # the trace and meta files were once opened after every rep had run
+        calls = []
+        monkeypatch.setattr(cli, "_run_single_rep",
+                            lambda *args: calls.append(args) or ([], ""))
         args, _ = self.quad_args(tmp_path, "dir", extra=("--reps", "1"))
-        (tmp_path / "dir").mkdir()
+        (tmp_path / taken).mkdir()
         assert cli.main(args) == 2
         assert capsys.readouterr().err == (
-            f"sapdplus: error: cannot write {tmp_path / 'dir'}: Is a directory\n")
+            f"sapdplus: error: cannot write {tmp_path / taken}: Is a directory\n")
+        assert calls == []
 
     def test_csv_schema_and_monotone_calls(self, tmp_path):
         args, out = self.quad_args(tmp_path, "a.csv")

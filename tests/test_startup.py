@@ -16,7 +16,9 @@ import pytest
 import sapdplus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SUBMODULES = sorted(f.stem for f in (SRC / "sapdplus").glob("*.py") if f.stem != "__init__")
+# every module but the CLI, which a program imports by name (see __init__.py)
+SUBMODULES = sorted(f.stem for f in (SRC / "sapdplus").glob("*.py")
+                    if f.stem not in ("__init__", "cli"))
 
 
 def run_python(*argv, blas_threads=None, cwd=None):
@@ -44,6 +46,10 @@ class TestLazyPackage:
         assert "outer" in SUBMODULES
         assert out.split() == [f"sapdplus.{name}" for name in SUBMODULES]
 
+    def test_the_cli_is_not_an_attribute_of_a_bare_import(self):
+        assert run_python("-c", "import sapdplus; print(hasattr(sapdplus, 'cli'))") == (
+            "False\n")
+
     def test_star_import_binds_all_names(self):
         out = run_python("-c", "import sapdplus; ns = {}; exec('from sapdplus import *', ns); "
                          "print(sorted(set(sapdplus.__all__) - ns.keys()))")
@@ -65,7 +71,9 @@ class TestLazyPackage:
         assert set(sapdplus.__all__) | set(SUBMODULES) <= set(dir(sapdplus))
 
 
-PROBE = ("import os; t = '/proc/self/task'; "
+# the setting a program sees, and its thread count after a product large
+# enough for OpenBLAS to thread
+PROBE = ("import os, numpy; a = numpy.ones((256, 256)); a @ a; t = '/proc/self/task'; "
          "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
          "len(os.listdir(t)) if os.path.isdir(t) else 'unknown')")
 
@@ -73,9 +81,16 @@ PROBE = ("import os; t = '/proc/self/task'; "
 class TestBlasDefault:
     def test_cli_loads_numpy_with_one_blas_thread(self):
         # the console script imports sapdplus.cli as a module, as here
-        setting, threads = run_python("-c", "import sapdplus.cli; " + PROBE).split()
-        assert setting == "1"
+        threads = run_python("-c", "import sapdplus.cli; " + PROBE).split()[1]
         assert threads in ("1", "unknown")
+
+    def test_the_cli_leaves_no_setting_behind(self):
+        # a child process of the CLI, or of a host that imported it first,
+        # starts its BLAS pool as it would without the CLI
+        out = run_python("-c", "import subprocess, sys, sapdplus.cli; "
+                         "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True); "
+                         + PROBE, PROBE)
+        assert [line.split()[0] for line in out.splitlines()] == ["None", "None"]
 
     def test_a_user_setting_wins(self):
         out = run_python("-c", "import sapdplus.cli; " + PROBE, blas_threads="2")
