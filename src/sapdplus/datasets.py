@@ -317,7 +317,7 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         n=ds.n_features, m=n,
         grad_x=grad_x, grad_y=grad_y,
         prox_f=prox.prox_zero,
-        prox_g=lambda v, step: prox.prox_quadratic_over_simplex(v, step, eta2, n),
+        prox_g=prox.prox_quadratic_over_simplex(eta2, n),
         smoothness=det_constants,
         convexity=ConvexityModuli(gamma=gamma, mu_y=mu_y),
         noise=NoiseLevels(0.0, 0.0),

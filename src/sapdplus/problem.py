@@ -76,6 +76,12 @@ class ProblemSpec:
     order.  An axis without a stochastic oracle draws nothing (size 0), and
     a solver run without an rng uses the exact gradients.  prox_f/prox_g
     take (point, step).
+    The x and y of an oracle call and the point of a prox call may be
+    views of the inner solver's arrays, valid during the call only: the
+    solver writes later iterates into them (an estimator reads the
+    previous point for one more iteration), so an oracle or prox map that
+    keeps one must copy it, as an on_iterate hook must.  The solver never
+    writes into the result of an oracle or a prox map.
     The package's oracles and prox maps compute in float64: their
     coefficients are 0-d float64 arrays, so a float32 operand is promoted
     to float64 (NEP 50), where a Python-float coefficient would keep it

@@ -1,7 +1,7 @@
 """Proximal operators and projections used by the solvers and the DRO benchmark.
 
-All operators take the point first and the prox step second, and are pure
-functions of their arguments.
+All operators take the point first and the prox step second, and their
+results are functions of their arguments alone.
 """
 
 import math
@@ -53,8 +53,9 @@ def project_simplex(v):
     return np.maximum(v + lam, 0.0)
 
 
-def prox_quadratic_over_simplex(v, step, eta2, n_scale):
-    """Prox of g(y) = (eta2/2)*||n_scale*y - 1||^2 plus the simplex indicator.
+def prox_quadratic_over_simplex(eta2, n_scale):
+    """The prox map prox(v, step) of g(y) = (eta2/2)*||n_scale*y - 1||^2
+    plus the simplex indicator.
 
     The quadratic has Hessian eta2*n_scale^2*I, so
         argmin_{y in simplex} g(y) + ||y - v||^2/(2*step)
@@ -64,10 +65,25 @@ def prox_quadratic_over_simplex(v, step, eta2, n_scale):
     A shift by a multiple of the ones vector does not move a projection
     onto the simplex, so c is dropped and the projected point is one
     division of v; the projection agrees with the shifted form to rounding.
+    The map keeps the divisor of the last step it saw as a 0-d array: an
+    inner stage calls it with one step, and v / divisor then skips the
+    Python float's conversion.  Both divide in float64 (NEP 50), so the
+    result is that of v / (1 + eta2*n_scale^2*step), bit for bit.  One
+    name holds the (step, divisor) pair, so calls on two threads never mix
+    the two.
     """
-    if step <= 0:
-        raise ConfigurationError("prox step must be positive")
     if eta2 <= 0 or n_scale < 1:
         raise ConfigurationError("need eta2 > 0 and n_scale >= 1")
-    v = np.asarray(v, dtype=float)
-    return project_simplex(v / (1.0 + eta2 * n_scale**2 * step))
+    last = (None, None)
+
+    def prox(v, step):
+        nonlocal last
+        last_step, divisor = last
+        if step != last_step:
+            if step <= 0:
+                raise ConfigurationError("prox step must be positive")
+            divisor = np.array(1.0 + eta2 * n_scale**2 * step)
+            last = (step, divisor)
+        return project_simplex(v / divisor)
+
+    return prox

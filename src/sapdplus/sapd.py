@@ -16,7 +16,7 @@ one (here) evaluates g_k = sgrad_y(x_k, y_k) once per iteration and sets
 so each iteration consumes one fresh x-sample and one fresh y-sample (see
 inner_oracle_calls).  The oracles take no Generator: each call receives its
 slice of random values, which the estimator draws for many iterations at a
-time (_Draws) in the order per-call drawing would give.  The SPIDER
+time (_draws) in the order per-call drawing would give.  The SPIDER
 recursion is the other estimator (vr.py).
 With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
 stochastic gradient descent-ascent, the CLI's sgda-baseline.
@@ -45,19 +45,42 @@ Python floats: the weight recursion, the guard's comparison, the fields of
 SapdParams and VrParams, and the step handed to a prox map
 (tests/test_scalar_types.py).
 
-No ufunc on the hot path writes into one of its own operands.  When the
-output aliases a one-element input, numpy copies that input first:
-np.add(a, x, a) takes 0.9-1.6 us against 0.3-0.6 us for np.add(a, x, b)
-(timeit minima, numpy 2.4.6, on a 2-vCPU VM whose speed drifts between
-runs; from two elements on there is no gap).  So the inner loop keeps
-the running sums of x and y in one array and writes each update into a
-spare array of the same layout: at rho < 1 one product of the whole array
-into the spare and one sum per axis back, at rho = 1 the sums into the
-spare and a swap of the two.  Each element gets the arithmetic of
-a *= r; a += v, bit for bit, except that a sum of two NaNs may keep the
-other one's sign; the guard keeps NaN out of the sums
-(test_in_place_ufuncs_are_the_augmented_operators in
-tests/test_kernel_identity.py holds this premise).
+An inner iteration allocates nothing of its own; only the oracles and a
+prox map other than prox_zero return fresh arrays.  A direct ufunc call
+with a positional output array skips the allocation and the operator's
+dispatch: on vectors of length 10, np.multiply(c, x, buf) takes 327 ns
+against 396 ns for c * x, and np.add(x, y, buf) 323 ns against 377 ns
+for x + y (interleaved timeit medians of 40 samples, numpy 2.4.6, Python
+3.11, a 2-vCPU VM).  So each run allocates its arrays once:
+
+- the iterate pair in two joint arrays of n + m entries, x first: z_k is
+  in one, iteration k writes z_{k+1} into the other, and the two swap
+  roles, their x and y views with them.  The guard takes one dot product
+  over the joint array, and the estimators read the previous point, which
+  the other array holds until the iteration after;
+- the running sums of the iterates in one joint array and a spare of the
+  same layout: at rho < 1 one product of the whole array into the spare
+  and one sum back, at rho = 1 the sum into the spare and a swap of the
+  two.  Each element gets the arithmetic of a *= r; a += z, bit for bit,
+  except that a sum of two NaNs may keep the other one's sign; the guard
+  keeps NaN out of the sums (test_in_place_ufuncs_are_the_augmented_operators
+  in tests/test_kernel_identity.py holds this premise);
+- a scratch array per intermediate: sigma * s, tau * v and the argument
+  of a prox map that is called, and in the estimators their recursions
+  (per stage).
+
+No output is one of its own operands.  When the output aliases a
+one-element input, numpy copies that input first: np.add(a, x, a) takes
+0.9-1.6 us against 0.3-0.6 us for np.add(a, x, b) (timeit minima; from two
+elements on there is no gap).  An estimate whose recursion reads its last
+value (u and w of the SPIDER estimator) alternates between two arrays.
+
+A prox map that is prox_zero, the identity, is not called: the update
+writes straight into the iterate array.  The result of any other prox map
+is copied into it, cast to float64; a traced run wraps the prox maps, so
+it takes this path and gives the same bits.  The arrays belong to one run:
+the last iterate it returns is a view of its own, which no later run
+writes.
 """
 
 import math
@@ -68,6 +91,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .problem import ProblemSpec
+from .prox import prox_zero
 
 DIVERGENCE_NORM = 1e12
 # at most this many random values per drawn block: 512 KB of float64
@@ -140,10 +164,12 @@ def inner_draws(params, iterations: int, oracle_batch: int) -> int:
     return (x_calls + y_calls) * (oracle_batch if isinstance(params, SapdParams) else 1)
 
 
-def _guard(x, y, k):
+def _guard(z, k):
+    """Raise DivergenceError unless the joint iterate z = (x, y) is finite
+    with norm at most DIVERGENCE_NORM."""
     # One comparison covers both failures: it is also false for NaN and +-inf.
-    if not (x.dot(x) + y.dot(y) <= DIVERGENCE_NORM**2):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (z.dot(z) <= DIVERGENCE_NORM**2):
+        if not np.all(np.isfinite(z)):
             raise DivergenceError(f"non-finite iterate at inner iteration {k}",
                                   iteration=k)
         raise DivergenceError(f"iterate norm above guard at inner iteration {k}",
@@ -154,137 +180,148 @@ def _step_norm(x_new, y_new, x, y):
     return math.sqrt(((x_new - x) ** 2).sum() + ((y_new - y) ** 2).sum())
 
 
-class _Draws:
-    """The random values of one stage, handed out in call order by take().
+def _draws(draw, rng, head, size_of, n):
+    """take(size), which hands out the random values of one stage in call
+    order.
 
     They come from draw(rng, size) in blocks of whole iterations, each block
     at most CHUNK_VALUES values unless one iteration alone is larger: `head`
     values before iteration 0, then size_of(k) values for iteration k of n.
     The values and the final generator state equal those of one draw per
     call, except that a stage which stops early leaves the generator past
-    the rest of its last block.
+    the rest of its last block.  The state lives in the closure, so a call
+    makes no attribute lookups.
     """
+    block, pos, stop = None, 0, 0
+    end = 0  # the first iteration not drawn yet
 
-    def __init__(self, draw, rng, head, size_of, n):
-        self.draw, self.rng, self.size_of, self.n = draw, rng, size_of, n
-        self.head = head
-        self.end = 0  # the first iteration not drawn yet
-        self.block, self.pos, self.stop = None, 0, 0
+    def take(size):
+        nonlocal block, pos, stop, end, head
+        start = pos
+        if start == stop:  # the next block
+            k, total = end + 1, head + size_of(end)
+            while k < n:
+                size_k = size_of(k)
+                if total + size_k > CHUNK_VALUES:
+                    break
+                total += size_k
+                k += 1
+            block, stop = draw(rng, total), total
+            head, end, start = 0, k, 0
+        pos = start + size
+        return block[start:start + size]
 
-    def take(self, size):
-        pos = self.pos
-        if pos == self.stop:
-            self._next_block()
-            pos = 0
-        self.pos = pos + size
-        return self.block[pos:pos + size]
-
-    def _next_block(self):
-        k, total = self.end + 1, self.head + self.size_of(self.end)
-        while k < self.n:
-            size = self.size_of(k)
-            if total + size > CHUNK_VALUES:
-                break
-            total += size
-            k += 1
-        self.block, self.stop = self.draw(self.rng, total), total
-        self.head, self.end = 0, k
+    return take
 
 
-class _StochasticGradient:
-    """The plain estimator: a fresh stochastic draw per gradient.
+def _stochastic_gradient(p: ProblemSpec, params, rng):
+    """The plain estimator, a fresh stochastic draw per gradient, as the
+    closures (first, primal, dual) of one stage.
 
-    Once per stage, each axis takes its stochastic oracle when there is an
-    rng and the problem has one, else its exact gradient.  The stochastic
-    calls take their values from one _Draws: the first y-call's, then per
-    iteration the x-call's before the y-call's.
+    Each axis takes its stochastic oracle when there is an rng and the
+    problem has one, else its exact gradient.  The stochastic calls take
+    their values from one _draws: the first y-call's, then per iteration
+    the x-call's before the y-call's.  dual writes s_{k+1} into one array,
+    which the loop reads before the next call.
     """
+    grad_x, grad_y = p.grad_x, p.grad_y
+    nx, ny = (0, 0) if rng is None else (p.draw_x, p.draw_y)
+    if nx or ny:
+        take = _draws(p.draw, rng, ny, lambda k: nx + ny, params.n_inner)
+    if nx:
+        sgrad_x = p.sgrad_x
+        grad_x = lambda x, y: sgrad_x(x, y, take(nx))  # noqa: E731
+    if ny:
+        sgrad_y = p.sgrad_y
+        grad_y = lambda x, y: sgrad_y(x, y, take(ny))  # noqa: E731
+    if params.theta == 0:
+        # the sgda baseline: s = g, where the momentum form would give
+        # +0.0 for g = -0.0 and NaN for an infinite g - g_k
+        return grad_y, grad_x, grad_y
+    theta = np.array(params.theta)  # 0-d coefficient (module docstring)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    diff, momentum, s = np.empty(p.m), np.empty(p.m), np.empty(p.m)
+    g_prev = None
 
-    def __init__(self, p: ProblemSpec, params, rng):
-        self.grad_x, self.grad_y = p.grad_x, p.grad_y
-        self.theta = np.array(params.theta)  # 0-d coefficient (module docstring)
-        nx, ny = (0, 0) if rng is None else (p.draw_x, p.draw_y)
-        if nx or ny:
-            take = _Draws(p.draw, rng, ny, lambda k: nx + ny, params.n_inner).take
-        # the drawn oracles close over the draws, not over self: a reference
-        # cycle would keep each stage's block alive until the cyclic collector
-        # runs
-        if nx:
-            sgrad_x = p.sgrad_x
-            self.grad_x = lambda x, y: sgrad_x(x, y, take(nx))
-        if ny:
-            sgrad_y = p.sgrad_y
-            self.grad_y = lambda x, y: sgrad_y(x, y, take(ny))
-        if params.theta == 0:
-            # the sgda baseline: s = g, where the momentum form would give
-            # +0.0 for g = -0.0 and NaN for an infinite g - g_k
-            grad_y = self.first = self.grad_y
-            self.dual = lambda k, x, y: grad_y(x, y)
+    def first(x, y):
+        nonlocal g_prev
+        g_prev = grad_y(x, y)
+        return g_prev + theta * np.zeros_like(y)
 
-    def first(self, x, y):
-        self.g = self.grad_y(x, y)
-        return self.g + self.theta * np.zeros_like(y)
-
-    def primal(self, k, x, y):
-        return self.grad_x(x, y)
-
-    def dual(self, k, x, y):
-        g = self.grad_y(x, y)
-        s = g + self.theta * (g - self.g)
-        self.g = g
+    def dual(x, y):
+        # s = g + theta * (g - g_k)
+        nonlocal g_prev
+        g = grad_y(x, y)
+        subtract(g, g_prev, diff)
+        multiply(theta, diff, momentum)
+        add(g, momentum, s)
+        g_prev = g
         return s
+
+    return first, grad_x, dual
 
 
 def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
                 on_iterate=None) -> SapdRunResult:
-    """The one inner iteration, with its gradients from `estimator`:
-    first(x_0, y_0) gives s_0, primal(k, x_k, y_{k+1}) the x-gradient
-    estimate and dual(k, x_{k+1}, y_{k+1}) the direction s_{k+1}."""
+    """The one inner iteration, with its gradients from `estimator`, the
+    closures (first, primal, dual): first(x_0, y_0) gives s_0,
+    primal(x_k, y_{k+1}) the x-gradient estimate and dual(x_{k+1}, y_{k+1})
+    the direction s_{k+1}, called in that order (module docstring for the
+    arrays)."""
+    first, primal, dual = estimator
     tau, sigma, rho = params.tau, params.sigma, params.rho
     # 0-d coefficients for the array products; the floats go to the prox maps
     # and the weight recursion (module docstring)
     tau_c, sigma_c, rho_c = np.array(tau), np.array(sigma), np.array(rho)
-    multiply, add = np.multiply, np.add
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     prox_f, prox_g = p.prox_f, p.prox_g
-    primal, dual = estimator.primal, estimator.dual
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    s = estimator.first(x, y)
-    # the running sums of x (first n entries) and y; each update is written
-    # into `spare` (module docstring), and at rho = 1 the two arrays then
-    # swap roles, every name at once
+    call_f, call_g = prox_f is not prox_zero, prox_g is not prox_zero
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    n, m = x0.size, y0.size
+    # z_k in `cur`, z_{k+1} written into `nxt`; they swap, views and all
+    cur, nxt = np.empty(n + m), np.empty(n + m)
+    cur[:n], cur[n:] = x0, y0
+    x, y, x_new, y_new = cur[:n], cur[n:], nxt[:n], nxt[n:]
+    sigma_s, tau_v = np.empty(m), np.empty(n)
+    arg_x, arg_y = np.empty(n), np.empty(m)  # read only by a called prox map
     plain = rho == 1.0  # at rho = 1 the products are exact identities
-    n = x.size
-    acc, spare = np.zeros(n + y.size), np.empty(n + y.size)
-    acc_x, acc_y, spare_x, spare_y = acc[:n], acc[n:], spare[:n], spare[n:]
+    acc, spare = np.zeros(n + m), np.empty(n + m)
+    s = first(x, y)
     weight = 0.0
     for k in range(params.n_inner):
-        y_new = prox_g(y + sigma_c * s, sigma)
-        x_new = prox_f(x - tau_c * primal(k, x, y_new), tau)
-        _guard(x_new, y_new, k)
-        s = dual(k, x_new, y_new)
-        x_prev, y_prev = x, y
-        x, y = x_new, y_new
+        multiply(sigma_c, s, sigma_s)
+        if call_g:
+            add(y, sigma_s, arg_y)
+            y_new[...] = prox_g(arg_y, sigma)
+        else:
+            add(y, sigma_s, y_new)
+        multiply(tau_c, primal(x, y_new), tau_v)
+        if call_f:
+            subtract(x, tau_v, arg_x)
+            x_new[...] = prox_f(arg_x, tau)
+        else:
+            subtract(x, tau_v, x_new)
+        _guard(nxt, k)
+        s = dual(x_new, y_new)
         if plain:
-            add(acc_x, x, spare_x)
-            add(acc_y, y, spare_y)
-            acc, acc_x, acc_y, spare, spare_x, spare_y = (
-                spare, spare_x, spare_y, acc, acc_x, acc_y)
+            add(acc, nxt, spare)
+            acc, spare = spare, acc
         else:
             multiply(acc, rho_c, spare)
-            add(spare_x, x, acc_x)
-            add(spare_y, y, acc_y)
+            add(spare, nxt, acc)
         weight = rho * weight + 1.0
+        cur, nxt, x, y, x_new, y_new = nxt, cur, x_new, y_new, x, y
         if on_iterate is not None:
             on_iterate(k, x, y)
-        if step_tol > 0 and _step_norm(x, y, x_prev, y_prev) <= step_tol:
+        if step_tol > 0 and _step_norm(x, y, x_new, y_new) <= step_tol:
             break
     iterations = k + 1
     x_calls, y_calls = inner_oracle_calls(params, iterations)
+    # x_last, y_last: views of this run's arrays, which no later run writes
     return SapdRunResult(
-        x_avg=acc_x / weight, y_avg=acc_y / weight, x_last=x, y_last=y,
+        x_avg=acc[:n] / weight, y_avg=acc[n:] / weight, x_last=x, y_last=y,
         x_calls=x_calls, y_calls=y_calls,
-        last_step_norm=_step_norm(x, y, x_prev, y_prev), iterations=iterations,
+        last_step_norm=_step_norm(x, y, x_new, y_new), iterations=iterations,
     )
 
 
@@ -301,5 +338,5 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
     on_iterate(k, x_{k+1}, y_{k+1}) after each iteration, with the solver's
     own arrays: copy what you keep.
     """
-    return _inner_loop(p, params, _StochasticGradient(p, params, rng),
+    return _inner_loop(p, params, _stochastic_gradient(p, params, rng),
                        x0, y0, step_tol, on_iterate)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .problem import FiniteSumSpec, ProblemSpec
-from .sapd import SapdRunResult, _Draws, _inner_loop
+from .sapd import SapdRunResult, _draws, _inner_loop
 # kept for perfbench/tracing.py, whose swap list names vr._guard; the inner
 # loop looks _guard up in sapd, so that swap times nothing
 from .sapd import _guard  # noqa: F401
@@ -61,52 +61,71 @@ class VrParams:
                           stacklevel=2)
 
 
-class _SpiderGradient:
-    """The SPIDER estimator; each recursion step reuses the point of the
-    previous call on its axis.  The x-recursion runs on fs's component part
-    u_k; the grad_h of p, bound once per stage, is added at x_k alone.  Its
-    batches are slices of one _Draws of indices: b for w_0, then per
-    iteration the x-batch before the y-batch.
+def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
+    """The SPIDER estimator as the closures (first, primal, dual) of one
+    stage; each recursion step reuses the point of the previous call on its
+    axis, which the inner loop keeps intact for one iteration.  The
+    x-recursion runs on fs's component part u_k; the grad_h of p is added
+    at x_k alone.  Its batches are slices of one _draws of indices: b for
+    w_0, then per iteration the x-batch before the y-batch.
     A recursion step draws its batch once and evaluates it twice, so the
-    stage draws fewer indices than inner_oracle_calls counts."""
+    stage draws fewer indices than inner_oracle_calls counts.  u and w
+    each alternate between two arrays, so a recursion step never writes
+    into the estimate it reads (sapd module docstring)."""
+    batch_x, batch_y, grad_h = fs.batch_grad_x, fs.batch_grad_y, p.grad_h
+    b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
 
-    def __init__(self, fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
-        self.fs, self.params, self.grad_h = fs, params, p.grad_h
-        self.two = np.array(2.0)  # 0-d coefficient (sapd module docstring)
-        b, b_x, b_y, q = params.b, params.b_x, params.b_y, params.q
+    def size_of(k):
+        return (b if k % q == 0 else b_x) + (b if (k + 1) % q == 0 else b_y)
 
-        def size_of(k):
-            return (b if k % q == 0 else b_x) + (b if (k + 1) % q == 0 else b_y)
+    take = _draws(fs.sample, rng, b, size_of, params.n_inner)
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    two = np.array(2.0)  # 0-d coefficient (sapd module docstring)
+    n, m = p.n, p.m
+    u_out, u_spare, diff_x, v = (np.empty(n) for _ in range(4))
+    w_out, w_spare, diff_y, two_w, s = (np.empty(m) for _ in range(5))
+    u = w = x_at = y_at = xw_at = yw_at = None
+    k_x, k_y = 0, 1  # k on the x-axis, k + 1 on the y-axis
 
-        self.draws = _Draws(fs.sample, rng, b, size_of, params.n_inner)
+    def first(x, y):
+        nonlocal w, xw_at, yw_at
+        w = batch_y(take(b), x, y)
+        xw_at, yw_at = x, y
+        return w
 
-    def first(self, x, y):
-        self.w = self.fs.batch_grad_y(self.draws.take(self.params.b), x, y)
-        self.at_y = (x, y)
-        return self.w
-
-    def primal(self, k, x, y):
-        fs, params = self.fs, self.params
-        if k % params.q == 0:
-            u = fs.batch_grad_x(self.draws.take(params.b), x, y)
+    def primal(x, y):
+        nonlocal u, x_at, y_at, k_x, u_out, u_spare
+        if k_x % q == 0:
+            u = batch_x(take(b), x, y)
         else:
-            batch = self.draws.take(params.b_x)
-            u = self.u + (fs.batch_grad_x(batch, x, y)
-                          - fs.batch_grad_x(batch, *self.at_x))
-        self.u, self.at_x = u, (x, y)
-        return u if self.grad_h is None else u + self.grad_h(x)
+            batch = take(b_x)
+            subtract(batch_x(batch, x, y), batch_x(batch, x_at, y_at), diff_x)
+            add(u, diff_x, u_out)
+            u, u_out, u_spare = u_out, u_spare, u_out
+        k_x += 1
+        x_at, y_at = x, y
+        if grad_h is None:
+            return u
+        add(u, grad_h(x), v)
+        return v
 
-    def dual(self, k, x, y):
-        fs, params = self.fs, self.params
-        if (k + 1) % params.q == 0:
-            w = fs.batch_grad_y(self.draws.take(params.b), x, y)
+    def dual(x, y):
+        nonlocal w, xw_at, yw_at, k_y, w_out, w_spare
+        if k_y % q == 0:
+            w_new = batch_y(take(b), x, y)
         else:
-            batch = self.draws.take(params.b_y)
-            w = self.w + (fs.batch_grad_y(batch, x, y)
-                          - fs.batch_grad_y(batch, *self.at_y))
-        s = self.two * w - self.w  # (1 + theta) w - theta w_k at theta = 1
-        self.w, self.at_y = w, (x, y)
+            batch = take(b_y)
+            subtract(batch_y(batch, x, y), batch_y(batch, xw_at, yw_at), diff_y)
+            add(w, diff_y, w_out)
+            w_new, w_out, w_spare = w_out, w_spare, w_out
+        k_y += 1
+        # s = (1 + theta) w - theta w_k at theta = 1
+        multiply(two, w_new, two_w)
+        subtract(two_w, w, s)
+        w, xw_at, yw_at = w_new, x, y
         return s
+
+    return first, primal, dual
 
 
 def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
@@ -122,4 +141,4 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
     if params.b > fs.n_comp:
         warnings.warn("large batch exceeds component count; sampling with "
                       "replacement", stacklevel=2)
-    return _inner_loop(p, params, _SpiderGradient(fs, p, params, rng), x0, y0)
+    return _inner_loop(p, params, _spider_gradient(fs, p, params, rng), x0, y0)

@@ -17,17 +17,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import make_quadratic_finite_sum, make_scsc_quadratic
 from reference_loops import (reference_sapd_run, reference_sgda_run,
                              reference_vr_sapd_run)
-from sapdplus import cli, datasets
+from sapdplus import cli, datasets, evaluation, prox
 from sapdplus.errors import DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import smooth_dual
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
-from sapdplus.sapd import CHUNK_VALUES, SapdParams, _StochasticGradient, sapd_run
+from sapdplus.sapd import CHUNK_VALUES, SapdParams, _stochastic_gradient, sapd_run
 from sapdplus.vr import VrParams, vr_sapd_run
 
 
@@ -236,9 +238,10 @@ class TestSgdaDirection:
         p = replace(qs.problem, m=3, grad_y=lambda x, y: next(scripted))
         params = SapdParams(tau=0.1, sigma=0.1, theta=theta, rho=1.0, alpha=0.0,
                             mu_x=1.0, n_inner=3)
-        est = _StochasticGradient(p, params, None)
+        first, _, dual = _stochastic_gradient(p, params, None)
         x, y = np.zeros(1), np.zeros(3)
-        return [est.first(x, y)] + [est.dual(k, x, y) for k in range(2)]
+        # copies: dual writes each direction into the same array
+        return [first(x, y).copy()] + [dual(x, y).copy() for _ in range(2)]
 
     def momentum_form(self, theta):
         first = self.G[0] + theta * np.zeros(3)
@@ -406,6 +409,158 @@ class TestBlockedDraws:
         assert max(blocks) <= CHUNK_VALUES
 
 
+PROX_MAPS = {
+    "identity": prox.prox_zero,
+    # what a traced run hands the solver: a call that returns its argument
+    "pass-through": lambda v, step: prox.prox_zero(v, step),
+    "box": lambda v, step: np.clip(v, -2.0, 2.0),
+}
+
+
+@st.composite
+def sapd_cases(draw):
+    """A shifted random quadratic, its schedule and start point, drawn."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    qs = datasets.make_quadratic_saddle(n, m, 1.0, 0.5, rng)
+    noisy = draw(st.booleans())
+    p = with_gaussian_noise(qs.problem, 0.3, 0.3) if noisy else qs.problem
+    p = replace(p, prox_f=PROX_MAPS[draw(st.sampled_from(sorted(PROX_MAPS)))],
+                prox_g=PROX_MAPS[draw(st.sampled_from(sorted(PROX_MAPS)))])
+    step = st.floats(0.01, 0.6)
+    params = SapdParams(
+        tau=draw(step), sigma=draw(step),
+        theta=draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        rho=draw(st.sampled_from([1.0, 0.97, 0.7])),
+        alpha=0.0, mu_x=1.0, n_inner=draw(st.integers(1, 80)))
+    # standard normal starts: an exact -0.0 gradient, where theta = 0 and
+    # the momentum form differ (TestSgdaDirection), has probability zero
+    sub = shifted_subproblem(p, rng.standard_normal(n), params.mu_x)
+    x0, y0 = rng.standard_normal(n), rng.standard_normal(m)
+    # an early exit only without draws: blocked draws leave the generator
+    # past the iterations a stopped stage never ran
+    step_tol = 0.0 if noisy else draw(st.sampled_from([0.0, 1e-6]))
+    return sub, params, x0, y0, step_tol
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=sapd_cases(), seed=st.integers(0, 2**32 - 1))
+def test_sapd_run_matches_reference_on_drawn_cases(case, seed):
+    """sapd_run against the frozen loop on drawn schedules, dimensions
+    (n = m = 1 included), theta = 0 and > 0, rho = 1 and < 1, noise or
+    none, and prox maps that are skipped, called and copied, or not the
+    identity: every result field, the iterates and the generator state
+    after the run, bit for bit; a run that diverges diverges in both, at
+    the same iteration."""
+    sub, params, x0, y0, step_tol = case
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    seen, on_iterate = recorder()
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run, kwargs in ((sapd_run, dict(on_iterate=on_iterate)),
+                            (reference_sapd_run, dict(record_iterates=True))):
+            rng = got_rng if run is sapd_run else ref_rng
+            try:
+                outcomes.append(run(sub, params, x0, y0, rng, step_tol=step_tol,
+                                    **kwargs))
+            except DivergenceError as err:
+                outcomes.append((str(err), err.iteration))
+    got, ref = outcomes
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert_same_run(got, ref)
+    assert_same_iterates(seen, ref.trace)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def pass_through(p):
+    """p with each prox map that is prox_zero behind a wrapper, as a traced run
+    sees it: the solver then calls it and copies its result."""
+    return replace(p, **{name: PROX_MAPS["pass-through"] for name in ("prox_f", "prox_g")
+                         if getattr(p, name) is prox.prox_zero})
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_skipped_identity_prox_matches_the_called_one(case):
+    sub, params, x0, y0 = CASES[case](0.3)
+    wrapped = pass_through(sub)
+    assert wrapped.prox_f is not sub.prox_f  # every case has an identity prox_f
+    runs = [sapd_run(p, params, x0, y0, np.random.default_rng(17))
+            for p in (sub, wrapped)]
+    assert_same_run(*runs)
+
+
+@pytest.mark.parametrize("case", sorted(VR_CASES))
+def test_skipped_identity_prox_matches_the_called_one_vr(case):
+    fs, sub, params, x0, y0 = VR_CASES[case]()
+    wrapped = pass_through(sub)
+    assert wrapped.prox_f is not sub.prox_f
+    runs = [vr_sapd_run(fs, p, params, x0, y0, np.random.default_rng(23))
+            for p in (sub, wrapped)]
+    assert_same_run(*runs)
+
+
+RESULT_ARRAYS = ("x_avg", "y_avg", "x_last", "y_last")
+
+
+def assert_no_shared_memory(runs):
+    """runs: (x0, y0, result) per run.  No result array shares memory with
+    its run's start or with any array of another result."""
+    arrays = []
+    for x0, y0, res in runs:
+        own = [getattr(res, name) for name in RESULT_ARRAYS]
+        for a in own:
+            assert not np.shares_memory(a, x0) and not np.shares_memory(a, y0)
+        for i, a in enumerate(own):
+            for b in own[i + 1:] + arrays:
+                assert not np.shares_memory(a, b)
+        arrays += own
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_results_share_no_memory(case):
+    sub, params, x0, y0 = CASES[case](0.3)
+    rng = np.random.default_rng(17)
+    first = sapd_run(sub, params, x0, y0, rng)
+    # a warm start from the first run's last iterate, as the nested prox does
+    second = sapd_run(sub, params, first.x_last, first.y_last, rng)
+    assert_no_shared_memory([(x0, y0, first), (first.x_last, first.y_last, second)])
+
+
+def test_vr_results_share_no_memory():
+    fs, sub, params, x0, y0 = VR_CASES["dro"]()
+    rng = np.random.default_rng(23)
+    runs = []
+    for _ in range(2):
+        res = vr_sapd_run(fs, sub, params, x0, y0, rng)
+        runs.append((x0, y0, res))
+        x0, y0 = res.x_last, res.y_last
+    assert_no_shared_memory(runs)
+
+
+def test_nested_prox_runs_share_no_memory(monkeypatch):
+    # the nested path warm-starts each run at the last iterate of the one
+    # before; its prox point is the last run's x_last
+    runs = []
+
+    def spy(p, params, x0, y0, rng, **kwargs):
+        res = sapd_run(p, params, x0, y0, rng, **kwargs)
+        runs.append((x0, y0, res))
+        return res
+
+    monkeypatch.setattr(evaluation, "sapd_run", spy)
+    # runs of 10 iterations: the toy's prox point takes more than 30
+    monkeypatch.setattr(evaluation, "PROX_BLOCK", 10)
+    toy = datasets.make_bilinear_box_toy()
+    x = np.array([0.7])
+    est = moreau_stationarity(toy.problem, x, max_calls=3, tol=1e-30)
+    assert len(runs) == 3
+    assert_no_shared_memory(runs)
+    assert est.prox_point is runs[-1][2].x_last
+    assert not np.shares_memory(est.prox_point, x)
+
+
 class WatchedUfunc:
     """A ufunc that counts its calls and fails one whose positional output
     shares memory with one of its inputs; it takes no keyword arguments,
@@ -426,11 +581,23 @@ class WatchedUfunc:
         return self.ufunc(*args)
 
 
+def per_iteration(iterations, multiply, add, subtract):
+    return iterations, {"multiply": multiply * iterations, "add": add * iterations,
+                        "subtract": subtract * iterations}
+
+
+# Per iteration, the loop itself makes two products (sigma s, tau v), one sum
+# (y + sigma s), one difference (x - tau v) and the running sum (a sum, and a
+# product at rho < 1); the plain estimator's s = g + theta (g - g_k) adds a
+# difference, a product and a sum at theta > 0.
+
+
 def stochastic_bilinear_run():
     # rho < 1 and n = m = 1
     sub, params, x0, y0 = bilinear_case(0.3)
-    assert params.rho < 1 and (sub.n, sub.m) == (1, 1)
-    return sapd_run(sub, params, x0, y0, np.random.default_rng(17)).iterations, 1
+    assert params.rho < 1 and params.theta > 0 and (sub.n, sub.m) == (1, 1)
+    iterations = sapd_run(sub, params, x0, y0, np.random.default_rng(17)).iterations
+    return per_iteration(iterations, 4, 3, 2)
 
 
 def sgda_baseline_run():
@@ -439,33 +606,42 @@ def sgda_baseline_run():
                         **SGDA_CASES["quadratic"])
     p, rows, note, _, _ = sgda_rep(cfg)
     assert note == "" and rows
-    return cfg.budget_calls // (2 * p.oracle_batch), 0
+    return per_iteration(cfg.budget_calls // (2 * p.oracle_batch), 2, 2, 1)
 
 
 def vr_run():
+    # the SPIDER estimator: v = u + grad_h(x) and s = 2 w - w_k every
+    # iteration, and a difference and a sum per recursion step
     fs, sub, params, x0, y0 = VR_CASES["dro"]()
-    return vr_sapd_run(fs, sub, params, x0, y0, np.random.default_rng(23)).iterations, 0
+    iterations = vr_sapd_run(fs, sub, params, x0, y0,
+                             np.random.default_rng(23)).iterations
+    steps_x = sum(k % params.q > 0 for k in range(iterations))
+    steps_y = sum((k + 1) % params.q > 0 for k in range(iterations))
+    return iterations, {"multiply": 3 * iterations,
+                        "add": 3 * iterations + steps_x + steps_y,
+                        "subtract": 2 * iterations + steps_x + steps_y}
 
 
 def nested_prox_run():
-    # mu_y = 0: the nested path, exact-gradient SAPD runs at rho = 1
+    # mu_y = 0: the nested path, exact-gradient SAPD runs at theta = 1, rho = 1
     toy = datasets.make_bilinear_box_toy()
     assert toy.problem.convexity.mu_y == 0
-    return moreau_stationarity(toy.problem, np.array([0.7])).inner_iterations, 0
+    iterations = moreau_stationarity(toy.problem, np.array([0.7])).inner_iterations
+    return per_iteration(iterations, 3, 3, 2)
 
 
 @pytest.mark.parametrize("run", [stochastic_bilinear_run, sgda_baseline_run, vr_run,
                                  nested_prox_run],
                          ids=["bilinear-rho-below-1", "sgda", "vr", "nested-prox"])
 def test_inner_loop_ufuncs_write_into_no_operand(monkeypatch, run):
-    """On one-element arrays numpy copies an operand that the output
-    aliases (see the sapd module docstring), so the running sums keep their
-    output apart from their inputs: one product per iteration at rho < 1,
-    none at rho = 1, and two sums."""
-    multiply, add = WatchedUfunc(np.multiply), WatchedUfunc(np.add)
-    monkeypatch.setattr(np, "multiply", multiply)
-    monkeypatch.setattr(np, "add", add)
-    iterations, products_per_iteration = run()
+    """Every intermediate of the inner iteration goes to a positional output
+    array (see the sapd module docstring), and on one-element arrays numpy
+    copies an operand that the output aliases, so no output may be one of
+    the call's inputs.  The counts pin the calls per iteration."""
+    watched = {name: WatchedUfunc(getattr(np, name))
+               for name in ("multiply", "add", "subtract")}
+    for name, ufunc in watched.items():
+        monkeypatch.setattr(np, name, ufunc)
+    iterations, expected = run()
     assert iterations > 0
-    assert (multiply.calls, add.calls) == (products_per_iteration * iterations,
-                                           2 * iterations)
+    assert {name: ufunc.calls for name, ufunc in watched.items()} == expected

@@ -430,3 +430,23 @@ def test_bilinear_prox_g_is_clip_bit_for_bit(values, step):
     got = datasets.make_bilinear_box_toy().problem.prox_g(v, step)
     assert (got.dtype, got.shape, got.tobytes()) == (
         v.dtype, v.shape, np.clip(v, -1.0, 1.0).tobytes())
+
+
+def test_dro_prox_g_keeps_the_divisor_of_its_last_step():
+    # the DRO dual prox keeps the divisor of the last step it saw; steps that
+    # alternate must each give the projection of v divided by the Python
+    # float 1 + eta2 n^2 step, bit for bit, and a step that is not
+    # positive must still be refused
+    from sapdplus.prox import project_simplex
+
+    ds = datasets.synthetic_logistic_dataset(50, 4, np.random.default_rng(2))
+    inst = datasets.build_dro(ds)
+    n, eta2 = inst.n_samples, inst.eta2
+    rng = np.random.default_rng(3)
+    for step in (0.3, 0.05, 0.3, 0.3, 0.05, 1.7, 0.3):
+        v = rng.standard_normal(n) / n
+        got = inst.problem.prox_g(v, step)
+        want = project_simplex(v / (1.0 + eta2 * n**2 * step))
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    with pytest.raises(ConfigurationError):
+        inst.problem.prox_g(v, 0.0)

@@ -162,7 +162,7 @@ class TestProxQuadraticOverSimplex:
 
     @staticmethod
     def assert_matches_reference(v, step, eta2, n_scale):
-        got = prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        got = prox_quadratic_over_simplex(eta2, n_scale)(v, step)
         ref = reference_prox_quadratic_over_simplex(v, step, eta2, n_scale)
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=1e-12 * (1.0 + float(np.max(np.abs(v)))))

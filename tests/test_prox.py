@@ -166,7 +166,7 @@ class TestProxIdentities:
         target = data.draw(simplex_targets(sparse))
         curv = eta2 * n_scale**2 + 1.0 / step
         v = step * (curv * target - eta2 * n_scale)
-        y = prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        y = prox_quadratic_over_simplex(eta2, n_scale)(v, step)
         grad = eta2 * n_scale * (n_scale * y - 1.0) + (y - v) / step
         assert_projection_identity(y, -grad / curv, 1.0 + np.max(np.abs(target)), sparse)
 
@@ -175,7 +175,7 @@ class TestProxQuadraticOverSimplex:
     def test_vanishing_quadratic_limit(self):
         rng = np.random.default_rng(3)
         v = rng.uniform(-1, 1, 5)
-        close = prox_quadratic_over_simplex(v, 1.0, 1e-12, 3)
+        close = prox_quadratic_over_simplex(1e-12, 3)(v, 1.0)
         np.testing.assert_allclose(close, project_simplex(v), atol=1e-9)
 
     def test_two_dim_golden_section(self):
@@ -202,13 +202,13 @@ class TestProxQuadraticOverSimplex:
                 b = lo + inv * (hi - lo)
                 fb = objective(b)
         t_star = 0.5 * (lo + hi)
-        got = prox_quadratic_over_simplex(v, step, eta2, n_scale)
+        got = prox_quadratic_over_simplex(eta2, n_scale)(v, step)
         np.testing.assert_allclose(got, [t_star, 1 - t_star], atol=1e-8)
 
     def test_uniform_fixed_point(self):
         d = 4
         v = np.full(d, 1.0 / d)
-        got = prox_quadratic_over_simplex(v, 0.7, 0.5, d)
+        got = prox_quadratic_over_simplex(0.5, d)(v, 0.7)
         np.testing.assert_allclose(got, v, atol=1e-12)
 
     def test_kkt_residual(self):
@@ -218,12 +218,12 @@ class TestProxQuadraticOverSimplex:
             v = rng.uniform(-1, 2, d)
             step = 10 ** rng.uniform(-2, 1)
             eta2 = 10 ** rng.uniform(-3, 0)
-            y = prox_quadratic_over_simplex(v, step, eta2, d)
+            y = prox_quadratic_over_simplex(eta2, d)(v, step)
             assert qos_kkt_residual(y, v, step, eta2, d) <= 1e-8
 
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
-            prox_quadratic_over_simplex(np.ones(3), 0.0, 1.0, 3)
+            prox_quadratic_over_simplex(1.0, 3)(np.ones(3), 0.0)
 
 
 class TestProxBox:
@@ -251,7 +251,7 @@ def test_nonexpansiveness_all_operators():
         prox_zero,
         TestProxBox.prox,
         lambda v, s: project_simplex(v),
-        lambda v, s: prox_quadratic_over_simplex(v, s, 0.3, 4),
+        prox_quadratic_over_simplex(0.3, 4),
     ]
     for op in operators:
         for _ in range(100):

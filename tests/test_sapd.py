@@ -168,9 +168,12 @@ class TestGuard:
 
     @staticmethod
     def outcome(guard, x, y, k=3):
+        # the guard takes the joint iterate (x, y), the reference x and y
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        args = (np.concatenate([x, y]),) if guard is _guard else (x, y)
         try:
             with np.errstate(over="ignore"):  # squares of finite values may overflow
-                guard(np.asarray(x, dtype=float), np.asarray(y, dtype=float), k)
+                guard(*args, k)
         except DivergenceError as err:
             assert err.iteration == k
             return str(err)

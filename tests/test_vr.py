@@ -9,7 +9,7 @@ from fixtures import make_quadratic_finite_sum
 from sapdplus import datasets
 from sapdplus.problem import shifted_subproblem
 from sapdplus.sapd import SapdParams, sapd_run
-from sapdplus.vr import VrParams, _SpiderGradient, vr_sapd_run
+from sapdplus.vr import VrParams, _spider_gradient, vr_sapd_run
 
 
 @pytest.fixture
@@ -57,16 +57,21 @@ class TestVrRun:
         # log every batch gradient, grad_h and prox call of a run, rebuild
         # u, v = u + grad_h(x) and w by the recursion from the logged
         # outputs, and require the prox arguments x - tau v and y + sigma s
-        # bit for bit
+        # bit for bit.  The point arguments are views of the solver's
+        # reused arrays, so the log keeps copies of them (and of the
+        # outputs); the batch stays the object the solver passed.
         _, sub, fs, x0, y0 = shifted_setup
         vrp = VrParams(tau=0.03, sigma=0.03, b=10, b_x=3, b_y=2, q=5,
                        n_inner=17, mu_x=1.0)
         log = []
 
+        def snapshot(arg):
+            return arg.copy() if isinstance(arg, np.ndarray) and arg.dtype == float else arg
+
         def logged(name, fn):
             def call(*args):
                 out = fn(*args)
-                log.append((name, args, out))
+                log.append((name, tuple(snapshot(a) for a in args), out.copy()))
                 return out
             return call
 
@@ -190,10 +195,12 @@ def spider_variance_probe(fs, p, points, params: VrParams, reps: int, rng,
     """Monte-Carlo MSE of the solver's own SPIDER estimator along a fixed
     trajectory, with the analytic bound it must not exceed.
 
-    Each repetition drives a fresh `_SpiderGradient` through the points:
-    `primal(k, x_k, y_{k+1})` for the x-estimator v_k; for the y-estimator,
-    `first(x_0, y_0)` and then `dual(k - 1, x_k, y_k)`, reading w_k from
-    `.w` after each call.  The MSE is against the full-batch gradient, plus
+    Each repetition drives a fresh `_spider_gradient` through the points:
+    `primal(x_k, y_{k+1})` for the x-estimator v_k; for the y-estimator,
+    `first(x_0, y_0)` gives w_0 and then `dual(x_k, y_k)` gives
+    s_k = 2 w_k - w_{k-1}, from which w_k is read back as
+    (s_k + w_{k-1}) / 2, equal to w_k up to rounding.  The MSE is against
+    the full-batch gradient, plus
     p's grad_h on the x-axis.  The bound takes as_constants, fs's own
     almost-sure constants by default.  Returns a dict with per-iteration
     'mse', 'bound' and 'stderr'.
@@ -204,15 +211,14 @@ def spider_variance_probe(fs, p, points, params: VrParams, reps: int, rng,
         full = [g + p.grad_h(xk) for g, (xk, _) in zip(full, points)]
     err = np.empty((reps, len(points)))
     for r in range(reps):
-        est = _SpiderGradient(fs, p, params, rng)
+        first, primal, dual = _spider_gradient(fs, p, params, rng)
         for k, point in enumerate(points):
             if which == "x":
-                value = est.primal(k, *point)
+                value = primal(*point)
             elif k == 0:
-                value = est.first(*point)
+                value = first(*point)
             else:
-                est.dual(k - 1, *point)
-                value = est.w
+                value = (dual(*point) + value) / 2.0
             err[r, k] = float(np.sum((value - full[k]) ** 2))
     bound = spider_bound_along_trajectory(points, params,
                                           as_constants or fs.as_smoothness,
