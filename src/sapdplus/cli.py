@@ -21,7 +21,7 @@ none: it runs the inner solver with theta = 0, rho = 1, alpha = 0,
 mu_x = 0 and N from the budget, has no certificate (no LMI covers it),
 and writes a row every epoch of draws; its ``oracle_calls`` after k
 iterations is (2k + 1) batch draws, as for any inner run (see
-sapd.inner_draws): the extra batch is the y-gradient drawn at the last
+SapdParams.draws): the extra batch is the y-gradient drawn at the last
 iterate.  Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
 ``<out>.meta.txt`` with everything needed to reproduce the run.
@@ -56,6 +56,7 @@ schedule's batch are known, and numpy has no call that changes it later.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -82,7 +83,7 @@ from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
                      vr_schedule)
 from .problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
                       with_gaussian_noise)
-from .sapd import SapdParams, inner_draws, sapd_run
+from .sapd import SapdParams, sapd_run
 from .vr import VrParams
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
@@ -117,12 +118,14 @@ def parse_config_file(path) -> dict:
 
 
 def _number(key, val, integer):
-    """The value of a numeric config key; an int key takes integral
-    spellings such as 50.0 or 1e3, and digits exactly."""
+    """The value of a numeric config key, which must be finite; an int key
+    takes integral spellings such as 50.0 or 1e3, and digits exactly."""
     try:
         num = float(val)
     except ValueError:
         raise ConfigurationError(f"config key {key!r}: {val!r} is not a number") from None
+    if not math.isfinite(num):
+        raise ConfigurationError(f"config key {key!r}: {val!r} is not finite")
     if not integer:
         return num
     if not num.is_integer():
@@ -180,8 +183,8 @@ class RunConfig:
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
         """File values, then the non-None overrides, each text or a value; a
         key that is neither a field nor in RESULT_KEYS raises, as do a
-        malformed number, reps or batch < 1 and a negative seed or
-        UNSET_AT_ZERO value."""
+        malformed or non-finite number, reps, batch or record_every < 1
+        and a negative seed or UNSET_AT_ZERO value."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         merged = dict(file_values)
@@ -196,7 +199,7 @@ class RunConfig:
             if isinstance(cur, (int, float)):
                 val = _number(key, val, isinstance(cur, int))
             setattr(cfg, attr, val)
-        for key in ("reps", "batch"):
+        for key in ("reps", "batch", "record_every"):
             if getattr(cfg, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
         for key in ("seed", "instance_seed") + UNSET_AT_ZERO:
@@ -317,7 +320,7 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
             def record(k, x, y):
                 if (k + 1) % rec_every == 0 or k + 1 == params.n_inner:
                     records.append(StageRecord(
-                        k + 1, inner_draws(params, k + 1, p.oracle_batch), x.copy(),
+                        k + 1, params.draws(k + 1, p.oracle_batch), x.copy(),
                         y.copy(), time.perf_counter()))
 
             sapd_run(p, params, x0, y0, rng, on_iterate=record)
@@ -382,7 +385,7 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
             print(f"warning: manual schedule is not certified "
                   f"(min eigenvalue {cert.min_eigenvalue:.3e}); proceeding", file=sys.stderr)
         if budget:
-            per_stage = inner_draws(params, params.n_inner, p.oracle_batch)
+            per_stage = params.draws(params.n_inner, p.oracle_batch)
             t_outer = min(t_outer, max(1, budget // per_stage))
         if theory is not None:
             meta["theta_bounds"] = (f"{theory.theta_bar_1:.12g},{theory.theta_bar_2:.12g},"

@@ -18,7 +18,7 @@ from .evaluation import moreau_stationarity
 from .params import theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
                       shifted_subproblem)
-from .sapd import SapdParams, inner_draws, sapd_run
+from .sapd import SapdParams, sapd_run
 from .vr import VrParams, vr_sapd_run
 
 
@@ -94,8 +94,8 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
     fs (a FiniteSumSpec of p's components) is required when cfg.vr is set;
     a stage shifts p alone.  Each kept StageRecord carries the
     time.perf_counter() at which it was kept, after its stationarity
-    estimate.  Oracle calls accumulate in single-sample draws (see
-    inner_draws).
+    estimate.  Oracle calls accumulate in single-sample draws (see the
+    draws method of the schedule's type).
     """
     if cfg.vr and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
@@ -114,7 +114,7 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
         except DivergenceError as err:
             err.stage = t
             raise
-        calls += inner_draws(sched, res.iterations, p.oracle_batch)
+        calls += sched.draws(res.iterations, p.oracle_batch)
         x, y = res.x_avg, res.y_avg
         last = t + 1 == cfg.t_outer
         stat, met = None, False

@@ -9,7 +9,8 @@ counts, batch sizes).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -175,30 +176,29 @@ def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -
     return td1, td2
 
 
+# reads the SapdParams fields of a schedule in their order, with no field
+# scan per call
+_sapd_fields = attrgetter(*(f.name for f in fields(SapdParams)))
+
+
 @dataclass(frozen=True)
-class Theorem1Schedule:
-    """One certified inner-solver configuration from the closed-form rule."""
+class Theorem1Schedule(SapdParams):
+    """One certified inner-solver configuration from the closed-form rule:
+    the SapdParams tuple with the rule's beta, momentum bounds, stage count
+    and certificate."""
 
     beta: float
     theta_bar_1: float
     theta_bar_2: float
     theta_dbar_1: float
     theta_dbar_2: float
-    theta: float
-    tau: float
-    sigma: float
-    alpha: float
-    rho: float
-    mu_x: float
-    n_inner: int
     t_outer: int
     certificate: LmiCertificate
 
-    def sapd_params(self):
-        return SapdParams(
-            tau=self.tau, sigma=self.sigma, theta=self.theta, rho=self.rho,
-            alpha=self.alpha, mu_x=self.mu_x, n_inner=self.n_inner,
-        )
+    def sapd_params(self) -> SapdParams:
+        """The inner-solver tuple alone."""
+        return SapdParams(*_sapd_fields(self))
+
 
 
 def inner_iterations(theta: float) -> int:
@@ -263,10 +263,8 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
             f"certify (min eigenvalue {cert.min_eigenvalue:.3e})"
         )
     return Theorem1Schedule(
-        beta=beta, theta_bar_1=tb1, theta_bar_2=tb2, theta_dbar_1=td1,
-        theta_dbar_2=td2, theta=theta, tau=params.tau, sigma=params.sigma,
-        alpha=params.alpha, rho=theta, mu_x=mu_x, n_inner=params.n_inner, t_outer=t_outer,
-        certificate=cert,
+        **vars(params), beta=beta, theta_bar_1=tb1, theta_bar_2=tb2,
+        theta_dbar_1=td1, theta_dbar_2=td2, t_outer=t_outer, certificate=cert,
     )
 
 

@@ -6,6 +6,7 @@ Phi - g), f and g prox-friendly convex.  Solvers only touch the oracle
 callables and the constants collected here.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -29,10 +30,12 @@ class SmoothnessConstants:
     l_yy: float
 
     def __post_init__(self):
-        if self.l_xy <= 0 or self.l_yx <= 0:
-            raise ConfigurationError("coupling constants l_xy, l_yx must be > 0")
-        if self.l_xx < 0 or self.l_yy < 0:
-            raise ConfigurationError("l_xx, l_yy must be >= 0")
+        # each comparison is false for NaN
+        if not (0 < self.l_xy < math.inf and 0 < self.l_yx < math.inf):
+            raise ConfigurationError(
+                "coupling constants l_xy, l_yx must be finite and > 0")
+        if not (0 <= self.l_xx < math.inf and 0 <= self.l_yy < math.inf):
+            raise ConfigurationError("l_xx, l_yy must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,10 @@ class ConvexityModuli:
     mu_y: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.mu_y < 0:
-            raise ConfigurationError("mu_y must be nonnegative")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigurationError("gamma must be finite and positive")
+        if not 0 <= self.mu_y < math.inf:
+            raise ConfigurationError("mu_y must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ one (here) evaluates g_k = sgrad_y(x_k, y_k) once per iteration and sets
     s_0 = g_0 + theta * 0,   s_{k+1} = g_{k+1} + theta * (g_{k+1} - g_k),
 
 so each iteration consumes one fresh x-sample and one fresh y-sample (see
-inner_oracle_calls).  The oracles take no Generator: each call receives its
-slice of random values, which the estimator draws for many iterations at a
-time (_draws) in the order per-call drawing would give.  The SPIDER
-recursion is the other estimator (vr.py).
+SapdParams.oracle_calls).  The oracles take no Generator: each call
+receives its slice of random values, which the estimator draws for many
+iterations at a time (_draws) in the order per-call drawing would give.
+The SPIDER recursion is the other estimator (vr.py).
 With theta = 0, rho = 1, alpha = 0 the loop is alternating proximal
 stochastic gradient descent-ascent, the CLI's sgda-baseline.
 
@@ -122,6 +122,15 @@ class SapdParams:
         if self.n_inner < 1:
             raise ConfigurationError("n_inner must be >= 1")
 
+    def oracle_calls(self, iterations: int) -> tuple:
+        """(x_calls, y_calls) of an inner run of `iterations` iterations: one
+        x-call and one y-call per iteration plus the initial y-call."""
+        return iterations, iterations + 1
+
+    def draws(self, iterations: int, oracle_batch: int) -> int:
+        """Single-sample draws of an inner run; a call draws oracle_batch."""
+        return sum(self.oracle_calls(iterations)) * oracle_batch
+
 
 @dataclass
 class SapdRunResult:
@@ -129,39 +138,8 @@ class SapdRunResult:
     y_avg: np.ndarray
     x_last: np.ndarray
     y_last: np.ndarray
-    x_calls: int
-    y_calls: int
     last_step_norm: float
     iterations: int
-
-
-def inner_oracle_calls(params, iterations: int) -> tuple:
-    """(x_calls, y_calls) of an inner run of `iterations` iterations.
-
-    Plain solver: one x-call and one y-call per iteration plus the initial
-    y-call, (N, N+1).  Variance-reduced solver (a VrParams), in single-sample
-    draws: ceil(N/q) x-refreshes and floor(N/q) y-refreshes of b draws each,
-    2 b_x (x) or 2 b_y (y) draws per recursion step, and the initial y-batch
-    of b draws.  These count component evaluations: a recursion step draws
-    its b_x (b_y) indices once, so it is not the number of random values a
-    stage draws (_SpiderGradient sizes its own blocks).
-    """
-    if isinstance(params, SapdParams):
-        return iterations, iterations + 1
-    n, q, b = iterations, params.q, params.b
-    refresh_x, refresh_y = -(-n // q), n // q
-    return (refresh_x * b + (n - refresh_x) * 2 * params.b_x,
-            b + refresh_y * b + (n - refresh_y) * 2 * params.b_y)
-
-
-def inner_draws(params, iterations: int, oracle_batch: int) -> int:
-    """Single-sample draws of an inner run.
-
-    A plain-solver call draws oracle_batch samples; the variance-reduced
-    counts are in draws already.
-    """
-    x_calls, y_calls = inner_oracle_calls(params, iterations)
-    return (x_calls + y_calls) * (oracle_batch if isinstance(params, SapdParams) else 1)
 
 
 def _guard(z, k):
@@ -315,13 +293,10 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
             on_iterate(k, x, y)
         if step_tol > 0 and _step_norm(x, y, x_new, y_new) <= step_tol:
             break
-    iterations = k + 1
-    x_calls, y_calls = inner_oracle_calls(params, iterations)
     # x_last, y_last: views of this run's arrays, which no later run writes
     return SapdRunResult(
         x_avg=acc[:n] / weight, y_avg=acc[n:] / weight, x_last=x, y_last=y,
-        x_calls=x_calls, y_calls=y_calls,
-        last_step_norm=_step_norm(x, y, x_new, y_new), iterations=iterations,
+        last_step_norm=_step_norm(x, y, x_new, y_new), iterations=k + 1,
     )
 
 

@@ -17,8 +17,9 @@ evaluates the same batch at both point pairs.  u_k estimates the mean of the
 component x-gradients only: the shared term grad_h (ProblemSpec) depends on
 x alone, so it would cancel in the batch difference, and it is added once,
 at x_k; in a SAPD+ stage it carries the stage's shift too.  Oracle cost is
-counted in single-sample draws.  The iteration is the one inner loop of
-sapd.py; this module supplies its SPIDER estimator of v_k and s_{k+1}.
+counted in component evaluations, one single-sample draw each
+(VrParams.oracle_calls).  The iteration is the one inner loop of sapd.py;
+this module supplies its SPIDER estimator of v_k and s_{k+1}.
 """
 
 import warnings
@@ -57,8 +58,27 @@ class VrParams:
         if min(self.b, self.b_x, self.b_y, self.q, self.n_inner) < 1:
             raise ConfigurationError("b, b_x, b_y, q, n_inner must be >= 1")
         if self.b < max(self.b_x, self.b_y):
+            # 3: past this method and the __init__ that dataclass generates
             warnings.warn("large batch b below the small batches b_x/b_y",
-                          stacklevel=2)
+                          stacklevel=3)
+
+    def oracle_calls(self, iterations: int) -> tuple:
+        """(x_calls, y_calls) of an inner run of `iterations` iterations, in
+        single-sample draws: ceil(N/q) x-refreshes and floor(N/q) y-refreshes
+        of b draws each, 2 b_x (x) or 2 b_y (y) draws per recursion step, and
+        the initial y-batch of b draws.  These count component evaluations:
+        a recursion step draws its b_x (b_y) indices once, so it is not the
+        number of random values a stage draws (_spider_gradient sizes its own
+        blocks)."""
+        n, q, b = iterations, self.q, self.b
+        refresh_x, refresh_y = -(-n // q), n // q
+        return (refresh_x * b + (n - refresh_x) * 2 * self.b_x,
+                b + refresh_y * b + (n - refresh_y) * 2 * self.b_y)
+
+    def draws(self, iterations: int, oracle_batch: int) -> int:
+        """Single-sample draws of an inner run: oracle_calls, which counts in
+        draws already, whatever the problem's oracle_batch."""
+        return sum(self.oracle_calls(iterations))
 
 
 def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
@@ -69,7 +89,7 @@ def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
     at x_k alone.  Its batches are slices of one _draws of indices: b for
     w_0, then per iteration the x-batch before the y-batch.
     A recursion step draws its batch once and evaluates it twice, so the
-    stage draws fewer indices than inner_oracle_calls counts.  u and w
+    stage draws fewer indices than VrParams.oracle_calls counts.  u and w
     each alternate between two arrays, so a recursion step never writes
     into the estimate it reads (sapd module docstring)."""
     batch_x, batch_y, grad_h = fs.batch_grad_x, fs.batch_grad_y, p.grad_h

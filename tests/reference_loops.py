@@ -31,7 +31,8 @@ from sapdplus.sapd import DIVERGENCE_NORM
 
 @dataclass
 class ReferenceRun:
-    """The fields of a SapdRunResult, plus the recorded iterates."""
+    """The fields of a SapdRunResult, plus the oracle calls the loop counted
+    per axis and the recorded iterates."""
 
     x_avg: np.ndarray
     y_avg: np.ndarray

@@ -1,7 +1,9 @@
 """The inner solvers against frozen reference copies of their loops.
 
 Every field of the run result, the iterates seen through `on_iterate` and
-the CLI's sgda-baseline rows must match the reference bit for bit: the one
+the CLI's sgda-baseline rows must match the reference bit for bit, and the
+oracle calls the schedule's type counts for the run (`oracle_calls`) must
+equal, per axis, those the reference counts as it makes them: the one
 inner loop may only drop work whose result is never read, never reorder
 arithmetic or rng draws.  The one exception is the VR solver: its SPIDER
 recursion adds the shared term grad_h once, at the new point, where the
@@ -38,12 +40,22 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def assert_same_run(got, ref):
+def assert_same_result(got, other):
     for name in ("x_avg", "y_avg", "x_last", "y_last"):
-        assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
-    assert _bits(got.last_step_norm) == _bits(ref.last_step_norm)
-    assert (got.iterations, got.x_calls, got.y_calls) == (
-        ref.iterations, ref.x_calls, ref.y_calls)
+        assert _bits(getattr(got, name)) == _bits(getattr(other, name)), name
+    assert _bits(got.last_step_norm) == _bits(other.last_step_norm)
+    assert got.iterations == other.iterations
+
+
+def assert_counted_calls(params, got, ref):
+    """The oracle calls params counts for got's iterations, per axis, are
+    those the reference loop counted as it made them."""
+    assert params.oracle_calls(got.iterations) == (ref.x_calls, ref.y_calls)
+
+
+def assert_same_run(got, ref, params):
+    assert_same_result(got, ref)
+    assert_counted_calls(params, got, ref)
 
 
 def assert_close(got, expected):
@@ -51,7 +63,7 @@ def assert_close(got, expected):
                                atol=1e-12 * float(np.max(np.abs(expected))))
 
 
-def assert_close_vr_run(got, ref):
+def assert_close_vr_run(got, ref, params):
     """The VR run against its reference: iterates to rounding, counts exactly.
 
     The last step norm is a difference of iterates, so its tolerance is
@@ -61,8 +73,8 @@ def assert_close_vr_run(got, ref):
         assert_close(getattr(got, name), getattr(ref, name))
     size = max(np.max(np.abs(ref.x_last)), np.max(np.abs(ref.y_last)))
     assert abs(got.last_step_norm - ref.last_step_norm) <= 1e-12 * size
-    assert (got.iterations, got.x_calls, got.y_calls) == (
-        ref.iterations, ref.x_calls, ref.y_calls)
+    assert got.iterations == ref.iterations
+    assert_counted_calls(params, got, ref)
 
 
 def assert_same_iterates(seen, trace):
@@ -129,7 +141,7 @@ class TestSapdRunMatchesReference:
                        step_tol=step_tol, on_iterate=on_iterate if record else None)
         ref = reference_sapd_run(sub, params, x0, y0, np.random.default_rng(17),
                                  step_tol=step_tol, record_iterates=record)
-        assert_same_run(got, ref)
+        assert_same_run(got, ref, params)
         assert_same_iterates(seen, ref.trace or [])
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -143,7 +155,7 @@ class TestSapdRunMatchesReference:
         ref = reference_sapd_run(sub, params, x0, y0, None, step_tol=1e-8,
                                  record_iterates=record)
         assert got.iterations < params.n_inner  # the early exit was taken
-        assert_same_run(got, ref)
+        assert_same_run(got, ref, params)
         assert_same_iterates(seen, ref.trace or [])
 
     def test_divergence_trips_at_the_same_iteration(self):
@@ -208,7 +220,7 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
     fs_got, fs_ref = (logged(fs, log) for log in logs) if log_calls else (fs, fs)
     got = vr_sapd_run(fs_got, sub, params, x0, y0, np.random.default_rng(23))
     ref = reference_vr_sapd_run(fs_ref, sub, params, x0, y0, np.random.default_rng(23))
-    assert_close_vr_run(got, ref)
+    assert_close_vr_run(got, ref, params)
     got_log, ref_log = logs
     # one call per refresh, two per recursion step, and the initial y-batch
     q = params.q
@@ -381,7 +393,7 @@ class TestBlockedDraws:
         seen, on_iterate = recorder()
         got = sapd_run(sub, params, x0, y0, got_rng, on_iterate=on_iterate)
         ref = reference_sapd_run(sub, params, x0, y0, ref_rng, record_iterates=True)
-        assert_same_run(got, ref)
+        assert_same_run(got, ref, params)
         assert_same_iterates(seen, ref.trace)
         assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
         assert got_rng.sizes == blocks
@@ -402,7 +414,7 @@ class TestBlockedDraws:
         got_rng, ref_rng = CountingRng(23), CountingRng(23)
         got = vr_sapd_run(fs, sub, params, x0, y0, got_rng)
         ref = reference_vr_sapd_run(fs, sub, params, x0, y0, ref_rng)
-        assert_close_vr_run(got, ref)
+        assert_close_vr_run(got, ref, params)
         assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
         assert got_rng.sizes == blocks
         assert sum(ref_rng.sizes) == sum(blocks)
@@ -469,7 +481,7 @@ def test_sapd_run_matches_reference_on_drawn_cases(case, seed):
     if isinstance(ref, tuple):
         assert got == ref
         return
-    assert_same_run(got, ref)
+    assert_same_run(got, ref, params)
     assert_same_iterates(seen, ref.trace)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -488,7 +500,7 @@ def test_skipped_identity_prox_matches_the_called_one(case):
     assert wrapped.prox_f is not sub.prox_f  # every case has an identity prox_f
     runs = [sapd_run(p, params, x0, y0, np.random.default_rng(17))
             for p in (sub, wrapped)]
-    assert_same_run(*runs)
+    assert_same_result(*runs)
 
 
 @pytest.mark.parametrize("case", sorted(VR_CASES))
@@ -498,7 +510,7 @@ def test_skipped_identity_prox_matches_the_called_one_vr(case):
     assert wrapped.prox_f is not sub.prox_f
     runs = [vr_sapd_run(fs, p, params, x0, y0, np.random.default_rng(23))
             for p in (sub, wrapped)]
-    assert_same_run(*runs)
+    assert_same_result(*runs)
 
 
 RESULT_ARRAYS = ("x_avg", "y_avg", "x_last", "y_last")

@@ -9,7 +9,7 @@ from fixtures import make_scsc_quadratic
 from sapdplus import cli
 from sapdplus.errors import ConfigurationError
 from sapdplus.params import inner_iterations, step_rule
-from sapdplus.sapd import SapdParams, inner_draws
+from sapdplus.sapd import SapdParams
 from sapdplus.vr import VrParams
 from sapdplus.evaluation import moreau_stationarity
 
@@ -230,6 +230,38 @@ class TestOneSchedulePath:
         assert capsys.readouterr().err == f"sapdplus: error: {key} must be nonnegative\n"
         assert not Path("t.csv").exists()
         assert not Path("t.csv.meta.txt").exists()
+
+
+NUMERIC_SOLVE_KEYS = [key for key in cli._SOLVE_KEYS
+                      if isinstance(getattr(cli.RunConfig(), key), (int, float))]
+CHECK_CONSTANT_FLAGS = ["l_xx", "l_xy", "l_yx", "l_yy", "gamma", "mu_y",
+                        "delta_x", "delta_y"]
+
+
+class TestNonFinite:
+    """nan and inf are refused before anything runs or is written: a NaN
+    constant once printed feasible = True, and --gap0 nan or a manual --tau
+    nan ended in a numpy traceback."""
+
+    @pytest.mark.parametrize("val", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMERIC_SOLVE_KEYS)
+    def test_solve_exits_2(self, tmp_path, capsys, key, val):
+        out = tmp_path / "t.csv"
+        argv = ["solve", "--schedule", "manual", "--theta", "0.5", "--tau", "0.1",
+                "--sigma", "0.1", "--out", str(out), f"--{key.replace('_', '-')}={val}"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"sapdplus: error: config key {key!r}: {val!r} is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("val", ["nan", "inf"])
+    @pytest.mark.parametrize("key", list(cli._CHECK_KEYS) + CHECK_CONSTANT_FLAGS)
+    def test_check_params_exits_2(self, capsys, key, val):
+        assert cli.main(["check-params", f"--{key.replace('_', '-')}={val}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sapdplus: error: ")
+        assert "finite" in captured.err
 
 
 class TestConfigFile:
@@ -461,9 +493,14 @@ class TestSolve:
             (rep, stage) for rep in ("0", "1") for stage in ("0", "3", "6", "7")]
 
     def test_record_every_zero_exits_like_a_bad_flag(self, tmp_path, capsys):
-        args, _ = self.quad_args(tmp_path, "z.csv", extra=("--record-every", "0"))
+        # the outputs were once opened before the check, which truncated an
+        # existing trace and left an empty meta file beside it
+        args, out = self.quad_args(tmp_path, "z.csv", extra=("--record-every", "0"))
+        out.write_text("an earlier trace\n")
         assert cli.main(args) == 2
         assert capsys.readouterr().err == "sapdplus: error: record_every must be >= 1\n"
+        assert out.read_text() == "an earlier trace\n"
+        assert not Path(str(out) + ".meta.txt").exists()
 
     def test_stationarity_column(self, tmp_path):
         args, out = self.quad_args(tmp_path, "d.csv",
@@ -594,6 +631,6 @@ class TestSgdaBaseline:
         rows, note, _ = self.run(0.05, 74)
         sgda = sgda_params(0.05, 37)
         assert [row[1] for row in rows] == list(range(38))
-        assert [row[2] for row in rows] == [0] + [inner_draws(sgda, k, 1)
+        assert [row[2] for row in rows] == [0] + [sgda.draws(k, 1)
                                                  for k in range(1, 38)]
         assert rows[-1][2] == 2 * 37 + 1

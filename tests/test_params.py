@@ -20,7 +20,6 @@ from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi,
 from sapdplus.problem import (ConvexityModuli, NoiseLevels, ProblemSpec,
                               SmoothnessConstants)
 from sapdplus.prox import prox_zero
-from sapdplus.sapd import inner_draws
 
 CANON_S = SmoothnessConstants(1.0, 1.0, 1.0, 1.0)
 CANON_C = ConvexityModuli(1.0, 1.0)
@@ -419,8 +418,8 @@ def test_vr_rule_matches_frozen_formulas(sc, q, b_x, b_y, zeta, eps, mu_x, tau_f
 
 
 # The oracle complexities of the abstract, as exponents of the schedules
-# alone: a schedule fixes T stages of N iterations, and inner_draws counts
-# the single-sample draws of one stage, so N * T * draws needs no run.
+# alone: a schedule fixes T stages of N iterations, and its draws method
+# counts the single-sample draws of one stage, so T * draws needs no run.
 EPS_LADDER = [0.2, 0.1, 0.05, 0.025, 0.0125]
 
 
@@ -431,7 +430,7 @@ def _slope(xs, counts):
 
 def _theorem1_draws(s, c, noise, eps):
     sched = theorem1_schedule(s, c, noise, eps, 1.0)
-    return sched.t_outer * inner_draws(sched.sapd_params(), sched.n_inner, 1)
+    return sched.t_outer * sched.draws(sched.n_inner, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,5 +466,5 @@ def test_smoothing_path_draws_scale_as_eps_to_the_sixth(l, gamma, delta, d_y):
     counts = []
     for eps in EPS_LADDER:
         _, cfg, _ = _smoothing_plan(p, eps, np.zeros(1))
-        counts.append(cfg.t_outer * inner_draws(cfg.schedule, cfg.schedule.n_inner, 1))
+        counts.append(cfg.t_outer * cfg.schedule.draws(cfg.schedule.n_inner, 1))
     assert abs(_slope(EPS_LADDER, counts) + 6.0) <= 0.1

@@ -41,6 +41,23 @@ class TestConstants:
         with pytest.raises(ConfigurationError):
             NoiseLevels(np.inf, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", range(4))
+    def test_smoothness_finite(self, bad, at):
+        # a NaN once passed every comparison and certified
+        values = [1.0, 1.0, 1.0, 1.0]
+        values[at] = bad
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            SmoothnessConstants(*values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", range(2))
+    def test_convexity_finite(self, bad, at):
+        values = [1.0, 1.0]
+        values[at] = bad
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            ConvexityModuli(*values)
+
     def test_gamma_above_lxx_warns(self):
         p = bilinear_1d()
         with pytest.warns(UserWarning):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -99,13 +100,23 @@ class TestSapdRun:
         assert d1 < d0  # saddle of the shifted toy is the origin
 
     def test_oracle_accounting(self):
+        # count the gradient calls the run makes, per axis
         qs, sub = scsc_toy()
+        calls = {"x": 0, "y": 0}
+
+        def counted(axis, grad):
+            def call(x, y):
+                calls[axis] += 1
+                return grad(x, y)
+            return call
+
+        sub = replace(sub, grad_x=counted("x", sub.grad_x),
+                      grad_y=counted("y", sub.grad_y))
         params = SapdParams(tau=0.1, sigma=0.1, theta=0.8, rho=0.8, alpha=0.0,
                             mu_x=1.0, n_inner=13)
         res = sapd_run(sub, params, np.ones(1), np.ones(1), rng=None)
-        assert res.x_calls == 13
-        assert res.y_calls == 14
-        assert res.x_calls + res.y_calls == 2 * 13 + 1
+        assert params.oracle_calls(res.iterations) == (calls["x"], calls["y"]) == (13, 14)
+        assert params.draws(res.iterations, 3) == 3 * (2 * 13 + 1)
 
     def test_seed_determinism(self):
         qs, sub = scsc_toy()

@@ -77,7 +77,8 @@ def test_plain_run_scalars_and_prox_steps(step_tol):
     res = sapd_run(p, PLAIN, np.ones(4), np.zeros(3), np.random.default_rng(1),
                    step_tol=step_tol)
     assert type(res.last_step_norm) is float
-    assert type(res.x_calls) is int and type(res.y_calls) is int
+    assert type(res.iterations) is int
+    assert [type(c) for c in PLAIN.oracle_calls(res.iterations)] == [int, int]
     assert res.x_avg.dtype == np.float64 and res.y_avg.dtype == np.float64
     assert steps and set(steps) == {float}
 

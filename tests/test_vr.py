@@ -29,9 +29,11 @@ class TestVrParams:
                      mu_x=1.0, theta=0.9)
 
     def test_small_large_batch_warning(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="large batch b below") as record:
             VrParams(tau=0.1, sigma=0.1, b=1, b_x=4, b_y=4, q=2, n_inner=5,
                      mu_x=1.0)
+        # it names the line that built the VrParams, not dataclass's __init__
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestVrRun:
@@ -120,15 +122,33 @@ class TestVrRun:
         assert (res.x_last.tobytes(), res.y_last.tobytes()) == (x.tobytes(), y.tobytes())
 
     def test_oracle_sample_accounting(self, shifted_setup):
+        # count the component rows the run's batch gradients evaluate
         _, sub, sub_fs, x0, y0 = shifted_setup
-        n, q, b, bx, by = 17, 5, 10, 3, 2
-        vrp = VrParams(tau=0.03, sigma=0.03, b=b, b_x=bx, b_y=by, q=q,
-                       n_inner=n, mu_x=1.0)
-        res = vr_sapd_run(sub_fs, sub, vrp, x0, y0, np.random.default_rng(2))
-        x_refresh = len([k for k in range(n) if k % q == 0])
-        y_refresh = len([k for k in range(1, n + 1) if k % q == 0])
-        assert res.x_calls == x_refresh * b + (n - x_refresh) * 2 * bx
-        assert res.y_calls == b + y_refresh * b + (n - y_refresh) * 2 * by
+        rows = {}
+
+        def counted(axis, batch_grad):
+            def call(batch, x, y):
+                rows[axis] += len(batch)
+                return batch_grad(batch, x, y)
+            return call
+
+        fs = replace(sub_fs, batch_grad_x=counted("x", sub_fs.batch_grad_x),
+                     batch_grad_y=counted("y", sub_fs.batch_grad_y))
+        for n, q, b, bx, by in [
+            (17, 5, 10, 3, 2),
+            (3, 5, 10, 3, 2),  # N < q: one x-refresh, no y-refresh
+            (15, 5, 10, 3, 2),  # N a multiple of q: the last y-step refreshes
+            (7, 1, 4, 2, 3),  # q = 1: refreshes only
+            (1, 3, 6, 6, 1),
+        ]:
+            rows.update(x=0, y=0)
+            vrp = VrParams(tau=0.03, sigma=0.03, b=b, b_x=bx, b_y=by, q=q,
+                           n_inner=n, mu_x=1.0)
+            res = vr_sapd_run(fs, sub, vrp, x0, y0, np.random.default_rng(2))
+            assert res.iterations == n
+            assert vrp.oracle_calls(n) == (rows["x"], rows["y"]), vrp
+            # in draws already: the problem's oracle_batch does not scale them
+            assert vrp.draws(n, 7) == rows["x"] + rows["y"], vrp
 
     def test_refresh_unbiasedness(self, shifted_setup):
         qfs, sub, sub_fs, x0, y0 = shifted_setup
