@@ -1,26 +1,32 @@
 """Benchmark harness: config parsing, solver dispatch, CSV traces.
 
 Subcommands:
-  check-params   print a certified schedule and its matrix certificate
   solve          run one configuration for several seeds, write a CSV trace
-  bench          run a list of config files in sequence
+  check-params   print the schedule that `solve` runs, and its certificate
+
+To run a list of configurations, loop over ``solve --config <file>``.
 
 Config files are flat ``key = value`` text with ``#`` comments, whose keys
 are the fields of RunConfig (an unknown key is an error).  The RunConfig
 flags of `solve` and `check-params` are config values too: they arrive as
 text, override file values, and RunConfig.from_sources types and checks
 them all alike.  The reps of a `solve` run serially, in rep order.
-`solve` and `check-params` resolve ``algo`` and ``schedule`` into the
-parameters, stage count and LMI certificate in one place,
-_resolve_schedule, for the noise the problem declares; `solve` caps the
-stage count by the budget.  `check-params` prints the schedule as `solve`
-records it in its meta file (the ``schedule_params`` fields, the stage
-count and the certificate), with theta first and, for a plain theory
-schedule, Theorem 1's beta and theta bounds.  ``sgda-baseline`` resolves
-none: it runs the inner solver with theta = 0, rho = 1, alpha = 0,
-mu_x = 0 and N from the budget, has no certificate (no LMI covers it),
-and writes a row every epoch of draws; its ``oracle_calls`` after k
-iterations is (2k + 1) batch draws, as for any inner run (see
+
+Both subcommands take the schedule keys, _SCHEDULE_KEYS: ``algo`` and
+``schedule`` name the request, which _resolve_schedule resolves into the
+parameters, stage count and LMI certificate for the noise the problem
+declares.  A schedule key that the request does not read (see _READS) is
+refused, with exit 2 before any output opens, unless it is at its RunConfig
+default; so a meta file, which lists every field, replays.  `solve` caps the
+stage count by the budget and refuses a budget below one stage.
+`check-params` prints the schedule as `solve` records it in its meta file
+(the ``schedule_params`` fields, the stage count and the certificate), with
+theta first and, for a plain theory schedule, Theorem 1's beta and theta
+bounds.  ``sgda-baseline`` resolves none, so `check-params` refuses it: it
+reads tau and sigma alone, runs the inner solver with theta = 0, rho = 1,
+alpha = 0, mu_x = 0 and N from the budget, has no certificate (no LMI
+covers it), and writes a row every epoch of draws; its ``oracle_calls``
+after k iterations is (2k + 1) batch draws, as for any inner run (see
 SapdParams.draws): the extra batch is the y-gradient drawn at the last
 iterate.  Traces have the fixed header
 ``rep,stage,oracle_calls,wall_ms,objective,stationarity`` and a sidecar
@@ -96,11 +102,22 @@ RESULT_KEYS = frozenset({"dro_n", "dro_d", "theta_bounds", "schedule_params",
 # negative one, as it does a negative seed
 UNSET_AT_ZERO = ("noise_x", "noise_y", "eta2", "mu_x", "t_outer", "b",
                  "budget_calls", "epochs", "stat_every")
-# the RunConfig keys each subcommand takes as flags
-_SOLVE_KEYS = ("seed", "reps", "eps", "out", "algo", "schedule", "problem", "epochs",
-               "budget_calls", "gap0", "tau", "sigma", "theta", "n_inner", "t_outer",
-               "batch", "b", "b_x", "b_y", "q", "stat_every", "record_every", "data")
-_CHECK_KEYS = ("eps", "gap0", "q", "b_x", "b_y", "zeta", "theta", "tau", "sigma", "mu_x")
+# the RunConfig keys _resolve_schedule reads: flags of both subcommands
+_SCHEDULE_KEYS = ("algo", "schedule", "eps", "gap0", "theta", "tau", "sigma", "n_inner",
+                  "mu_x", "t_outer", "b", "b_x", "b_y", "q", "zeta")
+# solve's flags: its run keys and the schedule keys
+_SOLVE_KEYS = ("seed", "reps", "out", "problem", "epochs", "budget_calls", "batch",
+               "stat_every", "record_every", "data") + _SCHEDULE_KEYS
+# the schedule keys of _CHECKED that each request reads (sgda-baseline: tau
+# and sigma); eps is not checked, since stat_every reads it on every request
+_VR_BATCHES = ("b", "q", "b_x", "b_y")
+_READS = {
+    ("sapd-plus", "theory"): ("t_outer", "gap0"),
+    ("sapd-plus-vr", "theory"): ("t_outer", "gap0", "zeta") + _VR_BATCHES,
+    ("sapd-plus", "manual"): ("tau", "sigma", "theta", "n_inner", "mu_x", "t_outer"),
+    ("sapd-plus-vr", "manual"): ("tau", "sigma", "n_inner", "mu_x", "t_outer") + _VR_BATCHES,
+}
+_CHECKED = ("tau", "sigma", "theta", "n_inner", "mu_x", "t_outer", "gap0", "zeta") + _VR_BATCHES
 
 
 def parse_config_file(path) -> dict:
@@ -292,6 +309,27 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
     return params, cfg.t_outer if cfg.t_outer > 0 else t_outer, cert, theory
 
 
+def _refuse_unread(cfg: RunConfig):
+    """Raise if cfg sets a key of _CHECKED away from its RunConfig default
+    that its request does not read.  A key set to its default cannot be
+    told from an unset one, and passes.  A VR request takes theta = 1,
+    which its rule runs; an unknown algo or schedule passes, for
+    _resolve_schedule to name."""
+    if cfg.algo == "sgda-baseline":
+        request, read = "sgda-baseline", ("tau", "sigma")
+    elif (cfg.algo, cfg.schedule) in _READS:
+        request = f"the {cfg.algo} {cfg.schedule} schedule"
+        read = _READS[cfg.algo, cfg.schedule]
+    else:
+        return
+    for key in _CHECKED:
+        val = getattr(cfg, key)
+        if key in read or val == getattr(RunConfig, key) or (
+                key == "theta" and val == 1 and cfg.algo == "sapd-plus-vr"):
+            continue
+        raise ConfigurationError(f"{key} = {val} is not read by {request}")
+
+
 def _start_point(cfg: RunConfig, p):
     """(x0, y0) of every rep.
 
@@ -329,8 +367,7 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
             if cfg.stat_every > 0:
                 stop = StationarityTarget(epsilon=cfg.eps,
                                           check_every=cfg.stat_every)
-            out_cfg = OuterConfig(t_outer=t_outer, schedule=params,
-                                  vr=isinstance(params, VrParams), stop=stop,
+            out_cfg = OuterConfig(t_outer=t_outer, schedule=params, stop=stop,
                                   record_every=cfg.record_every)
             records = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs).stages
     except DivergenceError as err:
@@ -368,6 +405,7 @@ def _write_lines(file, lines):
 def cmd_solve(argv_overrides, config_path=None) -> int:
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, argv_overrides)
+    _refuse_unread(cfg)
     p, fs, objective, epoch_size, meta = _build_problem(cfg)
     budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
     if cfg.algo == "sgda-baseline":
@@ -381,12 +419,15 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
                                                           p.convexity, p.noise)
         if isinstance(params, VrParams) and fs is None:
             raise ConfigurationError("variance-reduced algorithm needs a finite-sum problem")
+        if budget:
+            per_stage = params.draws(params.n_inner, p.oracle_batch)
+            if budget < per_stage:
+                raise ConfigurationError(f"a budget of {budget} draws cannot pay for "
+                                         f"one stage, which draws {per_stage}")
+            t_outer = min(t_outer, budget // per_stage)
         if not cert.feasible:
             print(f"warning: manual schedule is not certified "
                   f"(min eigenvalue {cert.min_eigenvalue:.3e}); proceeding", file=sys.stderr)
-        if budget:
-            per_stage = params.draws(params.n_inner, p.oracle_batch)
-            t_outer = min(t_outer, max(1, budget // per_stage))
         if theory is not None:
             meta["theta_bounds"] = (f"{theory.theta_bar_1:.12g},{theory.theta_bar_2:.12g},"
                                     f"{theory.theta_dbar_1:.12g},{theory.theta_dbar_2:.12g}")
@@ -425,11 +466,10 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
 
 
 def cmd_check_params(args) -> int:
-    manual = args.theta is not None  # a plain tuple to certify, --vr or not
-    cfg = RunConfig.from_sources({}, dict(
-        {key: getattr(args, key) for key in _CHECK_KEYS},
-        algo="sapd-plus-vr" if args.vr and not manual else "sapd-plus",
-        schedule="manual" if manual else "theory"))
+    cfg = RunConfig.from_sources({}, {key: getattr(args, key) for key in _SCHEDULE_KEYS})
+    if cfg.algo == "sgda-baseline":
+        raise ConfigurationError("sgda-baseline has no certificate")
+    _refuse_unread(cfg)
     params, t_outer, cert, theory = _resolve_schedule(
         cfg, SmoothnessConstants(args.l_xx, args.l_xy, args.l_yx, args.l_yy),
         ConvexityModuli(args.gamma, args.mu_y), NoiseLevels(args.delta_x, args.delta_y))
@@ -449,8 +489,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("check-params", help="print a certified schedule",
-                        description="print a certified schedule; --theta: certify "
-                                    "a manual tuple instead of deriving one")
+                        description="print the schedule that solve runs for these "
+                                    "constants, and its certificate")
     pc.add_argument("--l-xx", type=float, default=1.0)
     pc.add_argument("--l-xy", type=float, default=1.0)
     pc.add_argument("--l-yx", type=float, default=1.0)
@@ -459,8 +499,7 @@ def main(argv=None) -> int:
     pc.add_argument("--mu-y", type=float, default=1.0)
     pc.add_argument("--delta-x", type=float, default=0.0)
     pc.add_argument("--delta-y", type=float, default=0.0)
-    pc.add_argument("--vr", action="store_true")
-    for key in _CHECK_KEYS:
+    for key in _SCHEDULE_KEYS:
         pc.add_argument(f"--{key.replace('_', '-')}")
 
     ps = sub.add_parser("solve", help="run one configuration, write a CSV trace")
@@ -468,20 +507,11 @@ def main(argv=None) -> int:
     for key in _SOLVE_KEYS:
         ps.add_argument(f"--{key.replace('_', '-')}")
 
-    pb = sub.add_parser("bench", help="run a list of config files")
-    pb.add_argument("--configs", nargs="+", required=True)
-    pb.add_argument("--seed")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "check-params":
             return cmd_check_params(args)
-        if args.command == "solve":
-            return cmd_solve({key: getattr(args, key) for key in _SOLVE_KEYS},
-                             args.config)
-        for path in args.configs:
-            cmd_solve({"seed": args.seed}, path)
-        return 0
+        return cmd_solve({key: getattr(args, key) for key in _SOLVE_KEYS}, args.config)
     except ConfigurationError as err:
         # reported as argparse reports a bad flag
         print(f"{parser.prog}: error: {err}", file=sys.stderr)

@@ -8,7 +8,7 @@ inner output seeds the next stage.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -48,21 +48,27 @@ class StationarityTarget:
 
 @dataclass
 class OuterConfig:
+    """A VrParams schedule runs the variance-reduced inner solver."""
+
     t_outer: int
     schedule: Union[SapdParams, VrParams]
-    vr: bool = False
+    # the schedule's type says the same; the keyword stays, and must agree
+    # with it, until the next change to the benchmark (perfbench's dro-vr
+    # passes vr=True)
+    vr: InitVar[Optional[bool]] = None
     stop: Union[FixedT, StationarityTarget] = field(default_factory=FixedT)
     record_every: int = 1
 
-    def __post_init__(self):
+    def __post_init__(self, vr):
         if self.t_outer < 0:
             raise ConfigurationError("t_outer must be nonnegative")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        if self.vr and not isinstance(self.schedule, VrParams):
-            raise ConfigurationError("vr=True requires a VrParams schedule")
-        if not self.vr and not isinstance(self.schedule, SapdParams):
-            raise ConfigurationError("vr=False requires a SapdParams schedule")
+        if not isinstance(self.schedule, (SapdParams, VrParams)):
+            raise ConfigurationError("schedule must be a SapdParams or a VrParams")
+        if vr is not None and vr != isinstance(self.schedule, VrParams):
+            raise ConfigurationError(
+                f"vr={vr} disagrees with a {type(self.schedule).__name__} schedule")
 
 
 @dataclass
@@ -91,23 +97,24 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
                   fs=None) -> OuterResult:
     """Run the staged outer loop from (x0, y0).
 
-    fs (a FiniteSumSpec of p's components) is required when cfg.vr is set;
-    a stage shifts p alone.  Each kept StageRecord carries the
-    time.perf_counter() at which it was kept, after its stationarity
-    estimate.  Oracle calls accumulate in single-sample draws (see the
-    draws method of the schedule's type).
+    A VrParams schedule runs vr_sapd_run, and then fs (a FiniteSumSpec of
+    p's components) is required; a stage shifts p alone.  Each kept
+    StageRecord carries the time.perf_counter() at which it was kept, after
+    its stationarity estimate.  Oracle calls accumulate in single-sample
+    draws (see the draws method of the schedule's type).
     """
-    if cfg.vr and fs is None:
+    sched = cfg.schedule
+    vr = isinstance(sched, VrParams)
+    if vr and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
     x = np.array(x0, dtype=float)
     y = np.array(y0, dtype=float)
-    sched = cfg.schedule
     calls = 0
     stages = [StageRecord(0, 0, x.copy(), y.copy(), time.perf_counter())]
     for t in range(cfg.t_outer):
         sub = shifted_subproblem(p, x, sched.mu_x)
         try:
-            if cfg.vr:
+            if vr:
                 res = vr_sapd_run(fs, sub, sched, x, y, rng)
             else:
                 res = sapd_run(sub, sched, x, y, rng)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import threading
 from dataclasses import asdict
@@ -53,7 +54,7 @@ class TestCheckParams:
         assert "theta_dbar_2 = 0" in out
 
     def test_manual_theta_below_bound_fails(self, capsys):
-        code = cli.main(["check-params", "--theta", "0.5"])
+        code = cli.main(["check-params", "--schedule", "manual", "--theta", "0.5"])
         out = capsys.readouterr().out
         assert code == 1
         assert "feasible = False" in out
@@ -61,14 +62,15 @@ class TestCheckParams:
     def test_negative_mu_x_exits_2(self, capsys):
         # a negative mu_x once fell back to gamma: the same schedule as with
         # no --mu-x, and exit 0
-        assert cli.main(["check-params", "--theta", "0.8", "--mu-x", "-1"]) == 2
+        assert cli.main(["check-params", "--schedule", "manual", "--theta", "0.8",
+                         "--mu-x", "-1"]) == 2
         assert capsys.readouterr() == ("", "sapdplus: error: mu_x must be nonnegative\n")
 
     def test_manual_theta_at_bound_passes(self):
-        assert cli.main(["check-params", "--theta", "0.75"]) == 0
+        assert cli.main(["check-params", "--schedule", "manual", "--theta", "0.75"]) == 0
 
     def test_vr_schedule(self, capsys):
-        code = cli.main(["check-params", "--vr", "--q", "1", "--b-x", "4",
+        code = cli.main(["check-params", "--algo", "sapd-plus-vr", "--q", "1", "--b-x", "4",
                          "--b-y", "4", "--delta-x", "1", "--eps", "0.1"])
         out = capsys.readouterr().out
         assert code == 0
@@ -78,7 +80,7 @@ class TestCheckParams:
         # tau = (1 - theta)/mu_x and its sigma twin vanish at theta = 1, and
         # the N rule has no value there: alpha = 1/sigma once raised
         # ZeroDivisionError
-        assert cli.main(["check-params", "--theta", "1"]) == 2
+        assert cli.main(["check-params", "--schedule", "manual", "--theta", "1"]) == 2
         assert capsys.readouterr().err == (
             "sapdplus: error: manual schedule at theta = 1 needs tau, sigma and n_inner\n")
 
@@ -86,36 +88,41 @@ class TestCheckParams:
 class TestOneSchedulePath:
     """solve and check-params resolve their schedule in one place."""
 
-    @pytest.mark.parametrize("run,flags", [
-        pytest.param(dict(problem="quadratic"), ["--eps", "0.05"], id="theory"),
-        pytest.param(dict(problem="dro", n_samples=60, n_features=5,
-                          algo="sapd-plus-vr", b_x=1, b_y=1, zeta=0.5),
-                     ["--vr", "--eps", "0.05", "--b-x", "1", "--b-y", "1",
-                      "--zeta", "0.5"], id="theory-vr"),
-        pytest.param(dict(problem="quadratic", schedule="manual", theta=0.8),
-                     ["--theta", "0.8"], id="manual"),
-        # no --eps: check-params once defaulted to 0.1 against solve's 0.05,
+    SMALL_DRO = dict(problem="dro", n_samples=60, n_features=5)
+
+    @pytest.mark.parametrize("instance,schedule", [
+        pytest.param(dict(problem="quadratic"), dict(eps=0.05), id="theory"),
+        pytest.param(SMALL_DRO, dict(algo="sapd-plus-vr", eps=0.05, b_x=1, b_y=1, zeta=0.5),
+                     id="theory-vr"),
+        pytest.param(dict(problem="quadratic"), dict(schedule="manual", theta=0.8),
+                     id="manual"),
+        # check-params once had no --n-inner, so it could not name this tuple
+        pytest.param(SMALL_DRO, dict(algo="sapd-plus-vr", schedule="manual", tau=0.05,
+                                     sigma=0.05, n_inner=20), id="manual-vr"),
+        # no eps: check-params once defaulted to 0.1 against solve's 0.05,
         # which moves theta-double-bar, and so tau, sigma and N, when noisy
-        pytest.param(dict(problem="quadratic", noise_x=0.1, noise_y=0.1), [],
+        pytest.param(dict(problem="quadratic", noise_x=0.1, noise_y=0.1), {},
                      id="theory-default-eps")])
     def test_check_params_prints_what_solve_runs(self, tmp_path, monkeypatch, capsys,
-                                                 run, flags):
-        # no rep runs, so the meta file keeps the schedule's own stage count
+                                                 instance, schedule):
+        # the same schedule keys and values go to both subcommands; check-params
+        # once spelled them --vr and "--theta given"; no rep runs, so the meta
+        # file keeps the schedule's own stage count
         monkeypatch.setattr(cli, "_run_single_rep", lambda *args: ([], ""))
         out = tmp_path / "s.csv"
-        assert cli.cmd_solve(dict(run, out=str(out))) == 0
+        assert cli.cmd_solve(dict(instance, **schedule, out=str(out))) == 0
         capsys.readouterr()
         meta = read_meta(out)
         ran = json.loads(meta["schedule_params"])
         cert = float(meta["certificate_min_eigenvalue"])
-        p = cli._build_problem(cli.RunConfig(**run))[0]
+        p = cli._build_problem(cli.RunConfig(**instance))[0]
         s, c, nz = p.smoothness, p.convexity, p.noise
         constants = dict(l_xx=s.l_xx, l_xy=s.l_xy, l_yx=s.l_yx, l_yy=s.l_yy,
                          gamma=c.gamma, mu_y=c.mu_y, delta_x=nz.delta_x,
                          delta_y=nz.delta_y)
-        argv = [a for k, v in constants.items()
-                for a in (f"--{k.replace('_', '-')}", repr(v))]
-        assert cli.main(["check-params", *argv, *flags]) == 0
+        argv = [a for k, v in dict(constants, **schedule).items()
+                for a in (f"--{k.replace('_', '-')}", str(v))]
+        assert cli.main(["check-params", *argv]) == 0
         shown = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
         assert [shown[k] for k in ("tau", "sigma", "n_inner", "lmi_min_eigenvalue")] == [
             f"{ran['tau']:.12g}", f"{ran['sigma']:.12g}", str(ran["n_inner"]),
@@ -137,6 +144,76 @@ class TestOneSchedulePath:
                                                   (1 - 0.8) / (c.mu_y * 0.8))
             assert params.n_inner == inner_iterations(0.8)
         assert (t_outer, theory) == (1, None)
+
+    # a base request of each kind: its instance (config lines), its flags
+    # and its name in a refusal
+    REQUESTS = {
+        "theory": ("", [], "the sapd-plus theory schedule"),
+        "theory-vr": ("problem = dro\nn_samples = 60\nn_features = 5\n",
+                      ["--algo", "sapd-plus-vr", "--b-x", "1", "--b-y", "1", "--zeta", "0.5"],
+                      "the sapd-plus-vr theory schedule"),
+        "manual": ("", ["--schedule", "manual", "--theta", "0.8"],
+                   "the sapd-plus manual schedule"),
+        "manual-vr": ("problem = dro\nn_samples = 60\nn_features = 5\n",
+                      ["--algo", "sapd-plus-vr", "--schedule", "manual", "--tau", "0.05",
+                       "--sigma", "0.05", "--n-inner", "20"],
+                      "the sapd-plus-vr manual schedule"),
+        "sgda-baseline": ("", ["--algo", "sgda-baseline", "--tau", "0.05", "--sigma", "0.05"],
+                          "sgda-baseline")}
+    # for each checked key, a valid value away from its default and from
+    # what every base request runs
+    OTHER = dict(tau=0.01, sigma=0.02, theta=0.7, n_inner=13, mu_x=2.5, t_outer=3,
+                 gap0=2.0, zeta=0.7, b=37, q=3, b_x=4, b_y=5)
+
+    @pytest.mark.parametrize("key", cli._CHECKED)
+    @pytest.mark.parametrize("request_kind", REQUESTS)
+    def test_a_set_key_changes_the_run_or_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                  request_kind, key):
+        # each key once fell silent on some request: solve ran the schedule
+        # it would have run without it and listed the value in its meta file
+        monkeypatch.setattr(cli, "_run_single_rep", lambda *args: ([], ""))
+        monkeypatch.chdir(tmp_path)
+        config, flags, name = self.REQUESTS[request_kind]
+        val = self.OTHER[key]
+        Path("run.cfg").write_text(config)
+
+        def record(out, *extra):
+            code = cli.main(["solve", "--config", "run.cfg", "--out", out, *flags, *extra])
+            if code != 0:
+                return code
+            meta = read_meta(out)
+            return meta["schedule_params"], meta.get("resolved_t_outer")
+
+        assert record("base.csv") != 2
+        capsys.readouterr()
+        # the theory b of the noiseless DRO instance is 1, below these
+        warns = request_kind == "theory-vr" and key in ("b_x", "b_y")
+        with (pytest.warns(UserWarning, match="large batch b below") if warns
+              else contextlib.nullcontext()):
+            got = record("set.csv", f"--{key.replace('_', '-')}", str(val))
+        if got == 2:
+            assert capsys.readouterr().err == (
+                f"sapdplus: error: {key} = {val} is not read by {name}\n")
+            assert not Path("set.csv").exists()
+        else:
+            assert got != record("base.csv")
+
+    @pytest.mark.parametrize("argv,err", [
+        # each once printed what bare check-params prints
+        pytest.param(["--tau", "0.01"],
+                     "tau = 0.01 is not read by the sapd-plus theory schedule", id="tau"),
+        pytest.param(["--q", "3", "--b-x", "7", "--zeta", "2"],
+                     "zeta = 2.0 is not read by the sapd-plus theory schedule", id="vr-keys"),
+        # "--vr --theta 0.5" once certified a plain tuple
+        pytest.param(["--algo", "sapd-plus-vr", "--schedule", "manual", "--theta", "0.5",
+                      "--tau", "0.1", "--sigma", "0.1", "--n-inner", "5"],
+                     "theta = 0.5 is not read by the sapd-plus-vr manual schedule",
+                     id="vr-theta"),
+        pytest.param(["--algo", "sgda-baseline", "--tau", "0.1", "--sigma", "0.1"],
+                     "sgda-baseline has no certificate", id="sgda-baseline")])
+    def test_check_params_refuses_what_it_cannot_certify(self, capsys, argv, err):
+        assert cli.main(["check-params", *argv]) == 2
+        assert capsys.readouterr() == ("", f"sapdplus: error: {err}\n")
 
     def test_sgda_baseline_meta_records_what_ran(self, tmp_path):
         # the meta file once recorded the plain theory schedule, its
@@ -232,8 +309,11 @@ class TestOneSchedulePath:
         assert not Path("t.csv.meta.txt").exists()
 
 
-NUMERIC_SOLVE_KEYS = [key for key in cli._SOLVE_KEYS
-                      if isinstance(getattr(cli.RunConfig(), key), (int, float))]
+def numeric(keys):
+    return [key for key in keys if isinstance(getattr(cli.RunConfig(), key), (int, float))]
+
+
+NUMERIC_SOLVE_KEYS = numeric(cli._SOLVE_KEYS)
 CHECK_CONSTANT_FLAGS = ["l_xx", "l_xy", "l_yx", "l_yy", "gamma", "mu_y",
                         "delta_x", "delta_y"]
 
@@ -255,7 +335,7 @@ class TestNonFinite:
         assert not out.exists()
 
     @pytest.mark.parametrize("val", ["nan", "inf"])
-    @pytest.mark.parametrize("key", list(cli._CHECK_KEYS) + CHECK_CONSTANT_FLAGS)
+    @pytest.mark.parametrize("key", numeric(cli._SCHEDULE_KEYS) + CHECK_CONSTANT_FLAGS)
     def test_check_params_exits_2(self, capsys, key, val):
         assert cli.main(["check-params", f"--{key.replace('_', '-')}={val}"]) == 2
         captured = capsys.readouterr()
@@ -483,6 +563,27 @@ class TestSolve:
         # the meta file once kept the uncapped t_outer = 100
         assert read_meta(tmp_path / "b.csv")["resolved_t_outer"] == "3"
 
+    @pytest.mark.parametrize("extra", [
+        pytest.param(dict(algo="sapd-plus", theta=0.5), id="plain"),
+        pytest.param(dict(algo="sapd-plus-vr", theta=1.0, b=20, b_x=3, b_y=2, q=4),
+                     id="vr")])
+    def test_budget_below_one_stage_exits_2(self, tmp_path, extra):
+        # the cap was once max(1, budget // per_stage): one stage ran anyway,
+        # past the budget
+        run = dict(problem="dro", n_samples=50, n_features=4, batch=5,
+                   schedule="manual", tau=0.05, sigma=0.05, n_inner=11, seed=1,
+                   out=str(tmp_path / "b.csv"), **extra)
+        cli.cmd_solve(dict(run, t_outer=1))
+        per_stage = int(read_rows(tmp_path / "b.csv")[1][-1][2])
+        out = tmp_path / "short.csv"
+        with pytest.raises(ConfigurationError, match=(
+                f"a budget of {per_stage - 1} draws cannot pay for one stage, "
+                f"which draws {per_stage}")):
+            cli.cmd_solve(dict(run, out=str(out), budget_calls=per_stage - 1))
+        assert not out.exists()
+        cli.cmd_solve(dict(run, out=str(out), budget_calls=per_stage))
+        assert read_meta(out)["resolved_t_outer"] == "1"
+
     def test_record_every_flag(self, tmp_path):
         # a row every K stages plus the last stage, for every rep
         args, out = self.quad_args(tmp_path, "r.csv",
@@ -509,6 +610,19 @@ class TestSolve:
         _, rows = read_rows(out)
         stats = [r[5] for r in rows if r[5]]
         assert stats  # at least one stationarity estimate recorded
+
+    def test_stationarity_column_on_the_nested_path(self, tmp_path):
+        # mu_y = 0: each estimate is evaluation's nested SAPD prox solve, not
+        # the accelerated certificate path the quadratic takes
+        out = tmp_path / "n.csv"
+        assert cli.main(["solve", "--problem", "bilinear", "--schedule", "manual",
+                         "--theta", "0.5", "--tau", "0.05", "--sigma", "0.05",
+                         "--n-inner", "50", "--t-outer", "3", "--stat-every", "1",
+                         "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[1] for r in rows] == ["0", "1", "2"]  # stops at stage 2 of 3
+        stats = [float(r[5]) for r in rows[1:]]
+        assert stats[0] > cli.RunConfig.eps >= stats[1]
 
     def test_dro_smoke_decreasing_objective(self, tmp_path):
         out = tmp_path / "dro.csv"
@@ -572,15 +686,6 @@ class TestSolve:
         p = cli._build_problem(cfg)[0]
         x0, _ = cli._start_point(cfg, p)
         assert moreau_stationarity(p, x0).value >= 10 * cfg.eps
-
-    def test_bench_runs_config_list(self, tmp_path):
-        cfg_file = tmp_path / "one.cfg"
-        out = tmp_path / "bench.csv"
-        cfg_file.write_text(
-            "problem = quadratic\nschedule = theory\neps = 0.05\n"
-            f"t_outer = 3\nreps = 1\nseed = 5\nout = {out}\n")
-        assert cli.main(["bench", "--configs", str(cfg_file)]) == 0
-        assert out.exists()
 
 
 class TestSgdaBaseline:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,25 +89,41 @@ class TestSapdPlusRun:
         else:
             params = SapdParams(tau=0.05, sigma=0.05, theta=0.5, rho=0.5, alpha=0.0,
                                 mu_x=p.convexity.gamma, n_inner=11)
-        cfg = OuterConfig(t_outer=3, schedule=params, vr=vr)
+        cfg = OuterConfig(t_outer=3, schedule=params)
         res = sapd_plus_run(p, cfg, np.zeros(4), np.full(50, 0.02),
                             np.random.default_rng(2), fs=fs)
         assert res.oracle_calls == drawn[0] > 0
 
     def test_vr_flag_requires_finite_sum(self):
+        # a VrParams schedule selects the VR inner solver, which needs fs
         qs, sched, rng = wcsc_setup(seed=4)
         vrp = VrParams(tau=0.01, sigma=0.01, b=4, b_x=2, b_y=2, q=2,
                        n_inner=4, mu_x=1.0)
-        cfg = OuterConfig(t_outer=1, schedule=vrp, vr=True)
-        with pytest.raises(ConfigurationError):
+        cfg = OuterConfig(t_outer=1, schedule=vrp)
+        with pytest.raises(ConfigurationError, match="needs a FiniteSumSpec"):
             sapd_plus_run(qs.problem, cfg, np.zeros(8), np.zeros(5), rng)
+
+    def test_vr_keyword_must_agree_with_the_schedule(self):
+        # vr is no field: the schedule's type selects the inner solver, and
+        # the keyword, kept for callers that pass it, may only agree
+        qs, sched, _ = wcsc_setup(seed=4)
+        vrp = VrParams(tau=0.01, sigma=0.01, b=4, b_x=2, b_y=2, q=2,
+                       n_inner=4, mu_x=1.0)
+        assert "vr" not in {f.name for f in fields(OuterConfig)}
+        assert OuterConfig(t_outer=1, schedule=vrp, vr=True).schedule is vrp
+        with pytest.raises(ConfigurationError, match="vr=False disagrees with a VrParams"):
+            OuterConfig(t_outer=1, schedule=vrp, vr=False)
+        with pytest.raises(ConfigurationError, match="vr=True disagrees with a SapdParams"):
+            OuterConfig(t_outer=1, schedule=sched.sapd_params(), vr=True)
+        with pytest.raises(ConfigurationError, match="schedule must be a SapdParams"):
+            OuterConfig(t_outer=1, schedule=sched.certificate)
 
     def test_vr_outer_loop_runs(self):
         rng = np.random.default_rng(5)
         qfs = make_quadratic_finite_sum(16, 4, 3, 1.0, 1.0, rng, spread=0.2)
         vrp = VrParams(tau=0.05, sigma=0.05, b=16, b_x=4, b_y=4, q=4,
                        n_inner=30, mu_x=1.0)
-        cfg = OuterConfig(t_outer=25, schedule=vrp, vr=True)
+        cfg = OuterConfig(t_outer=25, schedule=vrp)
         res = sapd_plus_run(qfs.base.problem, cfg, rng.standard_normal(4),
                             rng.standard_normal(3), rng, fs=qfs.spec)
         est = moreau_stationarity(qfs.base.problem, res.x, tol=1e-9)

@@ -96,7 +96,7 @@ def test_vr_run_scalars_and_prox_steps():
 def test_outer_run_scalars(vr):
     inst, steps = dro(), []
     p = recording(inst.problem, steps)
-    cfg = OuterConfig(t_outer=3, schedule=VR if vr else PLAIN, vr=vr,
+    cfg = OuterConfig(t_outer=3, schedule=VR if vr else PLAIN,
                       stop=StationarityTarget(epsilon=1e-9))
     res = sapd_plus_run(p, cfg, np.ones(5), np.full(40, 1 / 40),
                         np.random.default_rng(3), fs=inst.finite_sum)
