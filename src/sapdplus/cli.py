@@ -10,7 +10,23 @@ Config files are flat ``key = value`` text with ``#`` comments, whose keys
 are the fields of RunConfig (an unknown key is an error).  The RunConfig
 flags of `solve` and `check-params` are config values too: they arrive as
 text, override file values, and RunConfig.from_sources types and checks
-them all alike.  The reps of a `solve` run serially, in rep order.
+them all alike.
+
+The reps of a `solve` run, rep r drawing from default_rng(seed + r), go
+in lockstep when there are at least two, the algo is ``sapd-plus`` and
+every oracle and prox map that its stochastic run calls carries the
+replica_safe mark (sapd.takes_replica_stacks): the DRO problem.  They run
+as one replica stack through outer.sapd_plus_lockstep, with the rows and
+notes that one-by-one reps give, bit for bit, except that ``wall_ms`` of
+every rep counts from the start of the joint run.  Every other run goes
+through _run_single_rep, one rep at a time in rep order: a single rep,
+``sgda-baseline`` and ``sapd-plus-vr``, the quadratic and bilinear
+problems, and a problem whose oracles a wrapper without the mark has
+replaced, such as the benchmark's traced run.  Reps do not go to worker
+processes, which gained nothing: on a 2-vCPU VM, the 4 reps of the
+benchmark's DRO command (20 stages each) took a median 0.37 s in a pool
+of two forked workers, pool start included, against 0.35 s one by one
+and 0.20 s in lockstep (8 interleaved runs in one process, numpy 2.4.6).
 
 Both subcommands take the schedule keys, _SCHEDULE_KEYS: ``algo`` and
 ``schedule`` name the request, which _resolve_schedule resolves into the
@@ -23,9 +39,11 @@ stage count by the budget and refuses a budget below one stage.
 (the ``schedule_params`` fields, the stage count and the certificate), with
 theta first and, for a plain theory schedule, Theorem 1's beta and theta
 bounds.  ``sgda-baseline`` resolves none, so `check-params` refuses it: it
-reads tau and sigma alone, runs the inner solver with theta = 0, rho = 1,
-alpha = 0, mu_x = 0 and N from the budget, has no certificate (no LMI
-covers it), and writes a row every epoch of draws; its ``oracle_calls``
+reads tau and sigma alone (`solve` also refuses the staged runs' schedule,
+eps, stat_every and record_every, _SGDA_UNREAD, away from their defaults),
+runs the inner solver with theta = 0, rho = 1, alpha = 0, mu_x = 0 and N
+from the budget, has no certificate (no LMI covers it), and writes a row
+every epoch of draws; its ``oracle_calls``
 after k iterations is (2k + 1) batch draws, as for any inner run (see
 SapdParams.draws): the extra batch is the y-gradient drawn at the last
 iterate.  Traces have the fixed header
@@ -84,12 +102,12 @@ if _ONE_BLAS_THREAD:
 from . import datasets
 from .errors import ConfigurationError, DivergenceError
 from .outer import (FixedT, OuterConfig, StageRecord, StationarityTarget,
-                    sapd_plus_run)
+                    sapd_plus_lockstep, sapd_plus_run)
 from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
                      vr_schedule)
 from .problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
                       with_gaussian_noise)
-from .sapd import SapdParams, sapd_run
+from .sapd import SapdParams, sapd_run, takes_replica_stacks
 from .vr import VrParams
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
@@ -118,6 +136,8 @@ _READS = {
     ("sapd-plus-vr", "manual"): ("tau", "sigma", "n_inner", "mu_x", "t_outer") + _VR_BATCHES,
 }
 _CHECKED = ("tau", "sigma", "theta", "n_inner", "mu_x", "t_outer", "gap0", "zeta") + _VR_BATCHES
+# the keys of the staged runs that sgda-baseline, one inner run, does not read
+_SGDA_UNREAD = ("schedule", "eps", "stat_every", "record_every")
 
 
 def parse_config_file(path) -> dict:
@@ -310,19 +330,21 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
 
 
 def _refuse_unread(cfg: RunConfig):
-    """Raise if cfg sets a key of _CHECKED away from its RunConfig default
-    that its request does not read.  A key set to its default cannot be
-    told from an unset one, and passes.  A VR request takes theta = 1,
-    which its rule runs; an unknown algo or schedule passes, for
-    _resolve_schedule to name."""
+    """Raise if cfg sets a key of _CHECKED, or for sgda-baseline of
+    _SGDA_UNREAD, away from its RunConfig default that its request does not
+    read.  A key set to its default cannot be told from an unset one, and
+    passes.  A VR request takes theta = 1, which its rule runs; an unknown
+    algo or schedule passes, for _resolve_schedule to name."""
+    checked = _CHECKED
     if cfg.algo == "sgda-baseline":
         request, read = "sgda-baseline", ("tau", "sigma")
+        checked += _SGDA_UNREAD
     elif (cfg.algo, cfg.schedule) in _READS:
         request = f"the {cfg.algo} {cfg.schedule} schedule"
         read = _READS[cfg.algo, cfg.schedule]
     else:
         return
-    for key in _CHECKED:
+    for key in checked:
         val = getattr(cfg, key)
         if key in read or val == getattr(RunConfig, key) or (
                 key == "theta" and val == 1 and cfg.algo == "sapd-plus-vr"):
@@ -339,6 +361,28 @@ def _start_point(cfg: RunConfig, p):
     if cfg.problem == "dro":
         return np.zeros(p.n), np.full(p.m, 1.0 / p.m)
     return np.ones(p.n), np.zeros(p.m)
+
+
+def _outer_config(cfg: RunConfig, params, t_outer) -> OuterConfig:
+    stop = FixedT()
+    if cfg.stat_every > 0:
+        stop = StationarityTarget(epsilon=cfg.eps, check_every=cfg.stat_every)
+    return OuterConfig(t_outer=t_outer, schedule=params, stop=stop,
+                       record_every=cfg.record_every)
+
+
+def _rep_rows(rep, records, t_start, objective):
+    """The CSV tuples of one rep's records; wall_ms counts from t_start."""
+    rows = []
+    for r in records:
+        stat = "" if r.stationarity is None else f"{r.stationarity:.17g}"
+        rows.append((rep, r.stage, r.oracle_calls, f"{(r.wall - t_start) * 1e3:.3f}",
+                     f"{objective(r.x):.17g}", stat))
+    return rows
+
+
+def _divergence_note(rep, err):
+    return f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
 
 
 def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
@@ -363,21 +407,24 @@ def _run_single_rep(rep, cfg, p, fs, objective, params, t_outer, epoch_size):
 
             sapd_run(p, params, x0, y0, rng, on_iterate=record)
         else:
-            stop = FixedT()
-            if cfg.stat_every > 0:
-                stop = StationarityTarget(epsilon=cfg.eps,
-                                          check_every=cfg.stat_every)
-            out_cfg = OuterConfig(t_outer=t_outer, schedule=params, stop=stop,
-                                  record_every=cfg.record_every)
-            records = sapd_plus_run(p, out_cfg, x0, y0, rng, fs=fs).stages
+            records = sapd_plus_run(p, _outer_config(cfg, params, t_outer), x0, y0,
+                                    rng, fs=fs).stages
     except DivergenceError as err:
-        return [], f"rep {rep} diverged: {err} (stage {err.stage}, iter {err.iteration})"
-    rows = []
-    for r in records:
-        stat = "" if r.stationarity is None else f"{r.stationarity:.17g}"
-        rows.append((rep, r.stage, r.oracle_calls, f"{(r.wall - t_start) * 1e3:.3f}",
-                     f"{objective(r.x):.17g}", stat))
-    return rows, ""
+        return [], _divergence_note(rep, err)
+    return _rep_rows(rep, records, t_start, objective), ""
+
+
+def _run_lockstep(cfg, p, objective, params, t_outer):
+    """Every rep at once, as one replica stack of sapd_plus_lockstep; returns
+    the (rows, note) of each rep in rep order, those _run_single_rep gives
+    except that wall_ms counts from the start of the joint run."""
+    rngs = [np.random.default_rng(cfg.seed + rep) for rep in range(cfg.reps)]
+    x0, y0 = _start_point(cfg, p)
+    t_start = time.perf_counter()
+    outcomes = sapd_plus_lockstep(p, _outer_config(cfg, params, t_outer), x0, y0, rngs)
+    return [([], _divergence_note(rep, out)) if isinstance(out, DivergenceError)
+            else (_rep_rows(rep, out.stages, t_start, objective), "")
+            for rep, out in enumerate(outcomes)]
 
 
 def _cannot_write(path, err):
@@ -443,9 +490,12 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
           _open_to_write(Path(str(out) + ".meta.txt")) as meta_file):
         notes = []
         all_rows = []
-        for r in range(cfg.reps):
-            rows, note = _run_single_rep(r, cfg, p, fs, objective, params, t_outer,
-                                         epoch_size)
+        if cfg.reps > 1 and cfg.algo == "sapd-plus" and takes_replica_stacks(p):
+            results = _run_lockstep(cfg, p, objective, params, t_outer)
+        else:
+            results = (_run_single_rep(r, cfg, p, fs, objective, params, t_outer,
+                                       epoch_size) for r in range(cfg.reps))
+        for rows, note in results:
             all_rows.extend(rows)
             if note:
                 notes.append(note)

@@ -19,7 +19,7 @@ import numpy as np
 from . import prox
 from .errors import ConfigurationError
 from .problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels, ProblemSpec,
-                      SmoothnessConstants)
+                      SmoothnessConstants, replica_safe)
 
 
 @dataclass
@@ -154,7 +154,8 @@ def _regularizer_grad_of(alpha, eta1):
     def grad(x):
         return scale * x / np.square(_ONE + alpha_c * np.square(x))
 
-    return grad
+    # elementwise, so a replica stack is its rows' gradients
+    return replica_safe(grad)
 
 
 @dataclass
@@ -246,6 +247,16 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
     product agrees to rounding, not in every bit.
     Each sgrad_x/sgrad_y call takes sgrad_batch component indices, drawn
     uniformly with replacement by fs.sample.
+    sgrad_x and sgrad_y are replica_safe (problem module docstring): on a
+    stack they gather every replica's rows with one take, run each
+    replica's two products through np.matmul, which calls the BLAS
+    routine of a per-row .dot and .T.dot on its (b, d) block, and add the
+    y-batches with one bincount over indices offset by n per replica, so
+    that each replica's bins sum its own losses in batch order
+    (tests/test_kernel_identity.py holds these premises).  The exception
+    is that of .dot and @: a block of one element (d = 1 at a batch of 1)
+    returns +0.0 for a -0.0 product, which can reach an x-gradient only at
+    an x entry of exactly -0.0; no update makes one from a start without.
     """
     if ds.n_samples < 1 or ds.n_features < 1:
         raise ConfigurationError("dataset must have samples and features")
@@ -307,11 +318,42 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)
 
-    def sgrad_x(x, y, idx):
-        return batch_grad_x(idx, x, y) + grad_h(x)
+    # replica count R -> (the column 0..R-1, the bin offsets 0, n, .., (R-1) n)
+    stack_index = {}
 
+    def index_of(reps):
+        found = stack_index.get(reps)
+        if found is None:
+            column = np.arange(reps)[:, None]
+            found = stack_index[reps] = (column, column * n)
+        return found
+
+    def stacked_products(idx, x):
+        # the gathered (R, b, d) rows and, per replica, rows.dot(x)
+        rows = signed.take(idx, axis=0)
+        return rows, np.matmul(rows, x[:, :, None])[:, :, 0]
+
+    @replica_safe
+    def sgrad_x(x, y, idx):
+        if x.ndim == 1:
+            return batch_grad_x(idx, x, y) + grad_h(x)
+        rows, products = stacked_products(idx, x)
+        column, _ = index_of(idx.shape[0])
+        weights = y[column, idx]
+        coef = -_sigmoid_neg(products) * weights
+        total = np.matmul(coef[:, None, :], rows)[:, 0, :]
+        return mean_of(total, idx.shape[1]) + grad_h(x)
+
+    @replica_safe
     def sgrad_y(x, y, idx):
-        return batch_grad_y(idx, x, y)
+        if x.ndim == 1:
+            return batch_grad_y(idx, x, y)
+        reps, size = idx.shape
+        _, offsets = index_of(reps)
+        losses = np.logaddexp(_ZERO, -stacked_products(idx, x)[1])
+        sums = np.bincount((idx + offsets).ravel(), weights=losses.ravel(),
+                           minlength=reps * n)
+        return mean_of(sums.reshape(reps, n), size)
 
     problem = ProblemSpec(
         n=ds.n_features, m=n,

@@ -10,9 +10,13 @@ class InfeasibleScheduleError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate blew up (non-finite or norm above the guard threshold)."""
+    """An iterate blew up (non-finite or norm above the guard threshold).
 
-    def __init__(self, message, iteration=None, stage=None):
+    replica is the row of the replica stack whose iterate blew up, in a run
+    on replica stacks (sapd module docstring), and None otherwise."""
+
+    def __init__(self, message, iteration=None, stage=None, replica=None):
         super().__init__(message)
         self.iteration = iteration
         self.stage = stage
+        self.replica = replica

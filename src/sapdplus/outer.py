@@ -3,7 +3,8 @@ concave problems.
 
 Each stage t centers a quadratic shift at the current primal point and runs
 the inner solver (plain or variance-reduced) for N iterations; the averaged
-inner output seeds the next stage.
+inner output seeds the next stage.  sapd_plus_lockstep runs several
+replicas of a plain run as one stack (sapd module docstring).
 """
 
 import math
@@ -18,7 +19,7 @@ from .evaluation import moreau_stationarity
 from .params import theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
                       shifted_subproblem)
-from .sapd import SapdParams, sapd_run
+from .sapd import SapdParams, sapd_run, takes_replica_stacks
 from .vr import VrParams, vr_sapd_run
 
 
@@ -123,21 +124,92 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
             raise
         calls += sched.draws(res.iterations, p.oracle_batch)
         x, y = res.x_avg, res.y_avg
-        last = t + 1 == cfg.t_outer
-        stat, met = None, False
-        if isinstance(cfg.stop, StationarityTarget) and (
-            (t + 1) % cfg.stop.check_every == 0 or last
-        ):
-            est = moreau_stationarity(p, x)
-            stat = est.value
-            met = est.reliable and est.value <= cfg.stop.epsilon
-        if met or last or (t + 1) % cfg.record_every == 0:
-            stages.append(StageRecord(t + 1, calls, x.copy(), y.copy(),
-                                      time.perf_counter(), stat))
+        met = _end_stage(p, cfg, t, calls, x, y, stages)
         if met:
             break
     return OuterResult(x=x, y=y, stages_run=stages[-1].stage,
                        oracle_calls=calls, stages=stages)
+
+
+def _end_stage(p: ProblemSpec, cfg: OuterConfig, t: int, calls: int, x, y,
+               stages: list) -> bool:
+    """Check stage t's iterate (x, y) against the stop rule when it is due,
+    append its StageRecord to stages when one is kept, and return whether
+    the target is met."""
+    last = t + 1 == cfg.t_outer
+    stat, met = None, False
+    if isinstance(cfg.stop, StationarityTarget) and (
+        (t + 1) % cfg.stop.check_every == 0 or last
+    ):
+        est = moreau_stationarity(p, x)
+        stat = est.value
+        met = est.reliable and est.value <= cfg.stop.epsilon
+    if met or last or (t + 1) % cfg.record_every == 0:
+        stages.append(StageRecord(t + 1, calls, x.copy(), y.copy(),
+                                  time.perf_counter(), stat))
+    return met
+
+
+def sapd_plus_lockstep(p: ProblemSpec, cfg: OuterConfig, x0, y0, rngs) -> list:
+    """sapd_plus_run for each generator of rngs, run as one replica stack.
+
+    Replica r starts from row r of x0 and y0, or from x0 and y0 themselves
+    when they are 1-D, and draws from rngs[r].  Returns, per replica, the
+    OuterResult that sapd_plus_run(p, cfg, x0[r], y0[r], rngs[r]) returns,
+    or the DivergenceError it raises, with the same stage, iteration and
+    message; the iterates and records agree bit for bit, and only the wall
+    times of the records differ.  Each stage runs the replicas still going
+    as one sapd_run on replica stacks.  A replica whose target is met
+    leaves the stack after that stage.  One that diverges leaves it at
+    once, and the stage runs again for the others from its start, their
+    generators set back to the states they had there.  The schedule must
+    be a SapdParams and p must take replica stacks
+    (sapd.takes_replica_stacks).
+    """
+    sched = cfg.schedule
+    if not isinstance(sched, SapdParams) or not takes_replica_stacks(p):
+        raise ConfigurationError("a lockstep run needs a SapdParams schedule and "
+                                 "oracles and prox maps that take replica stacks")
+    x, y = np.empty((len(rngs), p.n)), np.empty((len(rngs), p.m))
+    x[...], y[...] = x0, y0
+    stages = [[StageRecord(0, 0, x[r].copy(), y[r].copy(), time.perf_counter())]
+              for r in range(len(rngs))]
+    results = [None] * len(rngs)
+    going = list(range(len(rngs)))  # the replica of each row of x and y
+    calls = 0
+
+    def result(row, r):
+        return OuterResult(x=x[row].copy(), y=y[row].copy(), stages_run=stages[r][-1].stage,
+                           oracle_calls=calls, stages=stages[r])
+
+    for t in range(cfg.t_outer):
+        saved = [rngs[r].bit_generator.state for r in going]
+        res = None
+        while going and res is None:
+            try:
+                res = sapd_run(shifted_subproblem(p, x, sched.mu_x), sched, x, y,
+                               [rngs[r] for r in going])
+            except DivergenceError as err:
+                err.stage, row = t, err.replica
+                results[going.pop(row)] = err
+                del saved[row]
+                x, y = np.delete(x, row, axis=0), np.delete(y, row, axis=0)
+                for r, state in zip(going, saved):
+                    rngs[r].bit_generator.state = state
+        if not going:
+            break
+        calls += sched.draws(res.iterations, p.oracle_batch)
+        x, y = res.x_avg, res.y_avg
+        keep = []
+        for row, r in enumerate(going):
+            if _end_stage(p, cfg, t, calls, x[row], y[row], stages[r]):
+                results[r] = result(row, r)
+            else:
+                keep.append(row)
+        going, x, y = [going[row] for row in keep], x[keep], y[keep]
+    for row, r in enumerate(going):
+        results[r] = result(row, r)
+    return results
 
 
 def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,

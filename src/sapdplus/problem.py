@@ -4,6 +4,14 @@ A problem is min_x max_y f(x) + Phi(x,y) - g(y) with Phi(.,y) gamma-weakly
 convex, Phi(x,.) concave (strong-concavity modulus mu_y >= 0 for the pair
 Phi - g), f and g prox-friendly convex.  Solvers only touch the oracle
 callables and the constants collected here.
+
+An oracle or prox map marked replica_safe also takes replica stacks: R
+points at once as the rows of (R, n) and (R, m) arrays (row views of the
+solver's arrays), with the random values of a stochastic call as an
+(R, size) array whose row r belongs to replica r; row r of its result is,
+bit for bit, the result of the call on the rows r alone.  The mark is an
+attribute of the callable itself, so a wrapper that does not set it, such
+as a timing shim, makes a run take the one-point path.
 """
 
 import math
@@ -131,18 +139,32 @@ class ProblemSpec:
             )
 
 
+def replica_safe(fn):
+    """Mark fn as taking replica stacks (module docstring); returns fn."""
+    fn.replica_safe = True
+    return fn
+
+
+def is_replica_safe(fn) -> bool:
+    """Whether fn carries the replica_safe mark."""
+    return getattr(fn, "replica_safe", False)
+
+
 def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> ProblemSpec:
     """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
 
     grad_<axis> and sgrad_<axis> gain coef*(z - center), sgrad_<axis> passing
     its draws through, and on the x axis so does grad_h; the other oracles
-    are unchanged.  The caller updates the constants through `changes`,
-    which go to the same replace.
+    are unchanged.  A center of shape (R, dim) gives each replica of a stack
+    its own center; a new oracle is replica_safe when the one it shifts is.
+    The caller updates the constants through `changes`, which go to the
+    same replace.
     """
     dim = p.n if axis == "x" else p.m
     center = np.asarray(center, dtype=float)
-    if center.shape != (dim,):
-        raise ConfigurationError(f"center has shape {center.shape}, expected ({dim},)")
+    if center.ndim not in (1, 2) or center.shape[-1] != dim:
+        raise ConfigurationError(
+            f"center has shape {center.shape}, expected ({dim},) or (R, {dim})")
     grad, sgrad = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis)
     coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
     # closures built per axis, so the oracles do no per-call dispatch
@@ -160,6 +182,8 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
         else:
             def grad_h(x):
                 return base(x) + coef_c * (x - center)
+        if base is None or is_replica_safe(base):
+            replica_safe(grad_h)
         changes["grad_h"] = grad_h
     else:
         def new_grad(x, y):
@@ -168,6 +192,10 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
         def new_sgrad(x, y, draws):
             return sgrad(x, y, draws) + coef_c * (y - center)
 
+    if is_replica_safe(grad):
+        replica_safe(new_grad)
+    if is_replica_safe(sgrad):
+        replica_safe(new_sgrad)
     return replace(p, **{"grad_" + axis: new_grad,
                          "sgrad_" + axis: None if sgrad is None else new_sgrad},
                    **changes)

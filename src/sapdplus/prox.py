@@ -9,8 +9,10 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
+from .problem import replica_safe
 
 
+@replica_safe
 def prox_zero(v, step):
     """Prox of f = 0: the identity."""
     return np.asarray(v, dtype=float)
@@ -53,6 +55,20 @@ def project_simplex(v):
     return np.maximum(v + lam, 0.0)
 
 
+def _project_simplex_rows(v):
+    """project_simplex of every row of the 2-D array v, bit for bit: the
+    all-active check runs on all rows at once (the reductions along axis 1
+    add and compare each row as the 1-D ones do), and a row that fails it
+    goes through project_simplex itself."""
+    lam = (1.0 - np.add.reduce(v, axis=1)) / v.shape[1]
+    active = np.isfinite(lam) & (np.minimum.reduce(v, axis=1) + lam > 0)
+    out = v + lam[:, None]
+    if not np.logical_and.reduce(active):
+        for r in np.flatnonzero(~active):
+            out[r] = project_simplex(v[r])
+    return out
+
+
 def prox_quadratic_over_simplex(eta2, n_scale):
     """The prox map prox(v, step) of g(y) = (eta2/2)*||n_scale*y - 1||^2
     plus the simplex indicator.
@@ -70,7 +86,7 @@ def prox_quadratic_over_simplex(eta2, n_scale):
     Python float's conversion.  Both divide in float64 (NEP 50), so the
     result is that of v / (1 + eta2*n_scale^2*step), bit for bit.  One
     name holds the (step, divisor) pair, so calls on two threads never mix
-    the two.
+    the two.  The map is replica_safe: a 2-D v projects row by row.
     """
     if eta2 <= 0 or n_scale < 1:
         raise ConfigurationError("need eta2 > 0 and n_scale >= 1")
@@ -84,6 +100,9 @@ def prox_quadratic_over_simplex(eta2, n_scale):
                 raise ConfigurationError("prox step must be positive")
             divisor = np.array(1.0 + eta2 * n_scale**2 * step)
             last = (step, divisor)
-        return project_simplex(v / divisor)
+        w = v / divisor
+        if w.ndim == 2:
+            return _project_simplex_rows(w)
+        return project_simplex(w)
 
-    return prox
+    return replica_safe(prox)

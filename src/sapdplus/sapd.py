@@ -75,6 +75,25 @@ one-element input, numpy copies that input first: np.add(a, x, a) takes
 elements on there is no gap).  An estimate whose recursion reads its last
 value (u and w of the SPIDER estimator) alternates between two arrays.
 
+A run may also take R replicas at once, in lockstep: x0 and y0 of shapes
+(R, n) and (R, m) and a list of R generators, one per replica.  Every
+array above then has a leading axis of R rows, one per replica, and every
+ufunc acts row by row, so row r follows, bit for bit, the run of replica
+r alone.  Each replica draws its blocks from its own generator, on the
+schedule a run of its own would keep (_draws), and the oracles take its
+values as row r of an (R, size) array.  The guard takes the dot product of
+every row with np.vecdot, which calls the BLAS routine of a 1-D .dot, and
+on a failure names the first failing row, as DivergenceError.replica, with
+the message the one-replica guard gives.  The problem's oracles and prox
+maps that the run calls must accept stacks (problem.replica_safe;
+takes_replica_stacks).  A one-replica run keeps its 1-D arrays and their
+per-iteration cost.  On the default DRO instance (1000 x 20, batches of
+10), 20 stages of 4 replicas in lockstep took 0.52-0.63 (median 0.57) of
+the time of the 4 one-replica runs, bit for bit the same (12 interleaved
+pairs, a 2-vCPU VM, numpy 2.4.6): an iteration makes as many ufunc calls
+as one replica's, and on arrays of 20 and 1000 entries a call costs
+mostly its dispatch.
+
 A prox map that is prox_zero, the identity, is not called: the update
 writes straight into the iterate array.  The result of any other prox map
 is copied into it, cast to float64; a traced run wraps the prox maps, so
@@ -90,7 +109,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .problem import ProblemSpec
+from .problem import ProblemSpec, is_replica_safe
 from .prox import prox_zero
 
 DIVERGENCE_NORM = 1e12
@@ -134,6 +153,9 @@ class SapdParams:
 
 @dataclass
 class SapdRunResult:
+    """The output of an inner run; on a replica stack the arrays have a row
+    per replica and last_step_norm is the norm of the whole stack's step."""
+
     x_avg: np.ndarray
     y_avg: np.ndarray
     x_last: np.ndarray
@@ -154,8 +176,34 @@ def _guard(z, k):
                               iteration=k)
 
 
+def _stacked_guard(reps):
+    """The guard of a stack of `reps` replicas: _guard on each row, which
+    on a failure names the first failing row as the error's replica."""
+    norms = np.empty(reps)
+    bound = DIVERGENCE_NORM**2
+
+    def guard(z, k):
+        np.vecdot(z, z, out=norms)
+        # false for a NaN among the norms as well
+        if not (np.maximum.reduce(norms) <= bound):
+            for r in range(reps):
+                try:
+                    _guard(z[r], k)
+                except DivergenceError as err:
+                    err.replica = r
+                    raise
+
+    return guard
+
+
 def _step_norm(x_new, y_new, x, y):
     return math.sqrt(((x_new - x) ** 2).sum() + ((y_new - y) ** 2).sum())
+
+
+def _replicas(rng):
+    """The leading shape of a run's arrays: (R,) for a list or tuple of R
+    generators, () for one generator (or None)."""
+    return (len(rng),) if isinstance(rng, (list, tuple)) else ()
 
 
 def _draws(draw, rng, head, size_of, n):
@@ -168,26 +216,45 @@ def _draws(draw, rng, head, size_of, n):
     The values and the final generator state equal those of one draw per
     call, except that a stage which stops early leaves the generator past
     the rest of its last block.  The state lives in the closure, so a call
-    makes no attribute lookups.
+    makes no attribute lookups.  With a list of generators, one per
+    replica, each one draws its own blocks on this schedule, and take(size)
+    returns an (R, size) array whose row r holds replica r's values; a
+    block then holds up to R * CHUNK_VALUES values.
     """
     block, pos, stop = None, 0, 0
     end = 0  # the first iteration not drawn yet
+    stacked = _replicas(rng) != ()
 
-    def take(size):
-        nonlocal block, pos, stop, end, head
-        start = pos
-        if start == stop:  # the next block
-            k, total = end + 1, head + size_of(end)
-            while k < n:
-                size_k = size_of(k)
-                if total + size_k > CHUNK_VALUES:
-                    break
-                total += size_k
-                k += 1
-            block, stop = draw(rng, total), total
-            head, end, start = 0, k, 0
-        pos = start + size
-        return block[start:start + size]
+    def refill():
+        # draws the next block; returns its size
+        nonlocal block, end, head
+        k, total = end + 1, head + size_of(end)
+        while k < n:
+            size_k = size_of(k)
+            if total + size_k > CHUNK_VALUES:
+                break
+            total += size_k
+            k += 1
+        block = np.stack([draw(g, total) for g in rng]) if stacked else draw(rng, total)
+        head, end = 0, k
+        return total
+
+    if stacked:
+        def take(size):
+            nonlocal pos, stop
+            start = pos
+            if start == stop:
+                stop, start = refill(), 0
+            pos = start + size
+            return block[:, start:start + size]
+    else:
+        def take(size):
+            nonlocal pos, stop
+            start = pos
+            if start == stop:
+                stop, start = refill(), 0
+            pos = start + size
+            return block[start:start + size]
 
     return take
 
@@ -200,7 +267,8 @@ def _stochastic_gradient(p: ProblemSpec, params, rng):
     problem has one, else its exact gradient.  The stochastic calls take
     their values from one _draws: the first y-call's, then per iteration
     the x-call's before the y-call's.  dual writes s_{k+1} into one array,
-    which the loop reads before the next call.
+    which the loop reads before the next call.  A list of generators
+    makes the closures act on replica stacks (module docstring).
     """
     grad_x, grad_y = p.grad_x, p.grad_y
     nx, ny = (0, 0) if rng is None else (p.draw_x, p.draw_y)
@@ -218,7 +286,8 @@ def _stochastic_gradient(p: ProblemSpec, params, rng):
         return grad_y, grad_x, grad_y
     theta = np.array(params.theta)  # 0-d coefficient (module docstring)
     subtract, multiply, add = np.subtract, np.multiply, np.add
-    diff, momentum, s = np.empty(p.m), np.empty(p.m), np.empty(p.m)
+    shape = _replicas(rng) + (p.m,)
+    diff, momentum, s = np.empty(shape), np.empty(shape), np.empty(shape)
     g_prev = None
 
     def first(x, y):
@@ -239,6 +308,16 @@ def _stochastic_gradient(p: ProblemSpec, params, rng):
     return first, grad_x, dual
 
 
+def takes_replica_stacks(p: ProblemSpec) -> bool:
+    """Whether a stochastic run on p may take replica stacks: every oracle
+    and prox map it calls, the stochastic oracle of an axis that has one
+    and the exact gradient of one that has not, and each prox map other
+    than prox_zero, is replica_safe."""
+    called = [p.sgrad_x if p.draw_x else p.grad_x, p.sgrad_y if p.draw_y else p.grad_y]
+    called += [prox for prox in (p.prox_f, p.prox_g) if prox is not prox_zero]
+    return all(map(is_replica_safe, called))
+
+
 def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
                 on_iterate=None) -> SapdRunResult:
     """The one inner iteration, with its gradients from `estimator`, the
@@ -255,15 +334,18 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
     prox_f, prox_g = p.prox_f, p.prox_g
     call_f, call_g = prox_f is not prox_zero, prox_g is not prox_zero
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
-    n, m = x0.size, y0.size
+    # rows: () for one run, (R,) for a stack of R replicas
+    rows, n, m = x0.shape[:-1], x0.shape[-1], y0.shape[-1]
+    guard = _stacked_guard(rows[0]) if rows else _guard
     # z_k in `cur`, z_{k+1} written into `nxt`; they swap, views and all
-    cur, nxt = np.empty(n + m), np.empty(n + m)
-    cur[:n], cur[n:] = x0, y0
-    x, y, x_new, y_new = cur[:n], cur[n:], nxt[:n], nxt[n:]
-    sigma_s, tau_v = np.empty(m), np.empty(n)
-    arg_x, arg_y = np.empty(n), np.empty(m)  # read only by a called prox map
+    cur, nxt = np.empty(rows + (n + m,)), np.empty(rows + (n + m,))
+    cur[..., :n], cur[..., n:] = x0, y0
+    x, y, x_new, y_new = cur[..., :n], cur[..., n:], nxt[..., :n], nxt[..., n:]
+    sigma_s, tau_v = np.empty(rows + (m,)), np.empty(rows + (n,))
+    # read only by a called prox map
+    arg_x, arg_y = np.empty(rows + (n,)), np.empty(rows + (m,))
     plain = rho == 1.0  # at rho = 1 the products are exact identities
-    acc, spare = np.zeros(n + m), np.empty(n + m)
+    acc, spare = np.zeros(rows + (n + m,)), np.empty(rows + (n + m,))
     s = first(x, y)
     weight = 0.0
     for k in range(params.n_inner):
@@ -279,7 +361,7 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
             x_new[...] = prox_f(arg_x, tau)
         else:
             subtract(x, tau_v, x_new)
-        _guard(nxt, k)
+        guard(nxt, k)
         s = dual(x_new, y_new)
         if plain:
             add(acc, nxt, spare)
@@ -295,7 +377,7 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
             break
     # x_last, y_last: views of this run's arrays, which no later run writes
     return SapdRunResult(
-        x_avg=acc[:n] / weight, y_avg=acc[n:] / weight, x_last=x, y_last=y,
+        x_avg=acc[..., :n] / weight, y_avg=acc[..., n:] / weight, x_last=x, y_last=y,
         last_step_norm=_step_norm(x, y, x_new, y_new), iterations=k + 1,
     )
 
@@ -305,6 +387,10 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
              on_iterate: Optional[Callable] = None) -> SapdRunResult:
     """Run n_inner iterations from (x0, y0); rng = None uses exact gradients.
 
+    x0 of shape (R, n) with a list of R generators runs R replicas in
+    lockstep, on a problem that takes replica stacks (module docstring;
+    takes_replica_stacks); y0 is (R, m), or one (m,) start for all.
+
     step_tol > 0 allows an early exit once ||z_{k+1} - z_k|| falls below it
     (deterministic prox-evaluation use); the averaged output always covers
     exactly the iterations performed.  With an rng, an early exit leaves the
@@ -313,5 +399,8 @@ def sapd_run(p: ProblemSpec, params: SapdParams, x0, y0, rng,
     on_iterate(k, x_{k+1}, y_{k+1}) after each iteration, with the solver's
     own arrays: copy what you keep.
     """
+    if np.shape(x0)[:-1] != _replicas(rng):
+        raise ConfigurationError("a list of R generators runs an (R, n) stack of "
+                                 "starts, one generator or None a 1-D start")
     return _inner_loop(p, params, _stochastic_gradient(p, params, rng),
                        x0, y0, step_tol, on_iterate)

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from fixtures import make_quadratic_finite_sum, make_scsc_quadratic
 from reference_loops import (reference_sapd_run, reference_sgda_run,
                              reference_vr_sapd_run)
-from sapdplus import cli, datasets, evaluation, prox
+from sapdplus import cli, datasets, evaluation, prox, sapd
 from sapdplus.errors import DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import smooth_dual
@@ -130,6 +130,16 @@ def dro_case(noise):
 CASES = {"quadratic": quadratic_case, "bilinear": bilinear_case, "dro": dro_case}
 
 
+def replica_stack_case():
+    """dro_case for three replicas: the subproblem shifted at a stack of
+    three centers, which are also the replicas' start points."""
+    p = dro_instance().problem
+    params = _schedule(p, 150)
+    centers = np.random.default_rng(5).standard_normal((3, p.n))
+    return (shifted_subproblem(p, centers, params.mu_x), params, centers,
+            np.full(p.m, 1.0 / p.m))
+
+
 class TestSapdRunMatchesReference:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("record", [False, True])
@@ -157,6 +167,23 @@ class TestSapdRunMatchesReference:
         assert got.iterations < params.n_inner  # the early exit was taken
         assert_same_run(got, ref, params)
         assert_same_iterates(seen, ref.trace or [])
+
+    def test_replica_stack(self, monkeypatch):
+        # three DRO replicas in lockstep, each with its own center and
+        # generator, against the reference loop of each alone; blocks of
+        # at most 40 values, so that the stage crosses many of them
+        monkeypatch.setattr(sapd, "CHUNK_VALUES", 40)
+        sub, params, x0, y0 = replica_stack_case()
+        rngs = [np.random.default_rng(17 + r) for r in range(3)]
+        got = sapd_run(sub, params, x0, y0, rngs)
+        for r in range(3):
+            rng = np.random.default_rng(17 + r)
+            one = shifted_subproblem(dro_instance().problem, x0[r], params.mu_x)
+            ref = reference_sapd_run(one, params, x0[r], y0, rng)
+            for name in ("x_avg", "y_avg", "x_last", "y_last"):
+                assert _bits(getattr(got, name)[r]) == _bits(getattr(ref, name)), name
+            assert got.iterations == ref.iterations
+            assert rngs[r].bit_generator.state == rng.bit_generator.state
 
     def test_divergence_trips_at_the_same_iteration(self):
         qs = make_scsc_quadratic([[-1.0]], [[1.0]], mu_y=1.0, gamma=1.0)
@@ -634,6 +661,14 @@ def vr_run():
                         "subtract": 2 * iterations + steps_x + steps_y}
 
 
+def replica_stack_run():
+    # the loop on a stack of three replicas makes one replica's calls
+    sub, params, x0, y0 = replica_stack_case()
+    assert params.rho < 1 and params.theta > 0
+    rngs = [np.random.default_rng(29 + r) for r in range(3)]
+    return per_iteration(sapd_run(sub, params, x0, y0, rngs).iterations, 4, 3, 2)
+
+
 def nested_prox_run():
     # mu_y = 0: the nested path, exact-gradient SAPD runs at theta = 1, rho = 1
     toy = datasets.make_bilinear_box_toy()
@@ -643,8 +678,9 @@ def nested_prox_run():
 
 
 @pytest.mark.parametrize("run", [stochastic_bilinear_run, sgda_baseline_run, vr_run,
-                                 nested_prox_run],
-                         ids=["bilinear-rho-below-1", "sgda", "vr", "nested-prox"])
+                                 nested_prox_run, replica_stack_run],
+                         ids=["bilinear-rho-below-1", "sgda", "vr", "nested-prox",
+                              "replica-stack"])
 def test_inner_loop_ufuncs_write_into_no_operand(monkeypatch, run):
     """Every intermediate of the inner iteration goes to a positional output
     array (see the sapd module docstring), and on one-element arrays numpy

@@ -1,13 +1,13 @@
 import contextlib
 import json
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from fixtures import make_scsc_quadratic
-from sapdplus import cli
+from sapdplus import cli, datasets
 from sapdplus.errors import ConfigurationError
 from sapdplus.params import inner_iterations, step_rule
 from sapdplus.sapd import SapdParams
@@ -226,6 +226,20 @@ class TestOneSchedulePath:
         assert not {"theta_bounds", "certificate_min_eigenvalue", "certificate_feasible",
                     "resolved_t_outer"} & meta.keys()
         assert read_rows(out)[1][-1][1] == "28"
+
+    @pytest.mark.parametrize("key,val", [("schedule", "bogus"), ("eps", "0.3"),
+                                         ("stat_every", "1"), ("record_every", "5")])
+    def test_sgda_baseline_refuses_the_keys_of_staged_runs(self, tmp_path, capsys, key,
+                                                           val):
+        # each once ran the rows of the run without it, and the meta file
+        # listed its value
+        out = tmp_path / "g.csv"
+        assert cli.main(["solve", "--algo", "sgda-baseline", "--tau", "0.05", "--sigma",
+                         "0.05", "--budget-calls", "200", f"--{key.replace('_', '-')}", val,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"sapdplus: error: {key} = {val} is not read by sgda-baseline\n")
+        assert not out.exists()
 
     def test_sgda_baseline_runs_on_bilinear(self, tmp_path, capsys):
         # it once resolved the theory schedule of the merely concave toy and
@@ -686,6 +700,66 @@ class TestSolve:
         p = cli._build_problem(cfg)[0]
         x0, _ = cli._start_point(cfg, p)
         assert moreau_stationarity(p, x0).value >= 10 * cfg.eps
+
+
+class TestLockstep:
+    """`solve --reps` on DRO runs its reps as one replica stack, with the
+    trace and meta file of the reps run one by one, except wall_ms."""
+
+    ARGS = ("solve", "--problem", "dro", "--batch", "10", "--reps", "4", "--t-outer", "5",
+            "--seed", "3", "--out", "trace.csv")
+
+    @staticmethod
+    def solve(where, monkeypatch, extra=(), wrap=False):
+        """Run ARGS in the directory `where`; returns (trace lines without
+        wall_ms, meta text, the reps _run_single_rep ran, in call order).
+        wrap passes build_dro's sgrad_x through a plain function, as a
+        timing shim does."""
+        where.mkdir()
+        seen = []
+        run_rep, build = cli._run_single_rep, datasets.build_dro
+
+        def spy(rep, *args):
+            seen.append(rep)
+            return run_rep(rep, *args)
+
+        def build_wrapped(*args, **kwargs):
+            inst = build(*args, **kwargs)
+            sgrad_x = inst.problem.sgrad_x
+            return replace(inst, problem=replace(
+                inst.problem, sgrad_x=lambda x, y, idx: sgrad_x(x, y, idx)))
+
+        with monkeypatch.context() as m:
+            m.chdir(where)
+            m.setattr(cli, "_run_single_rep", spy)
+            if wrap:
+                m.setattr(datasets, "build_dro", build_wrapped)
+            assert cli.main([*TestLockstep.ARGS, *extra]) == 0
+        header, rows = strip_wall(where / "trace.csv")
+        return [header] + rows, (where / "trace.csv.meta.txt").read_text(), seen
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param((), id="fixed-t"),
+        # the reps meet the target at stages 2, 4, never and 4
+        pytest.param(("--stat-every", "2", "--eps", "1.4e-5"), id="stat-every-2"),
+        pytest.param(("--record-every", "3"), id="record-every-3")])
+    def test_lockstep_matches_the_reps_one_by_one(self, tmp_path, monkeypatch, extra):
+        *lockstep, seen = self.solve(tmp_path / "lockstep", monkeypatch, extra)
+        assert seen == []
+        *serial, seen = self.solve(tmp_path / "serial", monkeypatch, extra, wrap=True)
+        assert seen == [0, 1, 2, 3]
+        assert lockstep == serial
+        if "--stat-every" in extra:
+            last = {row[0]: row[1] for row in serial[0][1:]}
+            assert last == {"0": "2", "1": "4", "2": "5", "3": "4"}
+
+    def test_unmarked_oracle_runs_the_reps_one_by_one(self, tmp_path, monkeypatch):
+        # a wrapper that does not carry the replica_safe mark, as perfbench's
+        # traced run wraps every oracle, falls back to _run_single_rep
+        monkeypatch.setattr(cli, "sapd_plus_lockstep", None)
+        _, _, seen = self.solve(tmp_path / "serial", monkeypatch, ("--t-outer", "1"),
+                                wrap=True)
+        assert seen == [0, 1, 2, 3]
 
 
 class TestSgdaBaseline:

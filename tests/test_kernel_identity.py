@@ -39,6 +39,7 @@ from reference_kernels import (ReferenceDro, reference_dense, reference_dro_data
                                reference_prox_quadratic_over_simplex,
                                reference_synthetic_logistic_dataset)
 from sapdplus import datasets
+from sapdplus.problem import is_replica_safe
 from sapdplus.prox import project_simplex, prox_quadratic_over_simplex
 
 # the test u_j + (1 - sum_{i<=j} u_i)/j > 0 holds at indices 0, 1, 2, 5 of
@@ -649,3 +650,108 @@ def test_in_place_ufuncs_are_the_augmented_operators(v, r, seed):
         np.add(acc[:split], v[:split], spare[:split])
         np.add(acc[split:], v[split:], spare[split:])
         assert_same_sum(spare, expected, acc, v)
+
+
+# The premises of replica stacks (sapd module docstring): each stacked
+# kernel of the DRO oracles, the simplex prox and the guard gives every
+# replica's row the bits of the 1-D kernel on that replica alone.  The
+# iterates come as row views of a wider array, as the solver passes them.
+
+
+@st.composite
+def replica_stacks(draw):
+    """(signed rows, idx, x, y, w): n signed rows of d features, R batches of
+    b indices with repeats, x and y as row views of one (R, d + n) array,
+    and R weight vectors of length b."""
+    n, d, reps = draw(st.integers(1, 60)), draw(st.integers(1, 30)), draw(st.integers(1, 6))
+    b = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, zeros = draw(st.sampled_from(SCALES)), draw(st.booleans())
+    signed = _with_zeros(rng, rng.standard_normal((n, d)) * scale, zeros)
+    joint = _with_zeros(rng, rng.standard_normal((reps, d + n)) * scale, zeros)
+    w = _with_zeros(rng, rng.standard_normal((reps, b)) * scale, zeros)
+    return signed, rng.integers(0, n, (reps, b)), joint[:, :d], joint[:, d:], w
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=replica_stacks())
+def test_stacked_dro_kernels_are_per_row(stack):
+    # the two products as np.matmul over the gathered (R, b, d) rows, the
+    # weights y[r].take(idx[r]) as one fancy index, and the y-batch's bins
+    # as one bincount over indices offset by n per replica.  A (b, d) block
+    # of one element is the one exception of .dot and @ (see
+    # test_one_by_one_product_keeps_a_negative_zero): there the products
+    # agree once the sign of a zero is dropped
+    signed, idx, x, y, w = stack
+    reps, n = y.shape
+    rows = signed.take(idx, axis=0)
+    products = np.matmul(rows, x[:, :, None])[:, :, 0]
+    sums = np.matmul(w[:, None, :], rows)[:, 0, :]
+    one_by_one = rows.shape[1:] == (1, 1)
+    column = np.arange(reps)[:, None]
+    weights = y[column, idx]
+    bins = np.bincount((idx + column * n).ravel(), weights=w.ravel(),
+                       minlength=reps * n).reshape(reps, n)
+    for r in range(reps):
+        block = signed.take(idx[r], axis=0)
+        assert_dot_is_matmul(block.dot(x[r]), products[r], one_by_one)
+        assert_dot_is_matmul(block.T.dot(w[r]), sums[r], one_by_one)
+        assert _bits(weights[r]) == _bits(y[r].take(idx[r]))
+        assert _bits(bins[r]) == _bits(np.bincount(idx[r], weights=w[r], minlength=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reps=st.integers(1, 6), size=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1))
+@np.errstate(all="ignore")
+def test_row_reductions_are_the_1d_ones(reps, size, seed):
+    # the stacked all-active check of the simplex prox and the stacked guard,
+    # on row views as wide as the benchmark's dual, sums that overflow
+    # included
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((reps, size + 3)) * 10.0 ** rng.integers(-300, 300, (reps, 1))
+    v = wide[:, 1:size + 1]
+    sums, mins = np.add.reduce(v, axis=1), np.minimum.reduce(v, axis=1)
+    norms = np.vecdot(v, v)
+    for r in range(reps):
+        row = v[r]
+        assert_same(sums[r], np.add.reduce(row))
+        assert_same(mins[r], np.minimum.reduce(row))
+        assert_same(norms[r], row.dot(row))
+
+
+@pytest.mark.parametrize("case", sorted(DRO_CASES))
+def test_dro_stochastic_oracles_take_replica_stacks(case):
+    inst, _ = _pair(case)
+    p = inst.problem
+    n, d = DRO_CASES[case][0].n_samples, DRO_CASES[case][0].n_features
+    assert all(map(is_replica_safe, (p.sgrad_x, p.sgrad_y, p.grad_h, p.prox_g)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(reps=st.integers(1, 5), size=st.sampled_from([1, 10, n]),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1.0, 300.0]))
+    def check(reps, size, seed, scale):
+        rng = np.random.default_rng(seed)
+        joint = rng.standard_normal((reps, d + n)) * scale
+        x, y = joint[:, :d], np.abs(joint[:, d:]) + 1e-3
+        idx = rng.integers(0, n, (reps, size))
+        got_x, got_y = p.sgrad_x(x, y, idx), p.sgrad_y(x, y, idx)
+        for r in range(reps):
+            assert _bits(got_x[r]) == _bits(p.sgrad_x(x[r], y[r], idx[r]))
+            assert _bits(got_y[r]) == _bits(p.sgrad_y(x[r], y[r], idx[r]))
+
+    check()
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.one_of(all_active, near_boundary(), random_vectors), min_size=1,
+                     max_size=5),
+       step=st.floats(1e-3, 1e3), eta2=st.floats(1e-6, 1.0))
+def test_prox_takes_replica_stacks(rows, step, eta2):
+    # rows that pass the all-active check beside rows that take the sorted
+    # path, cut to one width
+    width = min(len(v) for v in rows)
+    v = np.array([row[:width] for row in rows])
+    prox = prox_quadratic_over_simplex(eta2, width)
+    got = prox(v, step)
+    for r in range(len(v)):
+        assert _bits(got[r]) == _bits(prox(v[r], step))

@@ -9,8 +9,8 @@ from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import (FixedT, OuterConfig, StationarityTarget,
-                            sapd_plus_run, smooth_dual, smooth_then_solve,
-                            smoothing_mu_hat)
+                            sapd_plus_lockstep, sapd_plus_run, smooth_dual,
+                            smooth_then_solve, smoothing_mu_hat)
 from sapdplus.params import theorem1_schedule
 from sapdplus.problem import NoiseLevels
 from sapdplus.sapd import SapdParams
@@ -145,6 +145,58 @@ class TestSapdPlusRun:
         with pytest.raises(DivergenceError) as err:
             sapd_plus_run(qs.problem, cfg, np.ones(8) * 5, np.ones(5), rng)
         assert err.value.stage is not None
+
+
+def _record_bits(rec):
+    return (rec.stage, rec.oracle_calls, rec.x.tobytes(), rec.y.tobytes(), rec.stationarity)
+
+
+class TestLockstep:
+    @staticmethod
+    def dro_problem():
+        ds = datasets.synthetic_logistic_dataset(200, 5, np.random.default_rng(7))
+        p = datasets.build_dro(ds, sgrad_batch=10).problem
+        sched = theorem1_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0)
+        return p, sched.sapd_params()
+
+    def test_a_diverging_replica_leaves_the_others_unchanged(self):
+        # replica 1 starts past the guard and diverges in the first
+        # iteration, after every replica drew its first block: the stage
+        # runs again for replicas 0 and 2, from their generator states at
+        # its start
+        p, params = self.dro_problem()
+        cfg = OuterConfig(t_outer=3, schedule=params)
+        x0, y0 = np.zeros((3, p.n)), np.full(p.m, 1.0 / p.m)
+        x0[1] = 1e13
+        seeds = (11, 12, 13)
+        got = sapd_plus_lockstep(p, cfg, x0, y0, [np.random.default_rng(s) for s in seeds])
+        for r, seed in enumerate(seeds):
+            if r == 1:
+                with pytest.raises(DivergenceError) as err:
+                    sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(seed))
+                assert isinstance(got[r], DivergenceError)
+                assert (str(got[r]), got[r].stage, got[r].iteration) == (
+                    str(err.value), err.value.stage, err.value.iteration)
+                assert str(got[r]) == "iterate norm above guard at inner iteration 0"
+                continue
+            ref = sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(seed))
+            assert (got[r].x.tobytes(), got[r].y.tobytes()) == (ref.x.tobytes(),
+                                                                ref.y.tobytes())
+            assert (got[r].stages_run, got[r].oracle_calls) == (3, ref.oracle_calls)
+            assert ([_record_bits(rec) for rec in got[r].stages]
+                    == [_record_bits(rec) for rec in ref.stages])
+
+    def test_refuses_what_cannot_run_as_a_stack(self):
+        # the quadratic oracles carry no replica_safe mark
+        qs, sched, _ = wcsc_setup()
+        p, params = self.dro_problem()
+        vrp = VrParams(tau=0.01, sigma=0.01, b=4, b_x=2, b_y=2, q=2, n_inner=4, mu_x=1.0)
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        for problem, schedule in ((qs.problem, sched.sapd_params()), (p, vrp)):
+            cfg = OuterConfig(t_outer=1, schedule=schedule)
+            with pytest.raises(ConfigurationError, match="lockstep run needs"):
+                sapd_plus_lockstep(problem, cfg, np.zeros(problem.n), np.zeros(problem.m),
+                                   rngs)
 
 
 class TestSmoothing:
