@@ -130,9 +130,14 @@ _ZERO, _HALF, _ONE, _MINUS_ONE = (_constant(0.0), _constant(0.5), _constant(1.0)
                                   _constant(-1.0))
 
 
+# ufuncs the DRO kernels call directly: a direct call skips the operator's
+# dispatch (see the sapd module docstring)
+_multiply, _subtract, _divide, _negative = np.multiply, np.subtract, np.divide, np.negative
+
+
 def _sigmoid_neg(z):
     """sigmoid(-z) = 1/(1+e^z), overflow-safe for any z."""
-    return _HALF * (_ONE - np.tanh(_HALF * z))
+    return _multiply(_HALF, _subtract(_ONE, np.tanh(_multiply(_HALF, z))))
 
 
 def _logistic_losses(signed, x):
@@ -257,6 +262,19 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
     is that of .dot and @: a block of one element (d = 1 at a batch of 1)
     returns +0.0 for a -0.0 product, which can reach an x-gradient only at
     an x entry of exactly -0.0; no update makes one from a start without.
+
+    batch_grad_x and batch_grad_y carry fused two-point differences
+    (FiniteSumSpec): one gather of the batch's rows, a .dot of its own for
+    each point and product, and the sigmoid or logaddexp on the (2, b)
+    stack of the products.  One stacked product (a matrix-matrix BLAS call)
+    would not give each point's bits.  The x-difference weighs by sig, not
+    -sig: negating every term of a .dot negates the product, and (-P) - (-Q)
+    is Q - P, so the negations cancel into the order of the subtraction.  A
+    large batch gathers its rows too, even at b >= n: the BLAS product of a
+    row depends on the row's place in the matrix, so signed.dot(x).take(idx)
+    is not signed.take(idx, axis=0).dot(x) bit for bit.
+    tests/test_kernel_identity.py holds both differences to the two calls,
+    signed zeros included, and shows the place dependence.
     """
     if ds.n_samples < 1 or ds.n_features < 1:
         raise ConfigurationError("dataset must have samples and features")
@@ -289,7 +307,7 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         divisor = divisors.get(size)
         if divisor is None:
             divisor = divisors[size] = _constant(size)
-        return total / divisor
+        return _divide(total, divisor)
 
     def mean_loss_grad_x(rows, weights, x):
         # mean of the component gradients w_i * grad l_i(x) over the signed
@@ -314,6 +332,34 @@ def build_dro(ds: Dataset, alpha: float = 10.0, eta1: float = 1e-3,
         # bincount adds repeated indices in batch order, as np.add.at does
         losses = _logistic_losses(signed.take(idx, axis=0), x)
         return mean_of(np.bincount(idx, weights=losses, minlength=n), idx.size)
+
+    def paired_products(rows, x, x_at):
+        # rows.dot(x) and rows.dot(x_at) as the rows of one (2, b) array
+        products = np.empty((2, rows.shape[0]))
+        rows.dot(x, out=products[0])
+        rows.dot(x_at, out=products[1])
+        return products
+
+    def difference_x(idx, x, y, x_at, y_at):
+        # batch_grad_x(idx, x, y) - batch_grad_x(idx, x_at, y_at), as
+        # mean(sig * w) at (x_at, y_at) minus that at (x, y)
+        rows = signed.take(idx, axis=0)
+        size = rows.shape[0]
+        sig = _sigmoid_neg(paired_products(rows, x, x_at))
+        columns = rows.T
+        return _subtract(mean_of(columns.dot(_multiply(sig[1], y_at.take(idx))), size),
+                         mean_of(columns.dot(_multiply(sig[0], y.take(idx))), size))
+
+    def difference_y(idx, x, y, x_at, y_at):
+        # batch_grad_y(idx, x, y) - batch_grad_y(idx, x_at, y_at)
+        idx = np.asarray(idx)
+        products = paired_products(signed.take(idx, axis=0), x, x_at)
+        losses = np.logaddexp(_ZERO, _negative(products))
+        return _subtract(mean_of(np.bincount(idx, losses[0], n), idx.size),
+                         mean_of(np.bincount(idx, losses[1], n), idx.size))
+
+    batch_grad_x.difference = difference_x
+    batch_grad_y.difference = difference_y
 
     fs = FiniteSumSpec(n_comp=n, batch_grad_x=batch_grad_x,
                        batch_grad_y=batch_grad_y, as_smoothness=as_constants)

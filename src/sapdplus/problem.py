@@ -228,6 +228,14 @@ class FiniteSumSpec:
     x-gradient estimate is a batch mean plus grad_h, and a difference of two
     batches at the same indices needs no h at all.  h depends on x alone,
     so batch_grad_y has no such term.
+    A batch oracle may carry a fused two-point difference as its attribute
+    `difference`: difference(idx, x, y, x_at, y_at) returns, bit for bit,
+    batch(idx, x, y) - batch(idx, x_at, y_at), as a fresh array, for
+    float64 points as the solver passes them.  The SPIDER recursion makes
+    one such call per step and axis.  Like the replica_safe mark, it is an
+    attribute of the callable itself, so a wrapper that does not set it,
+    such as a timing or counting shim, makes a run take two batch calls per
+    step, each through the wrapper.
     Every index lies in [0, n_comp), as sample draws them; the oracles do not
     check this, and outside it they may disagree (a DRO x-batch wraps a
     negative index, its y-batch raises).  as_smoothness holds the

@@ -13,7 +13,9 @@ Per iteration k (theta fixed to 1 by the parameter rule):
     s_{k+1} = (1 + theta) w_{k+1} - theta w_k
 
 with w_0 a large-batch draw at (x_0, y_0) and s_0 = w_0.  The recursion
-evaluates the same batch at both point pairs.  u_k estimates the mean of the
+evaluates the same batch at both point pairs, in one call per step and axis:
+the batch oracle's two-point difference (FiniteSumSpec), or two batch calls
+for an oracle without one.  u_k estimates the mean of the
 component x-gradients only: the shared term grad_h (ProblemSpec) depends on
 x alone, so it would cancel in the batch difference, and it is added once,
 at x_k; in a SAPD+ stage it carries the stage's shift too.  Oracle cost is
@@ -81,6 +83,21 @@ class VrParams:
         return sum(self.oracle_calls(iterations))
 
 
+def _difference_of(batch, dim):
+    """The two-point difference of a batch oracle: its own fused one
+    (FiniteSumSpec), or else two calls whose difference goes into an array
+    of dim entries made here, once per stage."""
+    fused = getattr(batch, "difference", None)
+    if fused is not None:
+        return fused
+    subtract, out = np.subtract, np.empty(dim)
+
+    def difference(idx, x, y, x_at, y_at):
+        return subtract(batch(idx, x, y), batch(idx, x_at, y_at), out)
+
+    return difference
+
+
 def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
     """The SPIDER estimator as the closures (first, primal, dual) of one
     stage; each recursion step reuses the point of the previous call on its
@@ -88,8 +105,9 @@ def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
     x-recursion runs on fs's component part u_k; the grad_h of p is added
     at x_k alone.  Its batches are slices of one _draws of indices: b for
     w_0, then per iteration the x-batch before the y-batch.
-    A recursion step draws its batch once and evaluates it twice, so the
-    stage draws fewer indices than VrParams.oracle_calls counts.  u and w
+    A recursion step draws its batch once and evaluates it at two points,
+    in one call of _difference_of's difference, so the stage draws fewer
+    indices than VrParams.oracle_calls counts.  u and w
     each alternate between two arrays, so a recursion step never writes
     into the estimate it reads (sapd module docstring)."""
     batch_x, batch_y, grad_h = fs.batch_grad_x, fs.batch_grad_y, p.grad_h
@@ -102,8 +120,9 @@ def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
     subtract, multiply, add = np.subtract, np.multiply, np.add
     two = np.array(2.0)  # 0-d coefficient (sapd module docstring)
     n, m = p.n, p.m
-    u_out, u_spare, diff_x, v = (np.empty(n) for _ in range(4))
-    w_out, w_spare, diff_y, two_w, s = (np.empty(m) for _ in range(5))
+    u_out, u_spare, v = (np.empty(n) for _ in range(3))
+    w_out, w_spare, two_w, s = (np.empty(m) for _ in range(4))
+    diff_x, diff_y = _difference_of(batch_x, n), _difference_of(batch_y, m)
     u = w = x_at = y_at = xw_at = yw_at = None
     k_x, k_y = 0, 1  # k on the x-axis, k + 1 on the y-axis
 
@@ -118,9 +137,7 @@ def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
         if k_x % q == 0:
             u = batch_x(take(b), x, y)
         else:
-            batch = take(b_x)
-            subtract(batch_x(batch, x, y), batch_x(batch, x_at, y_at), diff_x)
-            add(u, diff_x, u_out)
+            add(u, diff_x(take(b_x), x, y, x_at, y_at), u_out)
             u, u_out, u_spare = u_out, u_spare, u_out
         k_x += 1
         x_at, y_at = x, y
@@ -134,9 +151,7 @@ def _spider_gradient(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, rng):
         if k_y % q == 0:
             w_new = batch_y(take(b), x, y)
         else:
-            batch = take(b_y)
-            subtract(batch_y(batch, x, y), batch_y(batch, xw_at, yw_at), diff_y)
-            add(w, diff_y, w_out)
+            add(w, diff_y(take(b_y), x, y, xw_at, yw_at), w_out)
             w_new, w_out, w_spare = w_out, w_spare, w_out
         k_y += 1
         # s = (1 + theta) w - theta w_k at theta = 1
@@ -156,9 +171,12 @@ def vr_sapd_run(fs: FiniteSumSpec, p: ProblemSpec, params: VrParams, x0, y0,
     grad_h (in a SAPD+ stage, with the stage's shift) and the prox maps.
     Batch indices are drawn with replacement from a single rng stream, in
     blocks of whole iterations: the initial y-batch, then per iteration the
-    x batch before the y batch.
+    x batch before the y batch.  Every batch is drawn that way, so a large
+    batch is an estimate at any size: at b = n_comp it leaves about 1/e of
+    the components out.  A b above n_comp warns.
     """
     if params.b > fs.n_comp:
-        warnings.warn("large batch exceeds component count; sampling with "
-                      "replacement", stacklevel=2)
+        warnings.warn("large batch exceeds component count; every batch is "
+                      "drawn with replacement, so this one repeats components "
+                      "and is not the full gradient", stacklevel=2)
     return _inner_loop(p, params, _spider_gradient(fs, p, params, rng), x0, y0)

@@ -10,11 +10,14 @@ recursion adds the shared term grad_h once, at the new point, where the
 reference adds it at both points of a step and subtracts, so its iterates
 and the points of its batch-gradient calls match to rounding (rtol = 1e-12,
 atol = 1e-12 * max|expected|); its batches, call counts and oracle counts
-still match exactly.  The solvers draw a stage's random values in blocks,
-the references one oracle call at a time; both must leave the generator in
-the same state.
+still match exactly.  A VR run on the DRO oracles, whose fused two-point
+differences make one call per recursion step, must give the bits of the
+run that makes two batch calls per step.  The solvers draw a stage's
+random values in blocks, the references one oracle call at a time; both
+must leave the generator in the same state.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +32,7 @@ from sapdplus import cli, datasets, evaluation, prox, sapd
 from sapdplus.errors import DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import smooth_dual
-from sapdplus.params import theorem1_schedule
+from sapdplus.params import theorem1_schedule, vr_schedule
 from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
 from sapdplus.sapd import CHUNK_VALUES, SapdParams, _stochastic_gradient, sapd_run
 from sapdplus.vr import VrParams, vr_sapd_run
@@ -258,6 +261,70 @@ def test_vr_sapd_run_matches_reference(case, log_calls):
         assert _bits(call_got[1]) == _bits(call_ref[1])
         for a_got, a_ref in zip(call_got[2:], call_ref[2:]):
             assert_close(a_got, a_ref)
+
+
+def plain(fs):
+    """fs with its batch oracles wrapped in plain functions, which carry no
+    fused difference: a run on it takes two batch calls per recursion step."""
+    batch_x, batch_y = fs.batch_grad_x, fs.batch_grad_y
+    return replace(fs, batch_grad_x=lambda idx, x, y: batch_x(idx, x, y),
+                   batch_grad_y=lambda idx, x, y: batch_y(idx, x, y))
+
+
+def dro_vr_case():
+    """A stage of the dro-vr benchmark (perfbench/workloads.py): its
+    instance and schedule, b = n_comp = 1000 and 200 iterations."""
+    ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    inst = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0 / 1000**2)
+    p = inst.problem
+    with warnings.catch_warnings():
+        # the theory batch b = 1 sits below b_x = b_y = 10
+        warnings.simplefilter("ignore", UserWarning)
+        theory, _, _ = vr_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0,
+                                   q=10, b_x=10, b_y=10)
+    params = replace(theory, b=1000, n_inner=200)
+    center = np.random.default_rng(6).standard_normal(p.n)
+    return (inst.finite_sum, shifted_subproblem(p, center, params.mu_x), params,
+            center, np.full(p.m, 1.0 / p.m))
+
+
+FUSED_CASES = dict(VR_CASES, **{"dro-vr": dro_vr_case})
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_differences_give_the_two_call_run(case):
+    # the DRO oracles' fused differences against two calls per step; the
+    # quadratic fixture has none, so both of its runs take two calls
+    fs, sub, params, x0, y0 = FUSED_CASES[case]()
+    got = vr_sapd_run(fs, sub, params, x0, y0, np.random.default_rng(23))
+    ref = vr_sapd_run(plain(fs), sub, params, x0, y0, np.random.default_rng(23))
+    assert_same_result(got, ref)
+
+
+def test_fused_run_calls_the_batch_oracles_for_refreshes_only():
+    fs, sub, params, x0, y0 = VR_CASES["dro"]()
+    calls = {}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    batch_x = counted("batch_x", fs.batch_grad_x)
+    batch_y = counted("batch_y", fs.batch_grad_y)
+    batch_x.difference = counted("difference_x", fs.batch_grad_x.difference)
+    batch_y.difference = counted("difference_y", fs.batch_grad_y.difference)
+    res = vr_sapd_run(replace(fs, batch_grad_x=batch_x, batch_grad_y=batch_y), sub,
+                      params, x0, y0, np.random.default_rng(23))
+    n, q = res.iterations, params.q
+    refresh_x, refresh_y = -(-n // q), n // q
+    # the initial y-batch, the refreshes, then one call per recursion step
+    assert calls == {"batch_x": refresh_x, "batch_y": 1 + refresh_y,
+                     "difference_x": n - refresh_x, "difference_y": n - refresh_y}
 
 
 class TestSgdaDirection:
@@ -648,17 +715,28 @@ def sgda_baseline_run():
     return per_iteration(cfg.budget_calls // (2 * p.oracle_batch), 2, 2, 1)
 
 
-def vr_run():
+def _vr_run(wrap, subtract_per_step):
     # the SPIDER estimator: v = u + grad_h(x) and s = 2 w - w_k every
-    # iteration, and a difference and a sum per recursion step
+    # iteration, and a sum per recursion step, after the step's difference
     fs, sub, params, x0, y0 = VR_CASES["dro"]()
-    iterations = vr_sapd_run(fs, sub, params, x0, y0,
+    iterations = vr_sapd_run(wrap(fs), sub, params, x0, y0,
                              np.random.default_rng(23)).iterations
     steps_x = sum(k % params.q > 0 for k in range(iterations))
     steps_y = sum((k + 1) % params.q > 0 for k in range(iterations))
     return iterations, {"multiply": 3 * iterations,
                         "add": 3 * iterations + steps_x + steps_y,
-                        "subtract": 2 * iterations + steps_x + steps_y}
+                        "subtract": 2 * iterations
+                        + subtract_per_step * (steps_x + steps_y)}
+
+
+def vr_run():
+    # the DRO oracles' fused differences return fresh arrays
+    return _vr_run(lambda fs: fs, 0)
+
+
+def vr_two_calls_run():
+    # two batch calls per step, their difference written into a stage array
+    return _vr_run(plain, 1)
 
 
 def replica_stack_run():
@@ -678,9 +756,9 @@ def nested_prox_run():
 
 
 @pytest.mark.parametrize("run", [stochastic_bilinear_run, sgda_baseline_run, vr_run,
-                                 nested_prox_run, replica_stack_run],
-                         ids=["bilinear-rho-below-1", "sgda", "vr", "nested-prox",
-                              "replica-stack"])
+                                 vr_two_calls_run, nested_prox_run, replica_stack_run],
+                         ids=["bilinear-rho-below-1", "sgda", "vr", "vr-two-calls",
+                              "nested-prox", "replica-stack"])
 def test_inner_loop_ufuncs_write_into_no_operand(monkeypatch, run):
     """Every intermediate of the inner iteration goes to a positional output
     array (see the sapd module docstring), and on one-element arrays numpy

@@ -16,7 +16,10 @@ The hot-path products are written `ndarray.dot`, not `@` (see the `sapd`
 module docstring), on the premise that both call the same BLAS routine.
 The tests at the end pin that premise, its one exception (two one-element
 operands), and the oracles built on it, bit for bit; if a BLAS build ever
-breaks it, they are the tests that fail.  After them, the premise of the
+breaks it, they are the tests that fail.  Beside them, the fused two-point
+differences of the DRO batch oracles equal the two batch calls they
+replace, and a row's product depends on its place in the matrix, which is
+why a large batch still gathers its rows.  After them, the premise of the
 0-d float64 coefficients: each rewritten operation equals its Python-float
 form bit for bit, and the inner loop's running sums, written into a spare
 array, equal the augmented operators.
@@ -24,6 +27,7 @@ array, equal the augmented operators.
 
 import gc
 import gzip
+import itertools
 import os
 import tempfile
 import weakref
@@ -489,6 +493,75 @@ def test_dro_oracles_are_their_matmul_forms(case):
     # every operand here has more than one element: d > 1 and n > 1
     assert d > 1 and n > 1
     check()
+
+
+# The fused two-point differences of the DRO batch oracles against the two
+# batch calls they replace, bit for bit (build_dro docstring)
+
+
+def _dro_finite_sum(features, labels):
+    n, d = features.shape
+    return datasets.build_dro(datasets.Dataset(features, labels, n, d)).finite_sum
+
+
+def assert_same_differences(fs, idx, x, y, x_at, y_at):
+    for batch in (fs.batch_grad_x, fs.batch_grad_y):
+        expected = batch(idx, x, y) - batch(idx, x_at, y_at)
+        assert _bits(batch.difference(idx, x, y, x_at, y_at)) == _bits(expected)
+
+
+@st.composite
+def difference_cases(draw):
+    """(fs, idx, x, y, x_at, y_at): a DRO finite sum over n rows of d
+    features, a batch of b indices with repeats, and two points as the row
+    views of one (2, d + n) array, as the solver passes them; rows and
+    points may hold +0.0 and -0.0."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    b = draw(st.integers(1, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, zeros = draw(st.sampled_from(SCALES)), draw(st.booleans())
+    features = _with_zeros(rng, rng.standard_normal((n, d)), zeros)
+    features[0, 0] = 1.0  # the constants need one nonzero entry
+    fs = _dro_finite_sum(features, np.where(rng.random(n) < 0.5, -1, 1))
+    joint = _with_zeros(rng, rng.standard_normal((2, d + n)) * scale, zeros)
+    return fs, rng.integers(0, n, b), joint[0, :d], joint[0, d:], joint[1, :d], joint[1, d:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=difference_cases())
+def test_dro_differences_are_the_two_calls(case):
+    assert_same_differences(*case)
+
+
+def test_one_element_differences_are_the_two_calls():
+    # d = 1 at a batch of 1, where .dot multiplies one by one and keeps a
+    # -0.0 (test_one_by_one_product_keeps_a_negative_zero): every sign of
+    # the one row and of the points, zeros of both signs included
+    values = (0.0, -0.0, 1.0, -1.0)
+    idx = np.array([0])
+    for row, label in ((1.0, 1), (1.0, -1)):
+        fs = _dro_finite_sum(np.array([[row]]), np.array([label]))
+        for x, y, x_at, y_at in itertools.product(values, repeat=4):
+            joint = np.array([[x, y], [x_at, y_at]])
+            assert_same_differences(fs, idx, joint[0, :1], joint[0, 1:],
+                                    joint[1, :1], joint[1, 1:])
+
+
+def test_a_rows_product_depends_on_its_place():
+    # why a large batch gathers its rows even at b >= n (build_dro): the BLAS
+    # product of a row can change in its last bits with the row's place in
+    # the matrix, so the products of all rows, taken at the batch's indices,
+    # are not those of the gathered rows.  Shapes about the benchmark's
+    # 1000 x 20, with every residue of n and b mod 8
+    rng = np.random.default_rng(0)
+    differs = 0
+    for n in range(1000, 1008):
+        for b in range(n, n + 8):
+            signed, x = rng.standard_normal((n, 20)), rng.standard_normal(20)
+            idx = rng.integers(0, n, b)
+            gathered = signed.take(idx, axis=0).dot(x)
+            differs += _bits(signed.dot(x).take(idx)) != _bits(gathered)
+    assert differs > 0
 
 
 # build_dro on synthetic data against the CSR round trip (the dense()
