@@ -16,9 +16,10 @@ The reps of a `solve` run, rep r drawing from default_rng(seed + r), go
 in lockstep when there are at least two, the algo is ``sapd-plus`` and
 every oracle and prox map that its stochastic run calls carries the
 replica_safe mark (sapd.takes_replica_stacks): the DRO problem.  They run
-as one replica stack through outer.sapd_plus_lockstep, with the rows and
-notes that one-by-one reps give, bit for bit, except that ``wall_ms`` of
-every rep counts from the start of the joint run.  Every other run goes
+through outer.sapd_plus_lockstep, whose stages run the reps still going as
+one replica stack, and a lone one on 1-D arrays, with the rows and notes
+that one-by-one reps give, bit for bit, except that ``wall_ms`` of every
+rep counts from the start of the joint run.  Every other run goes
 through _run_single_rep, one rep at a time in rep order: a single rep,
 ``sgda-baseline`` and ``sapd-plus-vr``, the quadratic and bilinear
 problems, and a problem whose oracles a wrapper without the mark has

@@ -3,8 +3,11 @@ concave problems.
 
 Each stage t centers a quadratic shift at the current primal point and runs
 the inner solver (plain or variance-reduced) for N iterations; the averaged
-inner output seeds the next stage.  sapd_plus_lockstep runs several
-replicas of a plain run as one stack (sapd module docstring).
+inner output seeds the next stage.  One loop, _staged, runs the stages of
+one replica (sapd_plus_run) or of several with a plain schedule, each with
+its own generator (sapd_plus_lockstep).  At each stage the replicas still
+going run as one stack, but a lone replica runs on 1-D arrays: a stack of
+one costs about 1.7 times as much (sapd module docstring).
 """
 
 import math
@@ -75,7 +78,7 @@ class OuterConfig:
 @dataclass
 class StageRecord:
     """The iterates after a stage.  wall is the time.perf_counter() at which
-    sapd_plus_run kept the record, after its stationarity estimate."""
+    the outer loop kept the record, after its stationarity estimate."""
 
     stage: int
     oracle_calls: int  # cumulative single-sample-equivalent draws
@@ -96,85 +99,62 @@ class OuterResult:
 
 def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
                   fs=None) -> OuterResult:
-    """Run the staged outer loop from (x0, y0).
+    """Run the staged outer loop from the 1-D starts (x0, y0).
 
     A VrParams schedule runs vr_sapd_run, and then fs (a FiniteSumSpec of
     p's components) is required; a stage shifts p alone.  Each kept
     StageRecord carries the time.perf_counter() at which it was kept, after
     its stationarity estimate.  Oracle calls accumulate in single-sample
-    draws (see the draws method of the schedule's type).
+    draws (see the draws method of the schedule's type).  rng = None runs
+    every stage on exact gradients.
     """
-    sched = cfg.schedule
-    vr = isinstance(sched, VrParams)
-    if vr and fs is None:
+    if isinstance(cfg.schedule, VrParams) and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    calls = 0
-    stages = [StageRecord(0, 0, x.copy(), y.copy(), time.perf_counter())]
-    for t in range(cfg.t_outer):
-        sub = shifted_subproblem(p, x, sched.mu_x)
-        try:
-            if vr:
-                res = vr_sapd_run(fs, sub, sched, x, y, rng)
-            else:
-                res = sapd_run(sub, sched, x, y, rng)
-        except DivergenceError as err:
-            err.stage = t
-            raise
-        calls += sched.draws(res.iterations, p.oracle_batch)
-        x, y = res.x_avg, res.y_avg
-        met = _end_stage(p, cfg, t, calls, x, y, stages)
-        if met:
-            break
-    return OuterResult(x=x, y=y, stages_run=stages[-1].stage,
-                       oracle_calls=calls, stages=stages)
-
-
-def _end_stage(p: ProblemSpec, cfg: OuterConfig, t: int, calls: int, x, y,
-               stages: list) -> bool:
-    """Check stage t's iterate (x, y) against the stop rule when it is due,
-    append its StageRecord to stages when one is kept, and return whether
-    the target is met."""
-    last = t + 1 == cfg.t_outer
-    stat, met = None, False
-    if isinstance(cfg.stop, StationarityTarget) and (
-        (t + 1) % cfg.stop.check_every == 0 or last
-    ):
-        est = moreau_stationarity(p, x)
-        stat = est.value
-        met = est.reliable and est.value <= cfg.stop.epsilon
-    if met or last or (t + 1) % cfg.record_every == 0:
-        stages.append(StageRecord(t + 1, calls, x.copy(), y.copy(),
-                                  time.perf_counter(), stat))
-    return met
+    [out] = _staged(p, cfg, x0, y0, [rng], (), fs)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
 
 
 def sapd_plus_lockstep(p: ProblemSpec, cfg: OuterConfig, x0, y0, rngs) -> list:
-    """sapd_plus_run for each generator of rngs, run as one replica stack.
+    """sapd_plus_run for each generator of rngs, run in lockstep: the
+    replicas still going run each stage as one replica stack.
 
     Replica r starts from row r of x0 and y0, or from x0 and y0 themselves
     when they are 1-D, and draws from rngs[r].  Returns, per replica, the
     OuterResult that sapd_plus_run(p, cfg, x0[r], y0[r], rngs[r]) returns,
-    or the DivergenceError it raises, with the same stage, iteration and
-    message; the iterates and records agree bit for bit, and only the wall
-    times of the records differ.  Each stage runs the replicas still going
-    as one sapd_run on replica stacks.  A replica whose target is met
-    leaves the stack after that stage.  One that diverges leaves it at
-    once, and the stage runs again for the others from its start, their
-    generators set back to the states they had there.  The schedule must
-    be a SapdParams and p must take replica stacks
-    (sapd.takes_replica_stacks).
+    or the DivergenceError it raises, with the same stage, iteration,
+    replica (None) and message; the iterates and records agree bit for bit,
+    and only the wall times of the records differ.  The schedule must be a
+    SapdParams and p must take replica stacks (sapd.takes_replica_stacks).
     """
-    sched = cfg.schedule
-    if not isinstance(sched, SapdParams) or not takes_replica_stacks(p):
+    if not isinstance(cfg.schedule, SapdParams) or not takes_replica_stacks(p):
         raise ConfigurationError("a lockstep run needs a SapdParams schedule and "
                                  "oracles and prox maps that take replica stacks")
+    return _staged(p, cfg, x0, y0, rngs, (len(rngs),))
+
+
+def _staged(p: ProblemSpec, cfg: OuterConfig, x0, y0, rngs, rows, fs=None) -> list:
+    """The staged loop of replica r drawing from rngs[r], for every r; returns
+    the OuterResult of each replica, or the DivergenceError that ended it.
+
+    x0 and y0 are 1-D starts that every replica shares, or stacks of shape
+    rows + (n,) and rows + (m,): rows is () for one run and (R,) for a
+    lockstep run of R replicas.  A replica whose target is met leaves after
+    that stage.  One that diverges leaves at once, and the stage runs again
+    for the others from its start, their generators set back to the states
+    they had there.
+    """
+    sched = cfg.schedule
+    for z0, size in ((x0, p.n), (y0, p.m)):
+        if np.shape(z0) not in ((size,), rows + (size,)):
+            raise ConfigurationError(f"a start of shape {np.shape(z0)} for {len(rngs)} "
+                                     f"replica(s) of a problem with n = {p.n}, m = {p.m}")
     x, y = np.empty((len(rngs), p.n)), np.empty((len(rngs), p.m))
     x[...], y[...] = x0, y0
     stages = [[StageRecord(0, 0, x[r].copy(), y[r].copy(), time.perf_counter())]
               for r in range(len(rngs))]
-    results = [None] * len(rngs)
+    out = [None] * len(rngs)
     going = list(range(len(rngs)))  # the replica of each row of x and y
     calls = 0
 
@@ -183,33 +163,63 @@ def sapd_plus_lockstep(p: ProblemSpec, cfg: OuterConfig, x0, y0, rngs) -> list:
                            oracle_calls=calls, stages=stages[r])
 
     for t in range(cfg.t_outer):
-        saved = [rngs[r].bit_generator.state for r in going]
+        # a lone replica saves no state: nothing runs again after it
+        saved = [rngs[r].bit_generator.state for r in going] if len(going) > 1 else None
         res = None
         while going and res is None:
             try:
-                res = sapd_run(shifted_subproblem(p, x, sched.mu_x), sched, x, y,
-                               [rngs[r] for r in going])
+                res = _stage(p, sched, x, y, [rngs[r] for r in going], fs)
             except DivergenceError as err:
-                err.stage, row = t, err.replica
-                results[going.pop(row)] = err
-                del saved[row]
-                x, y = np.delete(x, row, axis=0), np.delete(y, row, axis=0)
-                for r, state in zip(going, saved):
-                    rngs[r].bit_generator.state = state
+                row = err.replica or 0  # None from a lone replica
+                err.stage, err.replica = t, None
+                out[going.pop(row)] = err
+                if going:
+                    del saved[row]
+                    x, y = np.delete(x, row, axis=0), np.delete(y, row, axis=0)
+                    for r, state in zip(going, saved):
+                        rngs[r].bit_generator.state = state
         if not going:
             break
-        calls += sched.draws(res.iterations, p.oracle_batch)
-        x, y = res.x_avg, res.y_avg
-        keep = []
+        x, y, iterations = res
+        calls += sched.draws(iterations, p.oracle_batch)
+        last = t + 1 == cfg.t_outer
+        check = isinstance(cfg.stop, StationarityTarget) and (
+            (t + 1) % cfg.stop.check_every == 0 or last)
+        keep = last or (t + 1) % cfg.record_every == 0
+        staying = []
         for row, r in enumerate(going):
-            if _end_stage(p, cfg, t, calls, x[row], y[row], stages[r]):
-                results[r] = result(row, r)
+            stat, met = None, False
+            if check:
+                est = moreau_stationarity(p, x[row])
+                stat, met = est.value, est.reliable and est.value <= cfg.stop.epsilon
+            if met or keep:
+                stages[r].append(StageRecord(t + 1, calls, x[row].copy(), y[row].copy(),
+                                             time.perf_counter(), stat))
+            if met:
+                out[r] = result(row, r)
             else:
-                keep.append(row)
-        going, x, y = [going[row] for row in keep], x[keep], y[keep]
+                staying.append(row)
+        if len(staying) < len(going):
+            going, x, y = [going[row] for row in staying], x[staying], y[staying]
     for row, r in enumerate(going):
-        results[r] = result(row, r)
-    return results
+        out[r] = result(row, r)
+    return out
+
+
+def _stage(p: ProblemSpec, sched, x, y, rngs, fs):
+    """One stage of the replicas drawing from rngs, from the rows of x and
+    y: (averaged x rows, averaged y rows, inner iterations).  Two or more
+    replicas run as one stack; a lone one runs on 1-D arrays, which are
+    faster than a stack of one, and gets its row back."""
+    if len(rngs) > 1:
+        res = sapd_run(shifted_subproblem(p, x, sched.mu_x), sched, x, y, rngs)
+        return res.x_avg, res.y_avg, res.iterations
+    sub = shifted_subproblem(p, x[0], sched.mu_x)
+    if isinstance(sched, VrParams):
+        res = vr_sapd_run(fs, sub, sched, x[0], y[0], rngs[0])
+    else:
+        res = sapd_run(sub, sched, x[0], y[0], rngs[0])
+    return res.x_avg[None], res.y_avg[None], res.iterations
 
 
 def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,

@@ -92,7 +92,10 @@ per-iteration cost.  On the default DRO instance (1000 x 20, batches of
 the time of the 4 one-replica runs, bit for bit the same (12 interleaved
 pairs, a 2-vCPU VM, numpy 2.4.6): an iteration makes as many ufunc calls
 as one replica's, and on arrays of 20 and 1000 entries a call costs
-mostly its dispatch.
+mostly its dispatch.  A stack of one replica, though, took 1.67 times as
+long as the 1-D run (the CLI's DRO run, theory schedule, 20 stages, the
+same VM), so the outer loop runs a lone replica on 1-D arrays
+(outer._stage).
 
 A prox map that is prox_zero, the identity, is not called: the update
 writes straight into the iterate array.  The result of any other prox map

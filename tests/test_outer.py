@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from fixtures import make_quadratic_finite_sum, shifted_saddle
-from sapdplus import datasets
+from sapdplus import datasets, outer
 from sapdplus.errors import ConfigurationError, DivergenceError
 from sapdplus.evaluation import moreau_stationarity
 from sapdplus.outer import (FixedT, OuterConfig, StationarityTarget,
                             sapd_plus_lockstep, sapd_plus_run, smooth_dual,
                             smooth_then_solve, smoothing_mu_hat)
 from sapdplus.params import theorem1_schedule
-from sapdplus.problem import NoiseLevels
-from sapdplus.sapd import SapdParams
+from sapdplus.problem import (NoiseLevels, add_quadratic, shifted_subproblem,
+                              with_gaussian_noise)
+from sapdplus.sapd import SapdParams, sapd_run
 from sapdplus.vr import VrParams
 
 
@@ -144,7 +145,23 @@ class TestSapdPlusRun:
         cfg = OuterConfig(t_outer=3, schedule=bad)
         with pytest.raises(DivergenceError) as err:
             sapd_plus_run(qs.problem, cfg, np.ones(8) * 5, np.ones(5), rng)
-        assert err.value.stage is not None
+        assert (err.value.stage, err.value.iteration, err.value.replica) == (0, 2, None)
+
+    def test_exact_gradients_run_the_stages_written_out(self):
+        # rng = None: every stage is sapd_run on exact gradients, which the
+        # noisy problem's stochastic oracles are not, centered at the last
+        # stage's average
+        qs, sched, rng = wcsc_setup(seed=7)
+        p, params = with_gaussian_noise(qs.problem, 0.5, 0.5), sched.sapd_params()
+        x, y = rng.standard_normal(8), rng.standard_normal(5)
+        res = sapd_plus_run(p, OuterConfig(t_outer=4, schedule=params), x, y, None)
+        assert res.stages_run == 4 and len(res.stages) == 5
+        for t, rec in enumerate(res.stages):
+            assert (rec.stage, rec.x.tobytes(), rec.y.tobytes()) == (t, x.tobytes(), y.tobytes())
+            if t < 4:
+                stage = sapd_run(shifted_subproblem(p, x, params.mu_x), params, x, y, None)
+                x, y = stage.x_avg, stage.y_avg
+        assert (res.x.tobytes(), res.y.tobytes()) == (x.tobytes(), y.tobytes())
 
 
 def _record_bits(rec):
@@ -175,8 +192,8 @@ class TestLockstep:
                 with pytest.raises(DivergenceError) as err:
                     sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(seed))
                 assert isinstance(got[r], DivergenceError)
-                assert (str(got[r]), got[r].stage, got[r].iteration) == (
-                    str(err.value), err.value.stage, err.value.iteration)
+                assert (str(got[r]), got[r].stage, got[r].iteration, got[r].replica) == (
+                    str(err.value), err.value.stage, err.value.iteration, err.value.replica)
                 assert str(got[r]) == "iterate norm above guard at inner iteration 0"
                 continue
             ref = sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(seed))
@@ -185,6 +202,76 @@ class TestLockstep:
             assert (got[r].stages_run, got[r].oracle_calls) == (3, ref.oracle_calls)
             assert ([_record_bits(rec) for rec in got[r].stages]
                     == [_record_bits(rec) for rec in ref.stages])
+
+    @staticmethod
+    def spy_on_stages(monkeypatch):
+        """Replace outer.sapd_run by a wrapper that logs, per call, the
+        number of replicas and the number of dimensions of x0."""
+        calls, run = [], outer.sapd_run
+
+        def spy(p, params, x0, y0, rng, *args):
+            calls.append((len(rng) if isinstance(rng, list) else 1, np.ndim(x0)))
+            return run(p, params, x0, y0, rng, *args)
+
+        monkeypatch.setattr(outer, "sapd_run", spy)
+        return calls
+
+    def test_replicas_leave_at_their_targets_and_the_last_runs_alone(self, monkeypatch):
+        # the three replicas meet the target after stages 1, 3 and never:
+        # the stack runs 3, then 2 replicas, and the last one runs on 1-D
+        # arrays, each bit for bit as its own run
+        p, params = self.dro_problem()
+        cfg = OuterConfig(t_outer=6, schedule=params, stop=StationarityTarget(epsilon=0.0019))
+        x0, y0 = np.array([[1.0], [3.0], [10.0]]) * np.ones(p.n), np.full(p.m, 1.0 / p.m)
+        seeds = (11, 12, 13)
+        refs = [sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(s))
+                for r, s in enumerate(seeds)]
+        assert [ref.stages_run for ref in refs] == [1, 3, 6]
+        calls = self.spy_on_stages(monkeypatch)
+        got = sapd_plus_lockstep(p, cfg, x0, y0, [np.random.default_rng(s) for s in seeds])
+        assert calls == [(3, 2), (2, 2), (2, 2), (1, 1), (1, 1), (1, 1)]
+        for res, ref in zip(got, refs):
+            assert (res.x.tobytes(), res.y.tobytes()) == (ref.x.tobytes(), ref.y.tobytes())
+            assert (res.stages_run, res.oracle_calls) == (ref.stages_run, ref.oracle_calls)
+            assert ([_record_bits(rec) for rec in res.stages]
+                    == [_record_bits(rec) for rec in ref.stages])
+
+    def test_a_lone_last_replica_that_diverges(self, monkeypatch):
+        # -(0.1/2)||x||^2 outweighs the stage shift, so |x| grows by a factor
+        # per stage: replica 0, from 1e6, diverges in stage 4, and replica 1,
+        # from 1, runs that stage again alone and diverges in stage 9
+        p, params = self.dro_problem()
+        p = add_quadratic(p, "x", -0.1, np.zeros(p.n))
+        cfg = OuterConfig(t_outer=12, schedule=replace(params, n_inner=20))
+        x0, y0 = np.array([[1e6], [1.0]]) * np.ones(p.n), np.full(p.m, 1.0 / p.m)
+        seeds = (11, 12)
+        calls = self.spy_on_stages(monkeypatch)
+        got = sapd_plus_lockstep(p, cfg, x0, y0, [np.random.default_rng(s) for s in seeds])
+        assert calls == [(2, 2)] * 5 + [(1, 1)] * 6
+        for r, seed in enumerate(seeds):
+            with pytest.raises(DivergenceError) as err:
+                sapd_plus_run(p, cfg, x0[r], y0, np.random.default_rng(seed))
+            assert isinstance(got[r], DivergenceError)
+            assert (str(got[r]), got[r].stage, got[r].iteration, got[r].replica) == (
+                str(err.value), err.value.stage, err.value.iteration, err.value.replica)
+        assert [err.stage for err in got] == [4, 9]
+
+    def test_start_shapes_are_refused_before_a_stage(self, monkeypatch):
+        p, params = self.dro_problem()
+        cfg = OuterConfig(t_outer=1, schedule=params)
+        calls = self.spy_on_stages(monkeypatch)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        x, y = np.zeros(p.n), np.full(p.m, 1.0 / p.m)
+        for x0, y0 in ((np.zeros((2, p.n)), y), (np.zeros((3, p.n + 1)), y),
+                       (np.zeros(p.n + 1), y), (x, np.zeros((2, p.m))),
+                       (x, np.zeros(p.m - 1)), (np.zeros((3, 1, p.n)), y)):
+            with pytest.raises(ConfigurationError, match="a start of shape"):
+                sapd_plus_lockstep(p, cfg, x0, y0, rngs)
+        for x0, y0 in ((np.zeros((1, p.n)), y), (np.zeros((3, p.n)), y),
+                       (x, np.zeros((1, p.m))), (x, np.zeros(p.m + 1))):
+            with pytest.raises(ConfigurationError, match="a start of shape"):
+                sapd_plus_run(p, cfg, x0, y0, rngs[0])
+        assert calls == []
 
     def test_refuses_what_cannot_run_as_a_stack(self):
         # the quadratic oracles carry no replica_safe mark
