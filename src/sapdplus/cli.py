@@ -55,13 +55,26 @@ excludes the objective evaluation that fills the row.  `solve` makes the
 output directory and opens the trace and meta files before the first rep;
 a path it cannot write exits 2.
 
-When the CLI is the program, it loads numpy with one BLAS thread: if numpy
-is not yet imported and the user has not set ``OPENBLAS_NUM_THREADS``, it
-sets that variable to 1 for the numpy import alone and removes it after,
-so child processes and a host program do not inherit it.  A host program
-that imported numpy first keeps its BLAS threads.  The check is on
-``sys.modules``, not ``__name__``, so that the ``sapdplus`` console script,
-which imports this module, gets it too.
+The CLI is the program when numpy is not yet imported as this module
+loads (_PROGRAM).  The check is on ``sys.modules``, not ``__name__``, so
+that the ``sapdplus`` console script, which imports this module, counts as
+the program too.  A host that imported numpy first (a test runner, the
+benchmark's in-process runs, any caller of main) keeps its BLAS threads,
+its environment and its garbage collector as they were.  The program:
+
+- loads numpy with one BLAS thread: unless the user has set
+  ``OPENBLAS_NUM_THREADS``, it sets that variable to 1 for the numpy
+  import alone and removes it after, so that child processes do not
+  inherit it;
+- pauses the garbage collector from its first import to the end of the
+  package imports, then moves the objects the imports made to the oldest
+  generation (gc.freeze, then gc.unfreeze; skipped when the program has
+  frozen objects of its own, which unfreeze would release) and leaves the
+  collector enabled or disabled, as it found it;
+- registers gc.freeze with atexit, so that interpreter finalization does
+  not collect the object graph that the process is about to drop.  No
+  output depends on that collection: cmd_solve has closed its trace and
+  meta file by then, and the interpreter still flushes its streams.
 
 One thread suits runs whose products are small: the default DRO instance
 (1000 x 20, batches of 10) and the quadratic and bilinear problems.  On a
@@ -77,13 +90,54 @@ ran in a median 9.1 s with two threads against 10.1 s with one, and ``--b
 ``OPENBLAS_NUM_THREADS`` for such runs.  The CLI cannot choose for itself:
 the thread count is fixed when numpy loads, before the instance and the
 schedule's batch are known, and numpy has no call that changes it later.
+
+What a launch pays for: the benchmark's DRO command (``solve --problem
+dro --batch 10 --reps 4 --t-outer 20 --stat-every 0``) took a median 291
+ms before the two collector steps (15 interleaved launches per side on a
+2-vCPU VM, Python 3.11.7, numpy 2.4.6, timed with -X importtime): 34 ms
+for the interpreter and ``site``, 51 ms to import numpy, 41 ms to import
+the package, 143 ms in main and 20 ms at exit.  The package import
+includes compiling its modules, since this machine sets
+PYTHONDONTWRITEBYTECODE and so no launch finds a bytecode cache.  The
+imports make about 23,000 objects that live until exit.  Without the
+steps the collector walked them in 32 young and 2 older collections as
+they were made and in one older collection in main (about 5 ms in all),
+and finalization walked them again, most of the 20 ms.  A pause alone
+saves little: the first young collection after it walks everything the
+imports made, about 4 ms at once, which the move to the oldest generation
+skips.  With both steps the imports and main spend under 0.5 ms in
+collections, and the launch took 273 ms, 6 ms of it at exit.  (The VM's
+speed drifts: in a slower spell the same launch took 512 ms, with 32 ms
+at exit, and 485 ms with 10 ms.)  The cost is memory: the cyclic
+garbage that the imports leave (the pure-Python classes of datetime,
+which its C module replaces, and a few from pickle and ast: 346 objects
+that hold about 10,000 more) waits for a full collection, which a launch
+does not reach, where the young collection would have freed it; peak RSS
+rose by about 0.2 MB of 37.6 (20 launches).  Left out: os._exit at the
+end of main, faster still, skips the atexit handlers and C destructors,
+and the console script's main() cannot take it; freezing at the end of
+the imports in place of the move was as fast, but leaves that garbage
+uncollectable for good, and the freeze count changed.
 """
 
+import gc
+import sys
+
+# the CLI is the program when nothing has imported numpy before it; a host
+# (a test runner, the benchmark, a caller of main) has, and both rules
+# below leave it as it was
+_PROGRAM = "numpy" not in sys.modules
+# the imports below make tens of thousands of objects that live as long as
+# the process, so the collector pauses through them (module docstring)
+_COLLECTING = gc.isenabled()
+if _PROGRAM:
+    gc.disable()
+
 import argparse
+import atexit
 import json
 import math
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -91,7 +145,7 @@ from pathlib import Path
 # OpenBLAS reads its thread count only while numpy loads it, so the CLI
 # sets the variable for that import alone and leaves no trace of it in the
 # environment that child processes and a host program see
-_ONE_BLAS_THREAD = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+_ONE_BLAS_THREAD = _PROGRAM and "OPENBLAS_NUM_THREADS" not in os.environ
 if _ONE_BLAS_THREAD:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -110,6 +164,20 @@ from .problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
                       with_gaussian_noise)
 from .sapd import SapdParams, sapd_run, takes_replica_stacks
 from .vr import VrParams
+
+if _PROGRAM:
+    # freeze then unfreeze moves the objects the imports made to the oldest
+    # generation, where a young collection does not walk them; unfreeze
+    # would also release a program's own frozen objects, so a program that
+    # has some leaves the imports' objects young
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _COLLECTING:
+        gc.enable()
+    # interpreter finalization would collect the whole object graph that
+    # the process is about to drop; it leaves frozen objects alone
+    atexit.register(gc.freeze)
 
 TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
 # what cmd_solve writes to the meta file beside the config fields: a meta

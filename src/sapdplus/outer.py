@@ -105,8 +105,8 @@ def sapd_plus_run(p: ProblemSpec, cfg: OuterConfig, x0, y0, rng,
     p's components) is required; a stage shifts p alone.  Each kept
     StageRecord carries the time.perf_counter() at which it was kept, after
     its stationarity estimate.  Oracle calls accumulate in single-sample
-    draws (see the draws method of the schedule's type).  rng = None runs
-    every stage on exact gradients.
+    draws (see the draws method of the schedule's type), so rng must be a
+    Generator; None is refused.
     """
     if isinstance(cfg.schedule, VrParams) and fs is None:
         raise ConfigurationError("variance-reduced run needs a FiniteSumSpec")
@@ -146,6 +146,9 @@ def _staged(p: ProblemSpec, cfg: OuterConfig, x0, y0, rngs, rows, fs=None) -> li
     they had there.
     """
     sched = cfg.schedule
+    if any(rng is None for rng in rngs):
+        raise ConfigurationError("a staged run draws its gradients: every replica "
+                                 "needs a Generator, not None")
     for z0, size in ((x0, p.n), (y0, p.m)):
         if np.shape(z0) not in ((size,), rows + (size,)):
             raise ConfigurationError(f"a start of shape {np.shape(z0)} for {len(rngs)} "

@@ -12,9 +12,8 @@ from sapdplus.outer import (FixedT, OuterConfig, StationarityTarget,
                             sapd_plus_lockstep, sapd_plus_run, smooth_dual,
                             smooth_then_solve, smoothing_mu_hat)
 from sapdplus.params import theorem1_schedule
-from sapdplus.problem import (NoiseLevels, add_quadratic, shifted_subproblem,
-                              with_gaussian_noise)
-from sapdplus.sapd import SapdParams, sapd_run
+from sapdplus.problem import NoiseLevels, add_quadratic
+from sapdplus.sapd import SapdParams
 from sapdplus.vr import VrParams
 
 
@@ -147,21 +146,19 @@ class TestSapdPlusRun:
             sapd_plus_run(qs.problem, cfg, np.ones(8) * 5, np.ones(5), rng)
         assert (err.value.stage, err.value.iteration, err.value.replica) == (0, 2, None)
 
-    def test_exact_gradients_run_the_stages_written_out(self):
-        # rng = None: every stage is sapd_run on exact gradients, which the
-        # noisy problem's stochastic oracles are not, centered at the last
-        # stage's average
-        qs, sched, rng = wcsc_setup(seed=7)
-        p, params = with_gaussian_noise(qs.problem, 0.5, 0.5), sched.sapd_params()
-        x, y = rng.standard_normal(8), rng.standard_normal(5)
-        res = sapd_plus_run(p, OuterConfig(t_outer=4, schedule=params), x, y, None)
-        assert res.stages_run == 4 and len(res.stages) == 5
-        for t, rec in enumerate(res.stages):
-            assert (rec.stage, rec.x.tobytes(), rec.y.tobytes()) == (t, x.tobytes(), y.tobytes())
-            if t < 4:
-                stage = sapd_run(shifted_subproblem(p, x, params.mu_x), params, x, y, None)
-                x, y = stage.x_avg, stage.y_avg
-        assert (res.x.tobytes(), res.y.tobytes()) == (x.tobytes(), y.tobytes())
+    def test_a_missing_generator_is_refused_before_a_stage(self, monkeypatch):
+        # a staged run counts the draws of its stages, so it has no exact-
+        # gradient mode; sapd_run(rng=None) is that
+        p, params = TestLockstep.dro_problem()
+        cfg = OuterConfig(t_outer=2, schedule=params)
+        calls = TestLockstep.spy_on_stages(monkeypatch)
+        x, y = np.zeros(p.n), np.full(p.m, 1.0 / p.m)
+        with pytest.raises(ConfigurationError, match="needs a Generator"):
+            sapd_plus_run(p, cfg, x, y, None)
+        for rngs in ([None, np.random.default_rng(0)], [np.random.default_rng(0), None]):
+            with pytest.raises(ConfigurationError, match="needs a Generator"):
+                sapd_plus_lockstep(p, cfg, x, y, rngs)
+        assert calls == []
 
 
 def _record_bits(rec):

@@ -2,18 +2,24 @@
 
 `import sapdplus` imports no numpy: its re-exports load on first access.
 The CLI, when it is the program, loads numpy with one BLAS thread unless
-the user set OPENBLAS_NUM_THREADS.  Each check that depends on what is
+the user set OPENBLAS_NUM_THREADS, pauses the garbage collector through its
+imports and freezes every object at exit.  Each check that depends on what is
 already imported runs in a fresh interpreter on this checkout's `src/`.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+# numpy first: this process is a host, for which the CLI is a library
+import numpy  # noqa: F401
 import pytest
 
 import sapdplus
+from sapdplus import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # every module but the CLI, which a program imports by name (see __init__.py)
@@ -115,4 +121,81 @@ class TestBlasDefault:
             rows = [[c for i, c in enumerate(line.split(",")) if i != 3] for line in trace]
             seen.append((rows, (run_dir / "trace.csv.meta.txt").read_text()))
         assert len(seen[0][0]) == 1 + 2 * 6  # header, stages 0..5 of two reps
+        assert seen[0] == seen[1]
+
+
+# a fresh interpreter's collections while `import sapdplus.cli` runs (young
+# ones, older ones), the objects in its young and middle generations after
+# it, its collector's state before and after, and the change in its exit
+# handlers and in its freeze count
+GC_PROBE = ("import atexit, gc; seen = []; "
+            "gc.callbacks.append(lambda phase, info: seen.append(info['generation']) "
+            "if phase == 'start' else None); "
+            "was, n, frozen = gc.isenabled(), atexit._ncallbacks(), gc.get_freeze_count(); "
+            "import sapdplus.cli; gc.callbacks.clear(); "
+            "print(seen.count(0), len(seen) - seen.count(0), "
+            "len(gc.get_objects(0)) + len(gc.get_objects(1)), was, gc.isenabled(), "
+            "atexit._ncallbacks() - n, gc.get_freeze_count() - frozen)")
+
+
+class TestCollectorPolicy:
+    def test_the_program_pauses_the_collector_through_its_imports(self):
+        # without the pause the import made 32 young and 2 older collections;
+        # with it, only those as the package loads, before cli.py runs (one
+        # here).  The about 23,000 objects the imports made wait in the oldest
+        # generation, not for a young collection as the collector resumes.
+        # The exit handler freezes every object, so that finalization
+        # collects none
+        out = run_python("-c", GC_PROBE + "; atexit._run_exitfuncs(); "
+                         "print(gc.get_freeze_count() > 0)").splitlines()
+        young, older, waiting, *rest = out[0].split()
+        assert int(young) <= 2 and older == "0"
+        assert int(waiting) < 2000
+        assert rest == ["True", "True", "1", "0"]
+        assert out[1] == "True"
+
+    @pytest.mark.parametrize("state", ["gc.enable()", "gc.disable()"])
+    def test_a_host_that_imported_numpy_keeps_its_collector(self, state):
+        # the import may collect; it leaves the state, the freeze count and
+        # the exit handlers as they were
+        out = run_python("-c", f"import gc, numpy; {state}; " + GC_PROBE)
+        was = "True" if state == "gc.enable()" else "False"
+        assert out.split()[3:] == [was, was, "0", "0"]
+
+    def test_a_program_that_disabled_its_collector_keeps_it_off(self):
+        out = run_python("-c", "import gc; gc.disable(); " + GC_PROBE)
+        young, older, _, *rest = out.split()
+        assert (young, older, rest) == ("0", "0", ["False", "False", "1", "0"])
+
+    def test_a_program_keeps_the_objects_it_froze(self):
+        # unfreeze would release them, so the imports' objects stay young
+        out = run_python("-c", "import gc; gc.freeze(); " + GC_PROBE)
+        assert out.split()[3:] == ["True", "True", "1", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("--problem", "dro", "--batch", "10", "--reps", "4", "--t-outer", "3",
+                      "--stat-every", "2", "--seed", "5"), id="dro-lockstep"),
+        pytest.param(("--problem", "dro", "--algo", "sapd-plus-vr", "--schedule", "manual",
+                      "--tau", "0.05", "--sigma", "0.05", "--n-inner", "20", "--b", "100",
+                      "--b-x", "5", "--b-y", "5", "--q", "5", "--t-outer", "3",
+                      "--reps", "2", "--seed", "5"), id="vr")])
+    def test_program_and_library_write_the_same_files(self, tmp_path, monkeypatch, argv):
+        # the process that exits with a frozen collector loses no write: its
+        # trace (but wall_ms) and meta file are those of cli.main in a host
+        argv = ["solve", *argv, "--out", "trace.csv"]
+        assert not cli._PROGRAM
+        seen = []
+        for where in ("program", "library"):
+            run_dir = tmp_path / where
+            run_dir.mkdir()
+            if where == "program":
+                run_python("-m", "sapdplus.cli", *argv, cwd=run_dir)
+            else:
+                monkeypatch.chdir(run_dir)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0
+            trace = (run_dir / "trace.csv").read_text().splitlines()
+            rows = [[c for i, c in enumerate(line.split(",")) if i != 3] for line in trace]
+            seen.append((rows, (run_dir / "trace.csv.meta.txt").read_text()))
+        assert len(seen[0][0]) > 1 + 4
         assert seen[0] == seen[1]
