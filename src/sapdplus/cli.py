@@ -32,19 +32,30 @@ and 0.20 s in lockstep (8 interleaved runs in one process, numpy 2.4.6).
 Both subcommands take the schedule keys, _SCHEDULE_KEYS: ``algo`` and
 ``schedule`` name the request, which _resolve_schedule resolves into the
 parameters, stage count and LMI certificate for the noise the problem
-declares.  A schedule key that the request does not read (see _READS) is
-refused, with exit 2 before any output opens, unless it is at its RunConfig
-default; so a meta file, which lists every field, replays.  `solve` caps the
-stage count by the budget and refuses a budget below one stage.
-`check-params` prints the schedule as `solve` records it in its meta file
-(the ``schedule_params`` fields, the stage count and the certificate), with
-theta first and, for a plain theory schedule, Theorem 1's beta and theta
-bounds.  ``sgda-baseline`` resolves none, so `check-params` refuses it: it
-reads tau and sigma alone (`solve` also refuses the staged runs' schedule,
-eps, stat_every and record_every, _SGDA_UNREAD, away from their defaults),
-runs the inner solver with theta = 0, rho = 1, alpha = 0, mu_x = 0 and N
-from the budget, has no certificate (no LMI covers it), and writes a row
-every epoch of draws; its ``oracle_calls``
+declares; a schedule with no momentum below 1 for them exits 2.
+
+One table, _READS, says which RunConfig keys a run reads beside the seven
+that every `solve` reads (problem, algo, seed, reps, out, epochs and
+budget_calls).  It has a row for each part a run can have: each problem;
+synthetic DRO data, the only DRO data source that reads n_samples,
+n_features and instance_seed; the DRO minibatch oracles, which only
+``sapd-plus`` and ``sgda-baseline`` call on DRO and which alone read
+``batch`` (``sapd-plus-vr`` draws b, b_x and b_y samples); each request,
+``sgda-baseline`` or an (algo, schedule) pair; and the stages of every
+pair, which read schedule, eps, stat_every and record_every.  A key of the
+table set away from its RunConfig default that no part of the run reads
+is refused, with exit 2 before any output opens, naming the part that
+stands where a reading part would (_refuse_unread); so a meta file, which
+lists every field, replays.  `solve` caps the stage count by the budget,
+which ``epochs`` or ``budget_calls`` sets (not both), and refuses a budget
+below one stage.  `check-params` prints the schedule as `solve` records it
+in its meta file (the ``schedule_params`` fields, the stage count and the
+certificate), with theta first and, for a plain theory schedule, Theorem
+1's beta and theta bounds.  ``sgda-baseline`` resolves none, so
+`check-params` refuses it: it reads tau and sigma alone, runs the inner
+solver with theta = 0, rho = 1, alpha = 0, mu_x = 0 and N from the
+budget, has no certificate (no LMI covers it), and writes a row every
+epoch of draws; its ``oracle_calls``
 after k iterations is (2k + 1) batch draws, as for any inner run (see
 SapdParams.draws): the extra batch is the y-gradient drawn at the last
 iterate.  Traces have the fixed header
@@ -155,7 +166,7 @@ if _ONE_BLAS_THREAD:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import datasets
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, InfeasibleScheduleError
 from .outer import (FixedT, OuterConfig, StageRecord, StationarityTarget,
                     sapd_plus_lockstep, sapd_plus_run)
 from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
@@ -195,18 +206,38 @@ _SCHEDULE_KEYS = ("algo", "schedule", "eps", "gap0", "theta", "tau", "sigma", "n
 # solve's flags: its run keys and the schedule keys
 _SOLVE_KEYS = ("seed", "reps", "out", "problem", "epochs", "budget_calls", "batch",
                "stat_every", "record_every", "data") + _SCHEDULE_KEYS
-# the schedule keys of _CHECKED that each request reads (sgda-baseline: tau
-# and sigma); eps is not checked, since stat_every reads it on every request
 _VR_BATCHES = ("b", "q", "b_x", "b_y")
+# The RunConfig keys that each part of a run reads, beside those every solve
+# reads (problem, algo, seed, reps, out, epochs, budget_calls): a slot for
+# each kind of part, in which a run has one part (_parts), and a row for
+# each part.  _refuse_unread refuses the others.
 _READS = {
-    ("sapd-plus", "theory"): ("t_outer", "gap0"),
-    ("sapd-plus-vr", "theory"): ("t_outer", "gap0", "zeta") + _VR_BATCHES,
-    ("sapd-plus", "manual"): ("tau", "sigma", "theta", "n_inner", "mu_x", "t_outer"),
-    ("sapd-plus-vr", "manual"): ("tau", "sigma", "n_inner", "mu_x", "t_outer") + _VR_BATCHES,
+    "request": {
+        "the sapd-plus manual schedule": ("tau", "sigma", "theta", "n_inner", "mu_x",
+                                          "t_outer"),
+        "the sapd-plus theory schedule": ("t_outer", "gap0"),
+        "the sapd-plus-vr theory schedule": ("t_outer", "gap0", "zeta") + _VR_BATCHES,
+        "the sapd-plus-vr manual schedule": ("tau", "sigma", "n_inner", "mu_x",
+                                             "t_outer") + _VR_BATCHES,
+        "sgda-baseline": ("tau", "sigma"),
+    },
+    # the outer loop of every (algo, schedule) pair, which sgda-baseline, one
+    # inner run, does not have
+    "stages": {"the staged run": ("schedule", "eps", "stat_every", "record_every")},
+    "problem": {
+        "the quadratic problem": ("n", "m", "gamma", "mu_y", "instance_seed", "noise_x",
+                                  "noise_y"),
+        "the bilinear problem": ("gamma",),
+        "the dro problem": ("data", "dro_alpha", "eta1", "eta2"),
+    },
+    "data": {"synthetic DRO data": ("n_samples", "n_features", "instance_seed")},
+    # the DRO runs that call the minibatch oracles; sapd-plus-vr draws b, b_x
+    # and b_y samples instead
+    "oracles": {"the DRO minibatch oracles": ("batch",)},
 }
-_CHECKED = ("tau", "sigma", "theta", "n_inner", "mu_x", "t_outer", "gap0", "zeta") + _VR_BATCHES
-# the keys of the staged runs that sgda-baseline, one inner run, does not read
-_SGDA_UNREAD = ("schedule", "eps", "stat_every", "record_every")
+# in the order of the rows, so a refusal names the schedule keys first
+_CHECKED = tuple(dict.fromkeys(key for rows in _READS.values() for keys in rows.values()
+                               for key in keys))
 
 
 def parse_config_file(path) -> dict:
@@ -330,8 +361,6 @@ def _build_problem(cfg: RunConfig):
             p = with_gaussian_noise(p, cfg.noise_x, cfg.noise_y)
         objective = lambda x: qs.phi(x)
         return p, None, objective, cfg.n + cfg.m, meta
-    if cfg.noise_x or cfg.noise_y:
-        raise ConfigurationError("noise_x and noise_y apply to the quadratic problem only")
     if cfg.problem == "bilinear":
         toy = datasets.make_bilinear_box_toy(gamma=cfg.gamma)
         return toy.problem, None, (lambda x: toy.phi(x)), 2, meta
@@ -398,27 +427,49 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
     return params, cfg.t_outer if cfg.t_outer > 0 else t_outer, cert, theory
 
 
+def _parts(cfg: RunConfig) -> dict:
+    """The part of cfg's run in each slot of _READS, or None for an unknown
+    problem, algo or schedule.  A part with no row in a slot stands there
+    for the rows it displaces and reads nothing there: sgda-baseline for
+    the stages, a data file for synthetic data, sapd-plus-vr for the
+    minibatch oracles, and the quadratic and bilinear problems for both
+    DRO slots."""
+    request = ("sgda-baseline" if cfg.algo == "sgda-baseline"
+               else f"the {cfg.algo} {cfg.schedule} schedule")
+    request = request if request in _READS["request"] else None
+    problem = f"the {cfg.problem} problem"
+    problem = problem if problem in _READS["problem"] else None
+    dro = cfg.problem == "dro"
+    return {
+        "request": request,
+        "stages": request if request in (None, "sgda-baseline") else "the staged run",
+        "problem": problem,
+        "data": (("synthetic DRO data" if cfg.data == "synthetic"
+                  else f"the data file {cfg.data!r}") if dro else problem),
+        "oracles": (request if cfg.algo == "sapd-plus-vr"
+                    else "the DRO minibatch oracles") if dro else problem,
+    }
+
+
 def _refuse_unread(cfg: RunConfig):
-    """Raise if cfg sets a key of _CHECKED, or for sgda-baseline of
-    _SGDA_UNREAD, away from its RunConfig default that its request does not
-    read.  A key set to its default cannot be told from an unset one, and
-    passes.  A VR request takes theta = 1, which its rule runs; an unknown
-    algo or schedule passes, for _resolve_schedule to name."""
-    checked = _CHECKED
-    if cfg.algo == "sgda-baseline":
-        request, read = "sgda-baseline", ("tau", "sigma")
-        checked += _SGDA_UNREAD
-    elif (cfg.algo, cfg.schedule) in _READS:
-        request = f"the {cfg.algo} {cfg.schedule} schedule"
-        read = _READS[cfg.algo, cfg.schedule]
-    else:
-        return
-    for key in checked:
+    """Raise if cfg sets a key of _CHECKED away from its RunConfig default
+    that no part of its run reads, naming the run's part in the last slot
+    of _READS that has a row reading the key.  A key set to its default
+    cannot be told from an unset one, and passes.  A VR request takes
+    theta = 1, which its rule runs; a key of a slot whose part is unknown
+    passes, for _build_problem or _resolve_schedule to name the part."""
+    parts = _parts(cfg)
+    for key in _CHECKED:
         val = getattr(cfg, key)
-        if key in read or val == getattr(RunConfig, key) or (
+        if val == getattr(RunConfig, key) or (
                 key == "theta" and val == 1 and cfg.algo == "sapd-plus-vr"):
             continue
-        raise ConfigurationError(f"{key} = {val} is not read by {request}")
+        slots = [slot for slot, rows in _READS.items()
+                 if any(key in keys for keys in rows.values())]
+        if any(parts[slot] is None or key in _READS[slot].get(parts[slot], ())
+               for slot in slots):
+            continue
+        raise ConfigurationError(f"{key} = {val} is not read by {parts[slots[-1]]}")
 
 
 def _start_point(cfg: RunConfig, p):
@@ -522,8 +573,11 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = RunConfig.from_sources(file_values, argv_overrides)
     _refuse_unread(cfg)
+    if cfg.epochs and cfg.budget_calls:
+        raise ConfigurationError(f"epochs = {cfg.epochs} and budget_calls = "
+                                 f"{cfg.budget_calls} both set the budget: set one")
     p, fs, objective, epoch_size, meta = _build_problem(cfg)
-    budget = cfg.budget_calls or (int(cfg.epochs * epoch_size) if cfg.epochs else 0)
+    budget = cfg.budget_calls or int(cfg.epochs * epoch_size)
     if cfg.algo == "sgda-baseline":
         if cfg.tau <= 0 or cfg.sigma <= 0:
             raise ConfigurationError("sgda-baseline needs manual tau and sigma")
@@ -631,7 +685,7 @@ def main(argv=None) -> int:
         if args.command == "check-params":
             return cmd_check_params(args)
         return cmd_solve({key: getattr(args, key) for key in _SOLVE_KEYS}, args.config)
-    except ConfigurationError as err:
+    except (ConfigurationError, InfeasibleScheduleError) as err:
         # reported as argparse reports a bad flag
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .params import vr_step_sizes
 from .problem import ProblemSpec, shifted_subproblem
 from .sapd import SapdParams, sapd_run
 
@@ -43,18 +44,20 @@ class StationarityEstimate:
 def prox_solve_params(p: ProblemSpec, mu_x: float) -> SapdParams:
     """Deterministic inner parameters for the nested prox solve (mu_y = 0).
 
-    theta = 1 with the periodless variance-reduced step sizes
-    tau = 1/(l_yx + l'_xx), sigma = 1/(2 l_yy + l_yx); the dual then leans
-    on the coupling alone, which is enough for the prox point since the
-    primal part is mu_x-strongly convex.  A strongly concave problem takes
+    theta = 1 with the variance-reduced step sizes (params.vr_step_sizes)
+    at zero corrections, tau = 1/(l_yx + l'_xx), sigma = 1/(2 l_yy + l_yx),
+    with l'_xx = l_xx + mu_x + gamma for this mu_x; the dual then leans on
+    the coupling alone, which is enough for the prox point since the primal
+    part is mu_x-strongly convex.  vr_schedule itself cannot serve: its
+    corrections (_vr_corrections) raise at mu_y = 0.  alpha is shaved below
+    1/sigma, which SapdParams refuses.  A strongly concave problem takes
     the certificate path and has no nested solve.
     """
     s, c = p.smoothness, p.convexity
     if c.mu_y > 0:
         raise ConfigurationError(
             "mu_y > 0: the prox point is found by accelerated descent, not a nested solve")
-    tau = 1.0 / (s.l_yx + (s.l_xx + mu_x + c.gamma))
-    sigma = 1.0 / (2.0 * s.l_yy + s.l_yx)
+    tau, sigma = vr_step_sizes(s, s.l_xx + mu_x + c.gamma, 0.0, 0.0)
     alpha = min(s.l_yx + s.l_yy, (1.0 - 1e-9) / sigma)
     return SapdParams(tau=tau, sigma=sigma, theta=1.0, rho=1.0, alpha=alpha,
                       mu_x=mu_x, n_inner=PROX_BLOCK)

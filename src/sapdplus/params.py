@@ -141,14 +141,20 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
         raise ConfigurationError("mu_x must be positive")
     s, mu_y = smoothness, convexity.mu_y
     lp_xx = s.l_xx + mu_x + convexity.gamma
-    tb1 = 1.0 - (beta * mu_y * lp_xx / (2 * s.l_yx**2)) * (
-        math.sqrt(1.0 + 4 * s.l_yx**2 * mu_x / (beta * lp_xx**2 * mu_y)) - 1.0
-    )
+    # a tiny mu_y underflows beta l'_xx^2 mu_y, or r below, and the bounds
+    # come out infinite or nan
+    scale = beta * lp_xx**2 * mu_y
+    ratio = 4 * s.l_yx**2 * mu_x / scale if scale else math.inf
+    tb1 = 1.0 - (beta * mu_y * lp_xx / (2 * s.l_yx**2)) * (math.sqrt(1.0 + ratio) - 1.0)
     if s.l_yy == 0:
         tb2 = 0.0
     else:
         r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
-        tb2 = 1.0 - (r / 8.0) * (math.sqrt(1.0 + 16.0 / r) - 1.0)
+        tb2 = 1.0 - (r / 8.0) * (math.sqrt(1.0 + 16.0 / r) - 1.0) if r else math.nan
+    if not (math.isfinite(tb1) and math.isfinite(tb2)):
+        raise InfeasibleScheduleError(
+            f"momentum lower bounds ({tb1:.6g}, {tb2:.6g}) are not finite at "
+            f"mu_y = {mu_y:.6g}: degenerate constants")
     return tb1, tb2
 
 
@@ -268,6 +274,15 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
     )
 
 
+def vr_step_sizes(smoothness: SmoothnessConstants, lp_xx, lx_corr, ly_corr) -> tuple:
+    """(tau, sigma) = ((l_yx + l'_xx + L'_x)^{-1}, (2 l_yy + l_yx + L'_y)^{-1}),
+    the step sizes of the VR rule at theta = 1.  The caller sums l'_xx and
+    gives L'_x and L'_y (see _vr_corrections), or zeros for a deterministic
+    run."""
+    s = smoothness
+    return 1.0 / (s.l_yx + lp_xx + lx_corr), 1.0 / (2.0 * s.l_yy + s.l_yx + ly_corr)
+
+
 def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: float) -> int:
     """Large-batch rule b >= ceil(max{144 delta_x^2, 360 delta_y^2 gamma/mu_y}/eps^2), at least 1."""
     if convexity.mu_y <= 0:
@@ -285,7 +300,9 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     """Certified variance-reduced schedule (theta = rho = 1).
 
     tau = (l_yx + l'_xx + L'_x)^{-1}, sigma = (2 l_yy + l_yx + L'_y)^{-1}
-    with mu_x = gamma in L'_x, L'_y (see _vr_corrections),
+    (vr_step_sizes) with mu_x = gamma in L'_x, L'_y (see _vr_corrections)
+    and l'_xx summed as l_xx + 2 gamma, which on the default DRO instance
+    rounds apart from build_vr_lmi's (l_xx + gamma) + gamma,
     N = ceil(2(1+zeta) max{1/(gamma tau) - 1, 1/(mu_y sigma)}),
     T = ceil(288 gap0 gamma/eps^2), b from the batch floor.
     Returns (VrParams, LmiCertificate, t_outer).
@@ -296,8 +313,7 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     mu_x = gamma
     lp_xx = s.l_xx + 2.0 * gamma
     lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
-    tau = 1.0 / (s.l_yx + lp_xx + lx_corr)
-    sigma = 1.0 / (2.0 * s.l_yy + s.l_yx + ly_corr)
+    tau, sigma = vr_step_sizes(s, lp_xx, lx_corr, ly_corr)
     b = vr_batch_floor(noise, convexity, epsilon)
     n_inner = max(1, math.ceil(2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0,
                                                         1.0 / (mu_y * sigma))))

@@ -1,7 +1,7 @@
 import contextlib
 import json
 import threading
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,45 @@ def sgda_params(step, n_inner):
 def strip_wall(path):
     header, rows = read_rows(path)
     return header, [[c for i, c in enumerate(row) if i != 3] for row in rows]
+
+
+def read_by(slots):
+    """The keys of cli._CHECKED that a row of one of these slots reads."""
+    return [key for key in cli._CHECKED
+            if any(key in keys for slot in slots for keys in cli._READS[slot].values())]
+
+
+# LIBSVM files of 3 samples in 3 features, written where a test runs
+DATA_FILES = {"tiny.svm": "+1 1:0.5 2:-1 3:0.2\n-1 1:-0.3 2:0.8\n+1 2:0.4 3:-0.9\n",
+              "other.svm": "-1 1:0.9 3:0.1\n+1 1:0.2 2:0.6\n-1 2:-0.7 3:0.5\n"}
+# a base run of each problem: its config lines, and the part that a refusal
+# names for a key its run does not read when that is not its problem
+BASES = {
+    "quadratic": ("t_outer = 2\n", {}),
+    "bilinear": ("problem = bilinear\nschedule = manual\ntheta = 0.5\ntau = 0.05\n"
+                 "sigma = 0.05\nn_inner = 20\nt_outer = 2\n", {}),
+    "dro": ("problem = dro\nbatch = 2\nt_outer = 2\n", {}),
+    "dro-file": ("problem = dro\ndata = tiny.svm\nbatch = 2\nt_outer = 2\n",
+                 dict.fromkeys(("n_samples", "n_features", "instance_seed"),
+                               "the data file 'tiny.svm'"))}
+
+
+def write_base(base, extra=""):
+    """Writes run.cfg of a base run, and the data files, in the working
+    directory."""
+    for name, text in DATA_FILES.items():
+        Path(name).write_text(text)
+    Path("run.cfg").write_text(BASES[base][0] + extra)
+
+
+def test_every_key_is_read_by_every_solve_or_has_a_row():
+    # twelve instance keys once had no rule: a DRO run on a data file took
+    # n_samples = 50 without a word, and listed it in its meta file
+    every_solve = {"problem", "algo", "seed", "reps", "out", "epochs", "budget_calls"}
+    in_rows = set(read_by(cli._READS))
+    assert not every_solve & in_rows
+    assert every_solve | in_rows == {f.name for f in fields(cli.RunConfig)}
+    assert in_rows == set(cli._CHECKED)
 
 
 class TestCheckParams:
@@ -165,7 +204,7 @@ class TestOneSchedulePath:
     OTHER = dict(tau=0.01, sigma=0.02, theta=0.7, n_inner=13, mu_x=2.5, t_outer=3,
                  gap0=2.0, zeta=0.7, b=37, q=3, b_x=4, b_y=5)
 
-    @pytest.mark.parametrize("key", cli._CHECKED)
+    @pytest.mark.parametrize("key", read_by(["request"]))
     @pytest.mark.parametrize("request_kind", REQUESTS)
     def test_a_set_key_changes_the_run_or_exits_2(self, tmp_path, monkeypatch, capsys,
                                                   request_kind, key):
@@ -198,6 +237,34 @@ class TestOneSchedulePath:
         else:
             assert got != record("base.csv")
 
+    # for each key of the problem, data and oracle rows, a valid value away
+    # from its default and from what every base run runs
+    INSTANCE_OTHER = dict(n=4, m=3, gamma=0.5, mu_y=0.25, instance_seed=8, noise_x=0.01,
+                          noise_y=0.01, data="other.svm", dro_alpha=5.0, eta1=0.01,
+                          eta2=0.01, n_samples=40, n_features=3, batch=3)
+
+    @pytest.mark.parametrize("key", read_by(["problem", "data", "oracles"]))
+    @pytest.mark.parametrize("base", BASES)
+    def test_a_set_instance_key_changes_the_trace_or_exits_2(self, tmp_path, monkeypatch,
+                                                             capsys, base, key):
+        # each key but noise_x and noise_y once fell silent on some problem,
+        # and those two exited 2 with a message of their own
+        monkeypatch.chdir(tmp_path)
+        val = self.INSTANCE_OTHER[key]
+        write_base(base)
+        assert cli.main(["solve", "--config", "run.cfg", "--out", "base.csv"]) == 0
+        write_base(base, f"{key} = {val}\n")
+        capsys.readouterr()
+        code = cli.main(["solve", "--config", "run.cfg", "--out", "set.csv"])
+        if code == 2:
+            name = BASES[base][1].get(key, f"the {base.split('-')[0]} problem")
+            assert capsys.readouterr().err == (
+                f"sapdplus: error: {key} = {val} is not read by {name}\n")
+            assert not Path("set.csv").exists()
+        else:
+            assert code == 0
+            assert strip_wall(Path("set.csv")) != strip_wall(Path("base.csv"))
+
     @pytest.mark.parametrize("argv,err", [
         # each once printed what bare check-params prints
         pytest.param(["--tau", "0.01"],
@@ -210,7 +277,14 @@ class TestOneSchedulePath:
                      "theta = 0.5 is not read by the sapd-plus-vr manual schedule",
                      id="vr-theta"),
         pytest.param(["--algo", "sgda-baseline", "--tau", "0.1", "--sigma", "0.1"],
-                     "sgda-baseline has no certificate", id="sgda-baseline")])
+                     "sgda-baseline has no certificate", id="sgda-baseline"),
+        # each once ended in a traceback with exit 1: an InfeasibleScheduleError,
+        # and a ZeroDivisionError where beta l'_xx^2 mu_y underflowed
+        pytest.param(["--delta-y", "1e6", "--eps", "1e-9"],
+                     "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
+        pytest.param(["--mu-y", "1e-300"],
+                     "momentum lower bounds (nan, nan) are not finite at mu_y = 1e-300: "
+                     "degenerate constants", id="mu-y-underflow")])
     def test_check_params_refuses_what_it_cannot_certify(self, capsys, argv, err):
         assert cli.main(["check-params", *argv]) == 2
         assert capsys.readouterr() == ("", f"sapdplus: error: {err}\n")
@@ -251,15 +325,28 @@ class TestOneSchedulePath:
         assert capsys.readouterr().err == ""
         assert read_rows(out)[1][-1][1] == "5000"  # 10,000 draws of 2
 
-    NOISE = "noise_x and noise_y apply to the quadratic problem only"
-
     @pytest.mark.parametrize("argv,config,err", [
         # an unknown algo once ran plain SAPD+ and exited 0
         pytest.param(["--algo", "sapd-vr"], "", "unknown algo 'sapd-vr'", id="algo"),
         # noise the oracles do not draw once moved N from 132 to 42,857
-        pytest.param(["--problem", "dro"], "noise_y = 0.5\n", NOISE, id="dro-noise"),
-        pytest.param(["--problem", "bilinear"], "noise_x = 0.1\n", NOISE,
+        pytest.param(["--problem", "dro"], "noise_y = 0.5\n",
+                     "noise_y = 0.5 is not read by the dro problem", id="dro-noise"),
+        pytest.param(["--problem", "bilinear"], "noise_x = 0.1\n",
+                     "noise_x = 0.1 is not read by the bilinear problem",
                      id="bilinear-noise"),
+        # a VR trace at batch 50 was once the trace at batch 1
+        pytest.param(["--problem", "dro", "--algo", "sapd-plus-vr", "--t-outer", "1",
+                      "--batch", "50"], "n_samples = 60\nn_features = 5\n",
+                     "batch = 50 is not read by the sapd-plus-vr theory schedule",
+                     id="vr-batch"),
+        # the budget was once budget_calls alone, and the meta file listed
+        # epochs = 2.0 beside it
+        pytest.param(["--epochs", "2", "--budget-calls", "100000"], "",
+                     "epochs = 2.0 and budget_calls = 100000 both set the budget: set one",
+                     id="epochs-and-budget"),
+        # once an InfeasibleScheduleError traceback with exit 1
+        pytest.param(["--eps", "1e-7"], "noise_x = 1\nnoise_y = 1\n",
+                     "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
         # a missing path with ':' was once parsed as LIBSVM text, and text
         # as a one-sample dataset
         pytest.param(["--problem", "dro", "--data", "run:1.svm"], "",
@@ -522,22 +609,23 @@ class TestSolve:
         cli.main(args2)
         assert strip_wall(out1) == strip_wall(out2)
 
-    def test_metadata_replay(self, tmp_path):
-        args, out = self.quad_args(tmp_path, "c.csv")
-        cli.main(args)
+    @pytest.mark.parametrize("base", BASES)
+    def test_metadata_replay(self, tmp_path, monkeypatch, base):
+        # every key of a meta file that solve wrote is read or at its default
+        monkeypatch.chdir(tmp_path)
+        write_base(base, "reps = 2\nseed = 100\n")
+        assert cli.main(["solve", "--config", "run.cfg", "--out", "c.csv"]) == 0
         meta = dict(
             line.split(" = ", 1)
-            for line in (tmp_path / "c.csv.meta.txt").read_text().splitlines()
+            for line in Path("c.csv.meta.txt").read_text().splitlines()
             if " = " in line and not line.startswith(("schedule_params",
                                                       "certificate",
                                                       "resolved", "note"))
         )
-        replay_out = tmp_path / "replay.csv"
-        meta["out"] = str(replay_out)
-        cfg_file = tmp_path / "replay.cfg"
-        cfg_file.write_text("\n".join(f"{k} = {v}" for k, v in meta.items()))
-        assert cli.main(["solve", "--config", str(cfg_file)]) == 0
-        assert strip_wall(out) == strip_wall(replay_out)
+        meta["out"] = "replay.csv"
+        Path("replay.cfg").write_text("\n".join(f"{k} = {v}" for k, v in meta.items()))
+        assert cli.main(["solve", "--config", "replay.cfg"]) == 0
+        assert strip_wall(Path("c.csv")) == strip_wall(Path("replay.csv"))
 
     @pytest.mark.parametrize("overrides,cls", [
         pytest.param(dict(problem="quadratic", schedule="theory"), SapdParams,
@@ -561,12 +649,12 @@ class TestSolve:
         assert replayed.tau.hex() == params.tau.hex()
 
     @pytest.mark.parametrize("extra", [
-        pytest.param(dict(algo="sapd-plus", theta=0.5), id="plain"),
+        pytest.param(dict(algo="sapd-plus", theta=0.5, batch=5), id="plain"),
         pytest.param(dict(algo="sapd-plus-vr", theta=1.0, b=20, b_x=3, b_y=2, q=4),
                      id="vr")])
     def test_budget_cap_counts_stage_draws(self, tmp_path, extra):
         # the cap divides the budget by the draws one stage reports
-        run = dict(problem="dro", n_samples=50, n_features=4, batch=5,
+        run = dict(problem="dro", n_samples=50, n_features=4,
                    schedule="manual", tau=0.05, sigma=0.05, n_inner=11, seed=1,
                    out=str(tmp_path / "b.csv"), **extra)
         cli.cmd_solve(dict(run, t_outer=1))
@@ -578,13 +666,13 @@ class TestSolve:
         assert read_meta(tmp_path / "b.csv")["resolved_t_outer"] == "3"
 
     @pytest.mark.parametrize("extra", [
-        pytest.param(dict(algo="sapd-plus", theta=0.5), id="plain"),
+        pytest.param(dict(algo="sapd-plus", theta=0.5, batch=5), id="plain"),
         pytest.param(dict(algo="sapd-plus-vr", theta=1.0, b=20, b_x=3, b_y=2, q=4),
                      id="vr")])
     def test_budget_below_one_stage_exits_2(self, tmp_path, extra):
         # the cap was once max(1, budget // per_stage): one stage ran anyway,
         # past the budget
-        run = dict(problem="dro", n_samples=50, n_features=4, batch=5,
+        run = dict(problem="dro", n_samples=50, n_features=4,
                    schedule="manual", tau=0.05, sigma=0.05, n_inner=11, seed=1,
                    out=str(tmp_path / "b.csv"), **extra)
         cli.cmd_solve(dict(run, t_outer=1))
