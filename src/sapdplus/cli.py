@@ -8,9 +8,16 @@ To run a list of configurations, loop over ``solve --config <file>``.
 
 Config files are flat ``key = value`` text with ``#`` comments, whose keys
 are the fields of RunConfig (an unknown key is an error).  The RunConfig
-flags of `solve` and `check-params` are config values too: they arrive as
-text, override file values, and RunConfig.from_sources types and checks
-them all alike.
+flags of `solve` and `check-params` are config values too, as are the
+problem constants of `check-params` (_CONSTANTS: the l's, gamma, mu_y and
+the deltas): all arrive as text, a flag overrides a file value, and
+_number types and checks every number under one rule.  A number is
+finite, integral for an int key and never negative, and a key of
+_POSITIVE is > 0 (>= 1 for an int key); a refusal exits 2 naming the key
+("tau must be nonnegative").  A 0 is a legal seed, instance_seed, gap0,
+l_xx, l_yy, mu_y or delta, and means unset or off for noise_x, noise_y,
+eta2, tau, sigma, theta, n_inner, mu_x, t_outer, b, budget_calls, epochs
+and stat_every.
 
 The reps of a `solve` run, rep r drawing from default_rng(seed + r), go
 in lockstep when there are at least two, the algo is ``sapd-plus`` and
@@ -196,10 +203,13 @@ TRACE_HEADER = "rep,stage,oracle_calls,wall_ms,objective,stationarity"
 RESULT_KEYS = frozenset({"dro_n", "dro_d", "theta_bounds", "schedule_params",
                          "certificate_min_eigenvalue", "certificate_feasible",
                          "resolved_t_outer", "note"})
-# RunConfig fields whose 0 means unset or off; from_sources rejects a
-# negative one, as it does a negative seed
-UNSET_AT_ZERO = ("noise_x", "noise_y", "eta2", "mu_x", "t_outer", "b",
-                 "budget_calls", "epochs", "stat_every")
+# the numeric keys that must be > 0 (an int one >= 1); no number may be < 0
+_POSITIVE = frozenset({"reps", "batch", "record_every", "eps", "n", "m", "gamma",
+                       "n_samples", "n_features", "dro_alpha", "eta1", "b_x", "b_y", "q",
+                       "zeta", "l_xy", "l_yx"})
+# check-params' problem constants and their defaults, which _number reads
+_CONSTANTS = dict(l_xx=1.0, l_xy=1.0, l_yx=1.0, l_yy=1.0, gamma=1.0, mu_y=1.0,
+                  delta_x=0.0, delta_y=0.0)
 # the RunConfig keys _resolve_schedule reads: flags of both subcommands
 _SCHEDULE_KEYS = ("algo", "schedule", "eps", "gap0", "theta", "tau", "sigma", "n_inner",
                   "mu_x", "t_outer", "b", "b_x", "b_y", "q", "zeta")
@@ -255,19 +265,22 @@ def parse_config_file(path) -> dict:
 
 
 def _number(key, val, integer):
-    """The value of a numeric config key, which must be finite; an int key
-    takes integral spellings such as 50.0 or 1e3, and digits exactly."""
+    """The value of a numeric config key, which must be finite and obey the
+    number rule (module docstring); an int key takes integral spellings
+    such as 50.0 or 1e3, and digits exactly."""
     try:
         num = float(val)
     except ValueError:
         raise ConfigurationError(f"config key {key!r}: {val!r} is not a number") from None
     if not math.isfinite(num):
         raise ConfigurationError(f"config key {key!r}: {val!r} is not finite")
-    if not integer:
-        return num
-    if not num.is_integer():
+    if integer and not num.is_integer():
         raise ConfigurationError(f"config key {key!r}: {val!r} is not an integer")
-    return int(val) if str(val).isdigit() else int(num)
+    if key in _POSITIVE and num <= 0:
+        raise ConfigurationError(f"{key} must be {'>= 1' if integer else 'positive'}")
+    if num < 0:
+        raise ConfigurationError(f"{key} must be nonnegative")
+    return (int(val) if str(val).isdigit() else int(num)) if integer else num
 
 
 @dataclass
@@ -319,9 +332,8 @@ class RunConfig:
     @classmethod
     def from_sources(cls, file_values: dict, overrides: dict) -> "RunConfig":
         """File values, then the non-None overrides, each text or a value; a
-        key that is neither a field nor in RESULT_KEYS raises, as do a
-        malformed or non-finite number, reps, batch or record_every < 1
-        and a negative seed or UNSET_AT_ZERO value."""
+        key that is neither a field nor in RESULT_KEYS raises, as does a
+        number that _number refuses."""
         cfg = cls()
         known = {f.name for f in fields(cls)}
         merged = dict(file_values)
@@ -334,14 +346,8 @@ class RunConfig:
                 raise ConfigurationError(f"unknown config key {key!r}")
             cur = getattr(cfg, attr)
             if isinstance(cur, (int, float)):
-                val = _number(key, val, isinstance(cur, int))
+                val = _number(attr, val, isinstance(cur, int))
             setattr(cfg, attr, val)
-        for key in ("reps", "batch", "record_every"):
-            if getattr(cfg, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1")
-        for key in ("seed", "instance_seed") + UNSET_AT_ZERO:
-            if getattr(cfg, key) < 0:
-                raise ConfigurationError(f"{key} must be nonnegative")
         return cfg
 
     def as_lines(self):
@@ -410,9 +416,8 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
                               b_y=cfg.b_y, q=cfg.q, n_inner=cfg.n_inner, mu_x=mu_x)
             cert = build_vr_lmi(cfg.tau, cfg.sigma, cfg.q, cfg.b_x, cfg.b_y, mu_x, s, c)
         else:
-            if not 0 < cfg.theta <= 1 or min(cfg.tau, cfg.sigma, cfg.n_inner) < 0:
-                raise ConfigurationError("manual schedule needs theta in (0, 1] "
-                                         "and no negative tau, sigma or n_inner")
+            if not 0 < cfg.theta <= 1:
+                raise ConfigurationError("manual schedule needs theta in (0, 1]")
             if cfg.theta == 1 and not (cfg.tau and cfg.sigma and cfg.n_inner):
                 # the closed forms of tau and sigma vanish there, and N has none
                 raise ConfigurationError(
@@ -639,13 +644,14 @@ def cmd_solve(argv_overrides, config_path=None) -> int:
 
 
 def cmd_check_params(args) -> int:
+    k = {key: _number(key, getattr(args, key), False) for key in _CONSTANTS}
     cfg = RunConfig.from_sources({}, {key: getattr(args, key) for key in _SCHEDULE_KEYS})
     if cfg.algo == "sgda-baseline":
         raise ConfigurationError("sgda-baseline has no certificate")
     _refuse_unread(cfg)
     params, t_outer, cert, theory = _resolve_schedule(
-        cfg, SmoothnessConstants(args.l_xx, args.l_xy, args.l_yx, args.l_yy),
-        ConvexityModuli(args.gamma, args.mu_y), NoiseLevels(args.delta_x, args.delta_y))
+        cfg, SmoothnessConstants(k["l_xx"], k["l_xy"], k["l_yx"], k["l_yy"]),
+        ConvexityModuli(k["gamma"], k["mu_y"]), NoiseLevels(k["delta_x"], k["delta_y"]))
     shown = {"theta": params.theta, **asdict(params), "t_outer": t_outer}
     if theory is not None:
         shown.update((name, getattr(theory, name)) for name in (
@@ -664,16 +670,8 @@ def main(argv=None) -> int:
     pc = sub.add_parser("check-params", help="print a certified schedule",
                         description="print the schedule that solve runs for these "
                                     "constants, and its certificate")
-    pc.add_argument("--l-xx", type=float, default=1.0)
-    pc.add_argument("--l-xy", type=float, default=1.0)
-    pc.add_argument("--l-yx", type=float, default=1.0)
-    pc.add_argument("--l-yy", type=float, default=1.0)
-    pc.add_argument("--gamma", type=float, default=1.0)
-    pc.add_argument("--mu-y", type=float, default=1.0)
-    pc.add_argument("--delta-x", type=float, default=0.0)
-    pc.add_argument("--delta-y", type=float, default=0.0)
-    for key in _SCHEDULE_KEYS:
-        pc.add_argument(f"--{key.replace('_', '-')}")
+    for key in (*_CONSTANTS, *_SCHEDULE_KEYS):
+        pc.add_argument(f"--{key.replace('_', '-')}", default=_CONSTANTS.get(key))
 
     ps = sub.add_parser("solve", help="run one configuration, write a CSV trace")
     ps.add_argument("--config", type=str, default=None)

@@ -95,7 +95,7 @@ def parse_libsvm(path) -> Dataset:
             values.append(val)
             max_idx = max(max_idx, idx)
     if not labels:
-        raise ConfigurationError("empty dataset")
+        raise ConfigurationError(f"empty dataset in data file {s!r}")
     d = max_idx + 1
     features = np.zeros((len(labels), d))
     features[rows, indices] = values
@@ -109,6 +109,9 @@ def synthetic_logistic_dataset(n: int, d: int, rng) -> Dataset:
     Features are standard normal, row-normalized to unit norm; labels come
     from a random ground-truth logistic model.
     """
+    if n < 1 or d < 1:
+        raise ConfigurationError(f"synthetic dataset needs n >= 1 samples and d >= 1 "
+                                 f"features, not n = {n} and d = {d}")
     a = rng.standard_normal((n, d))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     w = rng.standard_normal(d)

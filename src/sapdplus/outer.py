@@ -46,6 +46,8 @@ class StationarityTarget:
     check_every: int = 1
 
     def __post_init__(self):
+        if not self.epsilon > 0:
+            raise ConfigurationError("epsilon must be positive")
         if self.check_every < 1:
             raise ConfigurationError("check_every must be >= 1")
 

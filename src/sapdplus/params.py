@@ -285,6 +285,8 @@ def vr_step_sizes(smoothness: SmoothnessConstants, lp_xx, lx_corr, ly_corr) -> t
 
 def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: float) -> int:
     """Large-batch rule b >= ceil(max{144 delta_x^2, 360 delta_y^2 gamma/mu_y}/eps^2), at least 1."""
+    if not epsilon > 0:
+        raise ConfigurationError("epsilon must be positive")
     if convexity.mu_y <= 0:
         raise ConfigurationError("mu_y must be positive for the VR batch rule")
     need = max(
@@ -309,6 +311,8 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     """
     if zeta <= 0:
         raise ConfigurationError("zeta must be positive")
+    if gap0 < 0:
+        raise ConfigurationError("gap0 must be nonnegative")
     s, gamma, mu_y = smoothness, convexity.gamma, convexity.mu_y
     mu_x = gamma
     lp_xx = s.l_xx + 2.0 * gamma

@@ -284,7 +284,19 @@ class TestOneSchedulePath:
                      "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
         pytest.param(["--mu-y", "1e-300"],
                      "momentum lower bounds (nan, nan) are not finite at mu_y = 1e-300: "
-                     "degenerate constants", id="mu-y-underflow")])
+                     "degenerate constants", id="mu-y-underflow"),
+        # a ZeroDivisionError traceback in the VR batch floor, exit 1
+        pytest.param(["--algo", "sapd-plus-vr", "--eps", "0"], "eps must be positive",
+                     id="vr-eps-0"),
+        # each once printed the schedule of eps = 0.05, or of T = 1, and exited 0
+        pytest.param(["--algo", "sapd-plus-vr", "--eps", "-0.05"], "eps must be positive",
+                     id="vr-eps-negative"),
+        pytest.param(["--algo", "sapd-plus-vr", "--gap0", "-1"], "gap0 must be nonnegative",
+                     id="vr-gap0-negative"),
+        # the problem constants were argparse floats, with no range rule
+        pytest.param(["--l-xy", "0"], "l_xy must be positive", id="l-xy-0"),
+        pytest.param(["--l-xx", "abc"], "config key 'l_xx': 'abc' is not a number",
+                     id="l-xx-text")])
     def test_check_params_refuses_what_it_cannot_certify(self, capsys, argv, err):
         assert cli.main(["check-params", *argv]) == 2
         assert capsys.readouterr() == ("", f"sapdplus: error: {err}\n")
@@ -359,11 +371,9 @@ class TestOneSchedulePath:
                      "manual schedule at theta = 1 needs tau, sigma and n_inner",
                      id="theta-one"),
         pytest.param(["--schedule", "manual", "--theta", "0.5", "--tau", "-0.1"], "",
-                     "manual schedule needs theta in (0, 1] and no negative tau, "
-                     "sigma or n_inner", id="negative-tau"),
+                     "tau must be nonnegative", id="negative-tau"),
         pytest.param(["--schedule", "manual"], "",
-                     "manual schedule needs theta in (0, 1] and no negative tau, "
-                     "sigma or n_inner", id="no-theta"),
+                     "manual schedule needs theta in (0, 1]", id="no-theta"),
         pytest.param(["--problem", "dro", "--algo", "sapd-plus-vr", "--schedule", "manual",
                       "--tau", "0.05", "--sigma", "0.05"], "",
                      "manual VR schedule needs tau, sigma, n_inner", id="vr-no-n"),
@@ -375,7 +385,22 @@ class TestOneSchedulePath:
         pytest.param(["--problem", "dro", "--batch", "0"], "", "batch must be >= 1",
                      id="dro-batch-0"),
         pytest.param(["--batch", "-1"], "", "batch must be >= 1", id="batch-negative"),
-        pytest.param([], "batch = 0\n", "batch must be >= 1", id="batch-0-in-file")])
+        pytest.param([], "batch = 0\n", "batch must be >= 1", id="batch-0-in-file"),
+        # a ZeroDivisionError traceback in the VR batch floor, exit 1
+        pytest.param(["--problem", "dro", "--algo", "sapd-plus-vr", "--eps", "0"], "",
+                     "eps must be positive", id="vr-eps-0"),
+        # ran to the end against a target that could never be met
+        pytest.param(["--schedule", "manual", "--theta", "0.9", "--eps", "0",
+                      "--stat-every", "1"], "", "eps must be positive", id="manual-eps-0"),
+        # numpy's "negative dimensions" traceback, exit 1
+        pytest.param([], "problem = dro\nn_samples = -5\n", "n_samples must be >= 1",
+                     id="n-samples-negative"),
+        # each once exited 2 with "gamma must be finite and positive", a key
+        # that the user never set
+        pytest.param([], "problem = dro\ndro_alpha = -1\n", "dro_alpha must be positive",
+                     id="dro-alpha-negative"),
+        pytest.param([], "problem = dro\neta1 = 0\n", "eta1 must be positive",
+                     id="eta1-0")])
     def test_exits_2_naming_the_fault(self, tmp_path, monkeypatch, capsys, argv,
                                       config, err):
         monkeypatch.chdir(tmp_path)
@@ -443,6 +468,67 @@ class TestNonFinite:
         assert captured.out == ""
         assert captured.err.startswith("sapdplus: error: ")
         assert "finite" in captured.err
+
+
+NUMERIC_FIELDS = [f.name for f in fields(cli.RunConfig) if isinstance(f.default, (int, float))]
+
+
+def refusal(key):
+    """The error line for a number of key below what the number rule allows;
+    a check-params constant, which is not a RunConfig field, is a float."""
+    integer = isinstance(getattr(cli.RunConfig, key, 1.0), int)
+    rule = (">= 1" if integer else "positive") if key in cli._POSITIVE else "nonnegative"
+    return f"sapdplus: error: {key} must be {rule}\n"
+
+
+class TestNumberRule:
+    """_number range-checks every number that solve and check-params take:
+    none is negative, and the keys of _POSITIVE are > 0."""
+
+    # a base request of each kind for check-params
+    REQUESTS = {
+        "theory": [],
+        "theory-vr": ["--algo", "sapd-plus-vr"],
+        "manual": ["--schedule", "manual", "--theta", "0.8"],
+        "manual-vr": ["--algo", "sapd-plus-vr", "--schedule", "manual", "--tau", "0.05",
+                      "--sigma", "0.05", "--n-inner", "20"]}
+
+    @pytest.mark.filterwarnings("ignore:large batch b below")
+    @pytest.mark.parametrize("val", ["-1", "0", "0.5", "1", "3"])
+    @pytest.mark.parametrize("key", numeric(cli._SCHEDULE_KEYS) + CHECK_CONSTANT_FLAGS)
+    @pytest.mark.parametrize("request_kind", REQUESTS)
+    def test_check_params_grid_returns(self, capsys, request_kind, key, val):
+        # VR theory at eps 0 once raised ZeroDivisionError, and eps -1 and VR
+        # gap0 -1 printed a schedule with exit 0
+        code = cli.main(["check-params", *self.REQUESTS[request_kind],
+                         f"--{key.replace('_', '-')}", val])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        if val == "-1":
+            assert (code, captured) == (2, ("", refusal(key)))
+
+    @pytest.mark.parametrize("val", ["-1", "0"])
+    @pytest.mark.parametrize("key", NUMERIC_FIELDS)
+    def test_a_field_below_the_rule_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                      key, val):
+        # negative instance keys, and a 0 of several, once ended in a numpy
+        # traceback or a message that named another key
+        if val == "0" and key not in cli._POSITIVE:
+            assert getattr(cli.RunConfig.from_sources({key: val}, {}), key) == 0
+            return
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(f"{key} = {val}\n")
+        assert cli.main(["solve", "--config", "run.cfg", "--out", "t.csv"]) == 2
+        assert capsys.readouterr() == ("", refusal(key))
+        assert not Path("t.csv").exists()
+
+    def test_defaults_pass_the_rule(self):
+        assert cli._POSITIVE <= set(NUMERIC_FIELDS) | set(cli._CONSTANTS)
+        for key in NUMERIC_FIELDS:
+            default = getattr(cli.RunConfig, key)
+            assert cli._number(key, default, isinstance(default, int)) == default
+        for key, default in cli._CONSTANTS.items():
+            assert cli._number(key, default, False) == default
 
 
 class TestConfigFile:

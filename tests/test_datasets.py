@@ -52,7 +52,8 @@ class TestLibsvmParser:
             parse_text("+1 1:abc\n")
 
     def test_empty(self, parse_text):
-        with pytest.raises(ConfigurationError, match="empty dataset"):
+        # the message once named no file
+        with pytest.raises(ConfigurationError, match="empty dataset in data file '.*data0"):
             parse_text("\n\n")
 
     def test_gzip_path(self, tmp_path):
@@ -414,6 +415,13 @@ def test_synthetic_dataset_shapes():
     assert ds.features.shape == (40, 6) and ds.features.dtype == np.float64
     np.testing.assert_allclose(np.linalg.norm(ds.features, axis=1), np.ones(40),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("n,d", [(0, 6), (-5, 6), (40, 0)])
+def test_synthetic_dataset_needs_samples_and_features(n, d):
+    # n = -5 once ended in numpy's "negative dimensions" ValueError
+    with pytest.raises(ConfigurationError, match=f"not n = {n} and d = {d}"):
+        datasets.synthetic_logistic_dataset(n, d, np.random.default_rng(0))
 
 
 # any float64 bit pattern: both zeros, both infinities and NaNs with payloads

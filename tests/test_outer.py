@@ -134,6 +134,10 @@ class TestSapdPlusRun:
         _, sched, _ = wcsc_setup()
         with pytest.raises(ConfigurationError, match="check_every"):
             StationarityTarget(epsilon=0.1, check_every=0)
+        # a target of 0 once ran to t_outer, never met
+        for eps in (0.0, -0.1, float("nan")):
+            with pytest.raises(ConfigurationError, match="epsilon must be positive"):
+                StationarityTarget(epsilon=eps)
         with pytest.raises(ConfigurationError, match="record_every"):
             OuterConfig(t_outer=3, schedule=sched.sapd_params(), record_every=0)
 

@@ -360,6 +360,23 @@ class TestVrSchedule:
             assert cert.min_eigenvalue >= -PSD_TOL
             assert params.b >= 1
 
+    @pytest.mark.parametrize("eps,gap0,err", [
+        # eps = 0 once raised ZeroDivisionError in the batch floor, and a
+        # negative eps or gap0 gave the schedule of |eps| and T = 1
+        pytest.param(0.0, 1.0, "epsilon must be positive", id="eps-0"),
+        pytest.param(-0.05, 1.0, "epsilon must be positive", id="eps-negative"),
+        pytest.param(0.1, -1.0, "gap0 must be nonnegative", id="gap0-negative")])
+    def test_refuses_the_targets_theorem1_refuses(self, eps, gap0, err):
+        with pytest.raises(ConfigurationError, match=err):
+            theorem1_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), eps, gap0)
+        with pytest.raises(ConfigurationError, match=err):
+            vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), eps, gap0, q=1, b_x=4, b_y=4)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+    def test_batch_floor_refuses_a_target_not_above_0(self, eps):
+        with pytest.raises(ConfigurationError, match="epsilon must be positive"):
+            vr_batch_floor(NoiseLevels(0.5, 0.2), CANON_C, eps)
+
 
 def _dro_vr_constants():
     # the benchmark's DRO instance, deterministic and almost-sure constants:
