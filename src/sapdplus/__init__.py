@@ -24,7 +24,7 @@ _EXPORTS = {
     "outer": ("FixedT", "OuterConfig", "StationarityTarget", "sapd_plus_run",
               "smooth_then_solve"),
     "params": ("LmiCertificate", "Theorem1Schedule", "beta_of", "build_lmi",
-               "build_vr_lmi", "theorem1_schedule", "theta_noise_floor",
+               "build_vr_lmi", "certify", "theorem1_schedule", "theta_noise_floor",
                "vr_schedule"),
     "problem": ("ConvexityModuli", "FiniteSumSpec", "NoiseLevels", "ProblemSpec",
                 "SmoothnessConstants", "shifted_subproblem"),

@@ -38,8 +38,14 @@ and 0.20 s in lockstep (8 interleaved runs in one process, numpy 2.4.6).
 
 Both subcommands take the schedule keys, _SCHEDULE_KEYS: ``algo`` and
 ``schedule`` name the request, which _resolve_schedule resolves into the
-parameters, stage count and LMI certificate for the noise the problem
-declares; a schedule with no momentum below 1 for them exits 2.
+parameters, stage count and LMI certificate (params.certify) for the
+noise the problem declares.  Every input that the number rule accepts
+ends in one of three ways: a schedule; a manual schedule that does not
+certify, which `check-params` prints with exit 1 and `solve` runs after
+a warning; or exit 2 before any output opens, with one line that names
+the quantity a closed-form rule cannot give (a momentum bound at or above
+1, a bound, step size, count or batch that leaves the finite floats, or
+a tuple that fails the rule's own certificate).
 
 One table, _READS, says which RunConfig keys a run reads beside the seven
 that every `solve` reads (problem, algo, seed, reps, out, epochs and
@@ -176,8 +182,7 @@ from . import datasets
 from .errors import ConfigurationError, DivergenceError, InfeasibleScheduleError
 from .outer import (FixedT, OuterConfig, StageRecord, StationarityTarget,
                     sapd_plus_lockstep, sapd_plus_run)
-from .params import (build_lmi, build_vr_lmi, step_rule, theorem1_schedule,
-                     vr_schedule)
+from .params import certify, step_rule, theorem1_schedule, vr_schedule
 from .problem import (ConvexityModuli, NoiseLevels, SmoothnessConstants,
                       with_gaussian_noise)
 from .sapd import SapdParams, sapd_run, takes_replica_stacks
@@ -414,7 +419,6 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
             b = cfg.b if cfg.b > 0 else max(cfg.b_x, cfg.b_y)
             params = VrParams(tau=cfg.tau, sigma=cfg.sigma, b=b, b_x=cfg.b_x,
                               b_y=cfg.b_y, q=cfg.q, n_inner=cfg.n_inner, mu_x=mu_x)
-            cert = build_vr_lmi(cfg.tau, cfg.sigma, cfg.q, cfg.b_x, cfg.b_y, mu_x, s, c)
         else:
             if not 0 < cfg.theta <= 1:
                 raise ConfigurationError("manual schedule needs theta in (0, 1]")
@@ -424,8 +428,7 @@ def _resolve_schedule(cfg: RunConfig, smoothness, convexity, noise):
                     "manual schedule at theta = 1 needs tau, sigma and n_inner")
             params = step_rule(cfg.theta, mu_x, s, c, tau=cfg.tau or None,
                                sigma=cfg.sigma or None, n_inner=cfg.n_inner or None)
-            cert = build_lmi(params.tau, params.sigma, params.theta, params.rho,
-                             params.alpha, mu_x, s, c)
+        cert = certify(params, s, c)
         t_outer = 1
     else:
         raise ConfigurationError(f"unknown schedule source {cfg.schedule!r}")

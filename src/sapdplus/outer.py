@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, InfeasibleScheduleError
 from .evaluation import moreau_stationarity
 from .params import theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
@@ -232,14 +232,19 @@ def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,
     """mu_hat = min{eps^2/(24 gamma d_y^2), (l_yy/l_xy) eps/(2 sqrt(6) d_y)}.
 
     The second term vanishes with l_yy (it stems from a 1/l_yy prox step in
-    the derivation); in that case only the first term applies.
+    the derivation); in that case only the first term applies.  Raises
+    ConfigurationError for an epsilon or d_y that is not a positive float,
+    and InfeasibleScheduleError where mu_hat underflows to 0.
     """
     if epsilon <= 0 or d_y is None or not np.isfinite(d_y) or d_y <= 0:
         raise ConfigurationError("need epsilon > 0 and a finite dual diameter")
-    first = epsilon**2 / (24.0 * gamma * d_y**2)
-    if l_yy == 0:
-        return first
-    return min(first, (l_yy / l_xy) * epsilon / (2.0 * math.sqrt(6.0) * d_y))
+    mu_hat = epsilon**2 / (24.0 * gamma * d_y**2)
+    if l_yy != 0:
+        mu_hat = min(mu_hat, (l_yy / l_xy) * epsilon / (2.0 * math.sqrt(6.0) * d_y))
+    if not mu_hat > 0:
+        raise InfeasibleScheduleError(
+            f"smoothing mu_hat underflows to 0 at eps = {epsilon:.6g}")
+    return mu_hat
 
 
 def smooth_dual(p: ProblemSpec, mu_hat: float, anchor) -> ProblemSpec:

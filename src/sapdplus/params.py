@@ -9,8 +9,7 @@ counts, batch sizes).
 """
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -34,8 +33,18 @@ class LmiCertificate:
 
 
 def _certificate(g) -> LmiCertificate:
-    min_eig = float(np.linalg.eigvalsh(0.5 * (g + g.T))[0])
+    # eigvalsh does not converge on an inf or nan entry: a tuple whose matrix
+    # leaves the finite floats is not certified
+    h = 0.5 * (g + g.T)
+    min_eig = float(np.linalg.eigvalsh(h)[0]) if np.isfinite(h).all() else -math.inf
     return LmiCertificate(min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
+
+
+def _not_finite(count):
+    """The refusal of a count of a closed-form rule whose arithmetic leaves
+    the finite floats: a square or a ceiling that overflows, or a divisor
+    that underflows to 0."""
+    return InfeasibleScheduleError(f"{count} is not finite: degenerate constants")
 
 
 def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
@@ -46,8 +55,10 @@ def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_
     lbar_xx_gap = 1.0 / tau - s.l_xx  # caller passes l_xx already including mu_x + gamma
     c = theta / rho - 1.0
     g = np.zeros((5, 5))
-    g[0, 0] = (mu_x * tau + (rho - 1.0)) / (tau * rho)
-    g[1, 1] = (rho - 1.0) / (sigma * rho) + mu_y
+    # tau rho or sigma rho underflows to 0 only where 1/tau or 1/sigma is
+    # already infinite, and the certificate refuses the tuple either way
+    g[0, 0] = (mu_x * tau + (rho - 1.0)) / (tau * rho) if tau * rho else math.inf
+    g[1, 1] = (rho - 1.0) / (sigma * rho) + mu_y if sigma * rho else math.inf
     g[1, 2] = g[2, 1] = c * s.l_yx
     g[1, 3] = g[3, 1] = c * s.l_yy
     g[2, 2] = lbar_xx_gap
@@ -72,10 +83,7 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
         raise ConfigurationError("theta must be nonnegative")
     if not (0 <= alpha < 1.0 / sigma):
         raise ConfigurationError("alpha must lie in [0, 1/sigma)")
-    s_shift = SmoothnessConstants(
-        smoothness.l_xx + mu_x + convexity.gamma,
-        smoothness.l_xy, smoothness.l_yx, smoothness.l_yy,
-    )
+    s_shift = replace(smoothness, l_xx=smoothness.l_xx + mu_x + convexity.gamma)
     return _certificate(_assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift,
                                     convexity.mu_y))
 
@@ -83,14 +91,18 @@ def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
 def _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s: SmoothnessConstants):
     """L'_x = 2(q-1) (l'_xx^2/(mu_x b_x) + 10 l_yx^2/(mu_y b_y)) and
     L'_y = 2(q-1) (l_xy^2/(mu_x b_x) + 10 l_yy^2/(mu_y b_y)).  Each caller
-    sums lp_xx = l_xx + mu_x + gamma its own way; on DRO they round apart."""
+    sums lp_xx = l_xx + mu_x + gamma its own way; on DRO they round apart.
+    A square that overflows makes both infinite."""
     if q < 1 or b_x < 1 or b_y < 1:
         raise ConfigurationError("q, b_x, b_y must be >= 1")
     if mu_x <= 0 or mu_y <= 0:
         raise ConfigurationError("mu_x, mu_y must be positive")
     c_q = 2.0 * (q - 1)
-    return (c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y)),
-            c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y)))
+    try:
+        return (c_q * (lp_xx**2 / (mu_x * b_x) + 10.0 * s.l_yx**2 / (mu_y * b_y)),
+                c_q * (s.l_xy**2 / (mu_x * b_x) + 10.0 * s.l_yy**2 / (mu_y * b_y)))
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
@@ -112,20 +124,43 @@ def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
     if alpha > 1.0 / sigma + 1e-12:
         raise ConfigurationError("alpha = l_yx + l_yy must be at most 1/sigma")
 
-    s_shift = SmoothnessConstants(lp_xx, s.l_xy, s.l_yx, s.l_yy)
+    s_shift = replace(s, l_xx=lp_xx)
     g = _assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
     g -= np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0])
     return _certificate(g)
 
 
+def certify(schedule, smoothness: SmoothnessConstants,
+            convexity: ConvexityModuli) -> LmiCertificate:
+    """The certificate of a SapdParams or VrParams tuple for these constants:
+    build_lmi or build_vr_lmi at the tuple's own fields, the one place where
+    a schedule meets its matrix inequality.
+
+    A matrix that leaves the finite floats is not certified (min eigenvalue
+    -inf).  Raises ConfigurationError where build_lmi or build_vr_lmi refuses
+    the tuple.
+    """
+    if isinstance(schedule, VrParams):
+        return build_vr_lmi(schedule.tau, schedule.sigma, schedule.q, schedule.b_x,
+                            schedule.b_y, schedule.mu_x, smoothness, convexity)
+    return build_lmi(schedule.tau, schedule.sigma, schedule.theta, schedule.rho,
+                     schedule.alpha, schedule.mu_x, smoothness, convexity)
+
+
 def beta_of(smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> float:
-    """beta = min{1/2, mu_y/(4 gamma), gamma/(4 mu_y), l_yx/(2 l_xy)}."""
+    """beta = min{1/2, mu_y/(4 gamma), gamma/(4 mu_y), l_yx/(2 l_xy)}.
+
+    Raises InfeasibleScheduleError where beta underflows to 0."""
     if convexity.mu_y <= 0:
         raise ConfigurationError(
             "mu_y = 0: merely-concave problems take the smoothing path"
         )
     g, mu = convexity.gamma, convexity.mu_y
-    return min(0.5, mu / (4 * g), g / (4 * mu), smoothness.l_yx / (2 * smoothness.l_xy))
+    beta = min(0.5, mu / (4 * g), g / (4 * mu), smoothness.l_yx / (2 * smoothness.l_xy))
+    if not beta > 0:
+        raise InfeasibleScheduleError(f"beta underflows to 0 at gamma = {g:.6g}, "
+                                      f"mu_y = {mu:.6g}: degenerate constants")
+    return beta
 
 
 def theta_bar_components(beta, smoothness: SmoothnessConstants,
@@ -142,19 +177,23 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
     s, mu_y = smoothness, convexity.mu_y
     lp_xx = s.l_xx + mu_x + convexity.gamma
     # a tiny mu_y underflows beta l'_xx^2 mu_y, or r below, and the bounds
-    # come out infinite or nan
-    scale = beta * lp_xx**2 * mu_y
-    ratio = 4 * s.l_yx**2 * mu_x / scale if scale else math.inf
-    tb1 = 1.0 - (beta * mu_y * lp_xx / (2 * s.l_yx**2)) * (math.sqrt(1.0 + ratio) - 1.0)
-    if s.l_yy == 0:
-        tb2 = 0.0
-    else:
-        r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
-        tb2 = 1.0 - (r / 8.0) * (math.sqrt(1.0 + 16.0 / r) - 1.0) if r else math.nan
+    # come out infinite or nan; a square may also overflow, or underflow a
+    # divisor to 0
+    try:
+        scale = beta * lp_xx**2 * mu_y
+        ratio = 4 * s.l_yx**2 * mu_x / scale if scale else math.inf
+        tb1 = 1.0 - (beta * mu_y * lp_xx / (2 * s.l_yx**2)) * (math.sqrt(1.0 + ratio) - 1.0)
+        if s.l_yy == 0:
+            tb2 = 0.0
+        else:
+            r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
+            tb2 = 1.0 - (r / 8.0) * (math.sqrt(1.0 + 16.0 / r) - 1.0) if r else math.nan
+    except (OverflowError, ZeroDivisionError):
+        tb1 = tb2 = math.nan
     if not (math.isfinite(tb1) and math.isfinite(tb2)):
         raise InfeasibleScheduleError(
-            f"momentum lower bounds ({tb1:.6g}, {tb2:.6g}) are not finite at "
-            f"mu_y = {mu_y:.6g}: degenerate constants")
+            f"momentum lower bounds ({tb1:.6g}, {tb2:.6g}) are not finite: "
+            "degenerate constants")
     return tb1, tb2
 
 
@@ -163,28 +202,34 @@ def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -
 
     theta_dbar_1 = max{0, 1 - eps^2/(384 delta_x^2)}
     theta_dbar_2 = (1 + (mu_y/(10 gamma)) eps^2/(384 delta_y^2))^{-1}
+
+    Raises InfeasibleScheduleError where a floor leaves the finite floats.
     """
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be positive")
-    if noise.delta_x == 0:
-        td1 = 0.0
-    else:
-        td1 = max(0.0, 1.0 - epsilon**2 / (384.0 * noise.delta_x**2))
-    if noise.delta_y == 0:
-        td2 = 0.0
-    else:
-        td2 = 1.0 / (
-            1.0
-            + (convexity.mu_y / (10.0 * convexity.gamma))
-            * epsilon**2
-            / (384.0 * noise.delta_y**2)
-        )
+    # a square may overflow or underflow a divisor to 0, and an overflowed
+    # numerator over an overflowed divisor makes theta_dbar_2 nan
+    try:
+        if noise.delta_x == 0:
+            td1 = 0.0
+        else:
+            td1 = max(0.0, 1.0 - epsilon**2 / (384.0 * noise.delta_x**2))
+        if noise.delta_y == 0:
+            td2 = 0.0
+        else:
+            td2 = 1.0 / (
+                1.0
+                + (convexity.mu_y / (10.0 * convexity.gamma))
+                * epsilon**2
+                / (384.0 * noise.delta_y**2)
+            )
+    except (OverflowError, ZeroDivisionError):
+        td1 = td2 = math.nan
+    if not (math.isfinite(td1) and math.isfinite(td2)):
+        raise InfeasibleScheduleError(
+            f"noise floors ({td1:.6g}, {td2:.6g}) are not finite at eps = {epsilon:.6g}: "
+            "degenerate constants")
     return td1, td2
-
-
-# reads the SapdParams fields of a schedule in their order, with no field
-# scan per call
-_sapd_fields = attrgetter(*(f.name for f in fields(SapdParams)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +248,7 @@ class Theorem1Schedule(SapdParams):
 
     def sapd_params(self) -> SapdParams:
         """The inner-solver tuple alone."""
-        return SapdParams(*_sapd_fields(self))
+        return SapdParams(**{f.name: getattr(self, f.name) for f in fields(SapdParams)})
 
 
 
@@ -225,7 +270,8 @@ def step_rule(theta: float, mu_x: float, smoothness: SmoothnessConstants,
     A given tau, sigma or n_inner replaces its closed form (a manual tuple);
     alpha always follows the sigma used.  l_yy = 0 puts alpha exactly on the
     alpha = 1/sigma boundary, so it is shaved within the certificate's
-    feasibility margin; a negative alpha is raised to 0.
+    feasibility margin; a negative alpha is raised to 0.  Raises
+    InfeasibleScheduleError where 1/sigma overflows.
     """
     if tau is None:
         tau = (1.0 - theta) / mu_x
@@ -233,6 +279,9 @@ def step_rule(theta: float, mu_x: float, smoothness: SmoothnessConstants,
         # the floor keeps a manual check of mu_y = 0 finite
         sigma = (1.0 - theta) / max(convexity.mu_y * theta, 1e-300)
     alpha = 1.0 / sigma - math.sqrt(theta) * smoothness.l_yy
+    if alpha == math.inf:
+        raise InfeasibleScheduleError(
+            f"alpha = 1/sigma - sqrt(theta) l_yy is not finite at sigma = {sigma:.6g}")
     if alpha >= 1.0 / sigma:
         alpha = (1.0 - 1e-9) / sigma
     return SapdParams(tau=tau, sigma=sigma, theta=theta, rho=theta,
@@ -246,6 +295,9 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
 
     mu_x = gamma; theta = max of the four momentum lower bounds, and the
     step sizes follow from step_rule; T = ceil(96 gap0 gamma / eps^2) + 1.
+    Raises InfeasibleScheduleError naming the quantity where the rule gives
+    no schedule: a momentum bound at or above 1, a bound, alpha or T that
+    leaves the finite floats, or a tuple that does not certify.
     """
     if gap0 < 0:
         raise ConfigurationError("gap0 must be nonnegative")
@@ -260,14 +312,15 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
         )
     theta = min(max(theta, 1e-12), 1.0 - 1e-15)
     params = step_rule(theta, mu_x, smoothness, convexity)
-    t_outer = math.ceil(96.0 * gap0 * convexity.gamma / epsilon**2) + 1
-    cert = build_lmi(params.tau, params.sigma, theta, theta, params.alpha, mu_x,
-                     smoothness, convexity)
+    try:
+        t_outer = math.ceil(96.0 * gap0 * convexity.gamma / epsilon**2) + 1
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite(f"stage count T at eps = {epsilon:.6g}") from None
+    cert = certify(params, smoothness, convexity)
     if not cert.feasible:
-        raise RuntimeError(
-            "internal consistency failure: the closed-form schedule must "
-            f"certify (min eigenvalue {cert.min_eigenvalue:.3e})"
-        )
+        raise InfeasibleScheduleError(
+            "the closed-form schedule does not certify (min eigenvalue "
+            f"{cert.min_eigenvalue:.3e}): degenerate constants")
     return Theorem1Schedule(
         **vars(params), beta=beta, theta_bar_1=tb1, theta_bar_2=tb2,
         theta_dbar_1=td1, theta_dbar_2=td2, t_outer=t_outer, certificate=cert,
@@ -284,16 +337,21 @@ def vr_step_sizes(smoothness: SmoothnessConstants, lp_xx, lx_corr, ly_corr) -> t
 
 
 def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: float) -> int:
-    """Large-batch rule b >= ceil(max{144 delta_x^2, 360 delta_y^2 gamma/mu_y}/eps^2), at least 1."""
+    """Large-batch rule b >= ceil(max{144 delta_x^2, 360 delta_y^2 gamma/mu_y}/eps^2), at least 1.
+
+    Raises InfeasibleScheduleError where b leaves the finite floats."""
     if not epsilon > 0:
         raise ConfigurationError("epsilon must be positive")
     if convexity.mu_y <= 0:
         raise ConfigurationError("mu_y must be positive for the VR batch rule")
-    need = max(
-        144.0 * noise.delta_x**2,
-        360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
-    ) / epsilon**2
-    return max(1, math.ceil(need))
+    try:
+        need = max(
+            144.0 * noise.delta_x**2,
+            360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
+        ) / epsilon**2
+        return max(1, math.ceil(need))
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite(f"large batch b at eps = {epsilon:.6g}") from None
 
 
 def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
@@ -307,7 +365,10 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     rounds apart from build_vr_lmi's (l_xx + gamma) + gamma,
     N = ceil(2(1+zeta) max{1/(gamma tau) - 1, 1/(mu_y sigma)}),
     T = ceil(288 gap0 gamma/eps^2), b from the batch floor.
-    Returns (VrParams, LmiCertificate, t_outer).
+    Returns (VrParams, LmiCertificate, t_outer).  Raises
+    InfeasibleScheduleError naming the quantity where the rule gives no
+    schedule: tau or sigma that is not a positive float, N, T or b that
+    leaves the finite floats, or a tuple that does not certify.
     """
     if zeta <= 0:
         raise ConfigurationError("zeta must be positive")
@@ -318,16 +379,25 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     lp_xx = s.l_xx + 2.0 * gamma
     lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
     tau, sigma = vr_step_sizes(s, lp_xx, lx_corr, ly_corr)
+    if not (tau > 0 and sigma > 0):
+        # an infinite or nan correction
+        raise InfeasibleScheduleError(f"VR step sizes ({tau:.6g}, {sigma:.6g}) are not "
+                                      "positive: degenerate constants")
     b = vr_batch_floor(noise, convexity, epsilon)
-    n_inner = max(1, math.ceil(2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0,
-                                                        1.0 / (mu_y * sigma))))
-    t_outer = max(1, math.ceil(288.0 * gap0 * gamma / epsilon**2))
-    cert = build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x, smoothness, convexity)
-    if not cert.feasible:
-        raise RuntimeError(
-            "internal consistency failure: the VR schedule must certify "
-            f"(min eigenvalue {cert.min_eigenvalue:.3e})"
-        )
+    try:
+        n_inner = max(1, math.ceil(2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0,
+                                                            1.0 / (mu_y * sigma))))
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite("VR inner count N") from None
+    try:
+        t_outer = max(1, math.ceil(288.0 * gap0 * gamma / epsilon**2))
+    except (OverflowError, ZeroDivisionError):
+        raise _not_finite(f"VR stage count T at eps = {epsilon:.6g}") from None
     params = VrParams(tau=tau, sigma=sigma, b=b, b_x=b_x, b_y=b_y, q=q,
                       n_inner=n_inner, mu_x=mu_x)
+    cert = certify(params, smoothness, convexity)
+    if not cert.feasible:
+        raise InfeasibleScheduleError(
+            "the VR schedule does not certify (min eigenvalue "
+            f"{cert.min_eigenvalue:.3e}): degenerate constants")
     return params, cert, t_outer

@@ -1,10 +1,13 @@
 import contextlib
+import io
 import json
 import threading
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import make_scsc_quadratic
 from sapdplus import cli, datasets
@@ -283,8 +286,8 @@ class TestOneSchedulePath:
         pytest.param(["--delta-y", "1e6", "--eps", "1e-9"],
                      "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
         pytest.param(["--mu-y", "1e-300"],
-                     "momentum lower bounds (nan, nan) are not finite at mu_y = 1e-300: "
-                     "degenerate constants", id="mu-y-underflow"),
+                     "momentum lower bounds (nan, nan) are not finite: degenerate constants",
+                     id="mu-y-underflow"),
         # a ZeroDivisionError traceback in the VR batch floor, exit 1
         pytest.param(["--algo", "sapd-plus-vr", "--eps", "0"], "eps must be positive",
                      id="vr-eps-0"),
@@ -296,10 +299,42 @@ class TestOneSchedulePath:
         # the problem constants were argparse floats, with no range rule
         pytest.param(["--l-xy", "0"], "l_xy must be positive", id="l-xy-0"),
         pytest.param(["--l-xx", "abc"], "config key 'l_xx': 'abc' is not a number",
-                     id="l-xx-text")])
+                     id="l-xx-text"),
+        # each once ended in a traceback with exit 1: a ZeroDivisionError, an
+        # OverflowError or a bare RuntimeError ("internal consistency failure")
+        pytest.param(["--eps", "1e-300"],
+                     "stage count T at eps = 1e-300 is not finite: degenerate constants",
+                     id="eps-1e-300"),
+        *(pytest.param([flag, "1e300"], "momentum lower bounds (nan, nan) are not finite: "
+                       "degenerate constants", id=f"{flag[2:]}-1e300")
+          for flag in ("--l-xx", "--l-yx", "--gamma")),
+        pytest.param(["--mu-y", "1e-12"], "the closed-form schedule does not certify "
+                     "(min eigenvalue -8.890e-05): degenerate constants", id="mu-y-1e-12"),
+        pytest.param(["--algo", "sapd-plus-vr", "--q", "1000000000000000000000000"],
+                     "the VR schedule does not certify (min eigenvalue -7.321e-01): "
+                     "degenerate constants", id="vr-q-1e24",
+                     marks=pytest.mark.filterwarnings("ignore:large batch b below"))])
     def test_check_params_refuses_what_it_cannot_certify(self, capsys, argv, err):
         assert cli.main(["check-params", *argv]) == 2
         assert capsys.readouterr() == ("", f"sapdplus: error: {err}\n")
+
+    @pytest.mark.parametrize("argv,problem", [
+        pytest.param(["--theta", "0.5", "--tau", "1e-320"], "quadratic", id="plain"),
+        pytest.param(["--algo", "sapd-plus-vr", "--tau", "1e-320", "--sigma", "1e-320",
+                      "--n-inner", "3"], "dro", id="vr")])
+    def test_manual_tuple_beyond_the_floats_is_not_certified(self, tmp_path, capsys, argv,
+                                                             problem):
+        # 1/tau overflows; eigvalsh once raised LinAlgError on the inf entry,
+        # a traceback with exit 1
+        assert cli.main(["check-params", "--schedule", "manual", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "lmi_min_eigenvalue = -inf\nfeasible = False\n" in out
+        trace = tmp_path / "t.csv"
+        assert cli.main(["solve", "--problem", problem, "--schedule", "manual", *argv,
+                         "--t-outer", "1", "--out", str(trace)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: manual schedule is not certified (min eigenvalue -inf); proceeding\n")
+        assert read_meta(trace)["certificate_feasible"] == "False"
 
     def test_sgda_baseline_meta_records_what_ran(self, tmp_path):
         # the meta file once recorded the plain theory schedule, its
@@ -531,6 +566,32 @@ class TestNumberRule:
             assert cli._number(key, default, False) == default
 
 
+def log_uniform(key):
+    """Numbers 10^e for e uniform in [-300, 300], and 0 where the number rule
+    takes it."""
+    values = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+    return values if key in cli._POSITIVE else st.one_of(st.just(0.0), values)
+
+
+@pytest.mark.filterwarnings("ignore:large batch b below")
+@pytest.mark.parametrize("request_kind", TestNumberRule.REQUESTS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_params_returns_for_every_number_it_takes(request_kind, data):
+    # finite extremes the number rule takes once ended in ZeroDivisionError,
+    # OverflowError, LinAlgError or RuntimeError tracebacks with exit 1
+    keys = CHECK_CONSTANT_FLAGS + ["eps"] + (["gap0"] if "manual" not in request_kind
+                                             else [])
+    argv = ["check-params", *TestNumberRule.REQUESTS[request_kind]]
+    for key in keys:
+        argv += [f"--{key.replace('_', '-')}", repr(data.draw(log_uniform(key), label=key))]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("sapdplus: error: ")
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -630,6 +691,14 @@ class TestSolve:
         return ["solve", "--problem", "quadratic", "--schedule", "theory",
                 "--eps", "0.05", "--t-outer", "6", "--reps", "2",
                 "--seed", "100", "--out", str(out), *extra], out
+
+    def test_eps_whose_stage_count_leaves_the_floats_exits_2(self, tmp_path, capsys):
+        # eps^2 underflows to 0: T once ended in a ZeroDivisionError traceback
+        out = tmp_path / "t.csv"
+        assert cli.main(["solve", "--eps", "1e-300", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "sapdplus: error: stage count T at eps = 1e-300 "
+                                           "is not finite: degenerate constants\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_problem_exits_like_a_bad_flag(self, tmp_path, capsys):
         out = tmp_path / "nope.csv"

@@ -13,13 +13,15 @@ from sapdplus.outer import _smoothing_plan
 from reference_kernels import (reference_lmi_sign_flipped_feasible,
                                reference_vr_lmi_min_eigenvalue,
                                reference_vr_schedule_steps)
-from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi,
+from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi, certify,
                              inner_iterations, step_rule, theorem1_schedule,
                              theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
 from sapdplus.problem import (ConvexityModuli, NoiseLevels, ProblemSpec,
                               SmoothnessConstants)
 from sapdplus.prox import prox_zero
+from sapdplus.sapd import SapdParams
+from sapdplus.vr import VrParams
 
 CANON_S = SmoothnessConstants(1.0, 1.0, 1.0, 1.0)
 CANON_C = ConvexityModuli(1.0, 1.0)
@@ -417,7 +419,7 @@ def test_vr_rule_matches_frozen_formulas(sc, q, b_x, b_y, zeta, eps, mu_x, tau_f
         s, c, eps, 1.0, q, b_x, b_y, zeta)
     ref_eig = reference_vr_lmi_min_eigenvalue(tau, sigma, q, b_x, b_y, c.gamma, s, c)
     if ref_eig < -PSD_TOL:
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InfeasibleScheduleError, match="the VR schedule does not certify"):
             vr_schedule(s, c, NoiseLevels(0, 0), eps, 1.0, q, b_x, b_y, zeta)
     else:
         params, cert, got_t = vr_schedule(s, c, NoiseLevels(0, 0), eps, 1.0,
@@ -432,6 +434,104 @@ def test_vr_rule_matches_frozen_formulas(sc, q, b_x, b_y, zeta, eps, mu_x, tau_f
     got = build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x, s, c)
     assert got.min_eigenvalue.hex() == reference_vr_lmi_min_eigenvalue(
         tau, sigma, q, b_x, b_y, mu_x, s, c).hex()
+
+
+@pytest.mark.filterwarnings("ignore:large batch b below")
+@settings(max_examples=200, deadline=None)
+@given(s=st.builds(SmoothnessConstants, scales(-2, 2), scales(-2, 2), scales(-2, 2),
+                   st.one_of(st.just(0.0), scales(-2, 2))),
+       c=st.builds(ConvexityModuli, scales(-2, 2), scales(-2, 2)),
+       tau=scales(-3, 1), sigma_f=st.floats(0.01, 1.0), theta=st.floats(0.0, 1.0),
+       rho=st.floats(0.05, 1.0), alpha_f=st.floats(0.0, 0.999), mu_x=scales(-2, 2),
+       q=st.integers(1, 20), b_x=st.integers(1, 100), b_y=st.integers(1, 100))
+def test_certify_matches_build_lmi_and_build_vr_lmi(s, c, tau, sigma_f, theta, rho,
+                                                     alpha_f, mu_x, q, b_x, b_y):
+    # sigma at most 1/(l_yx + l_yy) keeps the VR alpha = l_yx + l_yy admissible
+    sigma = sigma_f / (s.l_yx + s.l_yy)
+    plain = SapdParams(tau, sigma, theta, rho, alpha_f / sigma, mu_x, n_inner=5)
+    vr = VrParams(tau, sigma, b=1, b_x=b_x, b_y=b_y, q=q, n_inner=5, mu_x=mu_x)
+    for got, want in ((certify(plain, s, c),
+                       build_lmi(tau, sigma, theta, rho, alpha_f / sigma, mu_x, s, c)),
+                      (certify(vr, s, c), build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x, s, c))):
+        assert (got.min_eigenvalue.hex(), got.feasible) == (
+            want.min_eigenvalue.hex(), want.feasible)
+
+
+@pytest.mark.parametrize("build", [
+    # 1/tau overflows; tau rho underflows to 0 as well; (theta/rho) l_yx
+    # overflows off the diagonal; both steps overflow
+    pytest.param(lambda: build_lmi(1e-320, 1.0, 0.5, 0.5, 0.1, 1.0, CANON_S, CANON_C),
+                 id="tau-1e-320"),
+    pytest.param(lambda: build_lmi(5e-324, 1.0, 0.3, 0.3, 0.1, 1.0, CANON_S, CANON_C),
+                 id="tau-rho-underflow"),
+    pytest.param(lambda: build_lmi(0.1, 0.1, 1.0, 1e-300, 0.0, 1.0,
+                                   SmoothnessConstants(1, 1, 1e300, 1), CANON_C),
+                 id="off-diagonal-inf"),
+    pytest.param(lambda: build_vr_lmi(1e-320, 1e-320, 3, 10, 10, 1.0, CANON_S, CANON_C),
+                 id="vr-1e-320")])
+def test_a_matrix_beyond_the_floats_is_not_certified(build):
+    # eigvalsh once raised LinAlgError on the inf entry
+    cert = build()
+    assert (cert.min_eigenvalue, cert.feasible) == (-math.inf, False)
+
+
+@pytest.mark.filterwarnings("ignore:large batch b below")
+@pytest.mark.parametrize("rule,err", [
+    # each once ended in another exception: ZeroDivisionError, OverflowError,
+    # a bare RuntimeError, the ConfigurationError "beta must lie in (0, 1]",
+    # a ValueError from the ceiling of nan, or, for the nan floor, a schedule
+    # that left the floor out
+    pytest.param(lambda: theorem1_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), 1e-300, 1.0),
+                 "stage count T at eps = 1e-300 is not finite", id="T"),
+    pytest.param(lambda: theorem1_schedule(SmoothnessConstants(1e300, 1, 1, 1), CANON_C,
+                                           NoiseLevels(0, 0), 0.05, 1.0),
+                 "momentum lower bounds (nan, nan) are not finite", id="bounds"),
+    pytest.param(lambda: theorem1_schedule(CANON_S, ConvexityModuli(1e-300, 1e300),
+                                           NoiseLevels(0, 0), 0.05, 1.0),
+                 "beta underflows to 0 at gamma = 1e-300, mu_y = 1e+300", id="beta"),
+    pytest.param(lambda: theorem1_schedule(CANON_S, CANON_C, NoiseLevels(1e-200, 0), 0.05,
+                                           1.0),
+                 "noise floors (nan, nan) are not finite at eps = 0.05", id="floors"),
+    pytest.param(lambda: theorem1_schedule(SmoothnessConstants(1, 1, 1, 0),
+                                           ConvexityModuli(1e-10, 1e10),
+                                           NoiseLevels(0, 1.2e154), 1e150, 1.0),
+                 "noise floors (0, nan) are not finite at eps = 1e+150", id="floor-nan"),
+    pytest.param(lambda: theorem1_schedule(CANON_S, ConvexityModuli(1, 1e-12),
+                                           NoiseLevels(0, 0), 0.05, 1.0),
+                 "the closed-form schedule does not certify (min eigenvalue -8.890e-05)",
+                 id="certificate"),
+    pytest.param(lambda: step_rule(0.5, 1.0, CANON_S, CANON_C, sigma=1e-320),
+                 "alpha = 1/sigma - sqrt(theta) l_yy is not finite at sigma = 9.99989e-321",
+                 id="alpha"),
+    pytest.param(lambda: vr_schedule(SmoothnessConstants(1e300, 1, 1, 1), CANON_C,
+                                     NoiseLevels(0, 0), 0.05, 1.0, 10, 10, 10),
+                 "VR step sizes (0, 0) are not positive", id="vr-steps"),
+    pytest.param(lambda: vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), 0.05, 1.0,
+                                     1, 10, 10, zeta=1e308),
+                 "VR inner count N is not finite", id="vr-N"),
+    pytest.param(lambda: vr_schedule(CANON_S, CANON_C, NoiseLevels(1e200, 0), 0.05, 1.0,
+                                     10, 10, 10),
+                 "large batch b at eps = 0.05 is not finite", id="vr-b"),
+    pytest.param(lambda: vr_schedule(CANON_S, ConvexityModuli(1e10, 1), NoiseLevels(0, 0),
+                                     0.05, 1e300, 1, 10, 10),
+                 "VR stage count T at eps = 0.05 is not finite", id="vr-T"),
+    pytest.param(lambda: vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), 0.05, 1.0,
+                                     10**24, 10, 10),
+                 "the VR schedule does not certify (min eigenvalue -7.321e-01)",
+                 id="vr-certificate")])
+def test_a_rule_with_no_schedule_names_the_quantity(rule, err):
+    with pytest.raises(InfeasibleScheduleError) as info:
+        rule()
+    assert str(info.value).startswith(err)
+
+
+def test_smoothing_mu_hat_underflow_names_eps():
+    # it once reached the strongly concave rule with mu_y = 0, which said
+    # "mu_y = 0: merely-concave problems take the smoothing path"
+    toy = datasets.make_bilinear_box_toy()
+    with pytest.raises(InfeasibleScheduleError,
+                       match="smoothing mu_hat underflows to 0 at eps = 1e-200"):
+        _smoothing_plan(toy.problem, 1e-200, np.zeros(toy.problem.m))
 
 
 # The oracle complexities of the abstract, as exponents of the schedules
