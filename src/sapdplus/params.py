@@ -40,11 +40,16 @@ def _certificate(g) -> LmiCertificate:
     return LmiCertificate(min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
 
 
-def _not_finite(count):
-    """The refusal of a count of a closed-form rule whose arithmetic leaves
-    the finite floats: a square or a ceiling that overflows, or a divisor
-    that underflows to 0."""
-    return InfeasibleScheduleError(f"{count} is not finite: degenerate constants")
+def _count(what, value) -> int:
+    """ceil(value()), the count of a closed-form rule, with value a function
+    of no arguments so that its arithmetic runs here.  Raises
+    InfeasibleScheduleError naming `what` where that arithmetic leaves the
+    finite floats: a square or a ceiling that overflows, or a divisor that
+    underflows to 0."""
+    try:
+        return math.ceil(value())
+    except (OverflowError, ZeroDivisionError):
+        raise InfeasibleScheduleError(f"{what} is not finite: degenerate constants") from None
 
 
 def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
@@ -69,25 +74,6 @@ def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_
     return g
 
 
-def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
-              smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
-    """Assemble the 5x5 matrix G for the inner solver and report feasibility.
-
-    Entries follow the printed matrix with bar(L)_xx = l_xx + mu_x + gamma.
-    """
-    if tau <= 0 or sigma <= 0:
-        raise ConfigurationError("tau, sigma must be positive")
-    if not (0 < rho <= 1):
-        raise ConfigurationError("rho must lie in (0, 1]")
-    if theta < 0:
-        raise ConfigurationError("theta must be nonnegative")
-    if not (0 <= alpha < 1.0 / sigma):
-        raise ConfigurationError("alpha must lie in [0, 1/sigma)")
-    s_shift = replace(smoothness, l_xx=smoothness.l_xx + mu_x + convexity.gamma)
-    return _certificate(_assemble_g(tau, sigma, theta, rho, alpha, mu_x, s_shift,
-                                    convexity.mu_y))
-
-
 def _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s: SmoothnessConstants):
     """L'_x = 2(q-1) (l'_xx^2/(mu_x b_x) + 10 l_yx^2/(mu_y b_y)) and
     L'_y = 2(q-1) (l_xy^2/(mu_x b_x) + 10 l_yy^2/(mu_y b_y)).  Each caller
@@ -105,46 +91,52 @@ def _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s: SmoothnessConstants):
         return math.inf, math.inf
 
 
-def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
-                 smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
-    """G - diag(g) >= 0 certificate for the variance-reduced inner solver.
+def certify(schedule, smoothness: SmoothnessConstants,
+            convexity: ConvexityModuli) -> LmiCertificate:
+    """The certificate of a SapdParams or VrParams tuple for these constants,
+    the one place where a schedule meets its matrix inequality: G >= 0 with
+    bar(L)_xx = l_xx + mu_x + gamma as printed, or G - diag(g) >= 0 for a
+    VrParams tuple.
 
     The VR parameter rule fixes theta = rho = 1, the multipliers of the
     first two rows at (mu_x, mu_y) and alpha = l_yx + l_yy, the published
     choices, so g = [mu_x, mu_y, L'_x, L'_y, 0] with L'_x, L'_y from
     _vr_corrections.  alpha may sit on the alpha = 1/sigma boundary when
     l_yy = 0, which is admissible here.
-    """
-    if tau <= 0 or sigma <= 0:
-        raise ConfigurationError("tau, sigma must be positive")
-    s, mu_y = smoothness, convexity.mu_y
-    lp_xx = s.l_xx + mu_x + convexity.gamma
-    lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
-    alpha = s.l_yx + s.l_yy
-    if alpha > 1.0 / sigma + 1e-12:
-        raise ConfigurationError("alpha = l_yx + l_yy must be at most 1/sigma")
-
-    s_shift = replace(s, l_xx=lp_xx)
-    g = _assemble_g(tau, sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
-    g -= np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0])
-    return _certificate(g)
-
-
-def certify(schedule, smoothness: SmoothnessConstants,
-            convexity: ConvexityModuli) -> LmiCertificate:
-    """The certificate of a SapdParams or VrParams tuple for these constants:
-    build_lmi or build_vr_lmi at the tuple's own fields, the one place where
-    a schedule meets its matrix inequality.
 
     A matrix that leaves the finite floats is not certified (min eigenvalue
-    -inf).  Raises ConfigurationError where build_lmi or build_vr_lmi refuses
-    the tuple.
+    -inf).  The tuple's type has checked its own ranges; raises
+    ConfigurationError where _vr_corrections refuses a VR tuple or its
+    alpha exceeds 1/sigma.
     """
+    s, mu_x, mu_y = smoothness, schedule.mu_x, convexity.mu_y
+    s_shift = replace(s, l_xx=s.l_xx + mu_x + convexity.gamma)
     if isinstance(schedule, VrParams):
-        return build_vr_lmi(schedule.tau, schedule.sigma, schedule.q, schedule.b_x,
-                            schedule.b_y, schedule.mu_x, smoothness, convexity)
-    return build_lmi(schedule.tau, schedule.sigma, schedule.theta, schedule.rho,
-                     schedule.alpha, schedule.mu_x, smoothness, convexity)
+        lx_corr, ly_corr = _vr_corrections(schedule.q, schedule.b_x, schedule.b_y, mu_x,
+                                           mu_y, s_shift.l_xx, s)
+        alpha = s.l_yx + s.l_yy
+        if alpha > 1.0 / schedule.sigma + 1e-12:
+            raise ConfigurationError("alpha = l_yx + l_yy must be at most 1/sigma")
+        g = _assemble_g(schedule.tau, schedule.sigma, 1.0, 1.0, alpha, mu_x, s_shift, mu_y)
+        return _certificate(g - np.diag([mu_x, mu_y, lx_corr, ly_corr, 0.0]))
+    return _certificate(_assemble_g(schedule.tau, schedule.sigma, schedule.theta, schedule.rho,
+                                    schedule.alpha, mu_x, s_shift, mu_y))
+
+
+def build_lmi(tau, sigma, theta, rho, alpha, mu_x,
+              smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
+    """certify for the SapdParams tuple of these fields; its n_inner = 1
+    does not enter the matrix."""
+    return certify(SapdParams(tau, sigma, theta, rho, alpha, mu_x, n_inner=1),
+                   smoothness, convexity)
+
+
+def build_vr_lmi(tau, sigma, q, b_x, b_y, mu_x,
+                 smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> LmiCertificate:
+    """certify for the VrParams tuple of these fields; its b = max(b_x, b_y)
+    and n_inner = 1 do not enter the matrix."""
+    return certify(VrParams(tau, sigma, b=max(b_x, b_y), b_x=b_x, b_y=b_y, q=q, n_inner=1,
+                            mu_x=mu_x), smoothness, convexity)
 
 
 def beta_of(smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> float:
@@ -169,6 +161,9 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
 
     theta_bar_1 solves l_yx^2 u^2 + beta mu_y l'_xx u - beta mu_y mu_x = 0
     in u = 1 - theta; theta_bar_2 handles the l_yy coupling (0 when l_yy = 0).
+    Both take the root's difference sqrt(1 + r) - 1 as r/(sqrt(1 + r) + 1),
+    which does not round to 0, and the bound to 1, once r falls below the
+    spacing of the floats at 1.
     """
     if not (0 < beta <= 1):
         raise ConfigurationError("beta must lie in (0, 1]")
@@ -182,12 +177,13 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
     try:
         scale = beta * lp_xx**2 * mu_y
         ratio = 4 * s.l_yx**2 * mu_x / scale if scale else math.inf
-        tb1 = 1.0 - (beta * mu_y * lp_xx / (2 * s.l_yx**2)) * (math.sqrt(1.0 + ratio) - 1.0)
+        c = beta * mu_y * lp_xx / (2 * s.l_yx**2)
+        tb1 = 1.0 - c * ratio / (math.sqrt(1.0 + ratio) + 1.0)
         if s.l_yy == 0:
             tb2 = 0.0
         else:
             r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
-            tb2 = 1.0 - (r / 8.0) * (math.sqrt(1.0 + 16.0 / r) - 1.0) if r else math.nan
+            tb2 = 1.0 - 2.0 / (math.sqrt(1.0 + 16.0 / r) + 1.0) if r else math.nan
     except (OverflowError, ZeroDivisionError):
         tb1 = tb2 = math.nan
     if not (math.isfinite(tb1) and math.isfinite(tb2)):
@@ -312,10 +308,8 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
         )
     theta = min(max(theta, 1e-12), 1.0 - 1e-15)
     params = step_rule(theta, mu_x, smoothness, convexity)
-    try:
-        t_outer = math.ceil(96.0 * gap0 * convexity.gamma / epsilon**2) + 1
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite(f"stage count T at eps = {epsilon:.6g}") from None
+    t_outer = _count(f"stage count T at eps = {epsilon:.6g}",
+                     lambda: 96.0 * gap0 * convexity.gamma / epsilon**2) + 1
     cert = certify(params, smoothness, convexity)
     if not cert.feasible:
         raise InfeasibleScheduleError(
@@ -344,14 +338,10 @@ def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: floa
         raise ConfigurationError("epsilon must be positive")
     if convexity.mu_y <= 0:
         raise ConfigurationError("mu_y must be positive for the VR batch rule")
-    try:
-        need = max(
-            144.0 * noise.delta_x**2,
-            360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
-        ) / epsilon**2
-        return max(1, math.ceil(need))
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite(f"large batch b at eps = {epsilon:.6g}") from None
+    return max(1, _count(f"large batch b at eps = {epsilon:.6g}", lambda: max(
+        144.0 * noise.delta_x**2,
+        360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
+    ) / epsilon**2))
 
 
 def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
@@ -362,7 +352,7 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     tau = (l_yx + l'_xx + L'_x)^{-1}, sigma = (2 l_yy + l_yx + L'_y)^{-1}
     (vr_step_sizes) with mu_x = gamma in L'_x, L'_y (see _vr_corrections)
     and l'_xx summed as l_xx + 2 gamma, which on the default DRO instance
-    rounds apart from build_vr_lmi's (l_xx + gamma) + gamma,
+    rounds apart from certify's (l_xx + gamma) + gamma,
     N = ceil(2(1+zeta) max{1/(gamma tau) - 1, 1/(mu_y sigma)}),
     T = ceil(288 gap0 gamma/eps^2), b from the batch floor.
     Returns (VrParams, LmiCertificate, t_outer).  Raises
@@ -384,15 +374,10 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
         raise InfeasibleScheduleError(f"VR step sizes ({tau:.6g}, {sigma:.6g}) are not "
                                       "positive: degenerate constants")
     b = vr_batch_floor(noise, convexity, epsilon)
-    try:
-        n_inner = max(1, math.ceil(2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0,
-                                                            1.0 / (mu_y * sigma))))
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite("VR inner count N") from None
-    try:
-        t_outer = max(1, math.ceil(288.0 * gap0 * gamma / epsilon**2))
-    except (OverflowError, ZeroDivisionError):
-        raise _not_finite(f"VR stage count T at eps = {epsilon:.6g}") from None
+    n_inner = max(1, _count("VR inner count N", lambda: 2.0 * (1.0 + zeta) * max(
+        1.0 / (gamma * tau) - 1.0, 1.0 / (mu_y * sigma))))
+    t_outer = max(1, _count(f"VR stage count T at eps = {epsilon:.6g}",
+                            lambda: 288.0 * gap0 * gamma / epsilon**2))
     params = VrParams(tau=tau, sigma=sigma, b=b, b_x=b_x, b_y=b_y, q=q,
                       n_inner=n_inner, mu_x=mu_x)
     cert = certify(params, smoothness, convexity)

@@ -126,6 +126,20 @@ class TestCheckParams:
         assert capsys.readouterr().err == (
             "sapdplus: error: manual schedule at theta = 1 needs tau, sigma and n_inner\n")
 
+    def test_a_tiny_root_argument_keeps_its_momentum_bound(self, capsys):
+        # r = 4 l_yx^2 mu_x/(beta l'_xx^2 mu_y) is 3.4e-19 here, so
+        # sqrt(1 + r) - 1 rounded to 0 and theta_bar_1 to 1: exit 2 with
+        # "momentum lower bound 1 >= 1" where the bound is 0.5
+        code = cli.main(["check-params", "--l-xx", "1.2491757621697956e-07",
+                         "--l-xy", "0.0016085483073303454", "--l-yx", "6.087981446433789e-08",
+                         "--l-yy", "7.575884987978469e-08", "--gamma", "762127.1569356823",
+                         "--mu-y", "750.2544361222878"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "theta = 0.5\n" in out
+        assert "n_inner = 10\n" in out
+        assert "feasible = True\n" in out
+
 
 class TestOneSchedulePath:
     """solve and check-params resolve their schedule in one place."""

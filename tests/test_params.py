@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from exact_psd import exact_g, is_psd, shifted
 from fixtures import theta_bar
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
@@ -171,6 +173,22 @@ class TestTheorem1Schedule:
         assert inner_iterations(0.75) == 21
         assert inner_iterations(0.9) == math.ceil(math.log(265) / math.log(1 / 0.9)) + 1
 
+    def test_no_momentum_bound_refuses_a_sample_of_constants(self):
+        # theta_bar_1 = 1 - c (sqrt(1 + r) - 1) once rounded to 1 wherever r
+        # fell below about 1e-16, and 53 of these 300 draws were refused with
+        # "momentum lower bound 1 >= 1"; now 270 give schedules and 30 are
+        # refused by the certificate
+        rng = np.random.default_rng(2026)
+        refusals = []
+        for _ in range(300):
+            l_xx, l_xy, l_yx, l_yy, gamma, mu_y = 10 ** rng.uniform(-8, 8, 6)
+            try:
+                theorem1_schedule(SmoothnessConstants(l_xx, l_xy, l_yx, l_yy),
+                                  ConvexityModuli(gamma, mu_y), NoiseLevels(0, 0), 0.05, 1.0)
+            except InfeasibleScheduleError as err:
+                refusals.append(str(err))
+        assert [r for r in refusals if r.startswith("momentum lower bound")] == []
+
 
 class TestSufficientConditions:
     def exact_pis(self, theta, s, c):
@@ -326,6 +344,88 @@ def test_certificate_verdict_is_exact(s, c, gap, tau_factor, sigma_factor, rho):
     assume(abs(exact + PSD_TOL) > VERDICT_BAND)
     cert = build_lmi(sp.tau, sp.sigma, theta, rho, sp.alpha, sp.mu_x, s, c)
     assert cert.feasible == (exact >= -PSD_TOL), (cert.min_eigenvalue, exact)
+
+
+def test_the_exact_psd_test_agrees_with_60_digit_eigenvalues():
+    # random tuples, mostly not PSD, and step-rule tuples above the momentum
+    # bound with tau and sigma moved off the boundary of the cone
+    rng = np.random.default_rng(3)
+    psd = 0
+    for k in range(40):
+        s, c = random_tuple(rng)
+        if k % 2:
+            sched = theorem1_schedule(s, c, NoiseLevels(0, 0), 0.1, 1.0)
+            theta = rho = sched.theta + rng.uniform(0.2, 0.9) * (1.0 - sched.theta)
+            sp = step_rule(theta, c.gamma, s, c)
+            tau, sigma, alpha, mu_x = sp.tau * 1.001, sp.sigma * 1.001, sp.alpha, sp.mu_x
+        else:
+            tau, sigma = 10 ** rng.uniform(-2, 0.5, 2)
+            theta = rng.uniform(0.05, 1.0)
+            rho = rng.uniform(max(0.05, theta - 0.3), 1.0)
+            alpha = rng.uniform(0, 1) / sigma
+            mu_x = 10 ** rng.uniform(-1, 1)
+        exact = exact_min_eigenvalue(tau, sigma, theta, rho, alpha, mu_x, s, c)
+        assert abs(exact) > 1e-30
+        verdict = is_psd(exact_g(tau, sigma, theta, rho, alpha, mu_x, s, c))
+        assert verdict == (exact > 0)
+        psd += verdict
+    assert 0 < psd < 40  # both outcomes exercised
+
+
+def _quad_wcsc_hand_tuple():
+    p = datasets.make_quadratic_saddle(10, 5, 1.0, 0.5, np.random.default_rng(7)).problem
+    s, c = p.smoothness, p.convexity
+    theta = 0.95
+    sigma = (1.0 - theta) / (c.mu_y * theta)
+    return SapdParams(tau=(1.0 - theta) / c.gamma, sigma=sigma, theta=theta, rho=theta,
+                      alpha=1.0 / sigma - math.sqrt(theta) * s.l_yy, mu_x=c.gamma,
+                      n_inner=200), s, c
+
+
+def _dro_cli_theory_tuple():
+    ds = datasets.synthetic_logistic_dataset(1000, 20, np.random.default_rng(7))
+    p = datasets.build_dro(ds, alpha=10.0, eta1=1e-3, eta2=1.0 / 1000**2).problem
+    sched = theorem1_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0)
+    return sched, p.smoothness, p.convexity
+
+
+def _bilinear_wcmc_theory_tuple():
+    toy = datasets.make_bilinear_box_toy(c=10.0)
+    smoothed, cfg, _ = _smoothing_plan(toy.problem, 1.0, np.zeros(toy.problem.m))
+    return cfg.schedule, smoothed.smoothness, smoothed.convexity
+
+
+SHIPPED_TUPLES = {
+    "check-params-default": lambda: (
+        theorem1_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), 0.05, 1.0), CANON_S, CANON_C),
+    "dro-cli-theory": _dro_cli_theory_tuple,
+    "quad-wcsc-hand": _quad_wcsc_hand_tuple,
+    "bilinear-wcmc-theory": _bilinear_wcmc_theory_tuple,
+}
+# the shipped tuples whose exact G is PSD with no shift at all
+EXACTLY_PSD = {"dro-cli-theory", "quad-wcsc-hand", "bilinear-wcmc-theory"}
+
+
+@pytest.mark.parametrize("name", SHIPPED_TUPLES)
+def test_a_shipped_tuple_is_psd_within_a_relative_shift(name):
+    """The contract pinned here: for each tuple that the package or its
+    benchmark ships, the exact G at its float fields and float constants,
+    plus 1e-16 max|G_ij| I, is positive semidefinite, decided over the
+    rationals (exact_psd).
+
+    The rules put their tuples on the boundary of the PSD cone: G[0,0] =
+    (mu_x tau + rho - 1)/(tau rho) is 0 at tau = (1 - theta)/mu_x and
+    rho = theta.  So the unshifted G may lie a rounding outside the cone,
+    where the float certificate still reads 0.  check-params' default
+    tuple does (smallest exact eigenvalue about -5.6e-17), and so did the
+    DRO CLI theory tuple while theta_bar_1 cancelled; the other three are
+    PSD as they stand.
+    """
+    tup, s, c = SHIPPED_TUPLES[name]()
+    g = exact_g(tup.tau, tup.sigma, tup.theta, tup.rho, tup.alpha, tup.mu_x, s, c)
+    assert is_psd(shifted(g, Fraction(1, 10**16)))
+    if name in EXACTLY_PSD:
+        assert is_psd(g)
 
 
 class TestVrSchedule:
