@@ -34,7 +34,8 @@ replaced, such as the benchmark's traced run.  Reps do not go to worker
 processes, which gained nothing: on a 2-vCPU VM, the 4 reps of the
 benchmark's DRO command (20 stages each) took a median 0.37 s in a pool
 of two forked workers, pool start included, against 0.35 s one by one
-and 0.20 s in lockstep (8 interleaved runs in one process, numpy 2.4.6).
+in the same session.  In one process they now take a median 0.22 s one
+by one and 0.11 s in lockstep (8 interleaved runs, numpy 2.4.6).
 
 Both subcommands take the schedule keys, _SCHEDULE_KEYS: ``algo`` and
 ``schedule`` name the request, which _resolve_schedule resolves into the

@@ -7,7 +7,7 @@ inner output seeds the next stage.  One loop, _staged, runs the stages of
 one replica (sapd_plus_run) or of several with a plain schedule, each with
 its own generator (sapd_plus_lockstep).  At each stage the replicas still
 going run as one stack, but a lone replica runs on 1-D arrays: a stack of
-one costs about 1.7 times as much (sapd module docstring).
+one costs about 1.2 times as much (sapd module docstring).
 """
 
 import math

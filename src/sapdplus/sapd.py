@@ -53,11 +53,12 @@ against 396 ns for c * x, and np.add(x, y, buf) 323 ns against 377 ns
 for x + y (interleaved timeit medians of 40 samples, numpy 2.4.6, Python
 3.11, a 2-vCPU VM).  So each run allocates its arrays once:
 
-- the iterate pair in two joint arrays of n + m entries, x first: z_k is
-  in one, iteration k writes z_{k+1} into the other, and the two swap
-  roles, their x and y views with them.  The guard takes one dot product
-  over the joint array, and the estimators read the previous point, which
-  the other array holds until the iteration after;
+- the iterate pair in two joint arrays of n + m entries, x first, whose
+  x and y are two contiguous blocks: z_k is in one, iteration k writes
+  z_{k+1} into the other, and the two swap roles, their x and y views
+  with them.  The guard takes one dot product over the joint array, and
+  the estimators read the previous point, which the other array holds
+  until the iteration after;
 - the running sums of the iterates in one joint array and a spare of the
   same layout: at rho < 1 one product of the whole array into the spare
   and one sum back, at rho = 1 the sum into the spare and a swap of the
@@ -77,25 +78,32 @@ value (u and w of the SPIDER estimator) alternates between two arrays.
 
 A run may also take R replicas at once, in lockstep: x0 and y0 of shapes
 (R, n) and (R, m) and a list of R generators, one per replica.  Every
-array above then has a leading axis of R rows, one per replica, and every
-ufunc acts row by row, so row r follows, bit for bit, the run of replica
-r alone.  Each replica draws its blocks from its own generator, on the
-schedule a run of its own would keep (_draws), and the oracles take its
-values as row r of an (R, size) array.  The guard takes the dot product of
-every row with np.vecdot, which calls the BLAS routine of a 1-D .dot, and
-on a failure names the first failing row, as DivergenceError.replica, with
-the message the one-replica guard gives.  The problem's oracles and prox
-maps that the run calls must accept stacks (problem.replica_safe;
-takes_replica_stacks).  A one-replica run keeps its 1-D arrays and their
-per-iteration cost.  On the default DRO instance (1000 x 20, batches of
-10), 20 stages of 4 replicas in lockstep took 0.52-0.63 (median 0.57) of
-the time of the 4 one-replica runs, bit for bit the same (12 interleaved
+array above then holds R rows, one per replica, and every ufunc acts row
+by row, so row r follows, bit for bit, the run of replica r alone.  A
+joint array is one flat array of R (n + m) entries, every x row and then
+every y row, so that its x and y are contiguous (R, n) and (R, m)
+reshapes; at R = 1 that is the 1-D layout.  The row views of an
+(R, n + m) array, which the stack used before, run every ufunc 2-3 times
+slower: on the (4, 1000) y rows of a (4, 1020) array np.add took 5.7 us
+against 2.8 us on a contiguous stack, and on its (4, 20) x rows 1.6
+against 0.5 us (timeit medians).  Each replica draws its blocks
+from its own generator, on the schedule a run of its own would keep
+(_draws), and the oracles take its values as row r of an (R, size)
+array.  The guard takes one dot product over the whole stack, which bounds
+every row's; only a stack that fails it (to within a margin above its
+rounding) runs the one-replica guard on each replica's (x_r, y_r), which
+names the first failing replica, as DivergenceError.replica, with the
+message of a lone run.  The problem's oracles and prox maps that the run
+calls must accept stacks (problem.replica_safe; takes_replica_stacks).  A
+one-replica run keeps its 1-D arrays and their per-iteration cost.  On
+the default DRO instance (1000 x 20, batches of 10, the theory schedule),
+20 stages of 4 replicas in lockstep took 0.36-0.59 (median 0.47) of the
+time of the 4 one-replica runs, bit for bit the same (12 interleaved
 pairs, a 2-vCPU VM, numpy 2.4.6): an iteration makes as many ufunc calls
 as one replica's, and on arrays of 20 and 1000 entries a call costs
-mostly its dispatch.  A stack of one replica, though, took 1.67 times as
-long as the 1-D run (the CLI's DRO run, theory schedule, 20 stages, the
-same VM), so the outer loop runs a lone replica on 1-D arrays
-(outer._stage).
+mostly its dispatch.  A stack of one replica, though, took 1.07-1.31
+(median 1.22) times as long as the 1-D run (12 such pairs), so the outer
+loop runs a lone replica on 1-D arrays (outer._stage).
 
 A prox map that is prox_zero, the identity, is not called: the update
 writes straight into the iterate array.  The result of any other prox map
@@ -116,6 +124,9 @@ from .problem import ProblemSpec, is_replica_safe
 from .prox import prox_zero
 
 DIVERGENCE_NORM = 1e12
+# the share of DIVERGENCE_NORM**2 below which a stack's one dot product
+# clears every row (_stacked_guard)
+_STACK_MARGIN = 1e-6
 # at most this many random values per drawn block: 512 KB of float64
 CHUNK_VALUES = 2**16
 
@@ -179,19 +190,28 @@ def _guard(z, k):
                               iteration=k)
 
 
-def _stacked_guard(reps):
-    """The guard of a stack of `reps` replicas: _guard on each row, which
-    on a failure names the first failing row as the error's replica."""
-    norms = np.empty(reps)
-    bound = DIVERGENCE_NORM**2
+def _stacked_guard(reps, n):
+    """The guard of a stack of `reps` replicas with n primal entries each,
+    on the flat joint array of the stack (x rows, then y rows).
+
+    One dot product over the whole array bounds every row's, and a stack
+    that passes it within _STACK_MARGIN of the bound passes _guard on every
+    row: a dot of N nonnegative squares rounds by at most about N * 2^-53
+    of itself, below the margin for any stack of fewer than 10^9 entries.
+    Only a stack that fails it is checked with _guard on each replica's
+    joined (x_r, y_r), which raises as a lone replica would and names the
+    first failing replica as the error's replica.
+    """
+    bound = DIVERGENCE_NORM**2 * (1.0 - _STACK_MARGIN)
+    size_x = reps * n
 
     def guard(z, k):
-        np.vecdot(z, z, out=norms)
-        # false for a NaN among the norms as well
-        if not (np.maximum.reduce(norms) <= bound):
+        # false for a NaN or an inf in the stack as well
+        if not (z.dot(z) <= bound):
+            x, y = z[:size_x].reshape(reps, n), z[size_x:].reshape(reps, -1)
             for r in range(reps):
                 try:
-                    _guard(z[r], k)
+                    _guard(np.concatenate((x[r], y[r])), k)
                 except DivergenceError as err:
                     err.replica = r
                     raise
@@ -339,16 +359,23 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     # rows: () for one run, (R,) for a stack of R replicas
     rows, n, m = x0.shape[:-1], x0.shape[-1], y0.shape[-1]
-    guard = _stacked_guard(rows[0]) if rows else _guard
+    reps = rows[0] if rows else 1
+    guard = _stacked_guard(reps, n) if rows else _guard
+    # a joint array holds every x row, then every y row (module docstring)
+    size, size_x = reps * (n + m), reps * n
+
+    def split(z):
+        return z[:size_x].reshape(rows + (n,)), z[size_x:].reshape(rows + (m,))
+
     # z_k in `cur`, z_{k+1} written into `nxt`; they swap, views and all
-    cur, nxt = np.empty(rows + (n + m,)), np.empty(rows + (n + m,))
-    cur[..., :n], cur[..., n:] = x0, y0
-    x, y, x_new, y_new = cur[..., :n], cur[..., n:], nxt[..., :n], nxt[..., n:]
+    cur, nxt = np.empty(size), np.empty(size)
+    (x, y), (x_new, y_new) = split(cur), split(nxt)
+    x[...], y[...] = x0, y0
     sigma_s, tau_v = np.empty(rows + (m,)), np.empty(rows + (n,))
     # read only by a called prox map
     arg_x, arg_y = np.empty(rows + (n,)), np.empty(rows + (m,))
     plain = rho == 1.0  # at rho = 1 the products are exact identities
-    acc, spare = np.zeros(rows + (n + m,)), np.empty(rows + (n + m,))
+    acc, spare = np.zeros(size), np.empty(size)
     s = first(x, y)
     weight = 0.0
     for k in range(params.n_inner):
@@ -379,8 +406,9 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
         if step_tol > 0 and _step_norm(x, y, x_new, y_new) <= step_tol:
             break
     # x_last, y_last: views of this run's arrays, which no later run writes
+    x_acc, y_acc = split(acc)
     return SapdRunResult(
-        x_avg=acc[..., :n] / weight, y_avg=acc[..., n:] / weight, x_last=x, y_last=y,
+        x_avg=x_acc / weight, y_avg=y_acc / weight, x_last=x, y_last=y,
         last_step_norm=_step_norm(x, y, x_new, y_new), iterations=k + 1,
     )
 

@@ -45,6 +45,7 @@ from reference_kernels import (ReferenceDro, reference_dense, reference_dro_data
 from sapdplus import datasets
 from sapdplus.problem import is_replica_safe
 from sapdplus.prox import project_simplex, prox_quadratic_over_simplex
+from sapdplus.sapd import _STACK_MARGIN
 
 # the test u_j + (1 - sum_{i<=j} u_i)/j > 0 holds at indices 0, 1, 2, 5 of
 # the sorted vector: counting them would pick index 3, not 5
@@ -728,38 +729,53 @@ def test_in_place_ufuncs_are_the_augmented_operators(v, r, seed):
 # The premises of replica stacks (sapd module docstring): each stacked
 # kernel of the DRO oracles, the simplex prox and the guard gives every
 # replica's row the bits of the 1-D kernel on that replica alone.  The
-# iterates come as row views of a wider array, as the solver passes them.
+# iterates come in both layouts: as the contiguous (R, d) and (R, n) blocks
+# of one flat array, as the solver passes them, and as the row views of one
+# (R, d + n) array, as it passed them before.
+LAYOUTS = ["blocks", "rows"]
+
+
+def stacked_pair(joint, reps, d, layout):
+    """x and y of R replicas from the R (d + n) values of `joint`, in the
+    named layout."""
+    if layout == "blocks":
+        flat = joint.ravel()
+        return flat[:reps * d].reshape(reps, d), flat[reps * d:].reshape(reps, -1)
+    wide = joint.reshape(reps, -1)
+    return wide[:, :d], wide[:, d:]
 
 
 @st.composite
 def replica_stacks(draw):
     """(signed rows, idx, x, y, w): n signed rows of d features, R batches of
-    b indices with repeats, x and y as row views of one (R, d + n) array,
-    and R weight vectors of length b."""
+    b indices with repeats, x and y in one of the two layouts, and R weight
+    vectors of length b."""
     n, d, reps = draw(st.integers(1, 60)), draw(st.integers(1, 30)), draw(st.integers(1, 6))
     b = draw(st.integers(1, n))
+    layout = draw(st.sampled_from(LAYOUTS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale, zeros = draw(st.sampled_from(SCALES)), draw(st.booleans())
     signed = _with_zeros(rng, rng.standard_normal((n, d)) * scale, zeros)
-    joint = _with_zeros(rng, rng.standard_normal((reps, d + n)) * scale, zeros)
+    joint = _with_zeros(rng, rng.standard_normal(reps * (d + n)) * scale, zeros)
     w = _with_zeros(rng, rng.standard_normal((reps, b)) * scale, zeros)
-    return signed, rng.integers(0, n, (reps, b)), joint[:, :d], joint[:, d:], w
+    x, y = stacked_pair(joint, reps, d, layout)
+    return signed, rng.integers(0, n, (reps, b)), x, y, w
 
 
 @settings(max_examples=150, deadline=None)
 @given(stack=replica_stacks())
 def test_stacked_dro_kernels_are_per_row(stack):
-    # the two products as np.matmul over the gathered (R, b, d) rows, the
-    # weights y[r].take(idx[r]) as one fancy index, and the y-batch's bins
-    # as one bincount over indices offset by n per replica.  A (b, d) block
-    # of one element is the one exception of .dot and @ (see
-    # test_one_by_one_product_keeps_a_negative_zero): there the products
-    # agree once the sign of a zero is dropped
+    # the two products as np.matvec and np.vecmat over the gathered
+    # (R, b, d) rows, the weights y[r].take(idx[r]) as one fancy index, and
+    # the y-batch's bins as one bincount over indices offset by n per
+    # replica.  A (b, d) block of one element is the one exception of .dot
+    # and @ (see test_one_by_one_product_keeps_a_negative_zero): there the
+    # products agree once the sign of a zero is dropped
     signed, idx, x, y, w = stack
     reps, n = y.shape
     rows = signed.take(idx, axis=0)
-    products = np.matmul(rows, x[:, :, None])[:, :, 0]
-    sums = np.matmul(w[:, None, :], rows)[:, 0, :]
+    products = np.matvec(rows, x)
+    sums = np.vecmat(w, rows)
     one_by_one = rows.shape[1:] == (1, 1)
     column = np.arange(reps)[:, None]
     weights = y[column, idx]
@@ -774,22 +790,26 @@ def test_stacked_dro_kernels_are_per_row(stack):
 
 
 @settings(max_examples=100, deadline=None)
-@given(reps=st.integers(1, 6), size=st.integers(1, 1100), seed=st.integers(0, 2**32 - 1))
+@given(reps=st.integers(1, 6), size=st.integers(1, 1100), layout=st.sampled_from(LAYOUTS),
+       seed=st.integers(0, 2**32 - 1))
 @np.errstate(all="ignore")
-def test_row_reductions_are_the_1d_ones(reps, size, seed):
-    # the stacked all-active check of the simplex prox and the stacked guard,
-    # on row views as wide as the benchmark's dual, sums that overflow
-    # included
+def test_row_reductions_are_the_1d_ones(reps, size, layout, seed):
+    # the stacked all-active check of the simplex prox, on stacks as wide as
+    # the benchmark's dual, sums that overflow included; and the stacked
+    # guard's one dot, which bounds the dot of every replica's joined (x, y)
+    # within the guard's margin
     rng = np.random.default_rng(seed)
-    wide = rng.standard_normal((reps, size + 3)) * 10.0 ** rng.integers(-300, 300, (reps, 1))
-    v = wide[:, 1:size + 1]
+    scales = 10.0 ** rng.integers(-300, 300, (reps, 1))
+    joint = (rng.standard_normal((reps, size + 3)) * scales).ravel()
+    x, v = stacked_pair(joint, reps, 3, layout)
     sums, mins = np.add.reduce(v, axis=1), np.minimum.reduce(v, axis=1)
-    norms = np.vecdot(v, v)
+    total = joint.dot(joint)
     for r in range(reps):
         row = v[r]
         assert_same(sums[r], np.add.reduce(row))
         assert_same(mins[r], np.minimum.reduce(row))
-        assert_same(norms[r], row.dot(row))
+        joined = np.concatenate((x[r], row))
+        assert joined.dot(joined) * (1.0 - _STACK_MARGIN) <= total
 
 
 @pytest.mark.parametrize("case", sorted(DRO_CASES))
@@ -804,9 +824,14 @@ def test_dro_stochastic_oracles_take_replica_stacks(case):
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1.0, 300.0]))
     def check(reps, size, seed, scale):
         rng = np.random.default_rng(seed)
-        joint = rng.standard_normal((reps, d + n)) * scale
-        x, y = joint[:, :d], np.abs(joint[:, d:]) + 1e-3
-        idx = rng.integers(0, n, (reps, size))
+        for layout in LAYOUTS:
+            joint = rng.standard_normal(reps * (d + n)) * scale
+            x, y = stacked_pair(joint, reps, d, layout)
+            y[...] = np.abs(y) + 1e-3
+            check_layout(x, y, rng.integers(0, n, (reps, size)))
+
+    def check_layout(x, y, idx):
+        reps = idx.shape[0]
         got_x, got_y = p.sgrad_x(x, y, idx), p.sgrad_y(x, y, idx)
         for r in range(reps):
             assert _bits(got_x[r]) == _bits(p.sgrad_x(x[r], y[r], idx[r]))
@@ -826,5 +851,6 @@ def test_prox_takes_replica_stacks(rows, step, eta2):
     v = np.array([row[:width] for row in rows])
     prox = prox_quadratic_over_simplex(eta2, width)
     got = prox(v, step)
+    assert not np.shares_memory(got, v)
     for r in range(len(v)):
         assert _bits(got[r]) == _bits(prox(v[r], step))

@@ -14,8 +14,10 @@ from stage_map import stage_map
 from sapdplus import datasets
 from sapdplus.errors import DivergenceError
 from sapdplus.params import step_rule, theorem1_schedule
-from sapdplus.problem import NoiseLevels, shifted_subproblem, with_gaussian_noise
-from sapdplus.sapd import DIVERGENCE_NORM, SapdParams, _guard, _step_norm, sapd_run
+from sapdplus.problem import (NoiseLevels, replica_safe, shifted_subproblem,
+                              with_gaussian_noise)
+from sapdplus.sapd import (DIVERGENCE_NORM, SapdParams, _guard, _stacked_guard, _step_norm,
+                           sapd_run, takes_replica_stacks)
 
 
 def iterates(p, params, x0, y0, rng, **kwargs):
@@ -229,6 +231,120 @@ class TestGuard:
             bound = Fraction(DIVERGENCE_NORM**2)
             assume(abs(exact - bound) > bound * Fraction(1, 10**9))
         assert self.outcome(_guard, xs, ys) == self.outcome(reference_guard, xs, ys)
+
+
+class TestStackedGuard:
+    """The guard of a replica stack: one dot product over the flat joint
+    array (x rows, then y rows), and _guard on each replica's joined
+    (x_r, y_r) only when that dot fails."""
+
+    reps, n, m = 4, 3, 5
+
+    def stack(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((self.reps, self.n)), rng.standard_normal((self.reps, self.m))
+
+    def flat(self, x, y):
+        return np.concatenate([x.ravel(), y.ravel()])
+
+    def test_a_stack_above_the_bound_with_every_row_below_it_passes(self):
+        # every row's norm at 0.6 of the bound, so the stack's at 1.2 of it
+        coord = 0.6 * DIVERGENCE_NORM / math.sqrt(self.n + self.m)
+        x, y = np.full((self.reps, self.n), coord), np.full((self.reps, self.m), -coord)
+        z = self.flat(x, y)
+        assert not z.dot(z) <= DIVERGENCE_NORM**2
+        assert all(TestGuard.outcome(_guard, x[r], y[r]) is None for r in range(self.reps))
+        _stacked_guard(self.reps, self.n)(z, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * DIVERGENCE_NORM])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("failing", [(0,), (2,), (1, 3)])
+    def test_names_the_first_failing_replica(self, bad, axis, failing):
+        x, y = self.stack()
+        for r in failing:
+            (x if axis == "x" else y)[r, -1] = bad
+        with pytest.raises(DivergenceError) as err:
+            _stacked_guard(self.reps, self.n)(self.flat(x, y), 3)
+        first = failing[0]
+        # the message and iteration of the lone replica's guard
+        lone = TestGuard.outcome(_guard, x[first], y[first])
+        assert lone is not None and lone == TestGuard.outcome(reference_guard, x[first],
+                                                              y[first])
+        assert (str(err.value), err.value.iteration, err.value.replica) == (lone, 3, first)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 - 1e-15, 1 + 1e-15, 1 + 1e-9])
+    @pytest.mark.parametrize("others", [0.0, 1e-3])
+    def test_decides_by_each_row_around_the_bound(self, scale, others):
+        # row 2 within a hair of the bound: inside the margin the stack's
+        # dot leaves the decision to the row's own guard
+        coord = scale * DIVERGENCE_NORM / math.sqrt(self.n + self.m)
+        x, y = np.full((self.reps, self.n), others), np.full((self.reps, self.m), others)
+        x[2], y[2] = coord, -coord
+        lone = TestGuard.outcome(_guard, x[2], y[2])
+        try:
+            _stacked_guard(self.reps, self.n)(self.flat(x, y), 3)
+        except DivergenceError as err:
+            assert (str(err), err.replica) == (lone, 2)
+        else:
+            assert lone is None
+
+    def test_a_later_failure_of_another_kind_is_not_named(self):
+        # row 1 is above the bound and row 2 non-finite: row 1 is named
+        x, y = self.stack()
+        x[1, 0], y[2, 0] = 2 * DIVERGENCE_NORM, np.nan
+        with pytest.raises(DivergenceError) as err:
+            _stacked_guard(self.reps, self.n)(self.flat(x, y), 0)
+        assert (str(err.value), err.value.replica) == (
+            "iterate norm above guard at inner iteration 0", 1)
+
+
+def test_a_stack_hands_out_contiguous_blocks():
+    # spy oracles and a spy prox on each axis (neither is prox_zero, so both
+    # are called): every stacked x, y and prox argument is C-contiguous, and
+    # each x and y is the first or the second block of a flat joint array of
+    # R (n + m) entries, as a 1-D run's are of one of n + m
+    ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(2))
+    p = datasets.build_dro(ds, sgrad_batch=3).problem
+    params = theorem1_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0).sapd_params()
+    params = replace(params, n_inner=6)
+    seen = {"x": [], "y": [], "prox": []}
+
+    def spy(fn, *names):
+        @replica_safe
+        def call(*args):
+            for name, arg in zip(names, args):
+                seen[name].append(arg)
+            return fn(*args)
+        return call
+
+    p = replace(p, sgrad_x=spy(p.sgrad_x, "x", "y"), sgrad_y=spy(p.sgrad_y, "x", "y"),
+                prox_f=spy(p.prox_f, "prox"), prox_g=spy(p.prox_g, "prox"))
+    assert takes_replica_stacks(p)
+
+    def is_block(z, rows, offset):
+        # z starts `offset` entries into a flat array of R (n + m) entries
+        base = z.base
+        return (base.ndim == 1 and base.size == math.prod(rows) * (p.n + p.m)
+                and z.ctypes.data == base.ctypes.data + offset * base.itemsize)
+
+    for rows in ((3,), ()):
+        for name in seen:
+            seen[name].clear()
+        rngs = [np.random.default_rng(r) for r in range(3)] if rows else np.random.default_rng(0)
+        x0, y0 = np.zeros(rows + (p.n,)), np.full(rows + (p.m,), 1.0 / p.m)
+        res = sapd_run(p, params, x0, y0, rngs)
+        assert len(seen["x"]) == 2 * params.n_inner + 1
+        assert len(seen["prox"]) == 2 * params.n_inner
+        for name, args in seen.items():
+            size = p.m if name == "y" else None
+            for arg in args:
+                assert arg.shape[:-1] == rows and arg.flags.c_contiguous, name
+                assert size is None or arg.shape[-1] == size
+        size_x = math.prod(rows) * p.n
+        assert all(is_block(x, rows, 0) for x in seen["x"] + [res.x_last])
+        assert all(is_block(y, rows, size_x) for y in seen["y"] + [res.y_last])
+        assert res.x_last.base is res.y_last.base
+        assert res.x_last.flags.c_contiguous and res.y_last.flags.c_contiguous
 
 
 @settings(max_examples=300, deadline=None)
