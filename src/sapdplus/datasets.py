@@ -19,7 +19,7 @@ import numpy as np
 from . import prox
 from .errors import ConfigurationError
 from .problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels, ProblemSpec,
-                      SmoothnessConstants, replica_safe)
+                      SmoothnessConstants, out_safe, replica_safe)
 
 
 @dataclass
@@ -136,6 +136,8 @@ _ZERO, _HALF, _ONE, _MINUS_ONE = (_constant(0.0), _constant(0.5), _constant(1.0)
 # ufuncs the DRO kernels call directly: a direct call skips the operator's
 # dispatch (see the sapd module docstring)
 _multiply, _subtract, _divide, _negative = np.multiply, np.subtract, np.divide, np.negative
+# the ufunc that np.clip calls, which numpy exports under no public name
+_clip = np._core.umath.clip
 
 
 def _sigmoid_neg(z):
@@ -534,6 +536,16 @@ class BilinearBoxToy:
         return abs(float(x[0]) - float(self.moreau_prox(x, lam)[0])) / lam
 
 
+@out_safe
+def _box_prox(v, step, out=None):
+    """The prox map of the indicator of [-1, 1]: np.clip(v, -1, 1), written
+    into out if given, in one ufunc call.  At n = 1 it took 0.38 us,
+    against 0.68 us for np.minimum(np.maximum(v, -1), 1), which gives the
+    same bits in two calls, and 1.82 us for np.clip itself (timeit minima,
+    numpy 2.4.6)."""
+    return _clip(v, _MINUS_ONE, _ONE, out=out)
+
+
 def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
     c_c = _constant(c)  # 0-d coefficient (sapd module docstring)
     problem = ProblemSpec(
@@ -541,8 +553,7 @@ def make_bilinear_box_toy(c: float = 1.0, gamma: float = 1.0) -> BilinearBoxToy:
         grad_x=lambda x, y: c_c * y,
         grad_y=lambda x, y: c_c * x,
         prox_f=prox.prox_zero,
-        # bitwise np.clip(v, -1, 1), without clip's dispatch overhead
-        prox_g=lambda v, step: np.minimum(np.maximum(v, _MINUS_ONE), _ONE),
+        prox_g=_box_prox,
         smoothness=SmoothnessConstants(l_xx=0.0, l_xy=abs(c), l_yx=abs(c), l_yy=0.0),
         convexity=ConvexityModuli(gamma=gamma, mu_y=0.0),
         d_y=2.0,

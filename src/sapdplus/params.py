@@ -40,15 +40,26 @@ def _certificate(g) -> LmiCertificate:
     return LmiCertificate(min_eigenvalue=min_eig, feasible=min_eig >= -PSD_TOL)
 
 
+def _square(epsilon) -> float:
+    """epsilon**2, or inf where the square overflows (a Python float raises
+    OverflowError there), so every representable square keeps its bits and
+    a large eps gives the rules' limits: T = 1 and b = 1."""
+    try:
+        return epsilon**2
+    except OverflowError:
+        return math.inf
+
+
 def _count(what, value) -> int:
     """ceil(value()), the count of a closed-form rule, with value a function
     of no arguments so that its arithmetic runs here.  Raises
     InfeasibleScheduleError naming `what` where that arithmetic leaves the
-    finite floats: a square or a ceiling that overflows, or a divisor that
-    underflows to 0."""
+    finite floats: a square or a ceiling that overflows, a divisor that
+    underflows to 0, or a nan, such as inf / inf (math.ceil raises
+    ValueError on it)."""
     try:
         return math.ceil(value())
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         raise InfeasibleScheduleError(f"{what} is not finite: degenerate constants") from None
 
 
@@ -209,14 +220,14 @@ def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -
         if noise.delta_x == 0:
             td1 = 0.0
         else:
-            td1 = max(0.0, 1.0 - epsilon**2 / (384.0 * noise.delta_x**2))
+            td1 = max(0.0, 1.0 - _square(epsilon) / (384.0 * noise.delta_x**2))
         if noise.delta_y == 0:
             td2 = 0.0
         else:
             td2 = 1.0 / (
                 1.0
                 + (convexity.mu_y / (10.0 * convexity.gamma))
-                * epsilon**2
+                * _square(epsilon)
                 / (384.0 * noise.delta_y**2)
             )
     except (OverflowError, ZeroDivisionError):
@@ -309,7 +320,7 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
     theta = min(max(theta, 1e-12), 1.0 - 1e-15)
     params = step_rule(theta, mu_x, smoothness, convexity)
     t_outer = _count(f"stage count T at eps = {epsilon:.6g}",
-                     lambda: 96.0 * gap0 * convexity.gamma / epsilon**2) + 1
+                     lambda: 96.0 * gap0 * convexity.gamma / _square(epsilon)) + 1
     cert = certify(params, smoothness, convexity)
     if not cert.feasible:
         raise InfeasibleScheduleError(
@@ -341,7 +352,7 @@ def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: floa
     return max(1, _count(f"large batch b at eps = {epsilon:.6g}", lambda: max(
         144.0 * noise.delta_x**2,
         360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
-    ) / epsilon**2))
+    ) / _square(epsilon)))
 
 
 def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
@@ -377,7 +388,7 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     n_inner = max(1, _count("VR inner count N", lambda: 2.0 * (1.0 + zeta) * max(
         1.0 / (gamma * tau) - 1.0, 1.0 / (mu_y * sigma))))
     t_outer = max(1, _count(f"VR stage count T at eps = {epsilon:.6g}",
-                            lambda: 288.0 * gap0 * gamma / epsilon**2))
+                            lambda: 288.0 * gap0 * gamma / _square(epsilon)))
     params = VrParams(tau=tau, sigma=sigma, b=b, b_x=b_x, b_y=b_y, q=q,
                       n_inner=n_inner, mu_x=mu_x)
     cert = certify(params, smoothness, convexity)

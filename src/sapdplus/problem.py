@@ -6,12 +6,17 @@ Phi - g), f and g prox-friendly convex.  Solvers only touch the oracle
 callables and the constants collected here.
 
 An oracle or prox map marked replica_safe also takes replica stacks: R
-points at once as the rows of (R, n) and (R, m) arrays (row views of the
-solver's arrays), with the random values of a stochastic call as an
-(R, size) array whose row r belongs to replica r; row r of its result is,
-bit for bit, the result of the call on the rows r alone.  The mark is an
-attribute of the callable itself, so a wrapper that does not set it, such
-as a timing shim, makes a run take the one-point path.
+points at once as the rows of (R, n) and (R, m) arrays (C-contiguous
+reshapes of the solver's flat arrays), with the random values of a
+stochastic call as an (R, size) array, C-contiguous too, whose row r
+belongs to replica r; row r of its result is, bit for bit, the result of
+the call on the rows r alone.  A prox map marked out_safe also takes
+out=, an array of its result's shape that aliases no argument, writes
+into it, bit for bit, the result it would return, and returns it; the
+inner solver passes its iterate block, so the result needs no copy.  Each
+mark is an attribute of the callable itself, so a wrapper that does not
+set it, such as a timing shim, makes a run take the one-point path and
+copy the prox map's result.
 """
 
 import math
@@ -150,6 +155,17 @@ def is_replica_safe(fn) -> bool:
     return getattr(fn, "replica_safe", False)
 
 
+def out_safe(fn):
+    """Mark fn as taking out= (module docstring); returns fn."""
+    fn.out_safe = True
+    return fn
+
+
+def is_out_safe(fn) -> bool:
+    """Whether fn carries the out_safe mark."""
+    return getattr(fn, "out_safe", False)
+
+
 def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> ProblemSpec:
     """Coupling Phi(x,y) + (coef/2)*||z - center||^2, z the `axis` variable ('x' or 'y').
 
@@ -157,8 +173,9 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
     its draws through, and on the x axis so does grad_h; the other oracles
     are unchanged.  A center of shape (R, dim) gives each replica of a stack
     its own center; a new oracle is replica_safe when the one it shifts is.
-    The caller updates the constants through `changes`, which go to the
-    same replace.
+    The oracles read center as it is here, so the caller writes nothing into
+    it later.  The caller updates the constants through `changes`, which go
+    to the same replace.
     """
     dim = p.n if axis == "x" else p.m
     center = np.asarray(center, dtype=float)
@@ -167,24 +184,48 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
             f"center has shape {center.shape}, expected ({dim},) or (R, {dim})")
     grad, sgrad = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis)
     coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
-    # closures built per axis, so the oracles do no per-call dispatch
+    # z - (+0.0) is z for every float z, so a center of +0.0 entries, which
+    # one exact test of every bit finds, adds coef*z: one call fewer per
+    # oracle call.  A -0.0 entry keeps the subtraction (-0.0 - -0.0 is +0.0).
+    zero = np.count_nonzero(center.view(np.uint64)) == 0
+    # closures built per axis and center, so the oracles do no per-call dispatch
     if axis == "x":
-        def new_grad(x, y):
-            return grad(x, y) + coef_c * (x - center)
-
-        def new_sgrad(x, y, draws):
-            return sgrad(x, y, draws) + coef_c * (x - center)
-
         base = p.grad_h
-        if base is None:
+        if zero:
+            def new_grad(x, y):
+                return grad(x, y) + coef_c * x
+
+            def new_sgrad(x, y, draws):
+                return sgrad(x, y, draws) + coef_c * x
+
+            def grad_h(x):
+                return coef_c * x
+
+            def based_grad_h(x):
+                return base(x) + coef_c * x
+        else:
+            def new_grad(x, y):
+                return grad(x, y) + coef_c * (x - center)
+
+            def new_sgrad(x, y, draws):
+                return sgrad(x, y, draws) + coef_c * (x - center)
+
             def grad_h(x):
                 return coef_c * (x - center)
-        else:
-            def grad_h(x):
+
+            def based_grad_h(x):
                 return base(x) + coef_c * (x - center)
+        if base is not None:
+            grad_h = based_grad_h
         if base is None or is_replica_safe(base):
             replica_safe(grad_h)
         changes["grad_h"] = grad_h
+    elif zero:
+        def new_grad(x, y):
+            return grad(x, y) + coef_c * y
+
+        def new_sgrad(x, y, draws):
+            return sgrad(x, y, draws) + coef_c * y
     else:
         def new_grad(x, y):
             return grad(x, y) + coef_c * (y - center)

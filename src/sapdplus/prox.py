@@ -1,7 +1,10 @@
 """Proximal operators and projections used by the solvers and the DRO benchmark.
 
 All operators take the point first and the prox step second, and their
-results are functions of their arguments alone.
+results are functions of their arguments alone.  Those marked out_safe
+(problem module docstring) take out=: one body computes both kinds of
+call, so the written bits are the returned ones, and its ufuncs take out
+as a keyword (sapd module docstring).
 """
 
 import math
@@ -9,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .problem import replica_safe
+from .problem import out_safe, replica_safe
 
 # bound at import: a direct call skips the operator's dispatch (see the sapd
 # module docstring)
@@ -22,7 +25,8 @@ def prox_zero(v, step):
     return np.asarray(v, dtype=float)
 
 
-def project_simplex(v):
+@out_safe
+def project_simplex(v, out=None):
     """Euclidean projection onto the unit simplex {y >= 0, sum(y) = 1}.
 
     All-active check first, in O(d): with lam = (1 - sum(v))/d, if
@@ -37,6 +41,7 @@ def project_simplex(v):
     deterministic (ties resolved by the cumulative rule).  It takes the last
     index where the rule holds; in floating point the rule is not monotone
     in j, so counting the indices where it holds can pick a different one.
+    With out, the projection is written into it.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -45,7 +50,7 @@ def project_simplex(v):
     # the ufunc reductions v.sum() and v.min() call, without their wrappers
     lam = (1.0 - np.add.reduce(v)) / v.size
     if math.isfinite(lam) and np.minimum.reduce(v) + lam > 0:
-        return v + lam
+        return _add(v, lam, out=out)
     ascending = np.sort(v)
     # NaN sorts last and -inf/+inf sort to the ends, so the ends decide
     if not (math.isfinite(ascending[0]) and math.isfinite(ascending[-1])):
@@ -56,28 +61,30 @@ def project_simplex(v):
     # j = 1 always qualifies: u_1 + (1 - u_1) = 1 > 0
     rho = np.nonzero(u + (1.0 - cssv) / j > 0)[0][-1]
     lam = (1.0 - cssv[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+    return np.maximum(v + lam, 0.0, out=out)
 
 
-def _project_simplex_rows(v):
-    """project_simplex of every row of the 2-D array v, bit for bit, into a
-    fresh array.  The all-active check takes its sums and minima on all rows
-    at once (the reductions along axis 1 add and compare each row as the
-    1-D ones do); each row's lam is then the Python-float arithmetic of
-    project_simplex, and an active row is shifted by it into its output
-    row, with no broadcast of an (R, 1) shift: on (4, 1000) rows
+@out_safe
+def _project_simplex_rows(v, out=None):
+    """project_simplex of every row of the 2-D array v, bit for bit, into
+    out or a fresh array.  The all-active check takes its sums and minima
+    on all rows at once (the reductions along axis 1 add and compare each
+    row as the 1-D ones do); each row's lam is then the Python-float
+    arithmetic of project_simplex, and an active row is shifted by it into
+    its output row, with no broadcast of an (R, 1) shift: on (4, 1000) rows
     w + lam[:, None] took 4.7 us against 2.5 us for an add of two arrays
     of that shape (timeit medians, numpy 2.4.6).  A row that fails the
     check goes through project_simplex itself."""
     size = v.shape[1]
-    out = np.empty_like(v)
+    if out is None:
+        out = np.empty_like(v)
     sums, mins = np.add.reduce(v, axis=1).tolist(), np.minimum.reduce(v, axis=1).tolist()
     for r, (total, low) in enumerate(zip(sums, mins)):
         lam = (1.0 - total) / size
         if math.isfinite(lam) and low + lam > 0:
             _add(v[r], lam, out[r])
         else:
-            out[r] = project_simplex(v[r])
+            project_simplex(v[r], out=out[r])
     return out
 
 
@@ -98,13 +105,14 @@ def prox_quadratic_over_simplex(eta2, n_scale):
     Python float's conversion.  Both divide in float64 (NEP 50), so the
     result is that of v / (1 + eta2*n_scale^2*step), bit for bit.  One
     name holds the (step, divisor) pair, so calls on two threads never mix
-    the two.  The map is replica_safe: a 2-D v projects row by row.
+    the two.  The map is replica_safe: a 2-D v projects row by row.  It is
+    out_safe: with out, the projection is written into it.
     """
     if eta2 <= 0 or n_scale < 1:
         raise ConfigurationError("need eta2 > 0 and n_scale >= 1")
     last = (None, None)
 
-    def prox(v, step):
+    def prox(v, step, out=None):
         nonlocal last
         last_step, divisor = last
         if step != last_step:
@@ -114,7 +122,7 @@ def prox_quadratic_over_simplex(eta2, n_scale):
             last = (step, divisor)
         w = v / divisor
         if w.ndim == 2:
-            return _project_simplex_rows(w)
-        return project_simplex(w)
+            return _project_simplex_rows(w, out)
+        return project_simplex(w, out)
 
-    return replica_safe(prox)
+    return out_safe(replica_safe(prox))

@@ -45,13 +45,14 @@ Python floats: the weight recursion, the guard's comparison, the fields of
 SapdParams and VrParams, and the step handed to a prox map
 (tests/test_scalar_types.py).
 
-An inner iteration allocates nothing of its own; only the oracles and a
-prox map other than prox_zero return fresh arrays.  A direct ufunc call
-with a positional output array skips the allocation and the operator's
-dispatch: on vectors of length 10, np.multiply(c, x, buf) takes 327 ns
-against 396 ns for c * x, and np.add(x, y, buf) 323 ns against 377 ns
-for x + y (interleaved timeit medians of 40 samples, numpy 2.4.6, Python
-3.11, a 2-vCPU VM).  So each run allocates its arrays once:
+An inner iteration allocates nothing of its own; only the oracles return
+fresh arrays, and a prox map other than prox_zero that is not out_safe
+(last paragraph).  A direct ufunc call with a positional output array
+skips the allocation and the operator's dispatch: on vectors of length
+10, np.multiply(c, x, buf) takes 327 ns against 396 ns for c * x, and
+np.add(x, y, buf) 323 ns against 377 ns for x + y (interleaved timeit
+medians of 40 samples, numpy 2.4.6, Python 3.11, a 2-vCPU VM).  So each
+run allocates its arrays once:
 
 - the iterate pair in two joint arrays of n + m entries, x first, whose
   x and y are two contiguous blocks: z_k is in one, iteration k writes
@@ -88,12 +89,12 @@ slower: on the (4, 1000) y rows of a (4, 1020) array np.add took 5.7 us
 against 2.8 us on a contiguous stack, and on its (4, 20) x rows 1.6
 against 0.5 us (timeit medians).  Each replica draws its blocks
 from its own generator, on the schedule a run of its own would keep
-(_draws), and the oracles take its values as row r of an (R, size)
-array.  The guard takes one dot product over the whole stack, which bounds
-every row's; only a stack that fails it (to within a margin above its
-rounding) runs the one-replica guard on each replica's (x_r, y_r), which
-names the first failing replica, as DivergenceError.replica, with the
-message of a lone run.  The problem's oracles and prox maps that the run
+(_draws), and the oracles take its values as row r of a C-contiguous
+(R, size) array.  The guard takes one dot product over the whole stack,
+which bounds every row's; only a stack that fails it (to within a margin
+above its rounding) runs the one-replica guard on each replica's
+(x_r, y_r), which names the first failing replica, as
+DivergenceError.replica, with the message of a lone run.  The problem's oracles and prox maps that the run
 calls must accept stacks (problem.replica_safe; takes_replica_stacks).  A
 one-replica run keeps its 1-D arrays and their per-iteration cost.  On
 the default DRO instance (1000 x 20, batches of 10, the theory schedule),
@@ -106,11 +107,17 @@ mostly its dispatch.  A stack of one replica, though, took 1.07-1.31
 loop runs a lone replica on 1-D arrays (outer._stage).
 
 A prox map that is prox_zero, the identity, is not called: the update
-writes straight into the iterate array.  The result of any other prox map
-is copied into it, cast to float64; a traced run wraps the prox maps, so
-it takes this path and gives the same bits.  The arrays belong to one run:
-the last iterate it returns is a view of its own, which no later run
-writes.
+writes straight into the iterate array.  One marked out_safe (problem
+module docstring) is called with out= the iterate block and writes its
+result there; the result of any other prox map is copied into the
+iterate, cast to float64.  A traced run wraps the prox maps without the
+mark, so it takes the copy and gives the same bits.  The package's marked
+maps pass out to their ufuncs as a keyword, since numpy 2.4 deprecates a
+positional third argument of np.minimum and np.maximum: at n = 1,
+np.minimum(np.maximum(v, -1), 1) took 0.75 us with out=, 1.15 us with its
+fresh result copied in and 1.44 us with a positional out (timeit minima,
+numpy 2.4.6, the warning ignored).  The arrays belong to one run: the
+last iterate it returns is a view of its own, which no later run writes.
 """
 
 import math
@@ -120,7 +127,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .problem import ProblemSpec, is_replica_safe
+from .problem import ProblemSpec, is_out_safe, is_replica_safe
 from .prox import prox_zero
 
 DIVERGENCE_NORM = 1e12
@@ -229,7 +236,26 @@ def _replicas(rng):
     return (len(rng),) if isinstance(rng, (list, tuple)) else ()
 
 
-def _draws(draw, rng, head, size_of, n):
+def _lay_out(rows, head, calls):
+    """One flat block of the equal-length blocks `rows`, one per replica,
+    call by call: the head call's `head` values of every replica, then per
+    iteration each call of `calls` in turn, every replica's values of the
+    call one after the other, row 0 first."""
+    reps, per = len(rows), sum(calls)
+    block = np.empty(reps * rows[0].size, rows[0].dtype)
+    heads = block[:reps * head].reshape(reps, head)
+    laid = block[reps * head:].reshape(-1, reps * per)  # an iteration a row
+    for r, row in enumerate(rows):
+        heads[r] = row[:head]
+        drawn, start = row[head:].reshape(-1, per), 0
+        for size in calls:
+            laid[:, reps * start + r * size:reps * start + (r + 1) * size] = \
+                drawn[:, start:start + size]
+            start += size
+    return block
+
+
+def _draws(draw, rng, head, size_of, n, calls=None):
     """take(size), which hands out the random values of one stage in call
     order.
 
@@ -241,12 +267,18 @@ def _draws(draw, rng, head, size_of, n):
     the rest of its last block.  The state lives in the closure, so a call
     makes no attribute lookups.  With a list of generators, one per
     replica, each one draws its own blocks on this schedule, and take(size)
-    returns an (R, size) array whose row r holds replica r's values; a
-    block then holds up to R * CHUNK_VALUES values.
+    returns a C-contiguous (R, size) array whose row r holds replica r's
+    values; calls then gives the sizes of one iteration's calls in order,
+    which sum to size_of(k) for every k.  Each block, of up to
+    R * CHUNK_VALUES values, is laid out call by call (_lay_out), so a call
+    takes a reshape of one flat slice.  The DRO oracles' gathers ran slower
+    on the strided (4, 10) columns of a (4, total) block: signed.take(idx,
+    axis=0) 0.87 against 0.56 us, y[column, idx] 1.54 against 1.18 us
+    (timeit minima, numpy 2.4.6), where the reshape costs 0.13 us.
     """
     block, pos, stop = None, 0, 0
     end = 0  # the first iteration not drawn yet
-    stacked = _replicas(rng) != ()
+    reps = len(rng) if _replicas(rng) else 0
 
     def refill():
         # draws the next block; returns its size
@@ -258,18 +290,23 @@ def _draws(draw, rng, head, size_of, n):
                 break
             total += size_k
             k += 1
-        block = np.stack([draw(g, total) for g in rng]) if stacked else draw(rng, total)
+        if reps:
+            block = _lay_out([draw(g, total) for g in rng], head, calls)
+            total *= reps
+        else:
+            block = draw(rng, total)
         head, end = 0, k
         return total
 
-    if stacked:
+    if reps:
         def take(size):
+            # start, pos and stop count entries of the flat block
             nonlocal pos, stop
             start = pos
             if start == stop:
                 stop, start = refill(), 0
-            pos = start + size
-            return block[:, start:start + size]
+            pos = start + reps * size
+            return block[start:pos].reshape(reps, size)
     else:
         def take(size):
             nonlocal pos, stop
@@ -296,7 +333,7 @@ def _stochastic_gradient(p: ProblemSpec, params, rng):
     grad_x, grad_y = p.grad_x, p.grad_y
     nx, ny = (0, 0) if rng is None else (p.draw_x, p.draw_y)
     if nx or ny:
-        take = _draws(p.draw, rng, ny, lambda k: nx + ny, params.n_inner)
+        take = _draws(p.draw, rng, ny, lambda k: nx + ny, params.n_inner, (nx, ny))
     if nx:
         sgrad_x = p.sgrad_x
         grad_x = lambda x, y: sgrad_x(x, y, take(nx))  # noqa: E731
@@ -341,6 +378,18 @@ def takes_replica_stacks(p: ProblemSpec) -> bool:
     return all(map(is_replica_safe, called))
 
 
+def _into(prox):
+    """prox as a map that writes its result into out=: an out_safe map is
+    itself, another one copies its result in, cast to float64."""
+    if is_out_safe(prox):
+        return prox
+
+    def into(v, step, out):
+        out[...] = prox(v, step)
+
+    return into
+
+
 def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
                 on_iterate=None) -> SapdRunResult:
     """The one inner iteration, with its gradients from `estimator`, the
@@ -354,8 +403,8 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
     # and the weight recursion (module docstring)
     tau_c, sigma_c, rho_c = np.array(tau), np.array(sigma), np.array(rho)
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    prox_f, prox_g = p.prox_f, p.prox_g
-    call_f, call_g = prox_f is not prox_zero, prox_g is not prox_zero
+    call_f, call_g = p.prox_f is not prox_zero, p.prox_g is not prox_zero
+    prox_f, prox_g = _into(p.prox_f), _into(p.prox_g)
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     # rows: () for one run, (R,) for a stack of R replicas
     rows, n, m = x0.shape[:-1], x0.shape[-1], y0.shape[-1]
@@ -382,13 +431,13 @@ def _inner_loop(p: ProblemSpec, params, estimator, x0, y0, step_tol=0.0,
         multiply(sigma_c, s, sigma_s)
         if call_g:
             add(y, sigma_s, arg_y)
-            y_new[...] = prox_g(arg_y, sigma)
+            prox_g(arg_y, sigma, out=y_new)
         else:
             add(y, sigma_s, y_new)
         multiply(tau_c, primal(x, y_new), tau_v)
         if call_f:
             subtract(x, tau_v, arg_x)
-            x_new[...] = prox_f(arg_x, tau)
+            prox_f(arg_x, tau, out=x_new)
         else:
             subtract(x, tau_v, x_new)
         guard(nxt, k)

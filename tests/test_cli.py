@@ -332,6 +332,17 @@ class TestOneSchedulePath:
         assert cli.main(["check-params", *argv]) == 2
         assert capsys.readouterr() == ("", f"sapdplus: error: {err}\n")
 
+    @pytest.mark.parametrize("argv,want", [
+        pytest.param([], ["t_outer = 1"], id="sapd-plus"),
+        pytest.param(["--algo", "sapd-plus-vr"], ["b = 1", "t_outer = 1"], id="vr",
+                     marks=pytest.mark.filterwarnings("ignore:large batch b below"))])
+    def test_a_large_eps_gives_the_rules_limits(self, capsys, argv, want):
+        # eps^2 overflows: Python's epsilon**2 raised OverflowError, which the
+        # count refused as "T (or b) ... is not finite", exit 2
+        assert cli.main(["check-params", "--eps", "1e200", *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert all(line in out for line in want)
+
     @pytest.mark.parametrize("argv,problem", [
         pytest.param(["--theta", "0.5", "--tau", "1e-320"], "quadratic", id="plain"),
         pytest.param(["--algo", "sapd-plus-vr", "--tau", "1e-320", "--sigma", "1e-320",

@@ -15,7 +15,7 @@ from sapdplus.outer import _smoothing_plan
 from reference_kernels import (reference_lmi_sign_flipped_feasible,
                                reference_vr_lmi_min_eigenvalue,
                                reference_vr_schedule_steps)
-from sapdplus.params import (PSD_TOL, beta_of, build_lmi, build_vr_lmi, certify,
+from sapdplus.params import (PSD_TOL, _square, beta_of, build_lmi, build_vr_lmi, certify,
                              inner_iterations, step_rule, theorem1_schedule,
                              theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
@@ -685,3 +685,32 @@ def test_smoothing_path_draws_scale_as_eps_to_the_sixth(l, gamma, delta, d_y):
         _, cfg, _ = _smoothing_plan(p, eps, np.zeros(1))
         counts.append(cfg.t_outer * cfg.schedule.draws(cfg.schedule.n_inner, 1))
     assert abs(_slope(EPS_LADDER, counts) + 6.0) <= 0.1
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_a_square_of_eps_keeps_its_bits_or_is_inf(eps):
+    try:
+        want = eps**2
+    except OverflowError:
+        want = math.inf
+    assert _square(eps).hex() == want.hex()
+
+
+def test_a_large_eps_gives_the_limits_of_the_counts():
+    # eps^2 = inf, where Python's epsilon**2 raises OverflowError
+    noisy = NoiseLevels(0.5, 0.5)
+    assert theorem1_schedule(CANON_S, CANON_C, noisy, 1e200, 1.0).t_outer == 1
+    assert theta_noise_floor(CANON_C, noisy, 1e200) == (0.0, 0.0)
+    assert vr_batch_floor(noisy, CANON_C, 1e200) == 1
+    with pytest.warns(UserWarning, match="large batch b below"):
+        _, _, t_outer = vr_schedule(CANON_S, CANON_C, noisy, 1e200, 1.0, 10, 10, 10)
+    assert t_outer == 1
+
+
+def test_a_count_of_inf_over_inf_is_refused_as_not_finite():
+    # max{144 delta_x^2, ...} = inf over eps^2 = inf is nan, where
+    # math.ceil raises ValueError
+    with pytest.raises(InfeasibleScheduleError,
+                       match=r"^large batch b at eps = 1e\+200 is not finite: "):
+        vr_batch_floor(NoiseLevels(1e154, 0.0), CANON_C, 1e200)

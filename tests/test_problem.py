@@ -9,7 +9,7 @@ from fixtures import make_quadratic_finite_sum
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
 from sapdplus.problem import (ConvexityModuli, FiniteSumSpec, NoiseLevels,
-                              ProblemSpec, SmoothnessConstants,
+                              ProblemSpec, SmoothnessConstants, add_quadratic,
                               shifted_subproblem, with_gaussian_noise)
 from sapdplus.prox import prox_zero
 from sapdplus.sapd import SapdParams, sapd_run
@@ -155,6 +155,85 @@ def test_shift_carries_the_shared_term(kind, mu_x, seed):
         # another association, so equal to rounding, not in every bit
         bound = 2 * np.finfo(float).eps * (abs(batch) + abs(p.grad_h(x)) + abs(shift))
         assert np.all(abs(sub.sgrad_x(x, y, idx) - (batch + sub.grad_h(x))) <= bound)
+
+
+# floats whose difference with +-0.0 shows every rule of the subtraction
+SHIFT_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 5e-324]
+
+
+def _minus_zero_problem(dim, with_h):
+    """Every oracle returns -0.0 entries: -0.0 + s is s bit for bit, so the
+    sign of a shift's zero shows in the shifted oracle."""
+    def zeros(z):
+        return np.full(z.shape, -0.0)
+
+    return ProblemSpec(
+        n=dim, m=dim, grad_x=lambda x, y: zeros(x), grad_y=lambda x, y: zeros(y),
+        sgrad_x=lambda x, y, d: zeros(x), sgrad_y=lambda x, y, d: zeros(y),
+        draw=lambda rng, size: rng.standard_normal(size), draw_x=dim, draw_y=dim,
+        prox_f=prox_zero, prox_g=prox_zero,
+        smoothness=SmoothnessConstants(3.0, 1.0, 1.0, 0.0),
+        convexity=ConvexityModuli(1.0, 0.5),
+        grad_h=(lambda x: zeros(x)) if with_h else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=st.sampled_from("xy"), rows=st.sampled_from([(), (3,)]),
+       with_h=st.booleans(), coef=st.sampled_from([2.0, -0.5, 1e-300]),
+       center=st.sampled_from(["zero", "drawn"]), data=st.data())
+def test_a_zero_center_shifts_with_the_bits_of_the_general_form(axis, rows, with_h, coef,
+                                                                center, data):
+    # a center of +0.0 entries drops its subtraction; one with a -0.0, a
+    # subnormal or any other entry keeps it, and both give
+    # grad + coef * (z - center), bit for bit, on every z
+    dim = 4
+
+    def drawn(values):
+        entries = st.lists(st.sampled_from(values), min_size=dim, max_size=dim)
+        return np.array([data.draw(entries) for _ in range(max(rows, default=1))]).reshape(
+            rows + (dim,))
+
+    c = np.zeros(rows + (dim,)) if center == "zero" else drawn([0.0, -0.0, 1.5, -2.25, 5e-324])
+    q = add_quadratic(_minus_zero_problem(dim, with_h), axis, coef, c)
+    z = drawn(SHIFT_VALUES)
+    other = np.full(z.shape, -0.0)
+    shift = np.array(coef) * (z - c)
+    x, y = (z, other) if axis == "x" else (other, z)
+    pairs = [(getattr(q, "grad_" + axis)(x, y), other + shift),
+             (getattr(q, "sgrad_" + axis)(x, y, None), other + shift)]
+    if axis == "x":
+        # without a base h, grad_h is the shift alone
+        pairs.append((q.grad_h(x), other + shift if with_h else shift))
+    for got, want in pairs:
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_minus_zero_center_keeps_its_subtraction(axis):
+    # -0.0 - (-0.0) is +0.0, so -0.0 + 2 * that is +0.0; a shift that took
+    # the center for zero would give -0.0 + 2 * (-0.0) = -0.0
+    for c in (np.array([-0.0, 0.0]), np.array([[0.0, 0.0], [0.0, -0.0]])):
+        q = add_quadratic(_minus_zero_problem(2, False), axis, 2.0, c)
+        z = np.full(c.shape, -0.0)
+        got = getattr(q, "grad_" + axis)(z, z)
+        # +0.0 where the center is -0.0, -0.0 where it is +0.0
+        assert np.signbit(got).tolist() == (~np.signbit(c)).tolist()
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("rows", [(), (2,)])
+def test_a_zero_center_is_not_read_by_the_oracles(axis, rows):
+    # the form without the subtraction reads no center: a write into it
+    # after the shift (which the shift's contract rules out) shows nothing
+    c = np.zeros(rows + (3,))
+    q = add_quadratic(_minus_zero_problem(3, True), axis, 2.0, c)
+    c += 1.0
+    z = np.full(c.shape, 0.5)
+    got = [getattr(q, "grad_" + axis)(z, z), getattr(q, "sgrad_" + axis)(z, z, None)]
+    if axis == "x":
+        got.append(q.grad_h(z))
+    # -0.0 + 2 * 0.5, with no center subtracted
+    assert all(g.tolist() == np.full(c.shape, 1.0).tolist() for g in got)
 
 
 class TestFiniteSum:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError
-from sapdplus.prox import (project_simplex, prox_quadratic_over_simplex,
-                           prox_zero)
+from sapdplus.problem import is_out_safe
+from sapdplus.prox import (_project_simplex_rows, project_simplex,
+                           prox_quadratic_over_simplex, prox_zero)
 
 
 def simplex_projection_oracle(v):
@@ -116,10 +117,12 @@ class TestProjectSimplex:
 
 
 @st.composite
-def simplex_targets(draw, sparse):
+def simplex_targets(draw, sparse, d=None):
     """(v, active) with project_simplex(v) known to keep every coordinate
-    (sparse=False) or to zero at least one (sparse=True), up to a shift."""
-    d = draw(st.integers(2 if sparse else 1, 40))
+    (sparse=False) or to zero at least one (sparse=True), up to a shift; d
+    entries, or a drawn number of them."""
+    if d is None:
+        d = draw(st.integers(2 if sparse else 1, 40))
     u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
     offset = draw(st.floats(-100.0, 100.0))
     if not sparse:
@@ -239,6 +242,20 @@ class TestProxBox:
         v = np.array([0.2, -0.4])
         np.testing.assert_array_equal(self.prox(v, 2.0), v)
 
+    def test_the_clamp_of_np_minimum_and_np_maximum_bit_for_bit(self):
+        # the two-call form the map replaced, on every kind of float and
+        # NaN payload, below and above the SIMD widths
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+                        dtype=np.uint64).view(float)
+        kinds = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324,
+                                 np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)], nans])
+        rng = np.random.default_rng(11)
+        for size in (1, 3, 8, 33, 1000):
+            v = rng.choice(np.concatenate([kinds, 2.0 * rng.standard_normal(20)]), size)
+            want = np.minimum(np.maximum(v, -1.0), 1.0)
+            assert self.prox(v, 1.0).tobytes() == want.tobytes()
+            assert np.clip(v, -1.0, 1.0).tobytes() == want.tobytes()
+
     def test_step_irrelevant(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal(7) * 2
@@ -260,3 +277,67 @@ def test_nonexpansiveness_all_operators():
             step = 10 ** rng.uniform(-2, 1)
             lhs = np.linalg.norm(op(u, step) - op(v, step))
             assert lhs <= np.linalg.norm(u - v) + 1e-12
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# each marked map, called with out = None (the fresh call) or an array
+OUT_MAPS = {
+    "project_simplex": lambda v, out=None: project_simplex(v, out=out),
+    "rows": lambda v, out=None: _project_simplex_rows(v, out=out),
+    "qos": lambda v, out=None: prox_quadratic_over_simplex(0.3, 4)(v, 0.7, out=out),
+    "box": lambda v, out=None: TestProxBox.prox(v, 0.5, out=out),
+}
+
+
+def assert_out_call_writes_the_result(name, v):
+    """The out call returns out, holding exactly the bits of the fresh call,
+    and leaves v as it was."""
+    before = v.copy()
+    fresh = OUT_MAPS[name](v)
+    out = np.full_like(fresh, 7.25)
+    assert OUT_MAPS[name](v, out) is out
+    assert _bits(out) == _bits(fresh)
+    assert _bits(v) == _bits(before)
+
+
+def test_the_prox_maps_that_write_into_out_carry_the_mark():
+    assert all(map(is_out_safe, (project_simplex, _project_simplex_rows,
+                                 prox_quadratic_over_simplex(0.3, 4), TestProxBox.prox)))
+    assert not is_out_safe(prox_zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse=st.booleans(), data=st.data())
+def test_an_out_call_writes_the_bits_it_returns(sparse, data):
+    # the simplex's fast path (every coordinate active) and its sort path,
+    # 1-D, as the stacked prox, and the box prox on the same point
+    v = data.draw(simplex_targets(sparse))
+    for name in ("project_simplex", "qos", "box"):
+        assert_out_call_writes_the_result(name, v)
+    assert_out_call_writes_the_result("box", np.array([np.nan, -np.inf, np.inf, -0.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 12), kinds=st.lists(st.booleans(), min_size=1, max_size=5),
+       data=st.data())
+def test_a_stacked_out_call_writes_the_bits_it_returns(d, kinds, data):
+    # rows that take the fast path beside rows that fall back to the sort path
+    v = np.stack([data.draw(simplex_targets(sparse, d)) for sparse in kinds])
+    for name in ("rows", "qos", "box"):
+        assert_out_call_writes_the_result(name, v)
+
+
+@pytest.mark.parametrize("name", ["project_simplex", "rows", "qos"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_an_out_call_refuses_non_finite_input_as_the_fresh_call_does(name, bad):
+    v = np.full(6, 1.0 / 6)
+    v[2] = bad
+    if name != "project_simplex":
+        v = np.stack([np.full(6, 1.0 / 6), v])
+    for out in (None, np.empty_like(v)):
+        with pytest.raises(ConfigurationError,
+                           match="^project_simplex expects finite input$"):
+            OUT_MAPS[name](v, out)

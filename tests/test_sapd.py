@@ -14,8 +14,8 @@ from stage_map import stage_map
 from sapdplus import datasets
 from sapdplus.errors import DivergenceError
 from sapdplus.params import step_rule, theorem1_schedule
-from sapdplus.problem import (NoiseLevels, replica_safe, shifted_subproblem,
-                              with_gaussian_noise)
+from sapdplus.problem import (NoiseLevels, is_out_safe, out_safe, replica_safe,
+                              shifted_subproblem, with_gaussian_noise)
 from sapdplus.sapd import (DIVERGENCE_NORM, SapdParams, _guard, _stacked_guard, _step_norm,
                            sapd_run, takes_replica_stacks)
 
@@ -300,14 +300,15 @@ class TestStackedGuard:
 
 def test_a_stack_hands_out_contiguous_blocks():
     # spy oracles and a spy prox on each axis (neither is prox_zero, so both
-    # are called): every stacked x, y and prox argument is C-contiguous, and
-    # each x and y is the first or the second block of a flat joint array of
-    # R (n + m) entries, as a 1-D run's are of one of n + m
+    # are called): every stacked x, y, array of random values and prox
+    # argument is C-contiguous, and each x and y is the first or the second
+    # block of a flat joint array of R (n + m) entries, as a 1-D run's are
+    # of one of n + m
     ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(2))
     p = datasets.build_dro(ds, sgrad_batch=3).problem
     params = theorem1_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0).sapd_params()
     params = replace(params, n_inner=6)
-    seen = {"x": [], "y": [], "prox": []}
+    seen = {"x": [], "y": [], "draws": [], "prox": []}
 
     def spy(fn, *names):
         @replica_safe
@@ -317,7 +318,8 @@ def test_a_stack_hands_out_contiguous_blocks():
             return fn(*args)
         return call
 
-    p = replace(p, sgrad_x=spy(p.sgrad_x, "x", "y"), sgrad_y=spy(p.sgrad_y, "x", "y"),
+    p = replace(p, sgrad_x=spy(p.sgrad_x, "x", "y", "draws"),
+                sgrad_y=spy(p.sgrad_y, "x", "y", "draws"),
                 prox_f=spy(p.prox_f, "prox"), prox_g=spy(p.prox_g, "prox"))
     assert takes_replica_stacks(p)
 
@@ -333,7 +335,8 @@ def test_a_stack_hands_out_contiguous_blocks():
         rngs = [np.random.default_rng(r) for r in range(3)] if rows else np.random.default_rng(0)
         x0, y0 = np.zeros(rows + (p.n,)), np.full(rows + (p.m,), 1.0 / p.m)
         res = sapd_run(p, params, x0, y0, rngs)
-        assert len(seen["x"]) == 2 * params.n_inner + 1
+        assert len(seen["x"]) == len(seen["draws"]) == 2 * params.n_inner + 1
+        assert all(d.shape == rows + (3,) for d in seen["draws"])
         assert len(seen["prox"]) == 2 * params.n_inner
         for name, args in seen.items():
             size = p.m if name == "y" else None
@@ -345,6 +348,55 @@ def test_a_stack_hands_out_contiguous_blocks():
         assert all(is_block(y, rows, size_x) for y in seen["y"] + [res.y_last])
         assert res.x_last.base is res.y_last.base
         assert res.x_last.flags.c_contiguous and res.y_last.flags.c_contiguous
+
+
+def test_an_out_safe_prox_writes_straight_into_the_iterate_block():
+    # a marked spy on each axis writes the map's result into out and
+    # returns NaN: had the loop copied what it returns, the guard would stop
+    # the run.  Every out is the x or the y block of a flat joint array, and
+    # the run has the bits of the run whose unmarked maps are copied in.
+    ds = datasets.synthetic_logistic_dataset(30, 4, np.random.default_rng(2))
+    p = datasets.build_dro(ds, sgrad_batch=3).problem
+    params = theorem1_schedule(p.smoothness, p.convexity, p.noise, 0.05, 1.0).sapd_params()
+    params = replace(params, n_inner=6)
+    box = datasets.make_bilinear_box_toy().problem.prox_g  # a marked map for x
+    outs = {"f": [], "g": []}
+
+    def spy(fn, name):
+        @out_safe
+        @replica_safe
+        def call(v, step, out):
+            assert out is not None
+            outs[name].append(out)
+            fn(v, step, out=out)
+            return np.full_like(out, np.nan)
+        return call
+
+    def unmarked(fn):
+        return replica_safe(lambda v, step: fn(v, step))
+
+    assert is_out_safe(box) and is_out_safe(p.prox_g)
+    marked = replace(p, prox_f=spy(box, "f"), prox_g=spy(p.prox_g, "g"))
+    copied = replace(p, prox_f=unmarked(box), prox_g=unmarked(p.prox_g))
+    for rows in ((3,), ()):
+        for calls in outs.values():
+            calls.clear()
+        starts = np.zeros(rows + (p.n,)), np.full(rows + (p.m,), 1.0 / p.m)
+
+        def rngs():
+            return ([np.random.default_rng(r) for r in range(3)] if rows
+                    else np.random.default_rng(0))
+
+        got = sapd_run(marked, params, *starts, rngs())
+        want = sapd_run(copied, params, *starts, rngs())
+        for name in ("x_avg", "y_avg", "x_last", "y_last"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        size, size_x = math.prod(rows) * (p.n + p.m), math.prod(rows) * p.n
+        for name, offset, width in (("f", 0, p.n), ("g", size_x, p.m)):
+            assert len(outs[name]) == params.n_inner
+            for out in outs[name]:
+                assert out.shape == rows + (width,) and out.base.size == size
+                assert out.ctypes.data == out.base.ctypes.data + offset * out.itemsize
 
 
 @settings(max_examples=300, deadline=None)
