@@ -44,9 +44,11 @@ noise the problem declares.  Every input that the number rule accepts
 ends in one of three ways: a schedule; a manual schedule that does not
 certify, which `check-params` prints with exit 1 and `solve` runs after
 a warning; or exit 2 before any output opens, with one line that names
-the quantity a closed-form rule cannot give (a momentum bound at or above
-1, a bound, step size, count or batch that leaves the finite floats, or
-a tuple that fails the rule's own certificate).
+the quantity a closed-form rule cannot give (params._rule): beta that is
+not positive, a momentum bound, noise floor, alpha, count or batch that
+leaves the finite floats, a momentum theta that is not below 1, VR step
+sizes that are not both positive, or a tuple that fails the rule's own
+certificate.
 
 One table, _READS, says which RunConfig keys a run reads beside the seven
 that every `solve` reads (problem, algo, seed, reps, out, epochs and

@@ -8,6 +8,10 @@ one replica (sapd_plus_run) or of several with a plain schedule, each with
 its own generator (sapd_plus_lockstep).  At each stage the replicas still
 going run as one stack, but a lone replica runs on 1-D arrays: a stack of
 one costs about 1.2 times as much (sapd module docstring).
+
+The merely concave path smooths the dual with the closed-form mu_hat
+(params.smoothing_mu_hat, imported here) and runs the closed-form schedule
+of the smoothed constants; a rule that gives no schedule raises there.
 """
 
 import math
@@ -17,9 +21,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, InfeasibleScheduleError
+from .errors import ConfigurationError, DivergenceError
 from .evaluation import moreau_stationarity
-from .params import theorem1_schedule
+from .params import smoothing_mu_hat, theorem1_schedule
 from .problem import (ProblemSpec, SmoothnessConstants, add_quadratic,
                       shifted_subproblem)
 from .sapd import SapdParams, sapd_run, takes_replica_stacks
@@ -225,26 +229,6 @@ def _stage(p: ProblemSpec, sched, x, y, rngs, fs):
     else:
         res = sapd_run(sub, sched, x[0], y[0], rngs[0])
     return res.x_avg[None], res.y_avg[None], res.iterations
-
-
-def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,
-                     l_yy: float, l_xy: float) -> float:
-    """mu_hat = min{eps^2/(24 gamma d_y^2), (l_yy/l_xy) eps/(2 sqrt(6) d_y)}.
-
-    The second term vanishes with l_yy (it stems from a 1/l_yy prox step in
-    the derivation); in that case only the first term applies.  Raises
-    ConfigurationError for an epsilon or d_y that is not a positive float,
-    and InfeasibleScheduleError where mu_hat underflows to 0.
-    """
-    if epsilon <= 0 or d_y is None or not np.isfinite(d_y) or d_y <= 0:
-        raise ConfigurationError("need epsilon > 0 and a finite dual diameter")
-    mu_hat = epsilon**2 / (24.0 * gamma * d_y**2)
-    if l_yy != 0:
-        mu_hat = min(mu_hat, (l_yy / l_xy) * epsilon / (2.0 * math.sqrt(6.0) * d_y))
-    if not mu_hat > 0:
-        raise InfeasibleScheduleError(
-            f"smoothing mu_hat underflows to 0 at eps = {epsilon:.6g}")
-    return mu_hat
 
 
 def smooth_dual(p: ProblemSpec, mu_hat: float, anchor) -> ProblemSpec:

@@ -4,8 +4,20 @@ The admissible (tau, sigma, theta, rho, alpha) tuples for the inner solver
 are exactly those making a 5x5 matrix G positive semidefinite; the
 variance-reduced variant subtracts a diagonal correction.  This module
 builds those matrices, certifies tuples, and evaluates the closed-form
-parameter rules (momentum lower bounds, step sizes, inner/outer iteration
-counts, batch sizes).
+parameter rules: Theorem 1's beta, momentum lower bounds, step sizes and
+counts; the VR rule's step sizes, counts and large batch; and the dual
+smoothing mu_hat of the merely concave case.
+
+Every closed-form quantity is computed through _rule, the one place that
+raises InfeasibleScheduleError: a quantity whose arithmetic overflows,
+divides by an underflowed 0 or comes out nan, or that misses its own test
+(a positive beta, a theta below 1, a certified tuple), is refused with a
+message naming it, "... is not finite: degenerate constants" for a value
+that leaves the finite floats.  Three limits are not refusals: _square
+gives inf for an eps^2 that overflows (so T = 1 and b = 1 for a large
+eps), _vr_corrections gives (inf, inf) for a square that overflows (so a
+manual VR tuple reads as uncertified), and a matrix that leaves the
+finite floats certifies with min eigenvalue -inf.
 """
 
 import math
@@ -50,17 +62,26 @@ def _square(epsilon) -> float:
         return math.inf
 
 
-def _count(what, value) -> int:
-    """ceil(value()), the count of a closed-form rule, with value a function
-    of no arguments so that its arithmetic runs here.  Raises
-    InfeasibleScheduleError naming `what` where that arithmetic leaves the
-    finite floats: a square or a ceiling that overflows, a divisor that
-    underflows to 0, or a nan, such as inf / inf (math.ceil raises
-    ValueError on it)."""
+# the rules' tests besides finiteness, each false for a nan: 0 < x, x < 1
+_positive, _below_one = (0.0).__lt__, (1.0).__gt__
+
+
+def _rule(what, value, valid=math.isfinite, at=()):
+    """value(), a closed-form quantity of the rules, with value a function
+    of no arguments so that its arithmetic runs here: a square or a
+    ceiling that overflows, a divisor that underflows to 0 or the ceiling
+    of a nan (OverflowError, ZeroDivisionError, ValueError) gives a nan.
+    Where valid refuses the result, raises InfeasibleScheduleError
+    "<what>: degenerate constants", `what` naming the quantity and what it
+    is not, with the numbers of `at` formatted into it only then.  The
+    package's one raise of InfeasibleScheduleError."""
     try:
-        return math.ceil(value())
+        got = value()
     except (OverflowError, ZeroDivisionError, ValueError):
-        raise InfeasibleScheduleError(f"{what} is not finite: degenerate constants") from None
+        got = math.nan
+    if not valid(got):
+        raise InfeasibleScheduleError(what.format(*at) + ": degenerate constants")
+    return got
 
 
 def _assemble_g(tau, sigma, theta, rho, alpha, mu_x, s: SmoothnessConstants, mu_y):
@@ -159,11 +180,10 @@ def beta_of(smoothness: SmoothnessConstants, convexity: ConvexityModuli) -> floa
             "mu_y = 0: merely-concave problems take the smoothing path"
         )
     g, mu = convexity.gamma, convexity.mu_y
-    beta = min(0.5, mu / (4 * g), g / (4 * mu), smoothness.l_yx / (2 * smoothness.l_xy))
-    if not beta > 0:
-        raise InfeasibleScheduleError(f"beta underflows to 0 at gamma = {g:.6g}, "
-                                      f"mu_y = {mu:.6g}: degenerate constants")
-    return beta
+    return _rule("beta at gamma = {:.6g}, mu_y = {:.6g} is not positive",
+                 lambda: min(0.5, mu / (4 * g), g / (4 * mu),
+                             smoothness.l_yx / (2 * smoothness.l_xy)),
+                 _positive, at=(g, mu))
 
 
 def theta_bar_components(beta, smoothness: SmoothnessConstants,
@@ -174,7 +194,8 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
     in u = 1 - theta; theta_bar_2 handles the l_yy coupling (0 when l_yy = 0).
     Both take the root's difference sqrt(1 + r) - 1 as r/(sqrt(1 + r) + 1),
     which does not round to 0, and the bound to 1, once r falls below the
-    spacing of the floats at 1.
+    spacing of the floats at 1.  Raises InfeasibleScheduleError naming the
+    first bound that leaves the finite floats.
     """
     if not (0 < beta <= 1):
         raise ConfigurationError("beta must lie in (0, 1]")
@@ -182,26 +203,20 @@ def theta_bar_components(beta, smoothness: SmoothnessConstants,
         raise ConfigurationError("mu_x must be positive")
     s, mu_y = smoothness, convexity.mu_y
     lp_xx = s.l_xx + mu_x + convexity.gamma
-    # a tiny mu_y underflows beta l'_xx^2 mu_y, or r below, and the bounds
-    # come out infinite or nan; a square may also overflow, or underflow a
-    # divisor to 0
-    try:
-        scale = beta * lp_xx**2 * mu_y
-        ratio = 4 * s.l_yx**2 * mu_x / scale if scale else math.inf
+
+    # a tiny mu_y underflows beta l'_xx^2 mu_y, or r, to a 0 divisor; a
+    # square may overflow
+    def tb1():
+        ratio = 4 * s.l_yx**2 * mu_x / (beta * lp_xx**2 * mu_y)
         c = beta * mu_y * lp_xx / (2 * s.l_yx**2)
-        tb1 = 1.0 - c * ratio / (math.sqrt(1.0 + ratio) + 1.0)
-        if s.l_yy == 0:
-            tb2 = 0.0
-        else:
-            r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
-            tb2 = 1.0 - 2.0 / (math.sqrt(1.0 + 16.0 / r) + 1.0) if r else math.nan
-    except (OverflowError, ZeroDivisionError):
-        tb1 = tb2 = math.nan
-    if not (math.isfinite(tb1) and math.isfinite(tb2)):
-        raise InfeasibleScheduleError(
-            f"momentum lower bounds ({tb1:.6g}, {tb2:.6g}) are not finite: "
-            "degenerate constants")
-    return tb1, tb2
+        return 1.0 - c * ratio / (math.sqrt(1.0 + ratio) + 1.0)
+
+    def tb2():
+        r = (1.0 - beta) ** 2 * mu_y**2 / s.l_yy**2
+        return 1.0 - 2.0 / (math.sqrt(1.0 + 16.0 / r) + 1.0)
+
+    return (_rule("momentum lower bound theta_bar_1 is not finite", tb1),
+            0.0 if s.l_yy == 0 else _rule("momentum lower bound theta_bar_2 is not finite", tb2))
 
 
 def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -> tuple:
@@ -216,27 +231,14 @@ def theta_noise_floor(convexity: ConvexityModuli, noise: NoiseLevels, epsilon) -
         raise ConfigurationError("epsilon must be positive")
     # a square may overflow or underflow a divisor to 0, and an overflowed
     # numerator over an overflowed divisor makes theta_dbar_2 nan
-    try:
-        if noise.delta_x == 0:
-            td1 = 0.0
-        else:
-            td1 = max(0.0, 1.0 - _square(epsilon) / (384.0 * noise.delta_x**2))
-        if noise.delta_y == 0:
-            td2 = 0.0
-        else:
-            td2 = 1.0 / (
-                1.0
-                + (convexity.mu_y / (10.0 * convexity.gamma))
-                * _square(epsilon)
-                / (384.0 * noise.delta_y**2)
-            )
-    except (OverflowError, ZeroDivisionError):
-        td1 = td2 = math.nan
-    if not (math.isfinite(td1) and math.isfinite(td2)):
-        raise InfeasibleScheduleError(
-            f"noise floors ({td1:.6g}, {td2:.6g}) are not finite at eps = {epsilon:.6g}: "
-            "degenerate constants")
-    return td1, td2
+    dx, dy, c = noise.delta_x, noise.delta_y, convexity
+    return (0.0 if dx == 0 else _rule(
+                "noise floor theta_dbar_1 at eps = {:.6g} is not finite",
+                lambda: max(0.0, 1.0 - _square(epsilon) / (384.0 * dx**2)), at=(epsilon,)),
+            0.0 if dy == 0 else _rule(
+                "noise floor theta_dbar_2 at eps = {:.6g} is not finite",
+                lambda: 1.0 / (1.0 + (c.mu_y / (10.0 * c.gamma)) * _square(epsilon)
+                               / (384.0 * dy**2)), at=(epsilon,)))
 
 
 @dataclass(frozen=True)
@@ -278,17 +280,16 @@ def step_rule(theta: float, mu_x: float, smoothness: SmoothnessConstants,
     alpha always follows the sigma used.  l_yy = 0 puts alpha exactly on the
     alpha = 1/sigma boundary, so it is shaved within the certificate's
     feasibility margin; a negative alpha is raised to 0.  Raises
-    InfeasibleScheduleError where 1/sigma overflows.
+    InfeasibleScheduleError where alpha leaves the finite floats (1/sigma
+    overflows).
     """
     if tau is None:
         tau = (1.0 - theta) / mu_x
     if sigma is None:
         # the floor keeps a manual check of mu_y = 0 finite
         sigma = (1.0 - theta) / max(convexity.mu_y * theta, 1e-300)
-    alpha = 1.0 / sigma - math.sqrt(theta) * smoothness.l_yy
-    if alpha == math.inf:
-        raise InfeasibleScheduleError(
-            f"alpha = 1/sigma - sqrt(theta) l_yy is not finite at sigma = {sigma:.6g}")
+    alpha = _rule("alpha = 1/sigma - sqrt(theta) l_yy at sigma = {:.6g} is not finite",
+                  lambda: 1.0 / sigma - math.sqrt(theta) * smoothness.l_yy, at=(sigma,))
     if alpha >= 1.0 / sigma:
         alpha = (1.0 - 1e-9) / sigma
     return SapdParams(tau=tau, sigma=sigma, theta=theta, rho=theta,
@@ -303,8 +304,9 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
     mu_x = gamma; theta = max of the four momentum lower bounds, and the
     step sizes follow from step_rule; T = ceil(96 gap0 gamma / eps^2) + 1.
     Raises InfeasibleScheduleError naming the quantity where the rule gives
-    no schedule: a momentum bound at or above 1, a bound, alpha or T that
-    leaves the finite floats, or a tuple that does not certify.
+    no schedule: beta that is not positive, a bound, alpha or T that leaves
+    the finite floats, a theta that is not below 1, or a tuple that does
+    not certify.
     """
     if gap0 < 0:
         raise ConfigurationError("gap0 must be nonnegative")
@@ -312,20 +314,15 @@ def theorem1_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModul
     beta = beta_of(smoothness, convexity)
     tb1, tb2 = theta_bar_components(beta, smoothness, convexity, mu_x)
     td1, td2 = theta_noise_floor(convexity, noise, epsilon)
-    theta = max(tb1, tb2, td1, td2)
-    if theta >= 1.0:
-        raise InfeasibleScheduleError(
-            f"momentum lower bound {theta:.6g} >= 1: degenerate constants"
-        )
+    theta = _rule("momentum theta, the largest lower bound, is not below 1",
+                  lambda: max(tb1, tb2, td1, td2), _below_one)
     theta = min(max(theta, 1e-12), 1.0 - 1e-15)
     params = step_rule(theta, mu_x, smoothness, convexity)
-    t_outer = _count(f"stage count T at eps = {epsilon:.6g}",
-                     lambda: 96.0 * gap0 * convexity.gamma / _square(epsilon)) + 1
+    t_outer = _rule("stage count T at eps = {:.6g} is not finite", lambda: math.ceil(
+        96.0 * gap0 * convexity.gamma / _square(epsilon)), at=(epsilon,)) + 1
     cert = certify(params, smoothness, convexity)
-    if not cert.feasible:
-        raise InfeasibleScheduleError(
-            "the closed-form schedule does not certify (min eigenvalue "
-            f"{cert.min_eigenvalue:.3e}): degenerate constants")
+    _rule("the closed-form schedule does not certify (min eigenvalue {:.3e})",
+          lambda: cert.feasible, bool, at=(cert.min_eigenvalue,))
     return Theorem1Schedule(
         **vars(params), beta=beta, theta_bar_1=tb1, theta_bar_2=tb2,
         theta_dbar_1=td1, theta_dbar_2=td2, t_outer=t_outer, certificate=cert,
@@ -349,10 +346,10 @@ def vr_batch_floor(noise: NoiseLevels, convexity: ConvexityModuli, epsilon: floa
         raise ConfigurationError("epsilon must be positive")
     if convexity.mu_y <= 0:
         raise ConfigurationError("mu_y must be positive for the VR batch rule")
-    return max(1, _count(f"large batch b at eps = {epsilon:.6g}", lambda: max(
+    return max(1, _rule("large batch b at eps = {:.6g} is not finite", lambda: math.ceil(max(
         144.0 * noise.delta_x**2,
         360.0 * noise.delta_y**2 * convexity.gamma / convexity.mu_y,
-    ) / _square(epsilon)))
+    ) / _square(epsilon)), at=(epsilon,)))
 
 
 def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
@@ -379,21 +376,42 @@ def vr_schedule(smoothness: SmoothnessConstants, convexity: ConvexityModuli,
     mu_x = gamma
     lp_xx = s.l_xx + 2.0 * gamma
     lx_corr, ly_corr = _vr_corrections(q, b_x, b_y, mu_x, mu_y, lp_xx, s)
-    tau, sigma = vr_step_sizes(s, lp_xx, lx_corr, ly_corr)
-    if not (tau > 0 and sigma > 0):
-        # an infinite or nan correction
-        raise InfeasibleScheduleError(f"VR step sizes ({tau:.6g}, {sigma:.6g}) are not "
-                                      "positive: degenerate constants")
+    # an infinite or nan correction gives a step size of 0 or nan
+    tau, sigma = _rule("VR step sizes tau and sigma are not both positive",
+                       lambda: vr_step_sizes(s, lp_xx, lx_corr, ly_corr),
+                       lambda steps: steps[0] > 0 and steps[1] > 0)
     b = vr_batch_floor(noise, convexity, epsilon)
-    n_inner = max(1, _count("VR inner count N", lambda: 2.0 * (1.0 + zeta) * max(
-        1.0 / (gamma * tau) - 1.0, 1.0 / (mu_y * sigma))))
-    t_outer = max(1, _count(f"VR stage count T at eps = {epsilon:.6g}",
-                            lambda: 288.0 * gap0 * gamma / _square(epsilon)))
+    n_inner = max(1, _rule("VR inner count N is not finite", lambda: math.ceil(
+        2.0 * (1.0 + zeta) * max(1.0 / (gamma * tau) - 1.0, 1.0 / (mu_y * sigma)))))
+    t_outer = max(1, _rule("VR stage count T at eps = {:.6g} is not finite", lambda: math.ceil(
+        288.0 * gap0 * gamma / _square(epsilon)), at=(epsilon,)))
     params = VrParams(tau=tau, sigma=sigma, b=b, b_x=b_x, b_y=b_y, q=q,
                       n_inner=n_inner, mu_x=mu_x)
     cert = certify(params, smoothness, convexity)
-    if not cert.feasible:
-        raise InfeasibleScheduleError(
-            "the VR schedule does not certify (min eigenvalue "
-            f"{cert.min_eigenvalue:.3e}): degenerate constants")
+    _rule("the VR schedule does not certify (min eigenvalue {:.3e})",
+          lambda: cert.feasible, bool, at=(cert.min_eigenvalue,))
     return params, cert, t_outer
+
+
+def smoothing_mu_hat(epsilon: float, gamma: float, d_y: float,
+                     l_yy: float, l_xy: float) -> float:
+    """mu_hat = min{eps^2/(24 gamma d_y^2), (l_yy/l_xy) eps/(2 sqrt(6) d_y)},
+    the dual smoothing of the merely concave case.
+
+    The second term vanishes with l_yy (it stems from a 1/l_yy prox step in
+    the derivation); in that case only the first term applies.  Raises
+    ConfigurationError for an epsilon or d_y that is not a positive float,
+    and InfeasibleScheduleError naming eps where mu_hat is not a positive
+    finite float: it underflows to 0, or eps^2 overflows with l_yy = 0.
+    """
+    if epsilon <= 0 or d_y is None or not math.isfinite(d_y) or d_y <= 0:
+        raise ConfigurationError("need epsilon > 0 and a finite dual diameter")
+
+    def mu_hat():
+        first = _square(epsilon) / (24.0 * gamma * d_y**2)
+        if l_yy == 0:
+            return first
+        return min(first, (l_yy / l_xy) * epsilon / (2.0 * math.sqrt(6.0) * d_y))
+
+    return _rule("smoothing mu_hat at eps = {:.6g} is not a positive finite float", mu_hat,
+                 lambda mu: 0.0 < mu < math.inf, at=(epsilon,))

@@ -184,43 +184,33 @@ def add_quadratic(p: ProblemSpec, axis: str, coef: float, center, **changes) -> 
             f"center has shape {center.shape}, expected ({dim},) or (R, {dim})")
     grad, sgrad = getattr(p, "grad_" + axis), getattr(p, "sgrad_" + axis)
     coef_c = np.array(coef)  # 0-d coefficient (sapd module docstring)
-    # z - (+0.0) is z for every float z, so a center of +0.0 entries, which
-    # one exact test of every bit finds, adds coef*z: one call fewer per
-    # oracle call.  A -0.0 entry keeps the subtraction (-0.0 - -0.0 is +0.0).
-    zero = np.count_nonzero(center.view(np.uint64)) == 0
     # closures built per axis and center, so the oracles do no per-call dispatch
     if axis == "x":
         base = p.grad_h
-        if zero:
-            def new_grad(x, y):
-                return grad(x, y) + coef_c * x
 
-            def new_sgrad(x, y, draws):
-                return sgrad(x, y, draws) + coef_c * x
+        def new_grad(x, y):
+            return grad(x, y) + coef_c * (x - center)
 
-            def grad_h(x):
-                return coef_c * x
+        def new_sgrad(x, y, draws):
+            return sgrad(x, y, draws) + coef_c * (x - center)
 
-            def based_grad_h(x):
-                return base(x) + coef_c * x
-        else:
-            def new_grad(x, y):
-                return grad(x, y) + coef_c * (x - center)
+        def grad_h(x):
+            return coef_c * (x - center)
 
-            def new_sgrad(x, y, draws):
-                return sgrad(x, y, draws) + coef_c * (x - center)
-
-            def grad_h(x):
-                return coef_c * (x - center)
-
-            def based_grad_h(x):
-                return base(x) + coef_c * (x - center)
+        def based_grad_h(x):
+            return base(x) + coef_c * (x - center)
         if base is not None:
             grad_h = based_grad_h
         if base is None or is_replica_safe(base):
             replica_safe(grad_h)
         changes["grad_h"] = grad_h
-    elif zero:
+    # y - (+0.0) is y for every float y, so a center of +0.0 entries, which
+    # one exact test of every bit finds, adds coef*y: one call fewer per
+    # oracle call.  A -0.0 entry keeps the subtraction (-0.0 - -0.0 is +0.0).
+    # The smoothing anchor is such a center on every stage of a run from
+    # y0 = 0; the x center of a stage is all +0.0 only at the first stage
+    # of a run from x0 = 0, so the x axis takes the general form alone.
+    elif np.count_nonzero(center.view(np.uint64)) == 0:
         def new_grad(x, y):
             return grad(x, y) + coef_c * y
 

@@ -298,9 +298,10 @@ class TestOneSchedulePath:
         # each once ended in a traceback with exit 1: an InfeasibleScheduleError,
         # and a ZeroDivisionError where beta l'_xx^2 mu_y underflowed
         pytest.param(["--delta-y", "1e6", "--eps", "1e-9"],
-                     "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
+                     "momentum theta, the largest lower bound, is not below 1: "
+                     "degenerate constants", id="noise-floor-1"),
         pytest.param(["--mu-y", "1e-300"],
-                     "momentum lower bounds (nan, nan) are not finite: degenerate constants",
+                     "momentum lower bound theta_bar_1 is not finite: degenerate constants",
                      id="mu-y-underflow"),
         # a ZeroDivisionError traceback in the VR batch floor, exit 1
         pytest.param(["--algo", "sapd-plus-vr", "--eps", "0"], "eps must be positive",
@@ -319,7 +320,7 @@ class TestOneSchedulePath:
         pytest.param(["--eps", "1e-300"],
                      "stage count T at eps = 1e-300 is not finite: degenerate constants",
                      id="eps-1e-300"),
-        *(pytest.param([flag, "1e300"], "momentum lower bounds (nan, nan) are not finite: "
+        *(pytest.param([flag, "1e300"], "momentum lower bound theta_bar_1 is not finite: "
                        "degenerate constants", id=f"{flag[2:]}-1e300")
           for flag in ("--l-xx", "--l-yx", "--gamma")),
         pytest.param(["--mu-y", "1e-12"], "the closed-form schedule does not certify "
@@ -418,7 +419,8 @@ class TestOneSchedulePath:
                      id="epochs-and-budget"),
         # once an InfeasibleScheduleError traceback with exit 1
         pytest.param(["--eps", "1e-7"], "noise_x = 1\nnoise_y = 1\n",
-                     "momentum lower bound 1 >= 1: degenerate constants", id="noise-floor-1"),
+                     "momentum theta, the largest lower bound, is not below 1: "
+                     "degenerate constants", id="noise-floor-1"),
         # a missing path with ':' was once parsed as LIBSVM text, and text
         # as a one-sample dataset
         pytest.param(["--problem", "dro", "--data", "run:1.svm"], "",

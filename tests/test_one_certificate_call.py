@@ -9,6 +9,9 @@ them; a call there would spell the certificate out again, field by field.
 No module raises a bare RuntimeError either: a closed-form rule that gives
 no schedule raises InfeasibleScheduleError naming the quantity, which the
 CLI reports with exit 2, where a RuntimeError would end in a traceback.
+That raise has one place too, `params._rule`, through which every
+closed-form quantity is computed; a raise elsewhere would be a refusal
+with its own checks and its own words.
 """
 
 import ast
@@ -31,8 +34,8 @@ def _called_name(call):
 
 def _strays(path):
     """(line, what) of each builder call, each _assemble_g call outside
-    params.certify and each raise of a bare RuntimeError in the module at
-    path."""
+    params.certify, each raise of a bare RuntimeError and each raise of
+    InfeasibleScheduleError outside params._rule in the module at path."""
     found = []
 
     def visit(node, function):
@@ -46,6 +49,9 @@ def _strays(path):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                 found.append((node.lineno, "bare RuntimeError raised"))
+            if (isinstance(exc, ast.Name) and exc.id == "InfeasibleScheduleError"
+                    and function != "params._rule"):
+                found.append((node.lineno, f"InfeasibleScheduleError raised in {function}"))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -64,11 +70,14 @@ def test_the_guard_sees_a_stray_call_and_a_bare_raise(tmp_path):
     stray.write_text("def f(p):\n    return params.build_lmi(1)\n\n\n"
                      "def g():\n    raise RuntimeError('x')\n\n\n"
                      "def certify(t):\n    return build_vr_lmi(t)\n\n\n"
-                     "def h(t):\n    return _assemble_g(t)\n")
+                     "def h(t):\n    return _assemble_g(t)\n\n\n"
+                     "def _rule():\n    raise InfeasibleScheduleError('x')\n\n\n"
+                     "def beta_of():\n    raise InfeasibleScheduleError('y')\n")
     assert _strays(stray) == [(2, "build_lmi called in params.f"),
                               (6, "bare RuntimeError raised"),
                               (10, "build_vr_lmi called in params.certify"),
-                              (14, "_assemble_g called in params.h")]
+                              (14, "_assemble_g called in params.h"),
+                              (22, "InfeasibleScheduleError raised in params.beta_of")]
 
 
 def test_build_lmi_refuses_what_sapd_params_refuses():

@@ -11,13 +11,13 @@ from exact_psd import exact_g, is_psd, shifted
 from fixtures import theta_bar
 from sapdplus import datasets
 from sapdplus.errors import ConfigurationError, InfeasibleScheduleError
-from sapdplus.outer import _smoothing_plan
+from sapdplus.outer import _smoothing_plan, smooth_then_solve
 from reference_kernels import (reference_lmi_sign_flipped_feasible,
                                reference_vr_lmi_min_eigenvalue,
                                reference_vr_schedule_steps)
 from sapdplus.params import (PSD_TOL, _square, beta_of, build_lmi, build_vr_lmi, certify,
-                             inner_iterations, step_rule, theorem1_schedule,
-                             theta_bar_components, theta_noise_floor,
+                             inner_iterations, smoothing_mu_hat, step_rule,
+                             theorem1_schedule, theta_bar_components, theta_noise_floor,
                              vr_batch_floor, vr_schedule)
 from sapdplus.problem import (ConvexityModuli, NoiseLevels, ProblemSpec,
                               SmoothnessConstants)
@@ -585,27 +585,32 @@ def test_a_matrix_beyond_the_floats_is_not_certified(build):
                  "stage count T at eps = 1e-300 is not finite", id="T"),
     pytest.param(lambda: theorem1_schedule(SmoothnessConstants(1e300, 1, 1, 1), CANON_C,
                                            NoiseLevels(0, 0), 0.05, 1.0),
-                 "momentum lower bounds (nan, nan) are not finite", id="bounds"),
+                 "momentum lower bound theta_bar_1 is not finite", id="bounds"),
     pytest.param(lambda: theorem1_schedule(CANON_S, ConvexityModuli(1e-300, 1e300),
                                            NoiseLevels(0, 0), 0.05, 1.0),
-                 "beta underflows to 0 at gamma = 1e-300, mu_y = 1e+300", id="beta"),
+                 "beta at gamma = 1e-300, mu_y = 1e+300 is not positive", id="beta"),
+    pytest.param(lambda: theorem1_schedule(SmoothnessConstants(1, 1, 1, 1e-200), CANON_C,
+                                           NoiseLevels(0, 0), 0.05, 1.0),
+                 "momentum lower bound theta_bar_2 is not finite", id="bound-2"),
+    pytest.param(lambda: theorem1_schedule(CANON_S, CANON_C, NoiseLevels(0, 1e6), 1e-9, 1.0),
+                 "momentum theta, the largest lower bound, is not below 1", id="theta-1"),
     pytest.param(lambda: theorem1_schedule(CANON_S, CANON_C, NoiseLevels(1e-200, 0), 0.05,
                                            1.0),
-                 "noise floors (nan, nan) are not finite at eps = 0.05", id="floors"),
+                 "noise floor theta_dbar_1 at eps = 0.05 is not finite", id="floors"),
     pytest.param(lambda: theorem1_schedule(SmoothnessConstants(1, 1, 1, 0),
                                            ConvexityModuli(1e-10, 1e10),
                                            NoiseLevels(0, 1.2e154), 1e150, 1.0),
-                 "noise floors (0, nan) are not finite at eps = 1e+150", id="floor-nan"),
+                 "noise floor theta_dbar_2 at eps = 1e+150 is not finite", id="floor-nan"),
     pytest.param(lambda: theorem1_schedule(CANON_S, ConvexityModuli(1, 1e-12),
                                            NoiseLevels(0, 0), 0.05, 1.0),
                  "the closed-form schedule does not certify (min eigenvalue -8.890e-05)",
                  id="certificate"),
     pytest.param(lambda: step_rule(0.5, 1.0, CANON_S, CANON_C, sigma=1e-320),
-                 "alpha = 1/sigma - sqrt(theta) l_yy is not finite at sigma = 9.99989e-321",
+                 "alpha = 1/sigma - sqrt(theta) l_yy at sigma = 9.99989e-321 is not finite",
                  id="alpha"),
     pytest.param(lambda: vr_schedule(SmoothnessConstants(1e300, 1, 1, 1), CANON_C,
                                      NoiseLevels(0, 0), 0.05, 1.0, 10, 10, 10),
-                 "VR step sizes (0, 0) are not positive", id="vr-steps"),
+                 "VR step sizes tau and sigma are not both positive", id="vr-steps"),
     pytest.param(lambda: vr_schedule(CANON_S, CANON_C, NoiseLevels(0, 0), 0.05, 1.0,
                                      1, 10, 10, zeta=1e308),
                  "VR inner count N is not finite", id="vr-N"),
@@ -622,16 +627,82 @@ def test_a_matrix_beyond_the_floats_is_not_certified(build):
 def test_a_rule_with_no_schedule_names_the_quantity(rule, err):
     with pytest.raises(InfeasibleScheduleError) as info:
         rule()
-    assert str(info.value).startswith(err)
+    assert str(info.value) == f"{err}: degenerate constants"
 
 
 def test_smoothing_mu_hat_underflow_names_eps():
     # it once reached the strongly concave rule with mu_y = 0, which said
     # "mu_y = 0: merely-concave problems take the smoothing path"
     toy = datasets.make_bilinear_box_toy()
-    with pytest.raises(InfeasibleScheduleError,
-                       match="smoothing mu_hat underflows to 0 at eps = 1e-200"):
+    with pytest.raises(InfeasibleScheduleError, match=r"^smoothing mu_hat at eps = 1e-200 "
+                       "is not a positive finite float: degenerate constants$"):
         _smoothing_plan(toy.problem, 1e-200, np.zeros(toy.problem.m))
+
+
+def test_smoothing_mu_hat_overflow_names_eps():
+    # eps^2 overflows with l_yy = 0: both once ended in a bare OverflowError
+    err = r"^smoothing mu_hat at eps = {} is not a positive finite float: degenerate constants$"
+    toy = datasets.make_bilinear_box_toy()
+    with pytest.raises(InfeasibleScheduleError, match=err.format(r"1e\+200")):
+        smooth_then_solve(toy.problem, 1e200, np.ones(1), np.zeros(1),
+                          np.random.default_rng(0))
+    with pytest.raises(InfeasibleScheduleError, match=err.format(r"1e\+160")):
+        smoothing_mu_hat(1e160, 1.0, 2.0, 0.0, 1.0)
+
+
+def wide(zero=False):
+    """10^e for e uniform in [-300, 300], and 0 where zero is set."""
+    values = scales(-300, 300)
+    return st.one_of(st.just(0.0), values) if zero else values
+
+
+def schedule_or_refusal(rule):
+    """rule(), or None where it refuses."""
+    try:
+        return rule()
+    except (InfeasibleScheduleError, ConfigurationError):
+        return None
+
+
+def assert_schedule(params, t_outer, smoothness, convexity):
+    assert math.isfinite(params.tau) and params.tau > 0
+    assert math.isfinite(params.sigma) and params.sigma > 0
+    assert params.n_inner >= 1 and t_outer >= 1
+    if isinstance(params, SapdParams):
+        assert 0 <= params.theta < 1
+    assert certify(params, smoothness, convexity).feasible
+
+
+@pytest.mark.filterwarnings("ignore:large batch b below")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=st.builds(SmoothnessConstants, wide(True), wide(), wide(), wide(True)),
+       c=st.builds(ConvexityModuli, wide(), wide()),
+       noise=st.builds(NoiseLevels, wide(True), wide(True)), eps=wide(),
+       gap0=wide(True), q=st.integers(1, 20), b_x=st.integers(1, 20),
+       b_y=st.integers(1, 20), toy_c=wide(), toy_gamma=wide())
+# few wide draws give a schedule: these give one for each rule
+@example(s=CANON_S, c=CANON_C, noise=NoiseLevels(0.5, 0.5), eps=0.05, gap0=1.0, q=10, b_x=10,
+         b_y=10, toy_c=10.0, toy_gamma=1.0)
+@example(s=SmoothnessConstants(0.0, 1.0, 1.0, 0.0), c=CANON_C, noise=NoiseLevels(0.0, 0.0),
+         eps=0.05, gap0=0.0, q=1, b_x=1, b_y=1, toy_c=1.0, toy_gamma=1.0)
+def test_a_rule_returns_a_schedule_or_refuses(s, c, noise, eps, gap0, q, b_x, b_y,
+                                              toy_c, toy_gamma):
+    # any other exception is a rule that neither gives a schedule nor says
+    # why; the smoothing rule once ended in OverflowError for eps^2
+    sched = schedule_or_refusal(lambda: theorem1_schedule(s, c, noise, eps, gap0))
+    if sched is not None:
+        assert_schedule(sched, sched.t_outer, s, c)
+    vr = schedule_or_refusal(lambda: vr_schedule(s, c, noise, eps, gap0, q, b_x, b_y))
+    if vr is not None:
+        params, cert, t_outer = vr
+        assert cert.feasible
+        assert_schedule(params, t_outer, s, c)
+    toy = datasets.make_bilinear_box_toy(toy_c, toy_gamma)
+    plan = schedule_or_refusal(lambda: _smoothing_plan(toy.problem, eps, np.zeros(1)))
+    if plan is not None:
+        smoothed, cfg, mu_hat = plan
+        assert 0 < mu_hat < math.inf
+        assert_schedule(cfg.schedule, cfg.t_outer, smoothed.smoothness, smoothed.convexity)
 
 
 # The oracle complexities of the abstract, as exponents of the schedules

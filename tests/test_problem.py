@@ -183,8 +183,8 @@ def _minus_zero_problem(dim, with_h):
        center=st.sampled_from(["zero", "drawn"]), data=st.data())
 def test_a_zero_center_shifts_with_the_bits_of_the_general_form(axis, rows, with_h, coef,
                                                                 center, data):
-    # a center of +0.0 entries drops its subtraction; one with a -0.0, a
-    # subnormal or any other entry keeps it, and both give
+    # a y center of +0.0 entries drops its subtraction; an x center, or one
+    # with a -0.0, a subnormal or any other entry, keeps it, and both give
     # grad + coef * (z - center), bit for bit, on every z
     dim = 4
 
@@ -220,7 +220,9 @@ def test_a_minus_zero_center_keeps_its_subtraction(axis):
         assert np.signbit(got).tolist() == (~np.signbit(c)).tolist()
 
 
-@pytest.mark.parametrize("axis", ["x", "y"])
+# the x axis always subtracts its center: only a first stage from x0 = 0
+# has a zero x center
+@pytest.mark.parametrize("axis", ["y"])
 @pytest.mark.parametrize("rows", [(), (2,)])
 def test_a_zero_center_is_not_read_by_the_oracles(axis, rows):
     # the form without the subtraction reads no center: a write into it
@@ -230,8 +232,6 @@ def test_a_zero_center_is_not_read_by_the_oracles(axis, rows):
     c += 1.0
     z = np.full(c.shape, 0.5)
     got = [getattr(q, "grad_" + axis)(z, z), getattr(q, "sgrad_" + axis)(z, z, None)]
-    if axis == "x":
-        got.append(q.grad_h(z))
     # -0.0 + 2 * 0.5, with no center subtracted
     assert all(g.tolist() == np.full(c.shape, 1.0).tolist() for g in got)
 
